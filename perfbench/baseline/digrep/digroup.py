@@ -1,0 +1,380 @@
+"""Finite groups, actions on finite sets, and product-model digroups.
+
+A digroup element is an index pair (g, a): group element g acting on halo
+slot a.  The two products are
+
+    (g, a) |- (h, b) = (g h, g . b)
+    (g, a) -| (h, b) = (g h, a)
+
+and the halo is {(1, a)}.  Axioms are checked exhaustively; everything
+here is small enough for brute force.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from itertools import permutations
+
+
+class GroupTableError(ValueError):
+    """Raised when a Cayley table is not a group table."""
+
+
+class FiniteGroup:
+    """A finite group as a Cayley table on indices 0..n-1."""
+
+    def __init__(self, mul, name="group", strict=True):
+        self.mul = tuple(tuple(row) for row in mul)
+        self.order = len(self.mul)
+        self.name = name
+        n = self.order
+        for row in self.mul:
+            if len(row) != n or any(not (0 <= x < n) for x in row):
+                raise GroupTableError("malformed Cayley table")
+        self.identity = self._find_identity()
+        self.inv = self._find_inverses()
+        if strict:
+            bad = self.associativity_failure()
+            if bad is not None:
+                raise GroupTableError("table not associative at %r" % (bad,))
+
+    def _find_identity(self):
+        for e in range(self.order):
+            if all(self.mul[e][x] == x and self.mul[x][e] == x for x in range(self.order)):
+                return e
+        raise GroupTableError("no two-sided identity")
+
+    def _find_inverses(self):
+        inv = []
+        for g in range(self.order):
+            for h in range(self.order):
+                if self.mul[g][h] == self.identity and self.mul[h][g] == self.identity:
+                    inv.append(h)
+                    break
+            else:
+                raise GroupTableError("element %d has no inverse" % g)
+        return tuple(inv)
+
+    def associativity_failure(self):
+        n = self.order
+        for a in range(n):
+            for b in range(n):
+                ab = self.mul[a][b]
+                for c in range(n):
+                    if self.mul[ab][c] != self.mul[a][self.mul[b][c]]:
+                        return (a, b, c)
+        return None
+
+    def op(self, a, b):
+        return self.mul[a][b]
+
+    def generators(self):
+        """A small generating set, found greedily."""
+        gens = []
+        closed = {self.identity}
+        for g in range(self.order):
+            if g in closed:
+                continue
+            gens.append(g)
+            closed = set()
+            todo = [self.identity]
+            seen = {self.identity}
+            # regenerate the closure of gens
+            while todo:
+                x = todo.pop()
+                closed.add(x)
+                for s in gens:
+                    y = self.mul[x][s]
+                    if y not in seen:
+                        seen.add(y)
+                        todo.append(y)
+            if len(closed) == self.order:
+                break
+        return gens
+
+    def __len__(self):
+        return self.order
+
+    @classmethod
+    def cyclic(cls, n):
+        if not 1 <= n <= 12:
+            raise ValueError("cyclic order must be in 1..12")
+        return cls([[(i + j) % n for j in range(n)] for i in range(n)], name="C%d" % n)
+
+    @classmethod
+    def symmetric3(cls):
+        perms = list(permutations(range(3)))
+        idx = {p: i for i, p in enumerate(perms)}
+        mul = [[idx[tuple(p[q[k]] for k in range(3))] for q in perms] for p in perms]
+        return cls(mul, name="S3")
+
+    @classmethod
+    def direct_product(cls, g, h):
+        n, m = g.order, h.order
+        mul = [[(g.mul[a][c] * m + h.mul[b][d])
+                for c in range(n) for d in range(m)]
+               for a in range(n) for b in range(m)]
+        return cls(mul, name="%sx%s" % (g.name, h.name))
+
+
+class GAction:
+    """A left action of a finite group on {0..set_size-1}, as a lookup table."""
+
+    def __init__(self, group, set_size, act):
+        self.group = group
+        self.set_size = set_size
+        self.act = tuple(tuple(row) for row in act)
+        if len(self.act) != group.order or any(len(r) != set_size for r in self.act):
+            raise ValueError("action table shape mismatch")
+        e = group.identity
+        for a in range(set_size):
+            if self.act[e][a] != a:
+                raise ValueError("identity does not act trivially")
+        for g in range(group.order):
+            for h in range(group.order):
+                gh = group.mul[g][h]
+                for a in range(set_size):
+                    if self.act[gh][a] != self.act[g][self.act[h][a]]:
+                        raise ValueError("action law fails at (%d,%d,%d)" % (g, h, a))
+
+    @classmethod
+    def trivial(cls, group, set_size):
+        return cls(group, set_size, [list(range(set_size))] * group.order)
+
+    def apply(self, g, a):
+        return self.act[g][a]
+
+    def orbits(self):
+        seen = set()
+        out = []
+        for a in range(self.set_size):
+            if a in seen:
+                continue
+            orb = sorted({self.act[g][a] for g in range(self.group.order)})
+            seen.update(orb)
+            out.append(orb)
+        return out
+
+
+_action_cache = {}
+
+
+def all_actions(group, set_size):
+    """Every action of `group` on a set of `set_size` points.
+
+    Enumerated by choosing permutation images for a generating set and
+    extending along the Cayley table; each candidate is verified in full.
+    """
+    key = (group.mul, set_size)
+    if key in _action_cache:
+        return _action_cache[key]
+    gens = group.generators()
+    perms = list(permutations(range(set_size)))
+    found = []
+    if not gens:
+        found.append(GAction.trivial(group, set_size))
+    for images in _product_of_perms(perms, len(gens)):
+        tbl = _extend_hom(group, gens, images, set_size)
+        if tbl is None:
+            continue
+        try:
+            found.append(GAction(group, set_size, tbl))
+        except ValueError:
+            continue
+    _action_cache[key] = found
+    return found
+
+
+def _product_of_perms(perms, k):
+    if k == 0:
+        return
+    idx = [0] * k
+    while True:
+        yield [perms[i] for i in idx]
+        j = k - 1
+        while j >= 0:
+            idx[j] += 1
+            if idx[j] < len(perms):
+                break
+            idx[j] = 0
+            j -= 1
+        if j < 0:
+            return
+
+
+def _extend_hom(group, gens, images, set_size):
+    """Try to extend generator images to a full action table; None on clash."""
+    n = group.order
+    phi = {group.identity: tuple(range(set_size))}
+    for g, p in zip(gens, images):
+        if g in phi and phi[g] != p:
+            return None
+        phi[g] = p
+    changed = True
+    while changed and len(phi) < n:
+        changed = False
+        for a in list(phi):
+            for s in gens:
+                b = group.mul[a][s]
+                comp = tuple(phi[a][phi[s][k]] for k in range(set_size))
+                if b in phi:
+                    if phi[b] != comp:
+                        return None
+                else:
+                    phi[b] = comp
+                    changed = True
+    if len(phi) < n:
+        return None
+    # full verification happens in the GAction constructor
+    return [list(phi[g]) for g in range(n)]
+
+
+@dataclass(frozen=True)
+class AxiomReport:
+    """Per-axiom pass/fail with the first counterexample found."""
+
+    results: dict
+
+    @property
+    def ok(self):
+        return all(passed for passed, _ in self.results.values())
+
+    def failures(self):
+        return {k: ce for k, (passed, ce) in self.results.items() if not passed}
+
+
+class Digroup:
+    """A product-model digroup: group x halo set with an action."""
+
+    def __init__(self, group, action):
+        if action.group is not group and action.group.mul != group.mul:
+            raise ValueError("action is not an action of the given group")
+        self.group = group
+        self.action = action
+        self.halo_size = action.set_size
+        if self.halo_size < 1:
+            raise ValueError("halo must be nonempty")
+
+    @property
+    def elements(self):
+        return [(g, a) for g in range(self.group.order) for a in range(self.halo_size)]
+
+    def __len__(self):
+        return self.group.order * self.halo_size
+
+    def _check_elem(self, x):
+        g, a = x
+        if not (0 <= g < self.group.order and 0 <= a < self.halo_size):
+            raise IndexError("element index out of range: %r" % (x,))
+
+    def vdash(self, x, y):
+        self._check_elem(x)
+        self._check_elem(y)
+        (g, _a), (h, b) = x, y
+        return (self.group.mul[g][h], self.action.apply(g, b))
+
+    def dashv(self, x, y):
+        self._check_elem(x)
+        self._check_elem(y)
+        (g, a), (h, _b) = x, y
+        return (self.group.mul[g][h], a)
+
+    def halo(self):
+        e = self.group.identity
+        return [(e, a) for a in range(self.halo_size)]
+
+    def is_bar_unit(self, x):
+        return x[0] == self.group.identity and 0 <= x[1] < self.halo_size
+
+    def sharp(self, x):
+        """An element with x |- sharp(x) and sharp(x) |- x in the halo."""
+        self._check_elem(x)
+        g, a = x
+        gi = self.group.inv[g]
+        return (gi, self.action.apply(gi, a))
+
+    def inverses_at(self, x, e):
+        """(left, right) inverses of x relative to the bar-unit e, verified."""
+        self._check_elem(x)
+        if not self.is_bar_unit(e):
+            raise ValueError("%r is not a bar-unit" % (e,))
+        g, _a = x
+        b = e[1]
+        gi = self.group.inv[g]
+        left = (gi, b)
+        right = (gi, self.action.apply(gi, b))
+        assert self.dashv(left, x) == e
+        assert self.vdash(x, right) == e
+        return left, right
+
+    def right_group_at(self, e):
+        """The right group at bar-unit e, with its multiplication table.
+
+        Returns (elements, table) where elements[g] = (g^-1, g^-1 . b) and
+        table is indexed like the parent group but transported through |-
+        (the transport reverses factor order).
+        """
+        if not self.is_bar_unit(e):
+            raise ValueError("%r is not a bar-unit" % (e,))
+        b = e[1]
+        n = self.group.order
+        elems = [(self.group.inv[g], self.action.apply(self.group.inv[g], b))
+                 for g in range(n)]
+        pos = {x: i for i, x in enumerate(elems)}
+        table = []
+        for g in range(n):
+            row = []
+            for h in range(n):
+                prod = self.vdash(elems[g], elems[h])
+                if prod not in pos:
+                    raise AssertionError("right group not closed under |-")
+                # elems[g] |- elems[h] must land at elems[h*g]
+                if pos[prod] != self.group.mul[h][g]:
+                    raise AssertionError("right group law does not transport")
+                row.append(pos[prod])
+            table.append(row)
+        return elems, table
+
+    def check_axioms(self):
+        """Exhaustive axiom check; returns an AxiomReport."""
+        elems = self.elements
+        results = {}
+
+        def first_failure(pred, triples):
+            for tr in triples:
+                if not pred(*tr):
+                    return (False, tr)
+            return (True, None)
+
+        pairs_h = [(e, x) for e in self.halo() for x in elems]
+        results["unit_left_vdash"] = first_failure(
+            lambda e, x: self.vdash(e, x) == x, pairs_h)
+        results["unit_right_dashv"] = first_failure(
+            lambda e, x: self.dashv(x, e) == x, pairs_h)
+
+        def has_inverses(e, x):
+            try:
+                left, right = self.inverses_at(x, e)
+            except AssertionError:
+                return False
+            return self.dashv(left, x) == e and self.vdash(x, right) == e
+
+        results["inverses"] = first_failure(has_inverses, pairs_h)
+
+        triples = [(x, y, z) for x in elems for y in elems for z in elems]
+        results["assoc_vdash"] = first_failure(
+            lambda x, y, z: self.vdash(self.vdash(x, y), z) == self.vdash(x, self.vdash(y, z)),
+            triples)
+        results["assoc_dashv"] = first_failure(
+            lambda x, y, z: self.dashv(self.dashv(x, y), z) == self.dashv(x, self.dashv(y, z)),
+            triples)
+        results["mixed_bar"] = first_failure(
+            lambda x, y, z: self.vdash(x, self.dashv(y, z)) == self.dashv(self.vdash(x, y), z),
+            triples)
+        results["mixed_dashv"] = first_failure(
+            lambda x, y, z: self.dashv(x, self.dashv(y, z)) == self.dashv(x, self.vdash(y, z)),
+            triples)
+        results["mixed_vdash"] = first_failure(
+            lambda x, y, z: self.vdash(self.vdash(x, y), z) == self.vdash(self.dashv(x, y), z),
+            triples)
+        return AxiomReport(results)

@@ -1,0 +1,438 @@
+"""Finite-dimensional algebras attached to a digroup.
+
+Two algebras are realized with explicit structure constants:
+
+* the enveloping algebra of a digroup, on the monomial basis
+  {R_g} u {M_(a,g)} with products
+
+      R_g  R_h      = R_(gh)
+      R_g  M_(a,h)  = M_(g.a, gh)
+      M_(a,g) R_h   = M_(a, gh)
+      M_(a,g) M_(b,h) = M_(a, gh)
+
+  where M_(a,g) stands for the class of L_(1,a) R_g and R_1 is the unit;
+
+* the halo band algebra on {1} u {eps_a} with eps_a eps_b = eps_a.
+
+Modules over these algebras are square-matrix actions per basis element,
+and first extension groups of modules are computed directly from the
+derivation / inner-derivation linear system.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from .digroup import AxiomReport
+from .linalg import Matrix, QQ, span_basis, sparse_kernel
+from .reps import Representation, require_valid
+
+
+class AlgebraError(ValueError):
+    pass
+
+
+@dataclass(frozen=True)
+class FDAlgebra:
+    """Associative unital algebra given by basis labels + structure constants.
+
+    structure[i][j] is the coefficient vector of e_i e_j in the basis;
+    unit is the coefficient vector of 1.
+    """
+
+    field: object
+    basis_labels: tuple
+    structure: tuple
+    unit: tuple
+
+    @property
+    def dim(self):
+        return len(self.basis_labels)
+
+    def index(self, label):
+        return self.basis_labels.index(label)
+
+    def basis_vector(self, i):
+        z, o = self.field.of(0), self.field.of(1)
+        return tuple(o if j == i else z for j in range(self.dim))
+
+    def multiply(self, u, v):
+        """Product of two coefficient vectors, expanded bilinearly."""
+        z = self.field.of(0)
+        out = [z] * self.dim
+        for i, a in enumerate(u):
+            if not a:
+                continue
+            for j, b in enumerate(v):
+                if not b:
+                    continue
+                ab = a * b
+                for k, c in enumerate(self.structure[i][j]):
+                    if c:
+                        out[k] = out[k] + ab * c
+        return tuple(out)
+
+    def check(self):
+        """Exhaustive associativity and unit check; raises on failure.
+
+        Runs on a sparse view of the structure constants, so monomial
+        algebras (one term per product) check in linear-ish time.
+        """
+        n = self.dim
+        for i in range(n):
+            ei = self.basis_vector(i)
+            if self.multiply(self.unit, ei) != ei or self.multiply(ei, self.unit) != ei:
+                raise AlgebraError("unit fails at basis element %d" % i)
+        sc = [[{k: c for k, c in enumerate(vec) if c} for vec in row]
+              for row in self.structure]
+        for i in range(n):
+            sci = sc[i]
+            for j in range(n):
+                scij = sci[j]
+                scj = sc[j]
+                for k in range(n):
+                    lhs = {}
+                    for l, c in scij.items():
+                        for t, c2 in sc[l][k].items():
+                            v = lhs.get(t)
+                            v = c * c2 if v is None else v + c * c2
+                            if v:
+                                lhs[t] = v
+                            elif t in lhs:
+                                del lhs[t]
+                    rhs = {}
+                    for l, c in scj[k].items():
+                        for t, c2 in sci[l].items():
+                            v = rhs.get(t)
+                            v = c * c2 if v is None else v + c * c2
+                            if v:
+                                rhs[t] = v
+                            elif t in rhs:
+                                del rhs[t]
+                    if lhs != rhs:
+                        raise AlgebraError("associativity fails at (%d,%d,%d)" % (i, j, k))
+        return True
+
+
+_envalg_cache = {}
+
+
+def build_enveloping_algebra(d, field=QQ):
+    """The enveloping algebra of a digroup on its monomial basis.
+
+    Cached per (group table, action table, field): the construction and
+    its exhaustive associativity check are deterministic in those inputs.
+    """
+    cache_key = (d.group.mul, d.action.act, field)
+    hit = _envalg_cache.get(cache_key)
+    if hit is not None:
+        return hit
+    n = d.group.order
+    m = d.halo_size
+    labels = [("R", g) for g in range(n)]
+    labels += [("M", a, g) for a in range(m) for g in range(n)]
+    idx = {lab: i for i, lab in enumerate(labels)}
+    dim = len(labels)
+    z, o = field.of(0), field.of(1)
+
+    def unitvec(label):
+        v = [z] * dim
+        v[idx[label]] = o
+        return tuple(v)
+
+    structure = []
+    for la in labels:
+        row = []
+        for lb in labels:
+            if la[0] == "R" and lb[0] == "R":
+                lab = ("R", d.group.mul[la[1]][lb[1]])
+            elif la[0] == "R":
+                _, b, h = lb
+                lab = ("M", d.action.apply(la[1], b), d.group.mul[la[1]][h])
+            elif lb[0] == "R":
+                _, a, g = la
+                lab = ("M", a, d.group.mul[g][lb[1]])
+            else:
+                _, a, g = la
+                lab = ("M", a, d.group.mul[g][lb[2]])
+            row.append(unitvec(lab))
+        structure.append(tuple(row))
+    alg = FDAlgebra(field, tuple(labels), tuple(structure),
+                    unitvec(("R", d.group.identity)))
+    alg.check()
+    _envalg_cache[cache_key] = alg
+    return alg
+
+
+_halo_cache = {}
+
+
+def build_halo_algebra(halo_size, field=QQ):
+    """The band algebra on idempotents eps_a with eps_a eps_b = eps_a."""
+    if halo_size < 1:
+        raise AlgebraError("halo must be nonempty")
+    hit = _halo_cache.get((halo_size, field))
+    if hit is not None:
+        return hit
+    labels = ["1"] + [("eps", a) for a in range(halo_size)]
+    idx = {lab: i for i, lab in enumerate(labels)}
+    dim = len(labels)
+    z, o = field.of(0), field.of(1)
+
+    def unitvec(label):
+        v = [z] * dim
+        v[idx[label]] = o
+        return tuple(v)
+
+    structure = []
+    for la in labels:
+        row = []
+        for lb in labels:
+            if la == "1":
+                row.append(unitvec(lb))
+            elif lb == "1":
+                row.append(unitvec(la))
+            else:
+                row.append(unitvec(la))  # eps_a eps_b = eps_a
+        structure.append(tuple(row))
+    alg = FDAlgebra(field, tuple(labels), tuple(structure), unitvec("1"))
+    alg.check()
+    _halo_cache[(halo_size, field)] = alg
+    return alg
+
+
+def tau_automorphism(g, action, field=QQ):
+    """The permutation matrix of eps_a -> eps_(g.a) on the halo algebra basis."""
+    m = action.set_size
+    dim = 1 + m
+    z, o = field.of(0), field.of(1)
+    ents = [[z] * dim for _ in range(dim)]
+    ents[0][0] = o
+    for a in range(m):
+        ents[1 + action.apply(g, a)][1 + a] = o
+    return Matrix.from_rows(field, ents)
+
+
+def check_relations(a, d):
+    """Evaluate the five defining relation families on the embedded elements.
+
+    ell_x and r_x are the images of the digroup element x among the
+    monomials; every relation is checked for every pair of elements.
+    """
+    results = {}
+
+    def ell(x):
+        g, al = x
+        return a.basis_vector(a.index(("M", al, g)))
+
+    def r(x):
+        g, _al = x
+        return a.basis_vector(a.index(("R", g)))
+
+    elems = d.elements
+
+    def scan(name, pred):
+        for x in elems:
+            for y in elems:
+                if not pred(x, y):
+                    results[name] = (False, (x, y))
+                    return
+        results[name] = (True, None)
+
+    scan("ell_dashv", lambda x, y: ell(d.dashv(x, y)) == a.multiply(ell(x), ell(y)))
+    scan("r_vdash", lambda x, y: r(d.vdash(x, y)) == a.multiply(r(x), r(y)))
+    bad = next((e for e in d.halo() if r(e) != a.unit), None)
+    results["r_unit"] = (bad is None, bad)
+    scan("r_ell", lambda x, y: a.multiply(r(x), ell(y)) == ell(d.vdash(x, y)))
+    scan("ell_r", lambda x, y: a.multiply(ell(x), r(y)) == ell(d.dashv(x, y)))
+    return AxiomReport(results)
+
+
+@dataclass(frozen=True)
+class AlgebraModule:
+    algebra: FDAlgebra
+    dim: int
+    action: tuple  # one square Matrix per basis element
+
+
+def check_module(m):
+    a = m.algebra
+    if len(m.action) != a.dim:
+        raise AlgebraError("one action matrix per basis element required")
+    for mat in m.action:
+        if (mat.rows, mat.cols) != (m.dim, m.dim):
+            raise AlgebraError("action matrix shape mismatch")
+    ident = Matrix.identity(a.field, m.dim)
+    if _combine(m, a.unit) != ident:
+        raise AlgebraError("unit does not act as the identity")
+    for i in range(a.dim):
+        for j in range(a.dim):
+            if m.action[i] * m.action[j] != _combine(m, a.structure[i][j]):
+                raise AlgebraError("structure constants violated at (%d,%d)" % (i, j))
+    return m
+
+
+def _combine(m, coeffs):
+    out = Matrix.zeros(m.algebra.field, m.dim, m.dim)
+    for k, c in enumerate(coeffs):
+        if c:
+            out = out + m.action[k].scale(c)
+    return out
+
+
+def rep_to_module(r, algebra=None):
+    """Turn a representation into a module over the enveloping algebra."""
+    require_valid(r)
+    d = r.digroup
+    if algebra is None:
+        algebra = build_enveloping_algebra(d, r.field)
+    action = []
+    for lab in algebra.basis_labels:
+        if lab[0] == "R":
+            action.append(r.rho[(lab[1], 0)])
+        else:
+            _, a, g = lab
+            action.append(r.lam[(g, a)])
+    return check_module(AlgebraModule(algebra, r.dim, tuple(action)))
+
+
+def module_to_rep(m, d):
+    """Recover the representation from a module over the enveloping algebra."""
+    check_module(m)
+    a = m.algebra
+    lam, rho = {}, {}
+    for g in range(d.group.order):
+        rg = m.action[a.index(("R", g))]
+        for al in range(d.halo_size):
+            rho[(g, al)] = rg
+            lam[(g, al)] = m.action[a.index(("M", al, g))]
+    return require_valid(Representation(d, m.dim, lam, rho))
+
+
+def derivation_ext1(a, q, w):
+    """dim Ext^1 of modules over a finite-dimensional algebra, plus cocycles.
+
+    Solves for linear maps c : basis -> Hom(q, w) with
+
+        c(e_i e_j) = act_w(e_i) c(e_j) + c(e_i) act_q(e_j),   c(1) = 0,
+
+    then quotients by the inner maps t -> (act_w(e_i) t - t act_q(e_i)).
+    Returns (dimension, representative cocycle families), where a family
+    is a tuple of dw x dq matrices indexed like the algebra basis.
+    """
+    if q.algebra is not a or w.algebra is not a:
+        raise AlgebraError("modules must live over the given algebra")
+    field = a.field
+    na = a.dim
+    dq, dw = q.dim, w.dim
+    nunk = na * dw * dq
+    if nunk == 0:
+        return 0, []
+
+    def uix(k, i, j):
+        return (k * dw + i) * dq + j
+
+    rows = []
+    seen = set()
+
+    def add(row):
+        key = tuple(sorted((c, v) for c, v in row.items() if v))
+        if key and key not in seen:
+            seen.add(key)
+            rows.append(row)
+
+    for i in range(dw):
+        for j in range(dq):
+            row = {}
+            for k, c in enumerate(a.unit):
+                if c:
+                    row[uix(k, i, j)] = c
+            add(row)
+    for ki in range(na):
+        aw = w.action[ki]
+        for kj in range(na):
+            aq = q.action[kj]
+            prod = a.structure[ki][kj]
+            for i in range(dw):
+                for j in range(dq):
+                    row = {}
+                    for k, c in enumerate(prod):
+                        if c:
+                            row[uix(k, i, j)] = row.get(uix(k, i, j), field.of(0)) + c
+                    for l in range(dw):
+                        c = aw[i, l]
+                        if c:
+                            key = uix(kj, l, j)
+                            row[key] = row.get(key, field.of(0)) - c
+                    for l in range(dq):
+                        c = aq[l, j]
+                        if c:
+                            key = uix(ki, i, l)
+                            row[key] = row.get(key, field.of(0)) - c
+                    add(row)
+    der = sparse_kernel(nunk, rows, field)
+
+    inner = []
+    for m0 in range(dw):
+        for n0 in range(dq):
+            vec = [field.of(0)] * nunk
+            for k in range(na):
+                aw, aq = w.action[k], q.action[k]
+                # (aw t - t aq) for t the (m0, n0) matrix unit
+                for i in range(dw):
+                    c = aw[i, m0]
+                    if c:
+                        vec[uix(k, i, n0)] = vec[uix(k, i, n0)] + c
+                for j in range(dq):
+                    c = aq[n0, j]
+                    if c:
+                        vec[uix(k, m0, j)] = vec[uix(k, m0, j)] - c
+            inner.append(Matrix(field, nunk, 1, vec))
+
+    der_basis = span_basis(der)
+    inner_basis = span_basis(inner)
+    reps_vecs = complete_basis(inner_basis, der_basis)
+    dim = len(der_basis) - len(inner_basis)
+    assert dim == len(reps_vecs)
+    families = []
+    for v in reps_vecs:
+        fam = tuple(Matrix(field, dw, dq,
+                           [v[uix(k, i, j), 0] for i in range(dw) for j in range(dq)])
+                    for k in range(na))
+        families.append(fam)
+    return dim, families
+
+
+def complete_basis(small, big):
+    """Vectors from `big` that extend span(small) to span(big), greedily."""
+    chosen = []
+    cur = list(small)
+    rank = len(span_basis(cur))
+    for v in big:
+        nxt = span_basis(cur + [v])
+        if len(nxt) > rank:
+            chosen.append(v)
+            cur.append(v)
+            rank = len(nxt)
+    return chosen
+
+
+def algebra_to_json(a):
+    return {
+        "basis_labels": [_label_str(lab) for lab in a.basis_labels],
+        "structure": [[[a.field.fmt(c) for c in vec] for vec in row]
+                      for row in a.structure],
+        "unit": [a.field.fmt(c) for c in a.unit],
+    }
+
+
+def _label_str(lab):
+    if lab == "1":
+        return "1"
+    if lab[0] == "R":
+        return "R_%d" % lab[1]
+    if lab[0] == "M":
+        return "M_%d_%d" % (lab[1], lab[2])
+    if lab[0] == "eps":
+        return "eps_%d" % lab[1]
+    return str(lab)

@@ -1,0 +1,483 @@
+"""Splitting and extensions of digroup representations.
+
+A short exact sequence 0 -> W -> V -> Q -> 0 of representations splits
+against the invertible right family by group averaging; the left family
+then leaves an off-diagonal cocycle family theta.  Ext^1(Q, W) is the
+space of such families modulo the coboundaries coming from changing the
+section, and an extension splits exactly when its class vanishes.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from .digroup import AxiomReport
+from .linalg import Matrix, hstack, solve, span_basis, sparse_kernel
+from .reps import (Representation, RepresentationError, lambda_factorization,
+                   rho_group_form, require_valid)
+
+
+class MaschkeError(ArithmeticError):
+    """The averaging hypothesis fails: the characteristic divides |G|."""
+
+
+@dataclass(frozen=True)
+class ShortExactSeq:
+    W: Representation
+    V: Representation
+    Q: Representation
+    iota: Matrix
+    pi: Matrix
+
+
+def short_exact(W, V, Q, iota, pi):
+    """Validated constructor: exactness plus morphism checks, exhaustive."""
+    if not (W.digroup is V.digroup is Q.digroup):
+        raise RepresentationError("sequence members live over different digroups")
+    if (iota.rows, iota.cols) != (V.dim, W.dim):
+        raise RepresentationError("iota shape mismatch")
+    if (pi.rows, pi.cols) != (Q.dim, V.dim):
+        raise RepresentationError("pi shape mismatch")
+    if W.dim + Q.dim != V.dim:
+        raise RepresentationError("dimensions do not add up")
+    if iota.rank() != W.dim:
+        raise RepresentationError("iota is not injective")
+    if pi.rank() != Q.dim:
+        raise RepresentationError("pi is not surjective")
+    if not (pi * iota).is_zero():
+        raise RepresentationError("pi o iota != 0")
+    for x in V.digroup.elements:
+        if V.lam[x] * iota != iota * W.lam[x] or V.rho[x] * iota != iota * W.rho[x]:
+            raise RepresentationError("iota is not a morphism at %r" % (x,))
+        if pi * V.lam[x] != Q.lam[x] * pi or pi * V.rho[x] != Q.rho[x] * pi:
+            raise RepresentationError("pi is not a morphism at %r" % (x,))
+    return ShortExactSeq(W, V, Q, iota, pi)
+
+
+@dataclass(frozen=True)
+class CocycleFamily:
+    """A family of dim W x dim Q matrices indexed by digroup elements."""
+
+    theta: dict
+
+    def __add__(self, other):
+        return CocycleFamily({x: m + other.theta[x] for x, m in self.theta.items()})
+
+    def __sub__(self, other):
+        return CocycleFamily({x: m - other.theta[x] for x, m in self.theta.items()})
+
+
+@dataclass(frozen=True)
+class Ext1Result:
+    dim_Z: int
+    dim_B: int
+    dim_ext: int
+    class_basis: list
+
+
+def check_cocycle(theta, Q, W):
+    """The three cocycle identities, exhaustively over all element pairs.
+
+    Products are memoized by operand identity; the operator tables share
+    matrix objects heavily, so this stays exhaustive but avoids repeats.
+    """
+    d = Q.digroup
+    elems = d.elements
+    results = {}
+    memo = {}
+
+    def mul(a, b):
+        key = (id(a), id(b))
+        r = memo.get(key)
+        if r is None:
+            r = a * b
+            memo[key] = r
+        return r
+
+    def scan(name, pred):
+        for x in elems:
+            for y in elems:
+                if not pred(x, y):
+                    results[name] = (False, (x, y))
+                    return
+        results[name] = (True, None)
+
+    scan("Z1a", lambda x, y:
+         theta[d.dashv(x, y)] == mul(W.lam[x], theta[y]) + mul(theta[x], Q.lam[y]))
+    scan("Z1b", lambda x, y: theta[d.vdash(x, y)] == mul(W.rho[x], theta[y]))
+    scan("Z1c", lambda x, y: theta[d.dashv(x, y)] == mul(theta[x], Q.rho[y]))
+    return AxiomReport(results)
+
+
+def require_cocycle(theta, Q, W):
+    rep = check_cocycle(theta, Q, W)
+    if not rep.ok:
+        raise RepresentationError("cocycle identities fail: %r" % rep.failures())
+    return theta
+
+
+def average_section(s, s0=None):
+    """A section of pi commuting with the whole right family, by averaging.
+
+    Starts from any linear section s0 (solved for if not given), then
+    averages s0 over the group through the right operators.  Exact in
+    characteristic zero; over F_p it requires p not dividing |G|.
+    """
+    field = s.V.field
+    n = s.V.digroup.group.order
+    if field.char != 0 and n % field.char == 0:
+        raise MaschkeError("characteristic %d divides the group order %d"
+                           % (field.char, n))
+    if s0 is None:
+        s0 = solve(s.pi, Matrix.identity(field, s.Q.dim))
+        if s0 is None:
+            raise RepresentationError("pi admits no linear section")
+    rho_v = rho_group_form(s.V)
+    rho_q = rho_group_form(s.Q)
+    acc = Matrix.zeros(field, s.V.dim, s.Q.dim)
+    for g in range(n):
+        acc = acc + rho_v[g] * s0 * rho_q[g].inverse()
+    sec = acc.scale(field.of(1) / field.of(n))
+    assert s.pi * sec == Matrix.identity(field, s.Q.dim)
+    for g in range(n):
+        assert rho_v[g] * sec == sec * rho_q[g]
+    return sec
+
+
+def block_decompose(s, sec):
+    """Coordinates along (iota, sec): block shapes verified, theta extracted.
+
+    The right family must be block diagonal (sec equivariant), the left
+    family upper triangular; the off-diagonal blocks form the cocycle.
+    """
+    field = s.V.field
+    k, n = s.W.dim, s.V.dim
+    C = hstack([s.iota, sec]) if n else Matrix(field, 0, 0, [])
+    Cinv = C.inverse()
+    theta = {}
+    for x in s.V.digroup.elements:
+        t = Cinv * s.V.rho[x] * C
+        if not _blk(t, k, 0, n - k, k).is_zero():
+            raise RepresentationError("section not equivariant at %r" % (x,))
+        if not _blk(t, 0, k, k, n - k).is_zero():
+            raise RepresentationError("rho not block diagonal at %r" % (x,))
+        if _blk(t, 0, 0, k, k) != s.W.rho[x] or _blk(t, k, k, n - k, n - k) != s.Q.rho[x]:
+            raise RepresentationError("rho diagonal blocks mismatch at %r" % (x,))
+        t = Cinv * s.V.lam[x] * C
+        if not _blk(t, k, 0, n - k, k).is_zero():
+            raise RepresentationError("lam not upper triangular at %r" % (x,))
+        if _blk(t, 0, 0, k, k) != s.W.lam[x] or _blk(t, k, k, n - k, n - k) != s.Q.lam[x]:
+            raise RepresentationError("lam diagonal blocks mismatch at %r" % (x,))
+        theta[x] = _blk(t, 0, k, k, n - k)
+    return CocycleFamily(require_cocycle(theta, s.Q, s.W))
+
+
+def _blk(m, i0, j0, h, w):
+    return Matrix(m.field, h, w,
+                  [m[i0 + i, j0 + j] for i in range(h) for j in range(w)])
+
+
+def vectorize(theta, elems, dw, dq):
+    field = next(iter(theta.values())).field if theta else None
+    vals = []
+    for x in elems:
+        vals.extend(theta[x].entries)
+    return Matrix(field, len(elems) * dw * dq, 1, vals)
+
+
+def devectorize(v, elems, dw, dq, field):
+    theta = {}
+    blk = dw * dq
+    for i, x in enumerate(elems):
+        theta[x] = Matrix(field, dw, dq, v.entries[i * blk:(i + 1) * blk])
+    return theta
+
+
+def cocycle_space(Q, W):
+    """Canonical basis of the cocycle space, as CocycleFamily objects.
+
+    A cocycle is determined by its values at the bar-units: the third
+    identity with a bar-unit on the left forces theta[(g, a)] to equal
+    eta_a rho_Q[g] where eta_a := theta[(1, a)].  The solver runs on the
+    eta unknowns with the first two identities rewritten through that
+    substitution (the invertibility of rho makes the rewrite reversible,
+    so no solutions are gained or lost).  Every returned basis member is
+    expanded back to the full family and re-verified against all three
+    identities over every pair of digroup elements.
+    """
+    if Q.digroup is not W.digroup:
+        raise RepresentationError("cocycle space needs a common digroup")
+    d = Q.digroup
+    field = Q.field if Q.dim else W.field
+    elems = d.elements
+    dw, dq = W.dim, Q.dim
+    blk = dw * dq
+    if blk == 0 or not elems:
+        return []
+    n, m = d.group.order, d.halo_size
+    rho_w = rho_group_form(W)
+    rho_q = rho_group_form(Q)
+    lam_w = lambda_factorization(W)   # a -> L_a with lam[(g,a)] = L_a rho_g
+    lam_q = lambda_factorization(Q)
+    nunk = m * blk
+
+    def u(a, i, j):
+        return a * blk + i * dq + j
+
+    z = field.of(0)
+    rows = []
+    seen = set()
+
+    def add(row):
+        key = tuple(sorted((c, v) for c, v in row.items() if v))
+        if key and key not in seen:
+            seen.add(key)
+            rows.append(row)
+
+    # identity Z1b at y = (1, b):  eta_{g.b} rho_Q[g] = rho_W[g] eta_b
+    for g in range(n):
+        rq, rw = rho_q[g], rho_w[g]
+        for b in range(m):
+            gb = d.action.apply(g, b)
+            for i in range(dw):
+                for j in range(dq):
+                    row = {}
+                    for k in range(dq):
+                        c = rq[k, j]
+                        if c:
+                            key = u(gb, i, k)
+                            row[key] = row.get(key, z) + c
+                    for k in range(dw):
+                        c = rw[i, k]
+                        if c:
+                            key = u(b, k, j)
+                            row[key] = row.get(key, z) - c
+                    add(row)
+    # identity Z1a with the invertible right factor cancelled:
+    #   eta_a rho_Q[g] = L^W_a rho_W[g] eta_b + eta_a rho_Q[g] L^Q_b
+    for g in range(n):
+        rq = rho_q[g]
+        for a in range(m):
+            lwa = lam_w[a] * rho_w[g]
+            for b in range(m):
+                right = rq * lam_q[b]
+                lhs = rq - right   # coefficient matrix on eta_a
+                for i in range(dw):
+                    for j in range(dq):
+                        row = {}
+                        for k in range(dq):
+                            c = lhs[k, j]
+                            if c:
+                                key = u(a, i, k)
+                                row[key] = row.get(key, z) + c
+                        for k in range(dw):
+                            c = lwa[i, k]
+                            if c:
+                                key = u(b, k, j)
+                                row[key] = row.get(key, z) - c
+                        add(row)
+    ker = sparse_kernel(nunk, rows, field)
+    out = []
+    e = d.group.identity
+    for v in span_basis(ker):
+        eta = {a: Matrix(field, dw, dq, v.entries[a * blk:(a + 1) * blk])
+               for a in range(m)}
+        theta = {(g, a): eta[a] * rho_q[g] for g in range(n) for a in range(m)}
+        require_cocycle(theta, Q, W)
+        # redundancy of the bar-unit reduction, checked explicitly
+        for g in range(n):
+            for a in range(m):
+                assert theta[(g, d.action.apply(g, a))] == rho_w[g] * theta[(e, a)]
+        out.append(CocycleFamily(theta))
+    return out
+
+
+def hom_rho(Q, W):
+    """Canonical basis of {t : rho_W[g] t = t rho_Q[g] for all g}."""
+    if Q.digroup is not W.digroup:
+        raise RepresentationError("hom_rho needs a common digroup")
+    dw, dq = W.dim, Q.dim
+    nunk = dw * dq
+    if nunk == 0:
+        return []
+    field = W.field
+    rho_w = rho_group_form(W)
+    rho_q = rho_group_form(Q)
+    z = field.of(0)
+    rows = []
+    for g in rho_w:
+        aw, aq = rho_w[g], rho_q[g]
+        for i in range(dw):
+            for j in range(dq):
+                row = [z] * nunk
+                for k in range(dw):
+                    row[k * dq + j] = row[k * dq + j] + aw[i, k]
+                for k in range(dq):
+                    row[i * dq + k] = row[i * dq + k] - aq[k, j]
+                rows.append(row)
+    ker = Matrix.from_rows(field, rows).kernel_basis()
+    return [Matrix(field, dw, dq, v.flat()) for v in span_basis(ker)]
+
+
+def coboundary(t, Q, W):
+    """The coboundary family of a rho-intertwiner t, verified to lie in Z^1."""
+    field = W.field
+    rho_w = rho_group_form(W)
+    rho_q = rho_group_form(Q)
+    for g in rho_w:
+        if rho_w[g] * t != t * rho_q[g]:
+            raise RepresentationError("t is not a rho-intertwiner at g=%d" % g)
+    theta = {x: W.lam[x] * t - t * Q.lam[x] for x in Q.digroup.elements}
+    return CocycleFamily(require_cocycle(theta, Q, W))
+
+
+def coboundary_space(Q, W):
+    """Canonical basis of B^1 as vectorized columns (may be empty)."""
+    elems = Q.digroup.elements
+    dw, dq = W.dim, Q.dim
+    vecs = [vectorize(coboundary(t, Q, W).theta, elems, dw, dq)
+            for t in hom_rho(Q, W)]
+    return span_basis(vecs)
+
+
+def ext1_dim(Q, W):
+    """Z^1, B^1 and their quotient, with deterministic representatives."""
+    field = W.field if W.dim else Q.field
+    n = Q.digroup.group.order
+    if field.char != 0 and n % field.char == 0:
+        raise MaschkeError("characteristic %d divides the group order %d"
+                           % (field.char, n))
+    d = Q.digroup
+    elems = d.elements
+    dw, dq = W.dim, Q.dim
+    zfam = cocycle_space(Q, W)
+    if dw * dq == 0:
+        return Ext1Result(0, 0, 0, [])
+    zvecs = [vectorize(f.theta, elems, dw, dq) for f in zfam]
+    bvecs = coboundary_space(Q, W)
+    for b in bvecs:
+        assert _in_span(zvecs, b), "coboundary escapes the cocycle space"
+    reps = _complete(bvecs, zvecs)
+    dim_ext = len(zvecs) - len(bvecs)
+    assert dim_ext == len(reps)
+    basis = [CocycleFamily(devectorize(v, elems, dw, dq, field)) for v in reps]
+    return Ext1Result(len(zvecs), len(bvecs), dim_ext, basis)
+
+
+def _in_span(basis, v):
+    if not basis:
+        return v.is_zero()
+    return len(span_basis(list(basis) + [v])) == len(span_basis(basis))
+
+
+def _complete(small, big):
+    chosen = []
+    cur = list(small)
+    rank = len(span_basis(cur))
+    for v in big:
+        nxt = span_basis(cur + [v])
+        if len(nxt) > rank:
+            chosen.append(v)
+            cur.append(v)
+            rank = len(nxt)
+    return chosen
+
+
+def extension_from_cocycle(theta, Q, W):
+    """The block upper-triangular extension attached to a cocycle family."""
+    if isinstance(theta, CocycleFamily):
+        theta = theta.theta
+    require_cocycle(theta, Q, W)
+    d = Q.digroup
+    field = W.field if W.dim else Q.field
+    k, m = W.dim, Q.dim
+    n = k + m
+    z = field.of(0)
+    lam, rho = {}, {}
+    for x in d.elements:
+        lrows = [[z] * n for _ in range(n)]
+        rrows = [[z] * n for _ in range(n)]
+        for i in range(k):
+            for j in range(k):
+                lrows[i][j] = W.lam[x][i, j]
+                rrows[i][j] = W.rho[x][i, j]
+            for j in range(m):
+                lrows[i][k + j] = theta[x][i, j]
+        for i in range(m):
+            for j in range(m):
+                lrows[k + i][k + j] = Q.lam[x][i, j]
+                rrows[k + i][k + j] = Q.rho[x][i, j]
+        lam[x] = Matrix.from_rows(field, lrows) if n else Matrix(field, 0, 0, [])
+        rho[x] = Matrix.from_rows(field, rrows) if n else Matrix(field, 0, 0, [])
+    V = require_valid(Representation(d, n, lam, rho))
+    iota = Matrix(field, n, k, [field.of(1) if i == j else z
+                                for i in range(n) for j in range(k)])
+    pi = Matrix(field, m, n, [field.of(1) if j == k + i else z
+                              for i in range(m) for j in range(n)])
+    return short_exact(W, V, Q, iota, pi)
+
+
+def is_split(s):
+    """Decide splitness; returns (flag, witness-or-certificate).
+
+    On success the witness is a section of pi intertwining both operator
+    families; on failure the certificate is the nonzero cocycle family.
+    """
+    field = s.V.field
+    if s.Q.dim == 0:
+        return True, Matrix(field, s.V.dim, 0, [])
+    if s.W.dim == 0:
+        sec = solve(s.pi, Matrix.identity(field, s.Q.dim))
+        return True, _checked_witness(s, sec)
+    sec = average_section(s)
+    fam = block_decompose(s, sec)
+    elems = s.V.digroup.elements
+    dw, dq = s.W.dim, s.Q.dim
+    tv = vectorize(fam.theta, elems, dw, dq)
+    tbasis = hom_rho(s.Q, s.W)
+    cols = [vectorize(coboundary(t, s.Q, s.W).theta, elems, dw, dq) for t in tbasis]
+    if cols:
+        coeffs = solve(hstack(cols), tv)
+    else:
+        coeffs = None if not tv.is_zero() else Matrix(field, 0, 1, [])
+    if coeffs is None:
+        return False, fam
+    t = Matrix.zeros(field, dw, dq)
+    for i, base in enumerate(tbasis):
+        t = t + base.scale(coeffs[i, 0])
+    witness = sec - s.iota * t
+    return True, _checked_witness(s, witness)
+
+
+def _checked_witness(s, sec):
+    field = s.V.field
+    assert s.pi * sec == Matrix.identity(field, s.Q.dim)
+    for x in s.V.digroup.elements:
+        assert s.V.lam[x] * sec == sec * s.Q.lam[x]
+        assert s.V.rho[x] * sec == sec * s.Q.rho[x]
+    return sec
+
+
+def change_of_splitting_check(s, t):
+    """Changing the section by iota t changes the cocycle by exactly delta t."""
+    sec = average_section(s)
+    fam = block_decompose(s, sec)
+    fam2 = block_decompose(s, sec + s.iota * t)
+    delta = coboundary(t, s.Q, s.W)
+    return all(fam2.theta[x] == fam.theta[x] + delta.theta[x]
+               for x in fam.theta)
+
+
+def semisimplicity_probe(reps):
+    """ext1 over all ordered pairs; nonzero dimensions witness nonsplitness."""
+    findings = []
+    for i, q in enumerate(reps):
+        for j, w in enumerate(reps):
+            res = ext1_dim(q, w)
+            if res.dim_ext > 0:
+                findings.append({"source": i, "target": j,
+                                 "dim_ext": res.dim_ext,
+                                 "certificate": res.class_basis[0]})
+    return {"pairs_checked": len(reps) ** 2,
+            "semisimple": not findings,
+            "findings": findings}

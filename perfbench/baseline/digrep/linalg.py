@@ -1,0 +1,462 @@
+"""Exact dense linear algebra over Q and over small prime fields.
+
+Everything downstream (group representations, algebras, cocycle solvers)
+runs on the Matrix class defined here.  All values are immutable and all
+operations are pure functions; there is no floating point anywhere.
+
+Scalars are fractions.Fraction in rational mode, or FpElement in prime
+field mode.  A matrix remembers its field and refuses to mix modes.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+
+class FieldMismatchError(ValueError):
+    """Raised when two values from different scalar fields are combined."""
+
+
+class DimensionError(ValueError):
+    """Raised when matrix shapes are incompatible."""
+
+
+class RationalField:
+    """The field Q, backed by fractions.Fraction."""
+
+    char = 0
+
+    def of(self, n):
+        return Fraction(n)
+
+    def parse(self, s):
+        # canonical form "p/q" or "n"
+        return Fraction(s)
+
+    def fmt(self, x):
+        return str(x)
+
+    def __eq__(self, other):
+        return isinstance(other, RationalField)
+
+    def __hash__(self):
+        return hash("QQ")
+
+    def __repr__(self):
+        return "QQ"
+
+
+QQ = RationalField()
+
+
+def _is_prime(p):
+    if p < 2:
+        return False
+    d = 2
+    while d * d <= p:
+        if p % d == 0:
+            return False
+        d += 1
+    return True
+
+
+class FpElement:
+    """An element of F_p, normalized to [0, p)."""
+
+    __slots__ = ("v", "p")
+
+    def __init__(self, v, p):
+        self.v = v % p
+        self.p = p
+
+    def _check(self, other):
+        if not isinstance(other, FpElement) or other.p != self.p:
+            raise FieldMismatchError("mixed scalar modes")
+
+    def __add__(self, other):
+        self._check(other)
+        return FpElement(self.v + other.v, self.p)
+
+    def __sub__(self, other):
+        self._check(other)
+        return FpElement(self.v - other.v, self.p)
+
+    def __mul__(self, other):
+        self._check(other)
+        return FpElement(self.v * other.v, self.p)
+
+    def __truediv__(self, other):
+        self._check(other)
+        if other.v == 0:
+            raise ZeroDivisionError("division by zero in F_p")
+        return FpElement(self.v * pow(other.v, self.p - 2, self.p), self.p)
+
+    def __neg__(self):
+        return FpElement(-self.v, self.p)
+
+    def __bool__(self):
+        return self.v != 0
+
+    def __eq__(self, other):
+        return isinstance(other, FpElement) and self.p == other.p and self.v == other.v
+
+    def __hash__(self):
+        return hash((self.v, self.p))
+
+    def __repr__(self):
+        return "%d" % self.v
+
+
+class PrimeField:
+    """The field F_p for a prime p."""
+
+    def __init__(self, p):
+        if not _is_prime(p):
+            raise ValueError("%r is not prime" % (p,))
+        self.p = p
+
+    @property
+    def char(self):
+        return self.p
+
+    def of(self, n):
+        return FpElement(n, self.p)
+
+    def parse(self, s):
+        return FpElement(int(s), self.p)
+
+    def fmt(self, x):
+        return str(x.v)
+
+    def __eq__(self, other):
+        return isinstance(other, PrimeField) and other.p == self.p
+
+    def __hash__(self):
+        return hash(("GF", self.p))
+
+    def __repr__(self):
+        return "GF(%d)" % self.p
+
+
+class Matrix:
+    """Immutable dense matrix; entries stored row-major."""
+
+    __slots__ = ("field", "rows", "cols", "entries")
+
+    def __init__(self, field, rows, cols, entries):
+        entries = tuple(entries)
+        if len(entries) != rows * cols:
+            raise DimensionError("entry count %d != %d x %d" % (len(entries), rows, cols))
+        self.field = field
+        self.rows = rows
+        self.cols = cols
+        self.entries = entries
+
+    # -- construction -----------------------------------------------------
+
+    @classmethod
+    def zeros(cls, field, rows, cols):
+        z = field.of(0)
+        return cls(field, rows, cols, [z] * (rows * cols))
+
+    @classmethod
+    def identity(cls, field, n):
+        z, o = field.of(0), field.of(1)
+        return cls(field, n, n, [o if i == j else z for i in range(n) for j in range(n)])
+
+    @classmethod
+    def from_rows(cls, field, rows):
+        """Build from nested lists; ints and strings are coerced into the field."""
+        nr = len(rows)
+        nc = len(rows[0]) if nr else 0
+        ents = []
+        for row in rows:
+            if len(row) != nc:
+                raise DimensionError("ragged rows")
+            for x in row:
+                if isinstance(x, int):
+                    x = field.of(x)
+                elif isinstance(x, str):
+                    x = field.parse(x)
+                ents.append(x)
+        return cls(field, nr, nc, ents)
+
+    @classmethod
+    def column(cls, field, values):
+        return cls.from_rows(field, [[v] for v in values])
+
+    # -- access -----------------------------------------------------------
+
+    def __getitem__(self, ij):
+        i, j = ij
+        return self.entries[i * self.cols + j]
+
+    def row_list(self, i):
+        return list(self.entries[i * self.cols:(i + 1) * self.cols])
+
+    def col_vector(self, j):
+        return Matrix(self.field, self.rows, 1, [self[i, j] for i in range(self.rows)])
+
+    def to_lists(self):
+        return [self.row_list(i) for i in range(self.rows)]
+
+    def flat(self):
+        return list(self.entries)
+
+    # -- arithmetic -------------------------------------------------------
+
+    def _compat(self, other, same_shape):
+        if not isinstance(other, Matrix):
+            raise TypeError("expected Matrix")
+        if self.field != other.field:
+            raise FieldMismatchError("mixed scalar modes")
+        if same_shape and (self.rows, self.cols) != (other.rows, other.cols):
+            raise DimensionError("shape mismatch")
+
+    def __add__(self, other):
+        self._compat(other, True)
+        return Matrix(self.field, self.rows, self.cols,
+                      [a + b for a, b in zip(self.entries, other.entries)])
+
+    def __sub__(self, other):
+        self._compat(other, True)
+        return Matrix(self.field, self.rows, self.cols,
+                      [a - b for a, b in zip(self.entries, other.entries)])
+
+    def __neg__(self):
+        return Matrix(self.field, self.rows, self.cols, [-a for a in self.entries])
+
+    def __mul__(self, other):
+        self._compat(other, False)
+        if self.cols != other.rows:
+            raise DimensionError("cannot multiply %dx%d by %dx%d"
+                                 % (self.rows, self.cols, other.rows, other.cols))
+        n, m, k = self.rows, self.cols, other.cols
+        z = self.field.of(0)
+        out = []
+        for i in range(n):
+            arow = self.entries[i * m:(i + 1) * m]
+            for j in range(k):
+                acc = z
+                for t in range(m):
+                    a = arow[t]
+                    if a:
+                        acc = acc + a * other.entries[t * k + j]
+                out.append(acc)
+        return Matrix(self.field, n, k, out)
+
+    def scale(self, c):
+        return Matrix(self.field, self.rows, self.cols, [c * a for a in self.entries])
+
+    def transpose(self):
+        return Matrix(self.field, self.cols, self.rows,
+                      [self[i, j] for j in range(self.cols) for i in range(self.rows)])
+
+    def is_zero(self):
+        return not any(self.entries)
+
+    def __eq__(self, other):
+        return (isinstance(other, Matrix) and self.field == other.field
+                and self.rows == other.rows and self.cols == other.cols
+                and self.entries == other.entries)
+
+    def __hash__(self):
+        return hash((self.rows, self.cols, self.entries))
+
+    def __repr__(self):
+        return "Matrix(%r)" % (self.to_lists(),)
+
+    # -- elimination ------------------------------------------------------
+
+    def rref(self):
+        """Reduced row echelon form.  Returns (R, pivot_columns)."""
+        rows = [self.row_list(i) for i in range(self.rows)]
+        pivots = []
+        r = 0
+        for c in range(self.cols):
+            pr = None
+            for i in range(r, self.rows):
+                if rows[i][c]:
+                    pr = i
+                    break
+            if pr is None:
+                continue
+            rows[r], rows[pr] = rows[pr], rows[r]
+            pv = rows[r][c]
+            rows[r] = [x / pv for x in rows[r]]
+            for i in range(self.rows):
+                if i != r and rows[i][c]:
+                    f = rows[i][c]
+                    rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+            pivots.append(c)
+            r += 1
+            if r == self.rows:
+                break
+        flat = [x for row in rows for x in row]
+        return Matrix(self.field, self.rows, self.cols, flat), tuple(pivots)
+
+    def rank(self):
+        return len(self.rref()[1])
+
+    def kernel_basis(self):
+        """Basis of the right null space, read off the RREF (canonical)."""
+        R, piv = self.rref()
+        z, o = self.field.of(0), self.field.of(1)
+        free = [c for c in range(self.cols) if c not in piv]
+        basis = []
+        for f in free:
+            v = [z] * self.cols
+            v[f] = o
+            for i, pc in enumerate(piv):
+                v[pc] = -R[i, f]
+            basis.append(Matrix(self.field, self.cols, 1, v))
+        return basis
+
+    def inverse(self):
+        if self.rows != self.cols:
+            raise DimensionError("only square matrices invert")
+        x = solve(self, Matrix.identity(self.field, self.rows))
+        if x is None:
+            raise ZeroDivisionError("matrix is singular")
+        return x
+
+
+def hstack(mats):
+    mats = list(mats)
+    field = mats[0].field
+    rows = mats[0].rows
+    for m in mats:
+        if m.rows != rows:
+            raise DimensionError("hstack row mismatch")
+        if m.field != field:
+            raise FieldMismatchError("mixed scalar modes")
+    ents = []
+    for i in range(rows):
+        for m in mats:
+            ents.extend(m.row_list(i))
+    return Matrix(field, rows, sum(m.cols for m in mats), ents)
+
+
+def vstack(mats):
+    mats = list(mats)
+    field = mats[0].field
+    cols = mats[0].cols
+    ents = []
+    for m in mats:
+        if m.cols != cols:
+            raise DimensionError("vstack col mismatch")
+        if m.field != field:
+            raise FieldMismatchError("mixed scalar modes")
+        ents.extend(m.entries)
+    return Matrix(field, sum(m.rows for m in mats), cols, ents)
+
+
+def solve(a, b):
+    """Some x with a x = b, or None if the system is inconsistent.
+
+    Free variables are set to zero, so the answer is deterministic.
+    """
+    a._compat(b, False)
+    if a.rows != b.rows:
+        raise DimensionError("solve: row mismatch")
+    aug = hstack([a, b])
+    R, piv = aug.rref()
+    for pc in piv:
+        if pc >= a.cols:
+            return None
+    z = a.field.of(0)
+    out = [[z] * b.cols for _ in range(a.cols)]
+    for i, pc in enumerate(piv):
+        for j in range(b.cols):
+            out[pc][j] = R[i, a.cols + j]
+    return Matrix.from_rows(a.field, out) if a.cols else Matrix(a.field, 0, b.cols, [])
+
+
+# -- subspaces -----------------------------------------------------------
+#
+# Subspaces are lists of column vectors (n x 1 matrices).  Canonical bases
+# are the nonzero rows of the RREF of the spanning set, so two spanning
+# sets of the same subspace produce literally identical bases.
+
+def span_basis(vectors):
+    vectors = list(vectors)
+    if not vectors:
+        return []
+    field = vectors[0].field
+    n = vectors[0].rows
+    rows = [[v[i, 0] for i in range(n)] for v in vectors]
+    R, piv = Matrix.from_rows(field, rows).rref()
+    return [Matrix(field, n, 1, R.row_list(i)) for i in range(len(piv))]
+
+
+def contains(basis, v):
+    if not basis:
+        return v.is_zero()
+    return len(span_basis(list(basis) + [v])) == len(span_basis(basis))
+
+
+def intersect(ub, vb):
+    """Basis of span(ub) ∩ span(vb)."""
+    if not ub or not vb:
+        return []
+    a = hstack(list(ub) + list(vb))
+    inter = []
+    for k in a.kernel_basis():
+        # kernel vector (x, y) means U x = -V y, a point of the intersection
+        w = Matrix.zeros(a.field, ub[0].rows, 1)
+        for j, u in enumerate(ub):
+            w = w + u.scale(k[j, 0])
+        inter.append(w)
+    return span_basis(inter)
+
+
+def quotient_dim(ambient_dim, basis):
+    for v in basis:
+        if v.rows != ambient_dim:
+            raise DimensionError("basis vector length != ambient dimension")
+    return ambient_dim - len(span_basis(basis))
+
+
+# -- sparse homogeneous systems ------------------------------------------
+
+def sparse_kernel(ncols, rows, field):
+    """Kernel basis of a homogeneous system given as sparse rows.
+
+    Each row is a dict {column: coefficient}.  Intended for the large
+    cocycle / derivation systems, where rows touch only a few unknowns.
+    Returns dense column vectors (deterministic, not RREF-canonical;
+    canonicalize with span_basis if needed).
+    """
+    pivots = {}  # pivot column -> row dict with leading 1 at that column
+    for row in rows:
+        row = {c: x for c, x in row.items() if x}
+        while row:
+            c = min(row)
+            if c in pivots:
+                f = row[c]
+                for cc, xx in pivots[c].items():
+                    v = row.get(cc, None)
+                    nv = (v - f * xx) if v is not None else -f * xx
+                    if nv:
+                        row[cc] = nv
+                    elif cc in row:
+                        del row[cc]
+            else:
+                pv = row[c]
+                pivots[c] = {cc: xx / pv for cc, xx in row.items()}
+                break
+    z, o = field.of(0), field.of(1)
+    piv_cols = sorted(pivots)
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = []
+    for f in free:
+        v = [z] * ncols
+        v[f] = o
+        for pc in reversed(piv_cols):
+            acc = z
+            for cc, xx in pivots[pc].items():
+                if cc != pc and v[cc]:
+                    acc = acc + xx * v[cc]
+            v[pc] = -acc
+        basis.append(Matrix(field, ncols, 1, v))
+    return basis

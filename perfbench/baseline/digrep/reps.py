@@ -1,0 +1,448 @@
+"""Digroup representations as explicit operator tables.
+
+A representation stores one matrix per digroup element for each of the
+two operator families (lam for the left family, rho for the invertible
+right family), keyed by the element pair (g, a).  The five defining
+identities are
+
+    R1  lam[x -| y] = lam[x] lam[y]
+    R2  rho[x |- y] = rho[x] rho[y]
+    R3  rho[e] = I for every bar-unit e
+    R4  rho[x] lam[y] = lam[x |- y]
+    R5  lam[x] rho[y] = lam[x -| y]
+
+Storing operators per element keeps the structural reductions (rho only
+depends on g; lam factors through the halo part) as checkable facts
+rather than assumptions baked into the data layout.
+"""
+
+from __future__ import annotations
+
+import random
+import weakref
+from dataclasses import dataclass
+
+from .digroup import AxiomReport, Digroup
+from .linalg import (DimensionError, Matrix, QQ, hstack, span_basis)
+
+
+class RepresentationError(ValueError):
+    pass
+
+
+@dataclass(frozen=True, eq=False)
+class Representation:
+    digroup: Digroup
+    dim: int
+    lam: dict
+    rho: dict
+
+    @property
+    def field(self):
+        if self.lam:
+            return next(iter(self.lam.values())).field
+        return QQ
+
+    def check_shapes(self):
+        elems = self.digroup.elements
+        for table in (self.lam, self.rho):
+            if sorted(table) != sorted(elems):
+                raise RepresentationError("operator table keys != digroup elements")
+            for m in table.values():
+                if (m.rows, m.cols) != (self.dim, self.dim):
+                    raise RepresentationError("operator shape mismatch")
+
+
+def check_representation(r):
+    """Exhaustive check of R1-R5 plus invertibility of every rho operator.
+
+    Products are memoized by operand identity: the operator tables share
+    matrix objects heavily, so this stays exhaustive but avoids repeats.
+    """
+    r.check_shapes()
+    d = r.digroup
+    elems = d.elements
+    results = {}
+    memo = {}
+
+    def mul(a, b):
+        key = (id(a), id(b))
+        p = memo.get(key)
+        if p is None:
+            p = a * b
+            memo[key] = p
+        return p
+
+    def scan(name, pred):
+        for x in elems:
+            for y in elems:
+                if not pred(x, y):
+                    results[name] = (False, (x, y))
+                    return
+        results[name] = (True, None)
+
+    scan("R1", lambda x, y: r.lam[d.dashv(x, y)] == mul(r.lam[x], r.lam[y]))
+    scan("R2", lambda x, y: r.rho[d.vdash(x, y)] == mul(r.rho[x], r.rho[y]))
+    ident = Matrix.identity(r.field, r.dim)
+    bad = next((e for e in d.halo() if r.rho[e] != ident), None)
+    results["R3"] = (bad is None, bad)
+    scan("R4", lambda x, y: mul(r.rho[x], r.lam[y]) == r.lam[d.vdash(x, y)])
+    scan("R5", lambda x, y: mul(r.lam[x], r.rho[y]) == r.lam[d.dashv(x, y)])
+    sing = next((x for x in elems if r.rho[x].rank() != r.dim), None)
+    results["rho_invertible"] = (sing is None, sing)
+    return AxiomReport(results)
+
+
+_validated = weakref.WeakSet()
+
+
+def require_valid(r):
+    if r in _validated:
+        return r
+    rep = check_representation(r)
+    if not rep.ok:
+        raise RepresentationError("representation axioms fail: %r" % rep.failures())
+    _validated.add(r)
+    return r
+
+
+def rho_group_form(r):
+    """The map g -> rho_g, after verifying rho ignores the halo index."""
+    d = r.digroup
+    out = {}
+    for g in range(d.group.order):
+        ref = r.rho[(g, 0)]
+        for a in range(1, d.halo_size):
+            if r.rho[(g, a)] != ref:
+                raise RepresentationError("rho depends on halo index at g=%d" % g)
+        out[g] = ref
+    for g in out:
+        for h in out:
+            if out[d.group.mul[g][h]] != out[g] * out[h]:
+                raise RepresentationError("rho_g not multiplicative at (%d,%d)" % (g, h))
+    return out
+
+
+def lambda_factorization(r):
+    """The map a -> L_a with lam[(g,a)] = L_a rho_g, verified exhaustively."""
+    d = r.digroup
+    e = d.group.identity
+    rho_g = rho_group_form(r)
+    left = {a: r.lam[(e, a)] for a in range(d.halo_size)}
+    for (g, a), m in r.lam.items():
+        if m != left[a] * rho_g[g]:
+            raise RepresentationError("lam factorization fails at %r" % ((g, a),))
+    return left
+
+
+def is_subrepresentation(r, basis):
+    basis = span_basis(basis)
+    for table in (r.lam, r.rho):
+        for m in table.values():
+            for v in basis:
+                w = m * v
+                if not _in_span(basis, w):
+                    return False
+    return True
+
+
+def _in_span(basis, v):
+    if not basis:
+        return v.is_zero()
+    return len(span_basis(list(basis) + [v])) == len(basis)
+
+
+def sub_quotient(r, basis):
+    """Split off the stable subspace: returns (W, Q, iota, pi).
+
+    Quotient coordinates are the non-pivot coordinates of the canonical
+    basis of the subspace, so the construction is reproducible.
+    """
+    basis = span_basis(basis)
+    if not is_subrepresentation(r, basis):
+        raise RepresentationError("basis does not span a stable subspace")
+    field = r.field
+    n = r.dim
+    k = len(basis)
+    rows = [[v[i, 0] for i in range(n)] for v in basis]
+    if rows:
+        _, piv = Matrix.from_rows(field, rows).rref()
+    else:
+        piv = ()
+    compl = [c for c in range(n) if c not in piv]
+    cols = list(basis) + [_unit(field, n, c) for c in compl]
+    C = hstack(cols) if cols else Matrix(field, n, 0, [])
+    Cinv = C.inverse()
+
+    lam_w, rho_w, lam_q, rho_q = {}, {}, {}, {}
+    for x in r.digroup.elements:
+        for src, dst_w, dst_q in ((r.lam, lam_w, lam_q), (r.rho, rho_w, rho_q)):
+            t = Cinv * src[x] * C
+            dst_w[x] = _block(t, 0, 0, k, k)
+            dst_q[x] = _block(t, k, k, n - k, n - k)
+            if not _block(t, k, 0, n - k, k).is_zero():
+                raise RepresentationError("subspace not stable (internal)")
+    W = Representation(r.digroup, k, lam_w, rho_w)
+    Q = Representation(r.digroup, n - k, lam_q, rho_q)
+    iota = hstack(basis) if basis else Matrix(field, n, 0, [])
+    pi = Matrix.from_rows(field, [Cinv.row_list(k + i) for i in range(n - k)]) \
+        if n - k else Matrix(field, 0, n, [])
+    return W, Q, iota, pi
+
+
+def _unit(field, n, i):
+    z, o = field.of(0), field.of(1)
+    return Matrix(field, n, 1, [o if j == i else z for j in range(n)])
+
+
+def _block(m, i0, j0, h, w):
+    return Matrix(m.field, h, w,
+                  [m[i0 + i, j0 + j] for i in range(h) for j in range(w)])
+
+
+def direct_sum(r1, r2):
+    if r1.digroup is not r2.digroup:
+        raise RepresentationError("direct sum needs a common digroup")
+    n1, n2 = r1.dim, r2.dim
+    field = r1.field
+    lam, rho = {}, {}
+    for x in r1.digroup.elements:
+        lam[x] = _blockdiag(field, r1.lam[x], r2.lam[x])
+        rho[x] = _blockdiag(field, r1.rho[x], r2.rho[x])
+    return Representation(r1.digroup, n1 + n2, lam, rho)
+
+
+def _blockdiag(field, a, b):
+    z = field.of(0)
+    n = a.rows + b.rows
+    out = [[z] * n for _ in range(n)]
+    for i in range(a.rows):
+        for j in range(a.cols):
+            out[i][j] = a[i, j]
+    for i in range(b.rows):
+        for j in range(b.cols):
+            out[a.rows + i][a.cols + j] = b[i, j]
+    return Matrix.from_rows(field, out) if n else Matrix(field, 0, 0, [])
+
+
+def hom_rep(r1, r2):
+    """Canonical basis of the intertwiner space between two representations."""
+    if r1.digroup is not r2.digroup:
+        raise RepresentationError("hom needs a common digroup")
+    field = r1.field
+    d1, d2 = r1.dim, r2.dim
+    nunk = d1 * d2
+    if nunk == 0:
+        return []
+    rows = []
+    z = field.of(0)
+    for x in r1.digroup.elements:
+        for a1, a2 in ((r1.lam[x], r2.lam[x]), (r1.rho[x], r2.rho[x])):
+            # f a1 = a2 f, entry (i, j):  sum_k f[i,k] a1[k,j] - a2[i,k] f[k,j]
+            for i in range(d2):
+                for j in range(d1):
+                    row = [z] * nunk
+                    for k in range(d1):
+                        row[i * d1 + k] = row[i * d1 + k] + a1[k, j]
+                    for k in range(d2):
+                        row[k * d1 + j] = row[k * d1 + j] - a2[i, k]
+                    rows.append(row)
+    ker = Matrix.from_rows(field, rows).kernel_basis()
+    vecs = span_basis(ker)
+    return [Matrix(field, d2, d1, v.flat()) for v in vecs]
+
+
+# -- the semilinear packaging --------------------------------------------
+
+
+@dataclass(frozen=True, eq=False)
+class SemilinearObject:
+    """A module over the halo band algebra with a compatible group family.
+
+    eps[a] are the idempotent halo operators (eps[a] eps[b] = eps[a]) and
+    t[g] the invertible group operators, tied together by
+    t[g] eps[a] = eps[g.a] t[g].
+    """
+
+    action: "GAction"
+    dim: int
+    eps: dict
+    t: dict
+
+    @property
+    def group(self):
+        return self.action.group
+
+    @property
+    def field(self):
+        if self.eps:
+            return next(iter(self.eps.values())).field
+        return QQ
+
+
+def check_semilinear(m):
+    g = m.action.group
+    results = {}
+    bad = None
+    for a in m.eps:
+        for b in m.eps:
+            if m.eps[a] * m.eps[b] != m.eps[a]:
+                bad = (a, b)
+                break
+        if bad:
+            break
+    results["band"] = (bad is None, bad)
+    ident = Matrix.identity(m.field, m.dim)
+    results["C1"] = (m.t[g.identity] == ident, None if m.t[g.identity] == ident else g.identity)
+    bad = next(((x, y) for x in m.t for y in m.t
+                if m.t[x] * m.t[y] != m.t[g.mul[x][y]]), None)
+    results["C2"] = (bad is None, bad)
+    bad = next(((x, a) for x in m.t for a in m.eps
+                if m.t[x] * m.eps[a] != m.eps[m.action.apply(x, a)] * m.t[x]), None)
+    results["C3"] = (bad is None, bad)
+    sing = next((x for x in m.t if m.t[x].rank() != m.dim), None)
+    results["t_invertible"] = (sing is None, sing)
+    return AxiomReport(results)
+
+
+_validated_semilinear = weakref.WeakSet()
+
+
+def require_valid_semilinear(m):
+    if m in _validated_semilinear:
+        return m
+    rep = check_semilinear(m)
+    if not rep.ok:
+        raise RepresentationError("semilinear axioms fail: %r" % rep.failures())
+    _validated_semilinear.add(m)
+    return m
+
+
+def to_semilinear(r):
+    d = r.digroup
+    e = d.group.identity
+    eps = {a: r.lam[(e, a)] for a in range(d.halo_size)}
+    t = rho_group_form(r)
+    return require_valid_semilinear(SemilinearObject(d.action, r.dim, eps, t))
+
+
+def from_semilinear(m, d):
+    if m.action is not d.action:
+        raise RepresentationError("semilinear object lives over a different action")
+    lam, rho = {}, {}
+    for g in range(d.group.order):
+        for a in range(d.halo_size):
+            rho[(g, a)] = m.t[g]
+            lam[(g, a)] = m.eps[a] * m.t[g]
+    return require_valid(Representation(d, m.dim, lam, rho))
+
+
+# -- seeded random instances ---------------------------------------------
+
+
+def sign_characters(group):
+    """All homomorphisms from the group into {1, -1}, by brute force."""
+    n = group.order
+    out = []
+    for mask in range(1 << n):
+        chi = [1 if mask & (1 << i) == 0 else -1 for i in range(n)]
+        if chi[group.identity] != 1:
+            continue
+        if all(chi[group.mul[g][h]] == chi[g] * chi[h]
+               for g in range(n) for h in range(n)):
+            out.append(tuple(chi))
+    return out
+
+
+def random_semilinear(d, dim, rng, field=QQ):
+    """A random valid semilinear object of the given dimension.
+
+    Built block-by-block: each block carries a sign character for the
+    group family and an orbit-constant idempotent family (zero, identity,
+    or a rank-one band of line projections in 2x2 blocks), then the whole
+    object is conjugated by a random invertible matrix.  Validity is by
+    construction and re-verified before returning.
+    """
+    if dim < 0:
+        raise ValueError("dimension must be >= 0")
+    g = d.group
+    chars = sign_characters(g)
+    orbits = d.action.orbits()
+    orbit_of = {}
+    for i, orb in enumerate(orbits):
+        for a in orb:
+            orbit_of[a] = i
+
+    sizes = []
+    left = dim
+    while left > 0:
+        s = 2 if left >= 2 and rng.random() < 0.5 else 1
+        sizes.append(s)
+        left -= s
+
+    eps_blocks = {a: [] for a in range(d.halo_size)}
+    t_blocks = {x: [] for x in range(g.order)}
+    for s in sizes:
+        chi = chars[rng.randrange(len(chars))]
+        for x in range(g.order):
+            t_blocks[x].append(Matrix.identity(field, s).scale(field.of(chi[x])))
+        kind = rng.randrange(3)
+        if s == 1 or kind == 0:
+            val = rng.randrange(2) if s == 1 else 0
+            blk = Matrix.identity(field, s).scale(field.of(val))
+            for a in range(d.halo_size):
+                eps_blocks[a].append(blk)
+        elif kind == 1:
+            for a in range(d.halo_size):
+                eps_blocks[a].append(Matrix.identity(field, s))
+        else:
+            # rank-one projections onto an orbit-constant line, along a
+            # common kernel line: a genuine left-zero band
+            kern = (field.of(0), field.of(1))
+            projs = {}
+            for i in range(len(orbits)):
+                c = field.of(rng.randrange(-2, 3))
+                line = (field.of(1), c)  # never parallel to kern
+                projs[i] = _line_projection(field, line, kern)
+            for a in range(d.halo_size):
+                eps_blocks[a].append(projs[orbit_of[a]])
+
+    eps = {a: _diag_join(field, eps_blocks[a], dim) for a in range(d.halo_size)}
+    t = {x: _diag_join(field, t_blocks[x], dim) for x in range(g.order)}
+    conj = _random_invertible(field, dim, rng)
+    cinv = conj.inverse()
+    eps = {a: conj * m * cinv for a, m in eps.items()}
+    t = {x: conj * m * cinv for x, m in t.items()}
+    return require_valid_semilinear(SemilinearObject(d.action, dim, eps, t))
+
+
+def _line_projection(field, line, kern):
+    # projection onto span{line} along span{kern}, in dimension 2
+    C = Matrix.from_rows(field, [[line[0], kern[0]], [line[1], kern[1]]])
+    P = Matrix.from_rows(field, [[1, 0], [0, 0]])
+    return C * P * C.inverse()
+
+
+def _diag_join(field, blocks, dim):
+    out = Matrix(field, 0, 0, [])
+    for b in blocks:
+        out = _blockdiag(field, out, b)
+    if out.rows != dim:
+        raise DimensionError("block sizes do not sum to the dimension")
+    return out
+
+
+def _random_invertible(field, n, rng):
+    while True:
+        m = Matrix.from_rows(field, [[rng.randrange(-2, 3) for _ in range(n)]
+                                     for _ in range(n)]) if n else Matrix(field, 0, 0, [])
+        if m.rank() == n:
+            return m
+
+
+def random_representation(d, dim, rng, field=QQ):
+    return from_semilinear(random_semilinear(d, dim, rng, field), d)
+
+
+def seeded_rng(seed):
+    return random.Random(seed)

@@ -1,0 +1,223 @@
+"""JSON interchange for digroups, representations and exact sequences.
+
+Scalars travel as canonical strings ("3", "-1/2", or a residue for prime
+fields) so nothing depends on binary float behaviour, and all emitters
+sort keys, so identical data produces byte-identical output.
+"""
+
+from __future__ import annotations
+
+import json
+
+from .digroup import Digroup, FiniteGroup, GAction
+from .linalg import Matrix, PrimeField, QQ
+from .reps import Representation, require_valid
+from .ext import ShortExactSeq, short_exact
+
+
+class FormatError(ValueError):
+    """Raised when an input document does not match the expected schema."""
+
+
+def field_from_name(name):
+    if name == "rational":
+        return QQ
+    try:
+        p = int(name)
+    except (TypeError, ValueError):
+        raise FormatError("unknown field %r" % (name,))
+    return PrimeField(p)
+
+
+def field_to_name(field):
+    return "rational" if field.char == 0 else str(field.char)
+
+
+# -- groups and digroups --------------------------------------------------
+
+
+def group_to_json(g):
+    return {"order": g.order, "mul": [list(row) for row in g.mul]}
+
+
+def group_from_json(obj):
+    if not isinstance(obj, dict):
+        raise FormatError("group must be an object")
+    if "cyclic" in obj:
+        return FiniteGroup.cyclic(int(obj["cyclic"]))
+    if "symmetric" in obj:
+        if int(obj["symmetric"]) != 3:
+            raise FormatError("only the symmetric group on 3 points is built in")
+        return FiniteGroup.symmetric3()
+    if "mul" in obj:
+        mul = obj["mul"]
+        if "order" in obj and int(obj["order"]) != len(mul):
+            raise FormatError("declared order does not match the table")
+        return FiniteGroup(mul)
+    raise FormatError("group needs one of: cyclic, symmetric, mul")
+
+
+def digroup_to_json(d):
+    return {
+        "group": group_to_json(d.group),
+        "halo_size": d.halo_size,
+        "action": [list(row) for row in d.action.act],
+    }
+
+
+def digroup_from_json(obj):
+    if not isinstance(obj, dict):
+        raise FormatError("digroup must be an object")
+    try:
+        group = group_from_json(obj["group"])
+        m = int(obj["halo_size"])
+        action = obj.get("action", "trivial")
+        if action == "trivial":
+            act = GAction.trivial(group, m)
+        else:
+            act = GAction(group, m, action)
+        return Digroup(group, act)
+    except FormatError:
+        raise
+    except (KeyError, TypeError, ValueError, IndexError) as e:
+        raise FormatError("bad digroup document: %s" % e)
+
+
+# -- matrices and operator tables ----------------------------------------
+
+
+def matrix_to_json(m):
+    return [[m.field.fmt(m[i, j]) for j in range(m.cols)] for i in range(m.rows)]
+
+
+def matrix_from_json(obj, field, rows, cols):
+    if not isinstance(obj, list) or len(obj) != rows:
+        raise FormatError("expected %d matrix rows" % rows)
+    ents = []
+    for row in obj:
+        if not isinstance(row, list) or len(row) != cols:
+            raise FormatError("expected %d matrix columns" % cols)
+        for x in row:
+            try:
+                ents.append(field.parse(x) if isinstance(x, str)
+                            else field.of(int(x)))
+            except (ValueError, TypeError) as e:
+                raise FormatError("bad scalar %r: %s" % (x, e))
+    return Matrix(field, rows, cols, ents)
+
+
+def _elem_key(x):
+    return "%d,%d" % x
+
+
+def _elem_from_key(s):
+    try:
+        g, a = s.split(",")
+        return int(g), int(a)
+    except ValueError:
+        raise FormatError("bad element key %r" % (s,))
+
+
+def _table_to_json(table):
+    return {_elem_key(x): matrix_to_json(m) for x, m in sorted(table.items())}
+
+
+def _table_from_json(obj, d, field, dim):
+    if not isinstance(obj, dict):
+        raise FormatError("operator table must be an object")
+    table = {}
+    for key, mat in obj.items():
+        table[_elem_from_key(key)] = matrix_from_json(mat, field, dim, dim)
+    if sorted(table) != sorted(d.elements):
+        raise FormatError("operator table keys do not match the digroup")
+    return table
+
+
+# -- representations ------------------------------------------------------
+
+
+def rep_to_json(r):
+    return {
+        "digroup": digroup_to_json(r.digroup),
+        "dim": r.dim,
+        "field": field_to_name(r.field),
+        "lambda": _table_to_json(r.lam),
+        "rho": _table_to_json(r.rho),
+    }
+
+
+def rep_from_json(obj, field=None, validate=True, digroup=None):
+    if not isinstance(obj, dict):
+        raise FormatError("representation must be an object")
+    try:
+        if digroup is None:
+            digroup = digroup_from_json(obj["digroup"])
+        if field is None:
+            field = field_from_name(obj.get("field", "rational"))
+        dim = int(obj["dim"])
+        lam = _table_from_json(obj["lambda"], digroup, field, dim)
+        rho = _table_from_json(obj["rho"], digroup, field, dim)
+    except FormatError:
+        raise
+    except (KeyError, TypeError, ValueError) as e:
+        raise FormatError("bad representation document: %s" % e)
+    r = Representation(digroup, dim, lam, rho)
+    if validate:
+        require_valid(r)
+    return r
+
+
+# -- short exact sequences ------------------------------------------------
+
+
+def ses_to_json(s):
+    return {
+        "W": rep_to_json(s.W),
+        "V": rep_to_json(s.V),
+        "Q": rep_to_json(s.Q),
+        "iota": matrix_to_json(s.iota),
+        "pi": matrix_to_json(s.pi),
+    }
+
+
+def ses_from_json(obj, field=None, validate=True):
+    if not isinstance(obj, dict):
+        raise FormatError("sequence must be an object")
+    try:
+        w = rep_from_json(obj["W"], field=field, validate=validate)
+        v = rep_from_json(obj["V"], field=field, validate=validate,
+                          digroup=w.digroup)
+        q = rep_from_json(obj["Q"], field=field, validate=validate,
+                          digroup=w.digroup)
+        iota = matrix_from_json(obj["iota"], w.field, v.dim, w.dim)
+        pi = matrix_from_json(obj["pi"], w.field, q.dim, v.dim)
+    except FormatError:
+        raise
+    except (KeyError, TypeError, ValueError) as e:
+        raise FormatError("bad sequence document: %s" % e)
+    if validate:
+        return short_exact(w, v, q, iota, pi)
+    return ShortExactSeq(w, v, q, iota, pi)
+
+
+# -- reports and files ----------------------------------------------------
+
+
+def dumps(obj):
+    """Deterministic JSON text: sorted keys, two-space indent, newline."""
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def load_path(path):
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, json.JSONDecodeError) as e:
+        raise FormatError("cannot read %s: %s" % (path, e))
+
+
+def save_path(path, obj):
+    text = dumps(obj)
+    with open(path, "w") as fh:
+        fh.write(text)
+    return text
