@@ -26,7 +26,7 @@ from .envalg import build_enveloping_algebra, derivation_ext1, rep_to_module
 from .ext import MaschkeError, ext1_dim, is_split, semisimplicity_probe
 from .halo import verify_collapse
 from .reps import (RepresentationError, check_representation,
-                   random_representation, seeded_rng)
+                   random_representation, require_valid, seeded_rng)
 from .serialize import (FormatError, digroup_from_json, digroup_to_json,
                         dumps, field_from_name, load_path, matrix_to_json,
                         rep_from_json, rep_to_json, save_path, ses_from_json,
@@ -58,8 +58,9 @@ def build_parser():
     def common(p):
         p.add_argument("--json", action="store_true",
                        help="emit a JSON report instead of text")
-        p.add_argument("--field", default="rational",
-                       help="scalar field: 'rational' or a prime p")
+        p.add_argument("--field",
+                       help="scalar field: 'rational' or a prime p (default: "
+                            "each file's own field tag)")
 
     p = sub.add_parser("check", help="validate a digroup or representation file")
     common(p)
@@ -118,13 +119,22 @@ def emit(args, report, text_lines):
             print(line)
 
 
-def load_rep(path, field, digroup=None):
-    obj = load_path(path)
-    return rep_from_json(obj, field=field, validate=True, digroup=digroup)
+def requested_field(args):
+    """The field named by --field, or None to follow each file's tag."""
+    return None if args.field is None else field_from_name(args.field)
+
+
+def load_rep(path, field, like=None):
+    """Read and validate a representation; with like, over its digroup and field."""
+    r = rep_from_json(load_path(path), field=field, validate=False,
+                      digroup=like.digroup if like is not None else None)
+    if like is not None and r.field != like.field:
+        raise FormatError("%s is over %r, not %r" % (path, r.field, like.field))
+    return require_valid(r)
 
 
 def cmd_check(args):
-    field = field_from_name(args.field)
+    field = requested_field(args)
     obj = load_path(args.path)
     if isinstance(obj, dict) and "dim" in obj:
         r = rep_from_json(obj, field=field, validate=False)
@@ -149,10 +159,9 @@ def cmd_check(args):
 
 
 def _load_pair(args):
-    field = field_from_name(args.field)
+    field = requested_field(args)
     q = load_rep(args.quotient, field)
-    w = load_rep(args.sub, field, digroup=q.digroup)
-    return q, w
+    return q, load_rep(args.sub, field, like=q)
 
 
 def cmd_ext1(args):
@@ -183,8 +192,8 @@ def cmd_ext1(args):
 
 
 def cmd_split(args):
-    field = field_from_name(args.field)
-    s = ses_from_json(load_path(args.path), field=field, validate=True)
+    s = ses_from_json(load_path(args.path), field=requested_field(args),
+                      validate=True)
     res = ext1_dim(s.Q, s.W)
     flag, payload = is_split(s)
     if flag:
@@ -212,14 +221,10 @@ def cmd_collapse(args):
 
 
 def cmd_probe(args):
-    field = field_from_name(args.field)
+    field = requested_field(args)
     reps = []
-    first = None
     for path in args.paths:
-        r = load_rep(path, field, digroup=first.digroup if first else None)
-        if first is None:
-            first = r
-        reps.append(r)
+        reps.append(load_rep(path, field, like=reps[0] if reps else None))
     probe = semisimplicity_probe(reps)
     findings = [{"source": f["source"], "target": f["target"],
                  "dim_ext": f["dim_ext"],
@@ -262,7 +267,7 @@ def cmd_example(args):
 
 
 def cmd_generate(args):
-    if args.field != "rational":
+    if args.field not in (None, "rational"):
         raise FormatError("generate supports the rational field only")
     n = 6 if args.symmetric3 else args.group_order
     if not 1 <= n <= GENERATE_CAPS["group_order"]:

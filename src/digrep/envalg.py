@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .digroup import AxiomReport
-from .linalg import ContentMemo, Matrix, QQ, span_basis, sparse_kernel
+from .linalg import ContentMemo, Matrix, QQ, complete, span_basis, sparse_kernel
 from .reps import Representation, require_valid
 
 
@@ -403,7 +403,7 @@ def derivation_ext1(a, q, w):
 
     der_basis = span_basis(der)
     inner_basis = span_basis(inner)
-    reps_vecs = complete_basis(inner_basis, der_basis)
+    reps_vecs = complete(inner_basis, der_basis)
     dim = len(der_basis) - len(inner_basis)
     assert dim == len(reps_vecs)
     families = []
@@ -413,20 +413,6 @@ def derivation_ext1(a, q, w):
                     for k in range(na))
         families.append(fam)
     return dim, families
-
-
-def complete_basis(small, big):
-    """Vectors from `big` that extend span(small) to span(big), greedily."""
-    chosen = []
-    cur = list(small)
-    rank = len(span_basis(cur))
-    for v in big:
-        nxt = span_basis(cur + [v])
-        if len(nxt) > rank:
-            chosen.append(v)
-            cur.append(v)
-            rank = len(nxt)
-    return chosen
 
 
 def algebra_to_json(a):

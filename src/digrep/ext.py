@@ -13,7 +13,9 @@ import weakref
 from dataclasses import dataclass
 
 from .digroup import AxiomReport
-from .linalg import ContentMemo, Matrix, hstack, solve, span_basis, sparse_kernel
+from .linalg import (ContentMemo, Matrix, complete, contains, coordinates,
+                     hstack, intertwiners, solve, span_basis, sparse_kernel,
+                     vstack)
 from .reps import (Representation, RepresentationError, lambda_factorization,
                    rho_group_form, require_valid)
 
@@ -190,24 +192,19 @@ def block_decompose(s, sec):
     theta = {}
     for x in s.V.digroup.elements:
         t = Cinv * s.V.rho[x] * C
-        if not _blk(t, k, 0, n - k, k).is_zero():
+        if not t.block(k, 0, n - k, k).is_zero():
             raise RepresentationError("section not equivariant at %r" % (x,))
-        if not _blk(t, 0, k, k, n - k).is_zero():
+        if not t.block(0, k, k, n - k).is_zero():
             raise RepresentationError("rho not block diagonal at %r" % (x,))
-        if _blk(t, 0, 0, k, k) != s.W.rho[x] or _blk(t, k, k, n - k, n - k) != s.Q.rho[x]:
+        if t.block(0, 0, k, k) != s.W.rho[x] or t.block(k, k, n - k, n - k) != s.Q.rho[x]:
             raise RepresentationError("rho diagonal blocks mismatch at %r" % (x,))
         t = Cinv * s.V.lam[x] * C
-        if not _blk(t, k, 0, n - k, k).is_zero():
+        if not t.block(k, 0, n - k, k).is_zero():
             raise RepresentationError("lam not upper triangular at %r" % (x,))
-        if _blk(t, 0, 0, k, k) != s.W.lam[x] or _blk(t, k, k, n - k, n - k) != s.Q.lam[x]:
+        if t.block(0, 0, k, k) != s.W.lam[x] or t.block(k, k, n - k, n - k) != s.Q.lam[x]:
             raise RepresentationError("lam diagonal blocks mismatch at %r" % (x,))
-        theta[x] = _blk(t, 0, k, k, n - k)
+        theta[x] = t.block(0, k, k, n - k)
     return CocycleFamily(require_cocycle(theta, s.Q, s.W))
-
-
-def _blk(m, i0, j0, h, w):
-    return Matrix(m.field, h, w,
-                  [m[i0 + i, j0 + j] for i in range(h) for j in range(w)])
 
 
 def vectorize(theta, elems, dw, dq):
@@ -343,32 +340,10 @@ def hom_rho(Q, W):
         raise RepresentationError("hom_rho needs a common digroup")
     rec = _verified(Q, W)
     if rec.hom is None:
-        rec.hom = _solve_hom_rho(Q, W)
+        rho_w, rho_q = rho_group_form(W), rho_group_form(Q)
+        rec.hom = intertwiners([(rho_q[g], rho_w[g]) for g in rho_w],
+                               Q.dim, W.dim, W.field)
     return list(rec.hom)
-
-
-def _solve_hom_rho(Q, W):
-    dw, dq = W.dim, Q.dim
-    nunk = dw * dq
-    if nunk == 0:
-        return []
-    field = W.field
-    rho_w = rho_group_form(W)
-    rho_q = rho_group_form(Q)
-    z = field.of(0)
-    rows = []
-    for g in rho_w:
-        aw, aq = rho_w[g], rho_q[g]
-        for i in range(dw):
-            for j in range(dq):
-                row = [z] * nunk
-                for k in range(dw):
-                    row[k * dq + j] = row[k * dq + j] + aw[i, k]
-                for k in range(dq):
-                    row[i * dq + k] = row[i * dq + k] - aq[k, j]
-                rows.append(row)
-    ker = Matrix.from_rows(field, rows).kernel_basis()
-    return [Matrix(field, dw, dq, v.flat()) for v in span_basis(ker)]
 
 
 def coboundary(t, Q, W):
@@ -377,7 +352,6 @@ def coboundary(t, Q, W):
     t is checked to intertwine rho on every call; the family goes through
     require_cocycle, so each distinct family is checked once per (Q, W).
     """
-    field = W.field
     rho_w = rho_group_form(W)
     rho_q = rho_group_form(Q)
     for g in rho_w:
@@ -417,32 +391,12 @@ def ext1_dim(Q, W):
         return Ext1Result(0, 0, 0, [])
     zvecs = [vectorize(f.theta, elems, dw, dq) for f in zfam]
     bvecs = coboundary_space(Q, W)
-    for b in bvecs:
-        assert _in_span(zvecs, b), "coboundary escapes the cocycle space"
-    reps = _complete(bvecs, zvecs)
+    assert contains(zvecs, *bvecs), "coboundary escapes the cocycle space"
+    reps = complete(bvecs, zvecs)
     dim_ext = len(zvecs) - len(bvecs)
     assert dim_ext == len(reps)
     basis = [CocycleFamily(devectorize(v, elems, dw, dq, field)) for v in reps]
     return Ext1Result(len(zvecs), len(bvecs), dim_ext, basis)
-
-
-def _in_span(basis, v):
-    if not basis:
-        return v.is_zero()
-    return len(span_basis(list(basis) + [v])) == len(span_basis(basis))
-
-
-def _complete(small, big):
-    chosen = []
-    cur = list(small)
-    rank = len(span_basis(cur))
-    for v in big:
-        nxt = span_basis(cur + [v])
-        if len(nxt) > rank:
-            chosen.append(v)
-            cur.append(v)
-            rank = len(nxt)
-    return chosen
 
 
 def extension_from_cocycle(theta, Q, W):
@@ -454,19 +408,10 @@ def extension_from_cocycle(theta, Q, W):
     field = W.field if W.dim else Q.field
     k, m = W.dim, Q.dim
     n = k + m
-    z = field.of(0)
+    lower_left = Matrix.zeros(field, m, k)
 
     def upper(tl, tr, br):
-        rows = [[z] * n for _ in range(n)]
-        for i in range(k):
-            for j in range(k):
-                rows[i][j] = tl[i, j]
-            for j in range(m):
-                rows[i][k + j] = tr[i, j]
-        for i in range(m):
-            for j in range(m):
-                rows[k + i][k + j] = br[i, j]
-        return Matrix.from_rows(field, rows) if n else Matrix(field, 0, 0, [])
+        return vstack([hstack([tl, tr]), hstack([lower_left, br])])
 
     # rho ignores the halo index (rho_group_form verifies it), so one
     # matrix per group element is shared across halo indices
@@ -476,11 +421,8 @@ def extension_from_cocycle(theta, Q, W):
     lam = {x: upper(W.lam[x], theta[x], Q.lam[x]) for x in d.elements}
     rho = {x: rho_g[x[0]] for x in d.elements}
     V = require_valid(Representation(d, n, lam, rho))
-    iota = Matrix(field, n, k, [field.of(1) if i == j else z
-                                for i in range(n) for j in range(k)])
-    pi = Matrix(field, m, n, [field.of(1) if j == k + i else z
-                              for i in range(m) for j in range(n)])
-    return short_exact(W, V, Q, iota, pi)
+    ident = Matrix.identity(field, n)
+    return short_exact(W, V, Q, ident.block(0, 0, n, k), ident.block(k, 0, m, n))
 
 
 def is_split(s):
@@ -501,11 +443,7 @@ def is_split(s):
     dw, dq = s.W.dim, s.Q.dim
     tv = vectorize(fam.theta, elems, dw, dq)
     tbasis = hom_rho(s.Q, s.W)
-    cols = _coboundary_columns(s.Q, s.W)
-    if cols:
-        coeffs = solve(hstack(cols), tv)
-    else:
-        coeffs = None if not tv.is_zero() else Matrix(field, 0, 1, [])
+    coeffs = coordinates(_coboundary_columns(s.Q, s.W), tv)
     if coeffs is None:
         return False, fam
     t = Matrix.zeros(field, dw, dq)

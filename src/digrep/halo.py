@@ -12,10 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import Matrix, hstack, solve, span_basis
+from .linalg import (Matrix, block_diag, complete, contains, coordinates,
+                     hstack, intertwiners, span_basis, sparse_kernel)
 from .reps import (RepresentationError, SemilinearObject,
                    require_valid_semilinear, to_semilinear, hom_rep)
-from .ext import (cocycle_space, ext1_dim, extension_from_cocycle, is_split)
+from .ext import (cocycle_space, devectorize, ext1_dim, extension_from_cocycle,
+                  is_split, vectorize)
 from .digroup import Digroup
 
 
@@ -60,48 +62,13 @@ def hom_BE(q, w):
     """
     if len(q.eps) != len(w.eps):
         raise RepresentationError("halo size mismatch")
-    dq, dw = q.dim, w.dim
-    nunk = dq * dw
-    if nunk == 0:
-        return []
-    field = w.field
-    z = field.of(0)
-    rows = []
-    for a in q.eps:
-        eq, ew = q.eps[a], w.eps[a]
-        for i in range(dw):
-            for j in range(dq):
-                row = [z] * nunk
-                for k in range(dq):
-                    row[i * dq + k] = row[i * dq + k] + eq[k, j]
-                for k in range(dw):
-                    row[k * dq + j] = row[k * dq + j] - ew[i, k]
-                rows.append(row)
-    ker = Matrix.from_rows(field, rows).kernel_basis()
-    return [Matrix(field, dw, dq, v.flat()) for v in span_basis(ker)]
+    return intertwiners([(q.eps[a], w.eps[a]) for a in q.eps], q.dim, w.dim, w.field)
 
 
 @dataclass(frozen=True, eq=False)
 class HomSpaceWithAction:
     basis: list
     g_action: dict
-
-
-def _coords_in(basis_vecs, v):
-    # the basis vectors are independent, so solve returns the unique
-    # coordinates, or None when v lies outside their span
-    if not basis_vecs:
-        if not v.is_zero():
-            return None
-        return Matrix(v.field, 0, 1, [])
-    return solve(hstack(basis_vecs), v)
-
-
-def _in_span(basis, v):
-    # basis is canonical (from span_basis), so its length is its rank
-    if not basis:
-        return v.is_zero()
-    return len(span_basis(list(basis) + [v])) == len(basis)
 
 
 def g_action_on_hom(q, w):
@@ -126,7 +93,7 @@ def g_action_on_hom(q, w):
                 if gf * q.eps[a] != w.eps[a] * gf:
                     raise RepresentationError(
                         "g.f leaves the band-linear maps at g=%d" % g)
-            c = _coords_in(vecs, Matrix(field, gf.rows * gf.cols, 1, gf.entries))
+            c = coordinates(vecs, Matrix(field, gf.rows * gf.cols, 1, gf.entries))
             if c is None:
                 raise RepresentationError("g.f leaves the span at g=%d" % g)
             cols.append(c)
@@ -144,16 +111,10 @@ def invariants(space):
     mats = list(space.g_action.values())
     if not mats:
         return []
-    field = mats[0].field
-    k = mats[0].rows
-    if k == 0:
-        return []
-    rows = []
-    ident = Matrix.identity(field, k)
-    for m in mats:
-        rows.extend((m - ident).to_lists())
-    ker = Matrix.from_rows(field, rows).kernel_basis()
-    return span_basis(ker)
+    field, k = mats[0].field, mats[0].rows
+    # a fixed vector v is a k x 1 map with v I_1 = M v for every M
+    one = Matrix.identity(field, 1)
+    return intertwiners([(one, m) for m in mats], 1, k, field)
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,19 +124,6 @@ class BEExtResult:
     dim_ext: int
     eta_basis: list
     g_action_on_classes: dict
-
-
-def _eta_vec(eta, m, dw, dq, field):
-    vals = []
-    for a in range(m):
-        vals.extend(eta[a].entries)
-    return Matrix(field, m * dw * dq, 1, vals)
-
-
-def _eta_from_vec(v, m, dw, dq, field):
-    blk = dw * dq
-    return {a: Matrix(field, dw, dq, v.entries[a * blk:(a + 1) * blk])
-            for a in range(m)}
 
 
 def ext1_BE(q, w):
@@ -194,36 +142,35 @@ def ext1_BE(q, w):
     dq, dw = q.dim, w.dim
     blk = dw * dq
     field = w.field if dw else q.field
+    group = q.action.group
     if blk == 0:
         return BEExtResult(0, 0, 0, [],
-                           {g: Matrix(field, 0, 0, [])
-                            for g in range(q.action.group.order)})
-    nunk = m * blk
+                           {g: Matrix(field, 0, 0, []) for g in range(group.order)})
+    keys = range(m)   # eta families are vectorized over the halo indices
 
     def u(a, i, j):
         return a * blk + i * dq + j
 
     z = field.of(0)
     rows = []
-    for a in range(m):
+    for a in keys:
         ew = w.eps[a]
-        for b in range(m):
+        for b in keys:
             eq = q.eps[b]
             for i in range(dw):
                 for j in range(dq):
                     # eps_a^W eta_b + eta_a eps_b^Q - eta_a = 0
-                    row = [z] * nunk
+                    row = {u(a, i, j): -field.of(1)}
                     for k in range(dw):
                         c = ew[i, k]
                         if c:
-                            row[u(b, k, j)] = row[u(b, k, j)] + c
+                            row[u(b, k, j)] = row.get(u(b, k, j), z) + c
                     for k in range(dq):
                         c = eq[k, j]
                         if c:
-                            row[u(a, i, k)] = row[u(a, i, k)] + c
-                    row[u(a, i, j)] = row[u(a, i, j)] - field.of(1)
+                            row[u(a, i, k)] = row.get(u(a, i, k), z) + c
                     rows.append(row)
-    zvecs = span_basis(Matrix.from_rows(field, rows).kernel_basis())
+    zvecs = span_basis(sparse_kernel(m * blk, rows, field))
 
     bvecs = []
     for i0 in range(dw):
@@ -231,54 +178,45 @@ def ext1_BE(q, w):
             t = Matrix(field, dw, dq,
                        [field.of(1) if (i, j) == (i0, j0) else z
                         for i in range(dw) for j in range(dq)])
-            eta = {a: w.eps[a] * t - t * q.eps[a] for a in range(m)}
-            bvecs.append(_eta_vec(eta, m, dw, dq, field))
+            eta = {a: w.eps[a] * t - t * q.eps[a] for a in keys}
+            bvecs.append(vectorize(eta, keys, dw, dq))
     bvecs = span_basis(bvecs)
-    for b in bvecs:
-        if not _in_span(zvecs, b):
-            raise RepresentationError("a coboundary escapes the eta space")
+    if not contains(zvecs, *bvecs):
+        raise RepresentationError("a coboundary escapes the eta space")
 
-    reps = _complete(bvecs, zvecs)
+    reps = complete(bvecs, zvecs)
     dim_ext = len(zvecs) - len(bvecs)
     assert dim_ext == len(reps)
-    eta_basis = [_eta_from_vec(v, m, dw, dq, field) for v in reps]
+    eta_basis = [devectorize(v, keys, dw, dq, field) for v in reps]
 
-    group = q.action.group
     act = q.action
+    tq_inv = {g: q.t[g].inverse() for g in range(group.order)}
 
-    def g_dot(g, eta):
-        tw = w.t[g]
-        tq_inv = q.t[g].inverse()
+    def g_dot(g, v):
+        eta = devectorize(v, keys, dw, dq, field)
         ginv = group.inv[g]
-        return {a: tw * eta[act.apply(ginv, a)] * tq_inv for a in range(m)}
+        return vectorize({a: w.t[g] * eta[act.apply(ginv, a)] * tq_inv[g]
+                          for a in keys}, keys, dw, dq)
 
     # the lift must preserve Z and B
     for g in range(group.order):
-        for v in zvecs:
-            gv = _eta_vec(g_dot(g, _eta_from_vec(v, m, dw, dq, field)),
-                          m, dw, dq, field)
-            if not _in_span(zvecs, gv):
-                raise RepresentationError(
-                    "group action does not preserve the eta space at g=%d" % g)
-        for v in bvecs:
-            gv = _eta_vec(g_dot(g, _eta_from_vec(v, m, dw, dq, field)),
-                          m, dw, dq, field)
-            if not _in_span(bvecs, gv):
-                raise RepresentationError(
-                    "group action does not preserve coboundaries at g=%d" % g)
+        if not contains(zvecs, *(g_dot(g, v) for v in zvecs)):
+            raise RepresentationError(
+                "group action does not preserve the eta space at g=%d" % g)
+        if not contains(bvecs, *(g_dot(g, v) for v in bvecs)):
+            raise RepresentationError(
+                "group action does not preserve coboundaries at g=%d" % g)
 
     # action on classes, in the coordinates (coboundary basis | class reps)
     g_classes = {}
     full = list(bvecs) + list(reps)
     for g in range(group.order):
         cols = []
-        for eta in eta_basis:
-            gv = _eta_vec(g_dot(g, eta), m, dw, dq, field)
-            c = _coords_in(full, gv)
+        for v in reps:
+            c = coordinates(full, g_dot(g, v))
             if c is None:
                 raise RepresentationError("class action leaves Z at g=%d" % g)
-            cols.append(Matrix(field, dim_ext, 1,
-                               [c[len(bvecs) + i, 0] for i in range(dim_ext)]))
+            cols.append(c.block(len(bvecs), 0, dim_ext, 1))
         g_classes[g] = hstack(cols) if cols else Matrix(field, 0, 0, [])
     ident = Matrix.identity(field, dim_ext)
     assert g_classes[group.identity] == ident
@@ -286,19 +224,6 @@ def ext1_BE(q, w):
         for h in range(group.order):
             assert g_classes[g] * g_classes[h] == g_classes[group.mul[g][h]]
     return BEExtResult(len(zvecs), len(bvecs), dim_ext, eta_basis, g_classes)
-
-
-def _complete(small, big):
-    chosen = []
-    cur = list(small)
-    rank = len(span_basis(cur))
-    for v in big:
-        nxt = span_basis(cur + [v])
-        if len(nxt) > rank:
-            chosen.append(v)
-            cur.append(v)
-            rank = len(nxt)
-    return chosen
 
 
 def invariant_class_dim(res):
@@ -361,15 +286,9 @@ def induction_L(m, d):
     dim = g_ord * dm
     field = m.field
     z = field.of(0)
-    eps = {}
-    for a in range(d.halo_size):
-        rows = [[z] * dim for _ in range(dim)]
-        for g in range(g_ord):
-            blk = m.eps[d.action.apply(d.group.inv[g], a)]
-            for i in range(dm):
-                for j in range(dm):
-                    rows[g * dm + i][g * dm + j] = blk[i, j]
-        eps[a] = Matrix.from_rows(field, rows) if dim else Matrix(field, 0, 0, [])
+    eps = {a: block_diag(field, [m.eps[d.action.apply(d.group.inv[g], a)]
+                                 for g in range(g_ord)])
+           for a in range(d.halo_size)}
     t = {}
     for h in range(g_ord):
         rows = [[z] * dim for _ in range(dim)]
@@ -396,32 +315,14 @@ def verify_adjunction(m, n):
     dm, dn, dl = m.dim, n.dim, lm.dim
 
     # left side: Phi with Phi eps_a^L = eps_a^N Phi and Phi t_h^L = t_h^N Phi
-    nunk = dn * dl
-    rows = []
-    z = field.of(0)
     pairs = [(lm.eps[a], n.eps[a]) for a in range(d.halo_size)]
     pairs += [(lm.t[h], n.t[h]) for h in range(g_ord)]
-    for a1, a2 in pairs:
-        for i in range(dn):
-            for j in range(dl):
-                row = [z] * nunk
-                for k in range(dl):
-                    row[i * dl + k] = row[i * dl + k] + a1[k, j]
-                for k in range(dn):
-                    row[k * dl + j] = row[k * dl + j] - a2[i, k]
-                rows.append(row)
-    if nunk:
-        ker = Matrix.from_rows(field, rows).kernel_basis()
-        left = [Matrix(field, dn, dl, v.flat()) for v in span_basis(ker)]
-    else:
-        left = []
+    left = intertwiners(pairs, dl, dn, field)
     right = hom_BE(m, underlying_module(n))
 
     def restrict(phi):
         # f_Phi = Phi on the identity-group block
-        e = d.group.identity
-        return Matrix(field, dn, dm,
-                      [phi[i, e * dm + j] for i in range(dn) for j in range(dm)])
+        return phi.block(0, d.group.identity * dm, dn, dm)
 
     def spread(f):
         # block g of the induced map is t_g^N f

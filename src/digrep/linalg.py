@@ -6,6 +6,17 @@ operations are pure functions; there is no floating point anywhere.
 
 Scalars are fractions.Fraction in rational mode, or FpElement in prime
 field mode.  A matrix remembers its field and refuses to mix modes.
+
+Each linear-algebra operation the package needs has its one home here:
+
+* blocks: Matrix.block extracts one, hstack / vstack / block_diag build;
+* subspaces (lists of column vectors): span_basis (canonical basis),
+  contains (membership of any number of vectors, one elimination),
+  complete (the vectors extending one span to another, one elimination),
+  coordinates, intersect and quotient_dim;
+* systems: solve (dense, inhomogeneous), sparse_kernel (sparse,
+  homogeneous) and intertwiners, the canonical basis of the maps f with
+  f A = B f for a family of pairs (A, B), which serves every Hom space.
 """
 
 from __future__ import annotations
@@ -194,6 +205,11 @@ class Matrix:
     def row_list(self, i):
         return list(self.entries[i * self.cols:(i + 1) * self.cols])
 
+    def block(self, i0, j0, h, w):
+        """The h x w submatrix whose top-left entry is (i0, j0)."""
+        return Matrix(self.field, h, w,
+                      [self[i0 + i, j0 + j] for i in range(h) for j in range(w)])
+
     def col_vector(self, j):
         return Matrix(self.field, self.rows, 1, [self[i, j] for i in range(self.rows)])
 
@@ -351,6 +367,17 @@ def vstack(mats):
     return Matrix(field, sum(m.rows for m in mats), cols, ents)
 
 
+def block_diag(field, blocks):
+    """The block-diagonal matrix with the given blocks down the diagonal."""
+    width = sum(b.cols for b in blocks)
+    rows, left = [], 0
+    for b in blocks:
+        rows.append(hstack([Matrix.zeros(field, b.rows, left), b,
+                            Matrix.zeros(field, b.rows, width - left - b.cols)]))
+        left += b.cols
+    return vstack(rows) if rows else Matrix(field, 0, width, [])
+
+
 def solve(a, b):
     """Some x with a x = b, or None if the system is inconsistent.
 
@@ -422,10 +449,41 @@ def span_basis(vectors):
     return [Matrix(field, n, 1, R.row_list(i)) for i in range(len(piv))]
 
 
-def contains(basis, v):
+def contains(basis, *vectors):
+    """Whether every vector lies in span(basis), by one elimination.
+
+    The columns [basis | vectors] have a pivot beyond the basis exactly
+    when some vector adds to the span.  basis need not be independent.
+    """
     if not basis:
-        return v.is_zero()
-    return len(span_basis(list(basis) + [v])) == len(span_basis(basis))
+        return all(v.is_zero() for v in vectors)
+    _, piv = hstack(list(basis) + list(vectors)).rref()
+    return all(c < len(basis) for c in piv)
+
+
+def complete(small, big):
+    """The vectors of big, in order, that extend span(small) to span(small + big).
+
+    A vector is kept when it lies outside the span of everything before
+    it, which is exactly a pivot column of [small | big]; one elimination
+    gives the same choice as adding the vectors greedily one by one.
+    """
+    big = list(big)
+    if not big:
+        return []
+    k = len(small)
+    _, piv = hstack(list(small) + big).rref()
+    return [big[c - k] for c in piv if c >= k]
+
+
+def coordinates(basis, v):
+    """Some x with sum_i x_i basis[i] = v, or None if v is outside the span.
+
+    The coordinates are unique when the basis is independent.
+    """
+    if not basis:
+        return Matrix(v.field, 0, 1, []) if v.is_zero() else None
+    return solve(hstack(basis), v)
 
 
 def intersect(ub, vb):
@@ -491,6 +549,38 @@ def sparse_kernel(ncols, rows, field):
                 v[pc] = -xx
         basis.append(Matrix(field, ncols, 1, v))
     return basis
+
+
+def intertwiners(pairs, d_src, d_dst, field):
+    """Canonical basis of {f : f A = B f for every (A, B) in pairs}.
+
+    f is d_dst x d_src, each A is d_src x d_src and each B is d_dst x d_dst.
+    Every Hom space in the package has this form.  The system is solved
+    sparsely, one block of rows per distinct pair; the solution space is
+    returned as its span_basis, reshaped into d_dst x d_src matrices.
+    """
+    n = d_src * d_dst
+    if n == 0:
+        return []
+    z = field.of(0)
+    rows = []
+    for a, b in dict.fromkeys(pairs):   # first occurrences, in order
+        for i in range(d_dst):
+            for j in range(d_src):
+                # entry (i, j) of f A - B f; unknown f[r, c] is r * d_src + c
+                row = {}
+                for k in range(d_src):
+                    c = a[k, j]
+                    if c:
+                        row[i * d_src + k] = c
+                for k in range(d_dst):
+                    c = b[i, k]
+                    if c:
+                        key = k * d_src + j
+                        row[key] = row.get(key, z) - c
+                rows.append(row)
+    return [Matrix(field, d_dst, d_src, v.entries)
+            for v in span_basis(sparse_kernel(n, rows, field))]
 
 
 def _axpy(row, f, other):

@@ -23,7 +23,8 @@ import weakref
 from dataclasses import dataclass
 
 from .digroup import AxiomReport, Digroup
-from .linalg import (ContentMemo, DimensionError, Matrix, QQ, hstack, span_basis)
+from .linalg import (ContentMemo, DimensionError, Matrix, QQ, block_diag,
+                     contains, hstack, intertwiners, span_basis)
 
 
 class RepresentationError(ValueError):
@@ -147,19 +148,8 @@ def lambda_factorization(r):
 
 def is_subrepresentation(r, basis):
     basis = span_basis(basis)
-    for table in (r.lam, r.rho):
-        for m in table.values():
-            for v in basis:
-                w = m * v
-                if not _in_span(basis, w):
-                    return False
-    return True
-
-
-def _in_span(basis, v):
-    if not basis:
-        return v.is_zero()
-    return len(span_basis(list(basis) + [v])) == len(basis)
+    ops = dict.fromkeys(list(r.lam.values()) + list(r.rho.values()))
+    return contains(basis, *(m * v for m in ops for v in basis))
 
 
 def sub_quotient(r, basis):
@@ -180,7 +170,8 @@ def sub_quotient(r, basis):
     else:
         piv = ()
     compl = [c for c in range(n) if c not in piv]
-    cols = list(basis) + [_unit(field, n, c) for c in compl]
+    ident = Matrix.identity(field, n)
+    cols = list(basis) + [ident.col_vector(c) for c in compl]
     C = hstack(cols) if cols else Matrix(field, n, 0, [])
     Cinv = C.inverse()
 
@@ -188,78 +179,35 @@ def sub_quotient(r, basis):
     for x in r.digroup.elements:
         for src, dst_w, dst_q in ((r.lam, lam_w, lam_q), (r.rho, rho_w, rho_q)):
             t = Cinv * src[x] * C
-            dst_w[x] = _block(t, 0, 0, k, k)
-            dst_q[x] = _block(t, k, k, n - k, n - k)
-            if not _block(t, k, 0, n - k, k).is_zero():
+            dst_w[x] = t.block(0, 0, k, k)
+            dst_q[x] = t.block(k, k, n - k, n - k)
+            if not t.block(k, 0, n - k, k).is_zero():
                 raise RepresentationError("subspace not stable (internal)")
     W = Representation(r.digroup, k, lam_w, rho_w)
     Q = Representation(r.digroup, n - k, lam_q, rho_q)
     iota = hstack(basis) if basis else Matrix(field, n, 0, [])
-    pi = Matrix.from_rows(field, [Cinv.row_list(k + i) for i in range(n - k)]) \
-        if n - k else Matrix(field, 0, n, [])
+    pi = Cinv.block(k, 0, n - k, n)
     return W, Q, iota, pi
-
-
-def _unit(field, n, i):
-    z, o = field.of(0), field.of(1)
-    return Matrix(field, n, 1, [o if j == i else z for j in range(n)])
-
-
-def _block(m, i0, j0, h, w):
-    return Matrix(m.field, h, w,
-                  [m[i0 + i, j0 + j] for i in range(h) for j in range(w)])
 
 
 def direct_sum(r1, r2):
     if r1.digroup is not r2.digroup:
         raise RepresentationError("direct sum needs a common digroup")
-    n1, n2 = r1.dim, r2.dim
     field = r1.field
     lam, rho = {}, {}
     for x in r1.digroup.elements:
-        lam[x] = _blockdiag(field, r1.lam[x], r2.lam[x])
-        rho[x] = _blockdiag(field, r1.rho[x], r2.rho[x])
-    return Representation(r1.digroup, n1 + n2, lam, rho)
-
-
-def _blockdiag(field, a, b):
-    z = field.of(0)
-    n = a.rows + b.rows
-    out = [[z] * n for _ in range(n)]
-    for i in range(a.rows):
-        for j in range(a.cols):
-            out[i][j] = a[i, j]
-    for i in range(b.rows):
-        for j in range(b.cols):
-            out[a.rows + i][a.cols + j] = b[i, j]
-    return Matrix.from_rows(field, out) if n else Matrix(field, 0, 0, [])
+        lam[x] = block_diag(field, [r1.lam[x], r2.lam[x]])
+        rho[x] = block_diag(field, [r1.rho[x], r2.rho[x]])
+    return Representation(r1.digroup, r1.dim + r2.dim, lam, rho)
 
 
 def hom_rep(r1, r2):
     """Canonical basis of the intertwiner space between two representations."""
     if r1.digroup is not r2.digroup:
         raise RepresentationError("hom needs a common digroup")
-    field = r1.field
-    d1, d2 = r1.dim, r2.dim
-    nunk = d1 * d2
-    if nunk == 0:
-        return []
-    rows = []
-    z = field.of(0)
-    for x in r1.digroup.elements:
-        for a1, a2 in ((r1.lam[x], r2.lam[x]), (r1.rho[x], r2.rho[x])):
-            # f a1 = a2 f, entry (i, j):  sum_k f[i,k] a1[k,j] - a2[i,k] f[k,j]
-            for i in range(d2):
-                for j in range(d1):
-                    row = [z] * nunk
-                    for k in range(d1):
-                        row[i * d1 + k] = row[i * d1 + k] + a1[k, j]
-                    for k in range(d2):
-                        row[k * d1 + j] = row[k * d1 + j] - a2[i, k]
-                    rows.append(row)
-    ker = Matrix.from_rows(field, rows).kernel_basis()
-    vecs = span_basis(ker)
-    return [Matrix(field, d2, d1, v.flat()) for v in vecs]
+    pairs = [(t1[x], t2[x]) for x in r1.digroup.elements
+             for t1, t2 in ((r1.lam, r2.lam), (r1.rho, r2.rho))]
+    return intertwiners(pairs, r1.dim, r2.dim, r1.field)
 
 
 # -- the semilinear packaging --------------------------------------------
@@ -434,9 +382,7 @@ def _line_projection(field, line, kern):
 
 
 def _diag_join(field, blocks, dim):
-    out = Matrix(field, 0, 0, [])
-    for b in blocks:
-        out = _blockdiag(field, out, b)
+    out = block_diag(field, blocks)
     if out.rows != dim:
         raise DimensionError("block sizes do not sum to the dimension")
     return out

@@ -26,7 +26,10 @@ def field_from_name(name):
         p = int(name)
     except (TypeError, ValueError):
         raise FormatError("unknown field %r" % (name,))
-    return PrimeField(p)
+    try:
+        return PrimeField(p)
+    except ValueError as e:
+        raise FormatError("bad field %r: %s" % (name, e))
 
 
 def field_to_name(field):
@@ -101,7 +104,7 @@ def matrix_from_json(obj, field, rows, cols):
             try:
                 ents.append(field.parse(x) if isinstance(x, str)
                             else field.of(int(x)))
-            except (ValueError, TypeError) as e:
+            except (ValueError, TypeError, ZeroDivisionError) as e:
                 raise FormatError("bad scalar %r: %s" % (x, e))
     return Matrix(field, rows, cols, ents)
 
@@ -147,13 +150,21 @@ def rep_to_json(r):
 
 
 def rep_from_json(obj, field=None, validate=True, digroup=None):
+    """Read a representation over the field its "field" tag names.
+
+    An explicit field must match a prime tag; a rational document may be
+    read over an explicit prime field, which reduces its scalars mod p.
+    """
     if not isinstance(obj, dict):
         raise FormatError("representation must be an object")
     try:
         if digroup is None:
             digroup = digroup_from_json(obj["digroup"])
+        tagged = field_from_name(obj.get("field", "rational"))
         if field is None:
-            field = field_from_name(obj.get("field", "rational"))
+            field = tagged
+        elif tagged not in (field, QQ):
+            raise FormatError("document is over %r, not %r" % (tagged, field))
         dim = int(obj["dim"])
         lam = _table_from_json(obj["lambda"], digroup, field, dim)
         rho = _table_from_json(obj["rho"], digroup, field, dim)
@@ -189,6 +200,8 @@ def ses_from_json(obj, field=None, validate=True):
                           digroup=w.digroup)
         q = rep_from_json(obj["Q"], field=field, validate=validate,
                           digroup=w.digroup)
+        if not w.field == v.field == q.field:
+            raise FormatError("sequence members are over different fields")
         iota = matrix_from_json(obj["iota"], w.field, v.dim, w.dim)
         pi = matrix_from_json(obj["pi"], w.field, q.dim, v.dim)
     except FormatError:

@@ -156,3 +156,45 @@ def test_prime_field_round_trip_through_the_cli(tmp_path, capsys):
     code, out, _ = run(capsys, "check", "--json", "--field", "5", paths["rep"])
     assert code == 0
     assert json.loads(out)["ok"]
+
+
+def test_zero_denominator_scalar_exits_2(tmp_path, capsys):
+    paths = write_example(tmp_path, capsys)
+    with open(paths["rep"]) as fh:
+        doc = json.load(fh)
+    doc["lambda"]["0,0"][0][0] = "1/0"
+    bad = tmp_path / "zero_den.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "check", "--json", str(bad))
+    assert (code, out) == (2, "")
+    assert "input error" in err
+
+
+def test_field_that_is_not_prime_exits_2(tmp_path, capsys):
+    paths = write_example(tmp_path, capsys)
+    code, out, err = run(capsys, "ext1", "--json", "--field", "4",
+                         paths["rep"], paths["rep"])
+    assert (code, out) == (2, "")
+    assert "input error" in err
+
+
+def test_file_field_tag_is_authoritative(tmp_path, capsys):
+    # the bundled example mod 3, with the sign -1 stored as "2": read over
+    # Q it would be a different, invalid object (rho_g^2 = 4 I)
+    paths = write_example(tmp_path, capsys)
+    with open(paths["rep"]) as fh:
+        text = fh.read()
+    doc = json.loads(text.replace('"-1"', '"2"'))
+    doc["field"] = "3"
+    gf3 = tmp_path / "gf3.json"
+    gf3.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "check", "--json", str(gf3))
+    assert code == 0 and json.loads(out)["ok"]
+    assert run(capsys, "check", "--json", "--field", "3", str(gf3))[:2] == (0, out)
+    for field in ("rational", "5"):
+        code, out, err = run(capsys, "check", "--json", "--field", field, str(gf3))
+        assert (code, out) == (2, "")
+        assert "input error" in err
+    # two files over different fields cannot be paired
+    code, out, _ = run(capsys, "ext1", "--json", str(gf3), paths["rep"])
+    assert (code, out) == (2, "")

@@ -7,7 +7,7 @@ from digrep import (Digroup, FiniteGroup, GAction, Matrix, QQ,
 from digrep.halo import (BEModule, check_be_module, ext1_BE, g_action_on_hom,
                          hom_BE, induction_L, invariant_class_dim, invariants,
                          underlying_module, verify_adjunction, verify_collapse)
-from digrep.reps import RepresentationError
+from digrep.reps import RepresentationError, SemilinearObject
 
 from _instances import sample_pair, sample_semilinear_pair
 
@@ -92,6 +92,20 @@ def test_ext1_BE_on_the_demo_pieces():
         for a in range(2):
             for b in range(2):
                 assert sw.eps[a] * eta[b] + eta[a] * sq.eps[b] == eta[a]
+
+
+def test_ext1_BE_rejects_a_group_lift_that_leaves_the_eta_space():
+    # the demo's V with t_1 swapped for a permutation: not a valid
+    # semilinear object (t_1 does not intertwine the idempotents), built
+    # without validation so only ext1_BE's own lift check can catch it
+    v = to_semilinear(demo_representation())
+    t = dict(v.t)
+    t[1] = Matrix.from_rows(QQ, [[0, 1], [1, 0]])
+    bad = SemilinearObject(v.action, v.dim, dict(v.eps), t)
+    with pytest.raises(RepresentationError, match="does not preserve"):
+        ext1_BE(bad, v)
+    with pytest.raises(RepresentationError, match="does not preserve"):
+        ext1_BE(v, bad)
 
 
 def test_ext1_BE_vanishes_for_identity_idempotents():

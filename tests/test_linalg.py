@@ -3,11 +3,15 @@ from fractions import Fraction
 
 import pytest
 
+from digrep import random_representation, seeded_rng
 from digrep.linalg import (DimensionError, FieldMismatchError, Matrix,
-                           PrimeField, QQ, hstack, solve, span_basis,
-                           contains, intersect, quotient_dim, sparse_kernel,
-                           vstack)
-from _oracles import matrix_rank_oracle
+                           PrimeField, QQ, block_diag, complete, hstack,
+                           intertwiners, solve, span_basis, contains,
+                           intersect, quotient_dim, sparse_kernel, vstack)
+from _instances import sample_digroup
+from _oracles import hom_rho_oracle, matrix_rank_oracle
+
+FIELDS = (QQ, PrimeField(5), PrimeField(7))
 
 
 def rand_matrix(rng, rows, cols, lo=-4, hi=4, field=QQ):
@@ -107,6 +111,12 @@ def test_stack_operations():
     b = Matrix.from_rows(QQ, [[3, 4]])
     assert vstack([a, b]).to_lists() == [[1, 2], [3, 4]]
     assert hstack([a.transpose(), b.transpose()]).to_lists() == [[1, 3], [2, 4]]
+    m = Matrix.from_rows(QQ, [[1, 2, 3], [4, 5, 6]])
+    assert m.block(0, 1, 2, 2).to_lists() == [[2, 3], [5, 6]]
+    assert m.block(1, 0, 0, 3) == Matrix(QQ, 0, 3, [])
+    assert block_diag(QQ, [a, Matrix.identity(QQ, 1)]).to_lists() == \
+        [[1, 2, 0], [0, 0, 1]]
+    assert block_diag(QQ, []) == Matrix(QQ, 0, 0, [])
 
 
 def test_span_basis_is_canonical():
@@ -172,3 +182,109 @@ def test_prime_field_linear_algebra():
     sing = Matrix.from_rows(f3, [[1, 2], [2, 4]])
     assert sing.rank() == 1
     assert len(sing.kernel_basis()) == 1
+
+
+def dense_intertwiners(pairs, d_src, d_dst, field):
+    """Reference: the f A = B f system, one dense row per pair and entry."""
+    n = d_src * d_dst
+    rows = []
+    for a, b in pairs:
+        for i in range(d_dst):
+            for j in range(d_src):
+                row = [field.of(0)] * n
+                for k in range(d_src):
+                    row[i * d_src + k] += a[k, j]
+                for k in range(d_dst):
+                    row[k * d_src + j] -= b[i, k]
+                rows.append(row)
+    ker = Matrix.from_rows(field, rows).kernel_basis() if rows else []
+    return [Matrix(field, d_dst, d_src, v.entries) for v in span_basis(ker)]
+
+
+def test_intertwiners_match_dense_reference_and_oracle():
+    rng = random.Random(17)
+    for field in FIELDS:
+        for seed in range(12):
+            srng = seeded_rng(3000 + seed)
+            d = sample_digroup(srng)
+            q = random_representation(d, srng.randint(1, 3), srng, field)
+            w = random_representation(d, srng.randint(1, 3), srng, field)
+            # both operator families, with the repeats the tables carry
+            pairs = [(t1[x], t2[x]) for x in d.elements
+                     for t1, t2 in ((q.lam, w.lam), (q.rho, w.rho))]
+            rho_pairs = [(q.rho[(g, 0)], w.rho[(g, 0)])
+                         for g in range(d.group.order)]
+            # unrelated random pairs, and a pair fixed by the identity map
+            a = rand_matrix(rng, 2, 2, -2, 2, field)
+            b = rand_matrix(rng, 3, 3, -2, 2, field)
+            for fam, ds, dd in ((pairs, q.dim, w.dim), (rho_pairs, q.dim, w.dim),
+                                ([(a, b), (a, b)], 2, 3), ([(a, a)], 2, 2)):
+                basis = intertwiners(fam, ds, dd, field)
+                assert basis == dense_intertwiners(fam, ds, dd, field)
+                for f in basis:
+                    assert all(f * x == y * f for x, y in fam)
+            # the identity commutes with a, so it lies in the span
+            flat = [Matrix(field, 4, 1, f.entries)
+                    for f in intertwiners([(a, a)], 2, 2, field)]
+            assert contains(flat, Matrix(field, 4, 1, Matrix.identity(field, 2).entries))
+            if field == QQ:
+                oracle = [Matrix(QQ, q.dim * w.dim, 1, v)
+                          for v in hom_rho_oracle(q, w)]
+                flat = [Matrix(QQ, f.rows * f.cols, 1, f.entries)
+                        for f in intertwiners(rho_pairs, q.dim, w.dim, QQ)]
+                assert flat == span_basis(oracle)
+    assert intertwiners([], 0, 3, QQ) == []
+
+
+def greedy_complete(small, big):
+    """Reference: add the vectors of big one by one, keeping rank raisers."""
+    chosen = []
+    cur = list(small)
+    rank = len(span_basis(cur))
+    for v in big:
+        nxt = span_basis(cur + [v])
+        if len(nxt) > rank:
+            chosen.append(v)
+            cur.append(v)
+            rank = len(nxt)
+    return chosen
+
+
+def rand_vectors(rng, field, n, count):
+    """Column vectors with deliberate dependencies: some are combinations."""
+    vecs = []
+    for _ in range(count):
+        if vecs and rng.random() < 0.4:
+            a, b = rng.choice(vecs), rng.choice(vecs)
+            vecs.append(a + b.scale(field.of(rng.randint(-2, 2))))
+        else:
+            vecs.append(rand_matrix(rng, n, 1, -2, 2, field))
+    return vecs
+
+
+def test_complete_matches_the_greedy_loop():
+    rng = random.Random(18)
+    for field in FIELDS:
+        for _ in range(40):
+            n = rng.randint(1, 6)
+            small = rand_vectors(rng, field, n, rng.randint(0, 4))
+            big = rand_vectors(rng, field, n, rng.randint(0, 6))
+            if small and rng.random() < 0.5:
+                big = big + [small[0].scale(field.of(2))]
+            assert complete(small, big) == greedy_complete(small, big)
+
+
+def test_contains_several_vectors_is_the_conjunction():
+    rng = random.Random(19)
+    for field in FIELDS:
+        for _ in range(40):
+            n = rng.randint(1, 5)
+            basis = rand_vectors(rng, field, n, rng.randint(0, 3))
+            vecs = rand_vectors(rng, field, n, rng.randint(1, 3))
+            vecs += [sum(basis[1:], basis[0]) if basis else Matrix.zeros(field, n, 1)]
+            single = [contains(basis, v) for v in vecs]
+            ref = [len(span_basis(basis + [v])) == len(span_basis(basis))
+                   if basis else v.is_zero() for v in vecs]
+            assert single == ref
+            assert contains(basis, *vecs) == all(single)
+            assert contains(basis)
