@@ -344,44 +344,32 @@ def derivation_ext1(a, q, w):
     def uix(k, i, j):
         return (k * dw + i) * dq + j
 
-    rows = []
-    seen = set()
-
-    def add(row):
-        key = tuple(sorted((c, v) for c, v in row.items() if v))
-        if key and key not in seen:
-            seen.add(key)
-            rows.append(row)
-
-    for i in range(dw):
-        for j in range(dq):
-            row = {}
-            for k, c in enumerate(a.unit):
-                if c:
-                    row[uix(k, i, j)] = c
-            add(row)
+    # the nonzero structure constants, and the nonzero entries of each act_w
+    # row and act_q column, negated as they enter the rows below
+    sc = [[[(k, c) for k, c in enumerate(vec) if c] for vec in row]
+          for row in a.structure]
+    wrows = [[[(l, -c) for l, c in enumerate(mat.row_list(i)) if c]
+              for i in range(dw)] for mat in w.action]
+    qcols = [[[(l, -mat[l, j]) for l in range(dq) if mat[l, j]]
+              for j in range(dq)] for mat in q.action]
+    rows = [{uix(k, i, j): c for k, c in enumerate(a.unit) if c}
+            for i in range(dw) for j in range(dq)]
     for ki in range(na):
-        aw = w.action[ki]
         for kj in range(na):
-            aq = q.action[kj]
-            prod = a.structure[ki][kj]
+            prod = sc[ki][kj]
             for i in range(dw):
+                wi = wrows[ki][i]
                 for j in range(dq):
-                    row = {}
-                    for k, c in enumerate(prod):
-                        if c:
-                            row[uix(k, i, j)] = row.get(uix(k, i, j), field.of(0)) + c
-                    for l in range(dw):
-                        c = aw[i, l]
-                        if c:
-                            key = uix(kj, l, j)
-                            row[key] = row.get(key, field.of(0)) - c
-                    for l in range(dq):
-                        c = aq[l, j]
-                        if c:
-                            key = uix(ki, i, l)
-                            row[key] = row.get(key, field.of(0)) - c
-                    add(row)
+                    row = {uix(k, i, j): c for k, c in prod}
+                    for l, c in wi:
+                        key = uix(kj, l, j)
+                        v = row.get(key)
+                        row[key] = c if v is None else v + c
+                    for l, c in qcols[kj][j]:
+                        key = uix(ki, i, l)
+                        v = row.get(key)
+                        row[key] = c if v is None else v + c
+                    rows.append(row)
     der = sparse_kernel(nunk, rows, field)
 
     inner = []

@@ -1,4 +1,4 @@
-"""Exact dense linear algebra over Q and over small prime fields.
+"""Exact linear algebra over Q and over small prime fields.
 
 Everything downstream (group representations, algebras, cocycle solvers)
 runs on the Matrix class defined here.  All values are immutable and all
@@ -6,6 +6,14 @@ operations are pure functions; there is no floating point anywhere.
 
 Scalars are fractions.Fraction in rational mode, or FpElement in prime
 field mode.  A matrix remembers its field and refuses to mix modes.
+
+A Matrix stores its entries densely, but the kernels work on dict rows
+{column: value} that hold only the nonzero entries: the product adds a
+multiple of row t of the right factor for each nonzero entry (i, t) of the
+left one, and rref and sparse_kernel eliminate row by row.  All three share
+one inner loop, _axpy (row += f * other), so no kernel spends arithmetic on
+a zero; the operators this package builds (idempotents, permutation blocks,
+monomial structure constants) are mostly zeros.
 
 Each linear-algebra operation the package needs has its one home here:
 
@@ -248,17 +256,16 @@ class Matrix:
             raise DimensionError("cannot multiply %dx%d by %dx%d"
                                  % (self.rows, self.cols, other.rows, other.cols))
         n, m, k = self.rows, self.cols, other.cols
-        z = self.field.of(0)
-        out = []
+        ents, brows = self.entries, other._dict_rows()
+        out = [self.field.of(0)] * (n * k)
         for i in range(n):
-            arow = self.entries[i * m:(i + 1) * m]
-            for j in range(k):
-                acc = z
-                for t in range(m):
-                    a = arow[t]
-                    if a:
-                        acc = acc + a * other.entries[t * k + j]
-                out.append(acc)
+            acc = {}
+            for t in range(m):
+                a = ents[i * m + t]
+                if a:
+                    _axpy(acc, a, brows[t])
+            for j, x in acc.items():
+                out[i * k + j] = x
         return Matrix(self.field, n, k, out)
 
     def scale(self, c):
@@ -286,30 +293,39 @@ class Matrix:
 
     def rref(self):
         """Reduced row echelon form.  Returns (R, pivot_columns)."""
-        rows = [self.row_list(i) for i in range(self.rows)]
+        rows = self._dict_rows()
+        n, o = self.rows, self.field.of(1)
         pivots = []
-        r = 0
         for c in range(self.cols):
-            pr = None
-            for i in range(r, self.rows):
-                if rows[i][c]:
-                    pr = i
-                    break
-            if pr is None:
-                continue
-            rows[r], rows[pr] = rows[pr], rows[r]
-            pv = rows[r][c]
-            rows[r] = [x / pv for x in rows[r]]
-            for i in range(self.rows):
-                if i != r and rows[i][c]:
-                    f = rows[i][c]
-                    rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-            pivots.append(c)
-            r += 1
-            if r == self.rows:
+            r = len(pivots)
+            if r == n:
                 break
-        flat = [x for row in rows for x in row]
-        return Matrix(self.field, self.rows, self.cols, flat), tuple(pivots)
+            for pr in range(r, n):
+                if c in rows[pr]:
+                    break
+            else:
+                continue
+            prow, rows[pr] = rows[pr], rows[r]
+            pv = prow[c]
+            if pv != o:
+                prow = {cc: x / pv for cc, x in prow.items()}
+            rows[r] = prow
+            for i, row in enumerate(rows):
+                f = row.get(c)
+                if f is not None and i != r:
+                    _axpy(row, -f, prow)
+            pivots.append(c)
+        flat = [self.field.of(0)] * (n * self.cols)
+        for i, row in enumerate(rows):
+            for c, x in row.items():
+                flat[i * self.cols + c] = x
+        return Matrix(self.field, n, self.cols, flat), tuple(pivots)
+
+    def _dict_rows(self):
+        """Each row as a dict {column: value} of its nonzero entries."""
+        m, ents = self.cols, self.entries
+        return [{c: x for c, x in enumerate(ents[i * m:(i + 1) * m]) if x}
+                for i in range(self.rows)]
 
     def rank(self):
         return len(self.rref()[1])
@@ -515,13 +531,13 @@ def sparse_kernel(ncols, rows, field):
 
     Each row is a dict {column: coefficient}.  Intended for the large
     cocycle / derivation systems, where rows touch only a few unknowns.
-    Pivot rows are kept fully reduced: a pivot row holds its implicit
-    leading 1 plus entries in non-pivot columns only, so an incoming row
-    is reduced in a single pass and each kernel entry is a lookup.
+    Each pivot unknown is kept solved in terms of the non-pivot unknowns
+    only, so an incoming row is reduced in a single pass and each kernel
+    entry is a lookup.
     Returns dense column vectors (deterministic, not RREF-canonical;
     canonicalize with span_basis if needed).
     """
-    pivots = {}  # pivot column -> {non-pivot column: coefficient}
+    pivots = {}  # pivot column c -> {non-pivot column j: a_j}: x_c = sum a_j x_j
     for row in rows:
         row = {c: x for c, x in row.items() if x}
         for c in [c for c in row if c in pivots]:
@@ -529,7 +545,7 @@ def sparse_kernel(ncols, rows, field):
         if not row:
             continue
         c = min(row)
-        pv = row.pop(c)
+        pv = -row.pop(c)
         new = {cc: xx / pv for cc, xx in row.items()}
         for prow in pivots.values():
             f = prow.pop(c, None)
@@ -546,7 +562,7 @@ def sparse_kernel(ncols, rows, field):
         for pc, prow in pivots.items():
             xx = prow.get(f)
             if xx is not None:
-                v[pc] = -xx
+                v[pc] = xx
         basis.append(Matrix(field, ncols, 1, v))
     return basis
 
@@ -584,11 +600,18 @@ def intertwiners(pairs, d_src, d_dst, field):
 
 
 def _axpy(row, f, other):
-    """row -= f * other, in place, dropping entries that cancel."""
-    for cc, xx in other.items():
-        v = row.get(cc)
-        nv = (v - f * xx) if v is not None else -f * xx
-        if nv:
-            row[cc] = nv
-        elif v is not None:
-            del row[cc]
+    """row += f * other, in place, for dict rows and a nonzero f.
+
+    The one inner loop of products, rref and sparse_kernel: it touches only
+    the nonzero entries of other and drops the entries of row that cancel.
+    """
+    for c, x in other.items():
+        v = row.get(c)
+        if v is None:
+            row[c] = f * x   # nonzero: a field has no zero divisors
+        else:
+            v = v + f * x
+            if v:
+                row[c] = v
+            else:
+                del row[c]

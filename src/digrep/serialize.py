@@ -101,10 +101,13 @@ def matrix_from_json(obj, field, rows, cols):
         if not isinstance(row, list) or len(row) != cols:
             raise FormatError("expected %d matrix columns" % cols)
         for x in row:
+            # a JSON number must be an integer (bool is an int subclass, not a scalar)
+            if isinstance(x, bool) or not isinstance(x, (int, str)):
+                raise FormatError("bad scalar %r: expected an integer or a string"
+                                  % (x,))
             try:
-                ents.append(field.parse(x) if isinstance(x, str)
-                            else field.of(int(x)))
-            except (ValueError, TypeError, ZeroDivisionError) as e:
+                ents.append(field.parse(x) if isinstance(x, str) else field.of(x))
+            except (ValueError, ZeroDivisionError) as e:
                 raise FormatError("bad scalar %r: %s" % (x, e))
     return Matrix(field, rows, cols, ents)
 
@@ -154,12 +157,17 @@ def rep_from_json(obj, field=None, validate=True, digroup=None):
 
     An explicit field must match a prime tag; a rational document may be
     read over an explicit prime field, which reduces its scalars mod p.
+    With digroup given, the document's own digroup block must have the
+    same group table and action, and the given object is reused.
     """
     if not isinstance(obj, dict):
         raise FormatError("representation must be an object")
     try:
+        own = digroup_from_json(obj["digroup"])
         if digroup is None:
-            digroup = digroup_from_json(obj["digroup"])
+            digroup = own
+        elif (own.group.mul, own.action.act) != (digroup.group.mul, digroup.action.act):
+            raise FormatError("document's digroup differs from the one it is read with")
         tagged = field_from_name(obj.get("field", "rational"))
         if field is None:
             field = tagged

@@ -198,3 +198,47 @@ def test_file_field_tag_is_authoritative(tmp_path, capsys):
     # two files over different fields cannot be paired
     code, out, _ = run(capsys, "ext1", "--json", str(gf3), paths["rep"])
     assert (code, out) == (2, "")
+
+
+def test_non_integer_json_number_scalar_exits_2(tmp_path, capsys):
+    # truncating 0.5 to 0 would turn malformed input (exit 2) into an axiom failure (exit 1)
+    paths = write_example(tmp_path, capsys)
+    with open(paths["rep"]) as fh:
+        doc = json.load(fh)
+    doc["lambda"]["0,0"][0][0] = 0.5
+    bad = tmp_path / "half.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "check", "--json", str(bad))
+    assert (code, out) == (2, "")
+    assert "input error" in err
+    # integers given as JSON numbers are still scalars; booleans are not
+    doc["lambda"]["0,0"][0][0] = 1
+    good = tmp_path / "number.json"
+    good.write_text(json.dumps(doc))
+    assert run(capsys, "check", "--json", paths["rep"])[:2] == \
+        run(capsys, "check", "--json", str(good))[:2]
+    doc["lambda"]["0,0"][0][0] = True
+    bad.write_text(json.dumps(doc))
+    assert run(capsys, "check", "--json", str(bad))[:2] == (2, "")
+
+
+def test_second_file_digroup_is_parsed_and_must_match(tmp_path, capsys):
+    paths = write_example(tmp_path, capsys)
+    with open(paths["rep"]) as fh:
+        doc = json.load(fh)
+    other = tmp_path / "other.json"
+    for change in ({"group": {"cyclic": 3}},        # no valid digroup at all
+                   {"action": [[0, 1], [1, 0]]}):   # valid, but not the first file's
+        changed = json.loads(json.dumps(doc))
+        changed["digroup"].update(change)
+        other.write_text(json.dumps(changed))
+        for cmd in (["ext1", "--json", paths["rep"], str(other)],
+                    ["collapse", "--json", paths["rep"], str(other)],
+                    ["probe", "--json", paths["rep"], str(other)]):
+            code, out, err = run(capsys, *cmd)
+            assert (code, out) == (2, ""), cmd
+            assert "input error" in err
+    # an equal digroup block still pairs
+    other.write_text(json.dumps(doc))
+    code, _, _ = run(capsys, "ext1", "--json", paths["rep"], str(other))
+    assert code == 0

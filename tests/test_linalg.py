@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from digrep import random_representation, seeded_rng
-from digrep.linalg import (DimensionError, FieldMismatchError, Matrix,
+from digrep.linalg import (DimensionError, FieldMismatchError, FpElement, Matrix,
                            PrimeField, QQ, block_diag, complete, hstack,
                            intertwiners, solve, span_basis, contains,
                            intersect, quotient_dim, sparse_kernel, vstack)
@@ -172,6 +172,87 @@ def test_sparse_kernel_matches_dense():
                 assert (dense * v).is_zero()
             assert len(ker) == cols - dense.rank()
             assert span_basis(ker) == span_basis(dense.kernel_basis())
+
+
+def dense_product(a, b):
+    """Reference: the triple-loop product over every entry pair."""
+    z = a.field.of(0)
+    out = []
+    for i in range(a.rows):
+        for j in range(b.cols):
+            acc = z
+            for t in range(a.cols):
+                if a[i, t]:
+                    acc = acc + a[i, t] * b[t, j]
+            out.append(acc)
+    return Matrix(a.field, a.rows, b.cols, out)
+
+
+def dense_rref(m):
+    """Reference: the whole-row Gauss-Jordan elimination."""
+    rows = [m.row_list(i) for i in range(m.rows)]
+    pivots = []
+    r = 0
+    for c in range(m.cols):
+        pr = next((i for i in range(r, m.rows) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        pv = rows[r][c]
+        rows[r] = [x / pv for x in rows[r]]
+        for i in range(m.rows):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == m.rows:
+            break
+    return Matrix(m.field, m.rows, m.cols, [x for row in rows for x in row]), tuple(pivots)
+
+
+def rand_sparse(rng, field, rows, cols, density):
+    return Matrix(field, rows, cols,
+                  [field.of(rng.choice((-3, -2, -1, 1, 2, 3)) if rng.random() < density else 0)
+                   for _ in range(rows * cols)])
+
+
+def assert_field_scalars(m):
+    for x in m.entries:
+        if m.field == QQ:
+            assert type(x) is Fraction
+        else:
+            assert type(x) is FpElement and x.p == m.field.p
+
+
+def kernel_cases(rng, field):
+    """Random shapes and densities 0.1-1.0, all-zero matrices and empty shapes."""
+    shapes = [(rng.randint(1, 7), rng.randint(1, 7), rng.randint(1, 7)) for _ in range(40)]
+    shapes += [(0, 3, 2), (3, 0, 2), (3, 2, 0), (0, 0, 0), (1, 1, 1)]
+    for n, m, k in shapes:
+        for density in (0.0, rng.choice((0.1, 0.2, 0.3)), rng.uniform(0.3, 1.0), 1.0):
+            yield (rand_sparse(rng, field, n, m, density),
+                   rand_sparse(rng, field, m, k, rng.uniform(0.1, 1.0)))
+
+
+def test_product_matches_the_triple_loop():
+    rng = random.Random(21)
+    for field in FIELDS:
+        for a, b in kernel_cases(rng, field):
+            got = a * b
+            assert got == dense_product(a, b)
+            assert (got.rows, got.cols) == (a.rows, b.cols)
+            assert_field_scalars(got)
+
+
+def test_rref_matches_whole_row_elimination():
+    rng = random.Random(22)
+    for field in FIELDS:
+        for a, b in kernel_cases(rng, field):
+            for m in (a, b, vstack([a, a])):
+                r, piv = m.rref()
+                assert (r, piv) == dense_rref(m)
+                assert_field_scalars(r)
 
 
 def test_prime_field_linear_algebra():
