@@ -243,6 +243,17 @@ class AxiomReport:
         return {k: ce for k, (passed, ce) in self.results.items() if not passed}
 
 
+def first_failure(pred, cases):
+    """An AxiomReport entry: (True, None), or (False, the first case failing pred).
+
+    Each case is a tuple of arguments to pred; the scan is exhaustive.
+    """
+    for case in cases:
+        if not pred(*case):
+            return (False, case)
+    return (True, None)
+
+
 class Digroup:
     """A product-model digroup: group x halo set with an action."""
 
@@ -339,13 +350,6 @@ class Digroup:
         """Exhaustive axiom check; returns an AxiomReport."""
         elems = self.elements
         results = {}
-
-        def first_failure(pred, triples):
-            for tr in triples:
-                if not pred(*tr):
-                    return (False, tr)
-            return (True, None)
-
         pairs_h = [(e, x) for e in self.halo() for x in elems]
         results["unit_left_vdash"] = first_failure(
             lambda e, x: self.vdash(e, x) == x, pairs_h)

@@ -22,14 +22,20 @@ derivation / inner-derivation linear system.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
-from .digroup import AxiomReport
-from .linalg import ContentMemo, Matrix, QQ, complete, span_basis, sparse_kernel
+from .digroup import AxiomReport, first_failure
+from .linalg import (ContentMemo, Matrix, QQ, block_image, block_kernel, complete,
+                     devectorize)
 from .reps import Representation, require_valid
 
 
 class AlgebraError(ValueError):
     pass
+
+
+def _nonzero_pairs(vec):
+    return tuple((k, c) for k, c in enumerate(vec) if c)
 
 
 @dataclass(frozen=True)
@@ -51,6 +57,11 @@ class FDAlgebra:
 
     def index(self, label):
         return self.basis_labels.index(label)
+
+    @cached_property
+    def sparse_structure(self):
+        """structure[i][j] as the tuple of its nonzero (k, coefficient) pairs."""
+        return tuple(tuple(_nonzero_pairs(vec) for vec in row) for row in self.structure)
 
     def basis_vector(self, i):
         z, o = self.field.of(0), self.field.of(1)
@@ -83,8 +94,7 @@ class FDAlgebra:
             ei = self.basis_vector(i)
             if self.multiply(self.unit, ei) != ei or self.multiply(ei, self.unit) != ei:
                 raise AlgebraError("unit fails at basis element %d" % i)
-        sc = [[{k: c for k, c in enumerate(vec) if c} for vec in row]
-              for row in self.structure]
+        sc = [[dict(pairs) for pairs in row] for row in self.sparse_structure]
         for i in range(n):
             sci = sc[i]
             for j in range(n):
@@ -231,20 +241,17 @@ def check_relations(a, d):
 
     elems = d.elements
 
-    def scan(name, pred):
-        for x in elems:
-            for y in elems:
-                if not pred(x, y):
-                    results[name] = (False, (x, y))
-                    return
-        results[name] = (True, None)
-
-    scan("ell_dashv", lambda x, y: ell(d.dashv(x, y)) == a.multiply(ell(x), ell(y)))
-    scan("r_vdash", lambda x, y: r(d.vdash(x, y)) == a.multiply(r(x), r(y)))
+    pairs = [(x, y) for x in elems for y in elems]
+    results["ell_dashv"] = first_failure(
+        lambda x, y: ell(d.dashv(x, y)) == a.multiply(ell(x), ell(y)), pairs)
+    results["r_vdash"] = first_failure(
+        lambda x, y: r(d.vdash(x, y)) == a.multiply(r(x), r(y)), pairs)
     bad = next((e for e in d.halo() if r(e) != a.unit), None)
     results["r_unit"] = (bad is None, bad)
-    scan("r_ell", lambda x, y: a.multiply(r(x), ell(y)) == ell(d.vdash(x, y)))
-    scan("ell_r", lambda x, y: a.multiply(ell(x), r(y)) == ell(d.dashv(x, y)))
+    results["r_ell"] = first_failure(
+        lambda x, y: a.multiply(r(x), ell(y)) == ell(d.vdash(x, y)), pairs)
+    results["ell_r"] = first_failure(
+        lambda x, y: a.multiply(ell(x), r(y)) == ell(d.dashv(x, y)), pairs)
     return AxiomReport(results)
 
 
@@ -268,27 +275,26 @@ def check_module(m):
         if (mat.rows, mat.cols) != (m.dim, m.dim):
             raise AlgebraError("action matrix shape mismatch")
     ident = Matrix.identity(a.field, m.dim)
-    if _combine(m, a.unit) != ident:
+    if _combine(m, _nonzero_pairs(a.unit)) != ident:
         raise AlgebraError("unit does not act as the identity")
     memo = ContentMemo()
     act = [memo.canon(mat) for mat in m.action]
-    combined = {}
-    for i in range(a.dim):
-        for j in range(a.dim):
-            coeffs = tuple(a.structure[i][j])
-            rhs = combined.get(coeffs)
+    combined = {}   # keyed by the nonzero pairs of a structure vector
+    for i, prods in enumerate(a.sparse_structure):
+        for j, pairs in enumerate(prods):
+            rhs = combined.get(pairs)
             if rhs is None:
-                rhs = combined[coeffs] = _combine(m, coeffs)
+                rhs = combined[pairs] = _combine(m, pairs)
             if memo.mul(act[i], act[j]) != rhs:
                 raise AlgebraError("structure constants violated at (%d,%d)" % (i, j))
     return m
 
 
-def _combine(m, coeffs):
+def _combine(m, pairs):
+    """sum c act(e_k) over the nonzero (k, c) pairs of a coefficient vector."""
     out = Matrix.zeros(m.algebra.field, m.dim, m.dim)
-    for k, c in enumerate(coeffs):
-        if c:
-            out = out + m.action[k].scale(c)
+    for k, c in pairs:
+        out = out + m.action[k].scale(c)
     return out
 
 
@@ -337,69 +343,26 @@ def derivation_ext1(a, q, w):
     field = a.field
     na = a.dim
     dq, dw = q.dim, w.dim
-    nunk = na * dw * dq
-    if nunk == 0:
+    if na * dw * dq == 0:
         return 0, []
 
-    def uix(k, i, j):
-        return (k * dw + i) * dq + j
-
-    # the nonzero structure constants, and the nonzero entries of each act_w
-    # row and act_q column, negated as they enter the rows below
-    sc = [[[(k, c) for k, c in enumerate(vec) if c] for vec in row]
-          for row in a.structure]
-    wrows = [[[(l, -c) for l, c in enumerate(mat.row_list(i)) if c]
-              for i in range(dw)] for mat in w.action]
-    qcols = [[[(l, -mat[l, j]) for l in range(dq) if mat[l, j]]
-              for j in range(dq)] for mat in q.action]
-    rows = [{uix(k, i, j): c for k, c in enumerate(a.unit) if c}
-            for i in range(dw) for j in range(dq)]
-    for ki in range(na):
-        for kj in range(na):
-            prod = sc[ki][kj]
-            for i in range(dw):
-                wi = wrows[ki][i]
-                for j in range(dq):
-                    row = {uix(k, i, j): c for k, c in prod}
-                    for l, c in wi:
-                        key = uix(kj, l, j)
-                        v = row.get(key)
-                        row[key] = c if v is None else v + c
-                    for l, c in qcols[kj][j]:
-                        key = uix(ki, i, l)
-                        v = row.get(key)
-                        row[key] = c if v is None else v + c
-                    rows.append(row)
-    der = sparse_kernel(nunk, rows, field)
-
-    inner = []
-    for m0 in range(dw):
-        for n0 in range(dq):
-            vec = [field.of(0)] * nunk
-            for k in range(na):
-                aw, aq = w.action[k], q.action[k]
-                # (aw t - t aq) for t the (m0, n0) matrix unit
-                for i in range(dw):
-                    c = aw[i, m0]
-                    if c:
-                        vec[uix(k, i, n0)] = vec[uix(k, i, n0)] + c
-                for j in range(dq):
-                    c = aq[n0, j]
-                    if c:
-                        vec[uix(k, m0, j)] = vec[uix(k, m0, j)] - c
-            inner.append(Matrix(field, nunk, 1, vec))
-
-    der_basis = span_basis(der)
-    inner_basis = span_basis(inner)
+    o, neg = field.of(1), field.of(-1)
+    # c(1) = 0, and c(e_i e_j) - act_w(e_i) c(e_j) - c(e_i) act_q(e_j) = 0
+    eqs = [[(c, None, k, None) for k, c in _nonzero_pairs(a.unit)]]
+    for i, prods in enumerate(a.sparse_structure):
+        for j, prod in enumerate(prods):
+            eqs.append([(c, None, k, None) for k, c in prod]
+                       + [(neg, w.action[i], j, None), (neg, None, i, q.action[j])])
+    der_basis = block_kernel(na, dw, dq, eqs, field)
+    # the inner derivations: the image of t -> (act_w(e_k) t - t act_q(e_k))_k
+    inner_basis = block_image(1, dw, dq, [[(o, w.action[k], 0, None),
+                                           (neg, None, 0, q.action[k])]
+                                          for k in range(na)], field)
     reps_vecs = complete(inner_basis, der_basis)
     dim = len(der_basis) - len(inner_basis)
     assert dim == len(reps_vecs)
-    families = []
-    for v in reps_vecs:
-        fam = tuple(Matrix(field, dw, dq,
-                           [v[uix(k, i, j), 0] for i in range(dw) for j in range(dq)])
-                    for k in range(na))
-        families.append(fam)
+    families = [tuple(devectorize(v, range(na), dw, dq, field).values())
+                for v in reps_vecs]
     return dim, families
 
 

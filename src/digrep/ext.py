@@ -12,10 +12,10 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 
-from .digroup import AxiomReport
-from .linalg import (ContentMemo, Matrix, complete, contains, coordinates,
-                     hstack, intertwiners, solve, span_basis, sparse_kernel,
-                     vstack)
+from .digroup import AxiomReport, first_failure
+from .linalg import (ContentMemo, Matrix, block_kernel, complete, contains,
+                     coordinates, devectorize, hstack, intertwiners, solve,
+                     span_basis, vectorize, vstack)
 from .reps import (Representation, RepresentationError, lambda_factorization,
                    rho_group_form, require_valid)
 
@@ -86,7 +86,6 @@ def check_cocycle(theta, Q, W):
     """
     d = Q.digroup
     elems = d.elements
-    results = {}
     memo = ContentMemo()
     mul = memo.mul
     th = {x: memo.canon(theta[x]) for x in elems}
@@ -94,20 +93,16 @@ def check_cocycle(theta, Q, W):
     lam_q = {x: memo.canon(Q.lam[x]) for x in elems}
     rho_w = {x: memo.canon(W.rho[x]) for x in elems}
     rho_q = {x: memo.canon(Q.rho[x]) for x in elems}
-
-    def scan(name, pred):
-        for x in elems:
-            for y in elems:
-                if not pred(x, y):
-                    results[name] = (False, (x, y))
-                    return
-        results[name] = (True, None)
-
-    scan("Z1a", lambda x, y: th[d.dashv(x, y)]
-         == memo.add(mul(lam_w[x], th[y]), mul(th[x], lam_q[y])))
-    scan("Z1b", lambda x, y: th[d.vdash(x, y)] == mul(rho_w[x], th[y]))
-    scan("Z1c", lambda x, y: th[d.dashv(x, y)] == mul(th[x], rho_q[y]))
-    return AxiomReport(results)
+    pairs = [(x, y) for x in elems for y in elems]
+    return AxiomReport({
+        "Z1a": first_failure(lambda x, y: th[d.dashv(x, y)]
+                             == memo.add(mul(lam_w[x], th[y]), mul(th[x], lam_q[y])),
+                             pairs),
+        "Z1b": first_failure(lambda x, y: th[d.vdash(x, y)] == mul(rho_w[x], th[y]),
+                             pairs),
+        "Z1c": first_failure(lambda x, y: th[d.dashv(x, y)] == mul(th[x], rho_q[y]),
+                             pairs),
+    })
 
 
 class _Verified:
@@ -207,22 +202,6 @@ def block_decompose(s, sec):
     return CocycleFamily(require_cocycle(theta, s.Q, s.W))
 
 
-def vectorize(theta, elems, dw, dq):
-    field = next(iter(theta.values())).field if theta else None
-    vals = []
-    for x in elems:
-        vals.extend(theta[x].entries)
-    return Matrix(field, len(elems) * dw * dq, 1, vals)
-
-
-def devectorize(v, elems, dw, dq, field):
-    theta = {}
-    blk = dw * dq
-    for i, x in enumerate(elems):
-        theta[x] = Matrix(field, dw, dq, v.entries[i * blk:(i + 1) * blk])
-    return theta
-
-
 def cocycle_space(Q, W):
     """Canonical basis of the cocycle space, as CocycleFamily objects.
 
@@ -250,77 +229,32 @@ def _solve_cocycle_space(Q, W):
     field = Q.field if Q.dim else W.field
     elems = d.elements
     dw, dq = W.dim, Q.dim
-    blk = dw * dq
-    if blk == 0 or not elems:
+    if dw * dq == 0 or not elems:
         return []
     n, m = d.group.order, d.halo_size
-    rho_w = rho_group_form(W)
-    rho_q = rho_group_form(Q)
+    # one object per distinct matrix, so repeated equations are the same
+    # terms, which block_kernel assembles once
+    canon = ContentMemo().canon
+    rho_w = {g: canon(x) for g, x in rho_group_form(W).items()}
+    rho_q = {g: canon(x) for g, x in rho_group_form(Q).items()}
     lam_w = lambda_factorization(W)   # a -> L_a with lam[(g,a)] = L_a rho_g
     lam_q = lambda_factorization(Q)
-    nunk = m * blk
-
-    def u(a, i, j):
-        return a * blk + i * dq + j
-
-    z = field.of(0)
-    rows = []
-    seen = set()
-
-    def add(row):
-        key = tuple(sorted((c, v) for c, v in row.items() if v))
-        if key and key not in seen:
-            seen.add(key)
-            rows.append(row)
-
+    o, neg = field.of(1), field.of(-1)
     # identity Z1b at y = (1, b):  eta_{g.b} rho_Q[g] = rho_W[g] eta_b
-    for g in range(n):
-        rq, rw = rho_q[g], rho_w[g]
-        for b in range(m):
-            gb = d.action.apply(g, b)
-            for i in range(dw):
-                for j in range(dq):
-                    row = {}
-                    for k in range(dq):
-                        c = rq[k, j]
-                        if c:
-                            key = u(gb, i, k)
-                            row[key] = row.get(key, z) + c
-                    for k in range(dw):
-                        c = rw[i, k]
-                        if c:
-                            key = u(b, k, j)
-                            row[key] = row.get(key, z) - c
-                    add(row)
+    eqs = [[(o, None, d.action.apply(g, b), rho_q[g]), (neg, rho_w[g], b, None)]
+           for g in range(n) for b in range(m)]
     # identity Z1a with the invertible right factor cancelled:
     #   eta_a rho_Q[g] = L^W_a rho_W[g] eta_b + eta_a rho_Q[g] L^Q_b
     for g in range(n):
         rq = rho_q[g]
+        lhs = [canon(rq - rq * lam_q[b]) for b in range(m)]   # coefficient on eta_a
         for a in range(m):
-            lwa = lam_w[a] * rho_w[g]
-            for b in range(m):
-                right = rq * lam_q[b]
-                lhs = rq - right   # coefficient matrix on eta_a
-                for i in range(dw):
-                    for j in range(dq):
-                        row = {}
-                        for k in range(dq):
-                            c = lhs[k, j]
-                            if c:
-                                key = u(a, i, k)
-                                row[key] = row.get(key, z) + c
-                        for k in range(dw):
-                            c = lwa[i, k]
-                            if c:
-                                key = u(b, k, j)
-                                row[key] = row.get(key, z) - c
-                        add(row)
-    ker = sparse_kernel(nunk, rows, field)
+            lwa = canon(lam_w[a] * rho_w[g])
+            eqs += [[(o, None, a, lhs[b]), (neg, lwa, b, None)] for b in range(m)]
     out = []
     e = d.group.identity
-    for v in span_basis(ker):
-        eta = {a: Matrix(field, dw, dq, v.entries[a * blk:(a + 1) * blk])
-               for a in range(m)}
+    for v in block_kernel(m, dw, dq, eqs, field):
+        eta = devectorize(v, range(m), dw, dq, field)
         theta = {(g, a): eta[a] * rho_q[g] for g in range(n) for a in range(m)}
         require_cocycle(theta, Q, W)
         # redundancy of the bar-unit reduction, checked explicitly

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import (Matrix, block_diag, complete, contains, coordinates,
-                     hstack, intertwiners, span_basis, sparse_kernel)
+from .linalg import (Matrix, block_diag, block_image, block_kernel, complete,
+                     contains, coordinates, devectorize, hstack, intertwiners,
+                     vectorize)
 from .reps import (RepresentationError, SemilinearObject,
                    require_valid_semilinear, to_semilinear, hom_rep)
-from .ext import (cocycle_space, devectorize, ext1_dim, extension_from_cocycle,
-                  is_split, vectorize)
+from .ext import cocycle_space, ext1_dim, extension_from_cocycle, is_split
 from .digroup import Digroup
 
 
@@ -140,47 +140,20 @@ def ext1_BE(q, w):
         raise RepresentationError("halo size mismatch")
     m = len(q.eps)
     dq, dw = q.dim, w.dim
-    blk = dw * dq
     field = w.field if dw else q.field
     group = q.action.group
-    if blk == 0:
+    if dw * dq == 0:
         return BEExtResult(0, 0, 0, [],
                            {g: Matrix(field, 0, 0, []) for g in range(group.order)})
     keys = range(m)   # eta families are vectorized over the halo indices
-
-    def u(a, i, j):
-        return a * blk + i * dq + j
-
-    z = field.of(0)
-    rows = []
-    for a in keys:
-        ew = w.eps[a]
-        for b in keys:
-            eq = q.eps[b]
-            for i in range(dw):
-                for j in range(dq):
-                    # eps_a^W eta_b + eta_a eps_b^Q - eta_a = 0
-                    row = {u(a, i, j): -field.of(1)}
-                    for k in range(dw):
-                        c = ew[i, k]
-                        if c:
-                            row[u(b, k, j)] = row.get(u(b, k, j), z) + c
-                    for k in range(dq):
-                        c = eq[k, j]
-                        if c:
-                            row[u(a, i, k)] = row.get(u(a, i, k), z) + c
-                    rows.append(row)
-    zvecs = span_basis(sparse_kernel(m * blk, rows, field))
-
-    bvecs = []
-    for i0 in range(dw):
-        for j0 in range(dq):
-            t = Matrix(field, dw, dq,
-                       [field.of(1) if (i, j) == (i0, j0) else z
-                        for i in range(dw) for j in range(dq)])
-            eta = {a: w.eps[a] * t - t * q.eps[a] for a in keys}
-            bvecs.append(vectorize(eta, keys, dw, dq))
-    bvecs = span_basis(bvecs)
+    o, neg = field.of(1), field.of(-1)
+    # Z: eps_a^W eta_b + eta_a eps_b^Q - eta_a = 0
+    zvecs = block_kernel(m, dw, dq, [[(o, w.eps[a], b, None), (o, None, a, q.eps[b]),
+                                      (neg, None, a, None)]
+                                     for a in keys for b in keys], field)
+    # B: the image of t -> (eps_a^W t - t eps_a^Q)_a
+    bvecs = block_image(1, dw, dq, [[(o, w.eps[a], 0, None), (neg, None, 0, q.eps[a])]
+                                    for a in keys], field)
     if not contains(zvecs, *bvecs):
         raise RepresentationError("a coboundary escapes the eta space")
 

@@ -23,12 +23,15 @@ Each linear-algebra operation the package needs has its one home here:
   complete (the vectors extending one span to another, one elimination),
   coordinates, intersect and quotient_dim;
 * systems: solve (dense, inhomogeneous), sparse_kernel (sparse,
-  homogeneous) and intertwiners, the canonical basis of the maps f with
-  f A = B f for a family of pairs (A, B), which serves every Hom space.
+  homogeneous), and the block-linear systems sum c L X_b R = 0 in unknown
+  blocks X_b: block_kernel solves them, block_image spans the image of
+  the same assembled map, vectorize / devectorize are their block layout,
+  and intertwiners (f A = B f, every Hom space) is the one-block case.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 
@@ -40,6 +43,18 @@ class DimensionError(ValueError):
     """Raised when matrix shapes are incompatible."""
 
 
+# the canonical scalar texts: ASCII digits, an optional leading minus, and
+# over Q an optional unsigned denominator; no spaces, exponents or underscores
+_INTEGER = re.compile(r"-?[0-9]+")
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
+def _canonical(pattern, s):
+    if not pattern.fullmatch(s):
+        raise ValueError("not a canonical scalar: %r" % (s,))
+    return s
+
+
 class RationalField:
     """The field Q, backed by fractions.Fraction."""
 
@@ -49,8 +64,8 @@ class RationalField:
         return Fraction(n)
 
     def parse(self, s):
-        # canonical form "p/q" or "n"
-        return Fraction(s)
+        """The scalar written "n" or "p/q"; anything else is a ValueError."""
+        return Fraction(_canonical(_RATIONAL, s))
 
     def fmt(self, x):
         return str(x)
@@ -142,7 +157,8 @@ class PrimeField:
         return FpElement(n, self.p)
 
     def parse(self, s):
-        return FpElement(int(s), self.p)
+        """The residue of the integer written "n"; anything else is a ValueError."""
+        return FpElement(int(_canonical(_INTEGER, s)), self.p)
 
     def fmt(self, x):
         return str(x.v)
@@ -567,36 +583,139 @@ def sparse_kernel(ncols, rows, field):
     return basis
 
 
+# -- block-linear systems ------------------------------------------------
+#
+# The unknown is a family of h x w blocks X_0, ..., X_{n-1}, laid out as one
+# column: X_b[i, j] is entry (b * h + i) * w + j.  An equation is a list of
+# terms (c, L, b, R), meaning c L X_b R, with L (h x h) or R (w x w) None for
+# the identity; it states that the h x w sum of its terms vanishes.
+
+def vectorize(blocks, keys, h, w):
+    """The h x w matrices blocks[k], for k in keys in order, as one column."""
+    field = next(iter(blocks.values())).field if blocks else None
+    vals = []
+    for k in keys:
+        vals.extend(blocks[k].entries)
+    return Matrix(field, len(keys) * h * w, 1, vals)
+
+
+def devectorize(v, keys, h, w, field):
+    """The inverse of vectorize: {k: the k-th h x w block of v}."""
+    blk = h * w
+    return {k: Matrix(field, h, w, v.entries[n * blk:(n + 1) * blk])
+            for n, k in enumerate(keys)}
+
+
+def block_kernel(nblocks, h, w, equations, field):
+    """Canonical basis (span_basis) of the block families solving every equation.
+
+    Rows are assembled from the nonzero entries of each L row and R column
+    and solved with sparse_kernel; the solutions are columns in the block
+    layout (devectorize them to get the blocks).
+    """
+    n = nblocks * h * w
+    if n == 0:
+        return []
+    # equations made of the very same terms have the very same rows, so each
+    # is assembled once; the dict holds the terms, so no id in a key is reused
+    distinct = {tuple((id(c), id(l), b, id(r)) for c, l, b, r in eq): eq
+                for eq in equations}
+    return span_basis(sparse_kernel(n, _block_rows(h, w, distinct.values(), field),
+                                    field))
+
+
+def block_image(nblocks, h, w, equations, field):
+    """Canonical basis of the image of X -> (the value of each equation at X).
+
+    The rows block_kernel assembles are the matrix of this map, so the
+    image is their column span; equation e's entry (i, j) is coordinate
+    (e * h + i) * w + j, the block layout with one block per equation.
+    """
+    n = nblocks * h * w
+    if n == 0:
+        return []
+    rows = _block_rows(h, w, equations, field)
+    z = field.of(0)
+    cols = [[z] * len(rows) for _ in range(n)]
+    for r, row in enumerate(rows):
+        for c, x in row.items():
+            cols[c][r] = x
+    return span_basis([Matrix(field, len(rows), 1, col) for col in cols])
+
+
 def intertwiners(pairs, d_src, d_dst, field):
     """Canonical basis of {f : f A = B f for every (A, B) in pairs}.
 
     f is d_dst x d_src, each A is d_src x d_src and each B is d_dst x d_dst.
-    Every Hom space in the package has this form.  The system is solved
-    sparsely, one block of rows per distinct pair; the solution space is
-    returned as its span_basis, reshaped into d_dst x d_src matrices.
+    Every Hom space in the package has this form: the one-block system
+    f A - B f = 0, one equation per distinct pair, reshaped into matrices.
     """
-    n = d_src * d_dst
-    if n == 0:
-        return []
-    z = field.of(0)
-    rows = []
-    for a, b in dict.fromkeys(pairs):   # first occurrences, in order
-        for i in range(d_dst):
-            for j in range(d_src):
-                # entry (i, j) of f A - B f; unknown f[r, c] is r * d_src + c
-                row = {}
-                for k in range(d_src):
-                    c = a[k, j]
-                    if c:
-                        row[i * d_src + k] = c
-                for k in range(d_dst):
-                    c = b[i, k]
-                    if c:
-                        key = k * d_src + j
-                        row[key] = row.get(key, z) - c
-                rows.append(row)
+    o, neg = field.of(1), field.of(-1)
+    eqs = [[(o, None, 0, a), (neg, b, 0, None)] for a, b in dict.fromkeys(pairs)]
     return [Matrix(field, d_dst, d_src, v.entries)
-            for v in span_basis(sparse_kernel(n, rows, field))]
+            for v in block_kernel(1, d_dst, d_src, eqs, field)]
+
+
+def _block_rows(h, w, equations, field):
+    """The sparse rows of the equations: row (e * h + i) * w + j is entry (i, j)
+    of equation e.
+
+    Terms that reach the same unknown add; a term c X_b takes the path of
+    c L X_b with L the identity.  The scaled nonzero entries of each matrix
+    are listed once per coefficient, in a cache keyed by ids whose entries
+    hold the matrix and the coefficient, so no id is reused while it is a key.
+    """
+    o = field.of(1)
+    cache = {}
+
+    def nonzeros(m, by_col, c):
+        # [(k, c * m[i, k]) nonzero] for each row i, or [(k, c * m[k, j])] per
+        # column j; m None is the h x h identity
+        key = (id(m), by_col, id(c))
+        hit = cache.get(key)
+        if hit is None:
+            if m is None:
+                lines = [[(i, c)] for i in range(h)]
+            else:
+                ents, mc, scale = m.entries, m.cols, c != o
+                grid = [ents[i * mc:(i + 1) * mc] for i in range(m.rows)]
+                lines = [[(k, c * x if scale else x) for k, x in enumerate(line) if x]
+                         for line in (zip(*grid) if by_col else grid)]
+            hit = cache[key] = (m, c, lines)
+        return hit[2]
+
+    cells = [(i, j) for i in range(h) for j in range(w)]
+    rows = []
+    for eq in equations:
+        block = [{} for _ in cells]   # row i * w + j is entry (i, j)
+        for c, l, b, r in eq:
+            bw = b * h * w
+            if r is None:
+                lnz = nonzeros(l, False, c)
+                for row, (i, j) in zip(block, cells):
+                    for k, x in lnz[i]:
+                        key = bw + k * w + j
+                        v = row.get(key)
+                        row[key] = x if v is None else v + x
+            elif l is None:
+                rnz = nonzeros(r, True, c)
+                for row, (i, j) in zip(block, cells):
+                    off = bw + i * w
+                    for k, x in rnz[j]:
+                        key = off + k
+                        v = row.get(key)
+                        row[key] = x if v is None else v + x
+            else:
+                lnz, rnz = nonzeros(l, False, c), nonzeros(r, True, o)
+                for row, (i, j) in zip(block, cells):
+                    for k, x in lnz[i]:
+                        off = bw + k * w
+                        for kk, y in rnz[j]:
+                            key, y = off + kk, x * y
+                            v = row.get(key)
+                            row[key] = y if v is None else v + y
+        rows += block
+    return rows
 
 
 def _axpy(row, f, other):

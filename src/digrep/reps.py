@@ -22,7 +22,7 @@ import random
 import weakref
 from dataclasses import dataclass
 
-from .digroup import AxiomReport, Digroup
+from .digroup import AxiomReport, Digroup, first_failure
 from .linalg import (ContentMemo, DimensionError, Matrix, QQ, block_diag,
                      contains, hstack, intertwiners, span_basis)
 
@@ -69,21 +69,18 @@ def check_representation(r):
     lam = {x: memo.canon(r.lam[x]) for x in elems}
     rho = {x: memo.canon(r.rho[x]) for x in elems}
 
-    def scan(name, pred):
-        for x in elems:
-            for y in elems:
-                if not pred(x, y):
-                    results[name] = (False, (x, y))
-                    return
-        results[name] = (True, None)
-
-    scan("R1", lambda x, y: lam[d.dashv(x, y)] == mul(lam[x], lam[y]))
-    scan("R2", lambda x, y: rho[d.vdash(x, y)] == mul(rho[x], rho[y]))
+    pairs = [(x, y) for x in elems for y in elems]
+    results["R1"] = first_failure(
+        lambda x, y: lam[d.dashv(x, y)] == mul(lam[x], lam[y]), pairs)
+    results["R2"] = first_failure(
+        lambda x, y: rho[d.vdash(x, y)] == mul(rho[x], rho[y]), pairs)
     ident = Matrix.identity(r.field, r.dim)
     bad = next((e for e in d.halo() if r.rho[e] != ident), None)
     results["R3"] = (bad is None, bad)
-    scan("R4", lambda x, y: mul(rho[x], lam[y]) == lam[d.vdash(x, y)])
-    scan("R5", lambda x, y: mul(lam[x], rho[y]) == lam[d.dashv(x, y)])
+    results["R4"] = first_failure(
+        lambda x, y: mul(rho[x], lam[y]) == lam[d.vdash(x, y)], pairs)
+    results["R5"] = first_failure(
+        lambda x, y: mul(lam[x], rho[y]) == lam[d.dashv(x, y)], pairs)
     sing = next((x for x in elems if r.rho[x].rank() != r.dim), None)
     results["rho_invertible"] = (sing is None, sing)
     return AxiomReport(results)

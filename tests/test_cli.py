@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from digrep.cli import main
 
 
@@ -220,6 +222,21 @@ def test_non_integer_json_number_scalar_exits_2(tmp_path, capsys):
     doc["lambda"]["0,0"][0][0] = True
     bad.write_text(json.dumps(doc))
     assert run(capsys, "check", "--json", str(bad))[:2] == (2, "")
+
+
+@pytest.mark.parametrize("text", ["0.5", "1e30", "1_0", " 1 "])
+def test_non_canonical_string_scalar_exits_2(tmp_path, capsys, text):
+    # only "n" and "p/q" are scalars; Python's looser number syntax is not
+    paths = write_example(tmp_path, capsys)
+    with open(paths["rep"]) as fh:
+        doc = json.load(fh)
+    doc["lambda"]["0,0"][0][0] = text
+    bad = tmp_path / "loose.json"
+    bad.write_text(json.dumps(doc))
+    for field in ([], ["--field", "5"]):
+        code, out, err = run(capsys, "check", "--json", *field, str(bad))
+        assert (code, out) == (2, "")
+        assert "input error" in err
 
 
 def test_second_file_digroup_is_parsed_and_must_match(tmp_path, capsys):

@@ -5,9 +5,10 @@ import pytest
 
 from digrep import random_representation, seeded_rng
 from digrep.linalg import (DimensionError, FieldMismatchError, FpElement, Matrix,
-                           PrimeField, QQ, block_diag, complete, hstack,
-                           intertwiners, solve, span_basis, contains,
-                           intersect, quotient_dim, sparse_kernel, vstack)
+                           PrimeField, QQ, block_diag, block_image, block_kernel,
+                           complete, devectorize, hstack, intertwiners, solve,
+                           span_basis, contains, intersect, quotient_dim,
+                           sparse_kernel, vectorize, vstack)
 from _instances import sample_digroup
 from _oracles import hom_rho_oracle, matrix_rank_oracle
 
@@ -369,3 +370,86 @@ def test_contains_several_vectors_is_the_conjunction():
             assert single == ref
             assert contains(basis, *vecs) == all(single)
             assert contains(basis)
+
+
+def dense_block_system(nblocks, h, w, equations, field):
+    """Reference: the coefficient matrix of the block equations, entry by entry.
+
+    Row (e * h + i) * w + j is entry (i, j) of equation e, column
+    (b * h + k) * w + l is the unknown X_b[k, l]; a missing L or R is the
+    identity.
+    """
+    n = nblocks * h * w
+    ident_h, ident_w = Matrix.identity(field, h), Matrix.identity(field, w)
+    rows = []
+    for eq in equations:
+        for i in range(h):
+            for j in range(w):
+                row = [field.of(0)] * n
+                for c, l, b, r in eq:
+                    lm = ident_h if l is None else l
+                    rm = ident_w if r is None else r
+                    for k in range(h):
+                        for kk in range(w):
+                            u = (b * h + k) * w + kk
+                            row[u] = row[u] + c * lm[i, k] * rm[kk, j]
+                rows.append(row)
+    return Matrix(field, len(rows), n, [x for row in rows for x in row])
+
+
+def rand_block_equations(rng, field, nblocks, h, w):
+    """Random equations with every term kind, several terms on one block,
+    coefficients other than +-1, and an equation repeated as the same object."""
+    coeffs = [1, -1, 2, -3] + ([Fraction(3, 2)] if field == QQ else [4])
+    eqs = []
+    for _ in range(rng.randint(0, 4)):
+        eq, b0 = [], rng.randrange(nblocks)
+        for _ in range(rng.randint(1, 4)):
+            b = b0 if rng.random() < 0.5 else rng.randrange(nblocks)
+            l = rand_sparse(rng, field, h, h, rng.uniform(0.2, 1.0)) if rng.random() < 0.5 else None
+            r = rand_sparse(rng, field, w, w, rng.uniform(0.2, 1.0)) if rng.random() < 0.5 else None
+            c = rng.choice(coeffs)
+            eq.append((field.of(c) if isinstance(c, int) else c, l, b, r))
+        eqs.append(eq)
+        if rng.random() < 0.3:
+            eqs.append(eq)
+    return eqs
+
+
+def fresh_copies(eqs, field):
+    """The equations again, made lazily, each matrix and coefficient a new object."""
+    def fresh(m):
+        return None if m is None else Matrix(field, m.rows, m.cols, m.entries)
+    return ([(c + field.of(0), fresh(l), b, fresh(r)) for c, l, b, r in eq] for eq in eqs)
+
+
+def test_block_kernel_and_image_match_the_dense_system():
+    rng = random.Random(23)
+    for field in FIELDS:
+        shapes = [(rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 3)) for _ in range(60)]
+        shapes += [(0, 2, 2), (2, 0, 2), (2, 2, 0), (1, 1, 1)]
+        for nblocks, h, w in shapes:
+            eqs = rand_block_equations(rng, field, max(nblocks, 1), h, w)
+            if nblocks == 0:
+                eqs = []
+            dense = dense_block_system(nblocks, h, w, eqs, field)
+            kernel = block_kernel(nblocks, h, w, eqs, field)
+            assert kernel == span_basis(dense.kernel_basis())
+            image = block_image(nblocks, h, w, eqs, field)
+            assert image == span_basis([dense.col_vector(c) for c in range(dense.cols)])
+            for v in kernel + image:
+                assert_field_scalars(v)
+            # the assembler must not mistake a new object for a freed one that
+            # had the same id
+            assert block_kernel(nblocks, h, w, fresh_copies(eqs, field), field) == kernel
+            assert block_image(nblocks, h, w, fresh_copies(eqs, field), field) == image
+
+
+def test_block_layout_round_trip():
+    rng = random.Random(24)
+    for field in FIELDS:
+        blocks = {k: rand_matrix(rng, 2, 3, -2, 2, field) for k in "xyz"}
+        v = vectorize(blocks, "zxy", 2, 3)
+        # X_b[i, j] sits at (b * h + i) * w + j, b the position in keys
+        assert v[(1 * 2 + 1) * 3 + 2, 0] == blocks["x"][1, 2]
+        assert devectorize(v, "zxy", 2, 3, field) == blocks
