@@ -21,6 +21,7 @@ derivation / inner-derivation linear system.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -298,20 +299,33 @@ def _combine(m, pairs):
     return out
 
 
+_modules = weakref.WeakKeyDictionary()   # representation -> {id(algebra): module}
+
+
 def rep_to_module(r, algebra=None):
-    """Turn a representation into a module over the enveloping algebra."""
+    """Turn a representation into a module over the enveloping algebra.
+
+    The module is built and checked once per (representation, algebra),
+    the way require_valid treats representations; later calls return the
+    same module.  The module holds its algebra, so no id in a key is reused.
+    """
     require_valid(r)
     d = r.digroup
     if algebra is None:
         algebra = build_enveloping_algebra(d, r.field)
-    action = []
-    for lab in algebra.basis_labels:
-        if lab[0] == "R":
-            action.append(r.rho[(lab[1], 0)])
-        else:
-            _, a, g = lab
-            action.append(r.lam[(g, a)])
-    return check_module(AlgebraModule(algebra, r.dim, tuple(action)))
+    by_algebra = _modules.setdefault(r, {})
+    mod = by_algebra.get(id(algebra))
+    if mod is None:
+        action = []
+        for lab in algebra.basis_labels:
+            if lab[0] == "R":
+                action.append(r.rho[(lab[1], 0)])
+            else:
+                _, a, g = lab
+                action.append(r.lam[(g, a)])
+        mod = by_algebra[id(algebra)] = check_module(
+            AlgebraModule(algebra, r.dim, tuple(action)))
+    return mod
 
 
 def module_to_rep(m, d):
@@ -364,24 +378,3 @@ def derivation_ext1(a, q, w):
     families = [tuple(devectorize(v, range(na), dw, dq, field).values())
                 for v in reps_vecs]
     return dim, families
-
-
-def algebra_to_json(a):
-    return {
-        "basis_labels": [_label_str(lab) for lab in a.basis_labels],
-        "structure": [[[a.field.fmt(c) for c in vec] for vec in row]
-                      for row in a.structure],
-        "unit": [a.field.fmt(c) for c in a.unit],
-    }
-
-
-def _label_str(lab):
-    if lab == "1":
-        return "1"
-    if lab[0] == "R":
-        return "R_%d" % lab[1]
-    if lab[0] == "M":
-        return "M_%d_%d" % (lab[1], lab[2])
-    if lab[0] == "eps":
-        return "eps_%d" % lab[1]
-    return str(lab)

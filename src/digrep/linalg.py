@@ -7,10 +7,21 @@ operations are pure functions; there is no floating point anywhere.
 Scalars are fractions.Fraction in rational mode, or FpElement in prime
 field mode.  A matrix remembers its field and refuses to mix modes.
 
-A Matrix stores its entries densely, but the kernels work on dict rows
-{column: value} that hold only the nonzero entries: the product adds a
-multiple of row t of the right factor for each nonzero entry (i, t) of the
-left one, and rref and sparse_kernel eliminate row by row.  All three share
+A Matrix stores its entries densely, and computes once and keeps its
+integer image: over Q the numerators over one least common denominator d,
+over GF(p) the residues (d = 1).  Equal matrices have equal images, so ==
+and hash read the image.  The kernels compute on Python ints, never on
+Fraction or FpElement, and build their outputs from a table of shared
+scalars; the field supplies the only differences: its char as the modulus
+(0 over Q), how a pivot row is normalized, and the scalars.
+
+The kernels work on dict rows {column: int} that hold only the nonzero
+entries: the product adds a multiple of row t of the right factor's image
+for each nonzero entry (i, t) of the left one, and is A'B' over d_A d_B;
+rref and sparse_kernel eliminate row by row, fraction-free (Bareiss, Math.
+Comp. 1968, dividing by the row content in place of the exact division):
+a row is replaced by a multiple of itself minus a multiple of the pivot
+row; rref divides by the pivots only when it builds R.  All three share
 one inner loop, _axpy (row += f * other), so no kernel spends arithmetic on
 a zero; the operators this package builds (idempotents, permutation blocks,
 monomial structure constants) are mostly zeros.
@@ -33,6 +44,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd, lcm
 
 
 class FieldMismatchError(ValueError):
@@ -55,10 +67,36 @@ def _canonical(pattern, s):
     return s
 
 
+class _Shared(dict):
+    """Shared field scalars by integer value, made on first use.
+
+    Kernel outputs take their entries from here, so an entry costs a
+    lookup instead of an allocation.  At most 4096 values are kept, so a
+    long run with large integers or a large prime holds a bounded table.
+    """
+
+    __slots__ = ("make",)
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, n):
+        x = self.make(n)
+        if len(self) < 4096:
+            self[n] = x
+        return x
+
+
 class RationalField:
-    """The field Q, backed by fractions.Fraction."""
+    """The field Q, backed by fractions.Fraction.
+
+    char (0) is the modulus of the integer kernels: over Q they reduce
+    nothing and keep their rows small by dividing out each row's content.
+    """
 
     char = 0
+    _shared = _Shared(Fraction)
 
     def of(self, n):
         return Fraction(n)
@@ -69,6 +107,36 @@ class RationalField:
 
     def fmt(self, x):
         return str(x)
+
+    def _image(self, values):
+        """(numerators, d): the values are numerators / d, d their least
+        common denominator."""
+        d = lcm(*{x.denominator for x in values})
+        if d == 1:
+            return tuple([x.numerator for x in values]), 1
+        return tuple([x.numerator * (d // x.denominator) for x in values]), d
+
+    def _scalars(self, nums, d):
+        """The canonical image of the values nums / d, and the values."""
+        if d != 1:
+            g = gcd(d, *nums)
+            if g != 1:
+                nums = [x // g for x in nums]
+                d //= g
+        shared = self._shared
+        if d == 1:
+            return (tuple(nums), 1), [shared[x] for x in nums]
+        return (tuple(nums), d), [Fraction(x, d) if x % d else shared[x // d]
+                                  for x in nums]
+
+    def _normalize(self, row, c):
+        """Scale an int row to coprime entries with row[c] > 0."""
+        g = gcd(*row.values())
+        if row[c] < 0:
+            g = -g
+        if g != 1:
+            for k, x in row.items():
+                row[k] = x // g
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -142,16 +210,46 @@ class FpElement:
 
 
 class PrimeField:
-    """The field F_p for a prime p."""
+    """The field F_p for a prime p.
+
+    char (p) is the modulus of the integer kernels: they compute on
+    residues and reduce mod p.
+    """
 
     def __init__(self, p):
         if not _is_prime(p):
             raise ValueError("%r is not prime" % (p,))
         self.p = p
+        self._shared = _Shared(lambda v: FpElement(v, p))
 
     @property
     def char(self):
         return self.p
+
+    def _image(self, values):
+        """(residues, 1); elements of another prime field are refused."""
+        p = self.p
+        if any(x.p != p for x in values):
+            raise FieldMismatchError("mixed scalar modes")
+        return tuple([x.v for x in values]), 1
+
+    def _scalars(self, nums, d):
+        """The canonical image of the values nums / d, and the values."""
+        p = self.p
+        if d != 1:
+            inv = pow(d, -1, p)
+            nums = [x * inv for x in nums]
+        nums = tuple([x % p for x in nums])
+        shared = self._shared
+        return (nums, 1), [shared[x] for x in nums]
+
+    def _normalize(self, row, c):
+        """Scale an int row to row[c] = 1 mod p."""
+        p = self.p
+        inv = pow(row[c], -1, p)
+        if inv != 1:
+            for k, x in row.items():
+                row[k] = x * inv % p
 
     def of(self, n):
         return FpElement(n, self.p)
@@ -174,9 +272,14 @@ class PrimeField:
 
 
 class Matrix:
-    """Immutable dense matrix; entries stored row-major."""
+    """Immutable dense matrix; entries stored row-major.
 
-    __slots__ = ("field", "rows", "cols", "entries")
+    Its integer image (see _image) is computed on first use and kept, and
+    so are the image's nonzero rows once it is the right factor of a
+    product.
+    """
+
+    __slots__ = ("field", "rows", "cols", "entries", "_img", "_nonzero_rows")
 
     def __init__(self, field, rows, cols, entries):
         entries = tuple(entries)
@@ -186,6 +289,28 @@ class Matrix:
         self.rows = rows
         self.cols = cols
         self.entries = entries
+        self._img = None
+        self._nonzero_rows = None
+
+    @classmethod
+    def _of_image(cls, field, rows, cols, nums, d=1):
+        """The matrix of the row-major ints nums over d, its image kept."""
+        img, entries = field._scalars(nums, d)
+        m = cls(field, rows, cols, entries)
+        m._img = img
+        return m
+
+    def _image(self):
+        """The canonical integer image (nums, d) of the entries, computed once.
+
+        Over Q the entries are nums / d with d their least common
+        denominator; over GF(p) nums are the residues and d is 1.  Equal
+        matrices over one field have equal images.
+        """
+        img = self._img
+        if img is None:
+            img = self._img = self.field._image(self.entries)
+        return img
 
     # -- construction -----------------------------------------------------
 
@@ -272,17 +397,20 @@ class Matrix:
             raise DimensionError("cannot multiply %dx%d by %dx%d"
                                  % (self.rows, self.cols, other.rows, other.cols))
         n, m, k = self.rows, self.cols, other.cols
-        ents, brows = self.entries, other._dict_rows()
-        out = [self.field.of(0)] * (n * k)
+        ents, d = self._image()
+        bents, bd = other._image()
+        brows = other._nonzero_rows
+        if brows is None:
+            brows = other._nonzero_rows = _int_rows(bents, m, k)   # read only
+        out = [0] * (n * k)
         for i in range(n):
             acc = {}
-            for t in range(m):
-                a = ents[i * m + t]
+            for t, a in enumerate(ents[i * m:(i + 1) * m]):
                 if a:
-                    _axpy(acc, a, brows[t])
+                    _axpy(acc, a, brows[t], 0)
             for j, x in acc.items():
                 out[i * k + j] = x
-        return Matrix(self.field, n, k, out)
+        return Matrix._of_image(self.field, n, k, out, d * bd)
 
     def scale(self, c):
         return Matrix(self.field, self.rows, self.cols, [c * a for a in self.entries])
@@ -295,12 +423,13 @@ class Matrix:
         return not any(self.entries)
 
     def __eq__(self, other):
-        return (isinstance(other, Matrix) and self.field == other.field
-                and self.rows == other.rows and self.cols == other.cols
-                and self.entries == other.entries)
+        return self is other or (
+            isinstance(other, Matrix) and self.field == other.field
+            and self.rows == other.rows and self.cols == other.cols
+            and self._image() == other._image())
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.entries))
+        return hash((self.rows, self.cols, self._image()))
 
     def __repr__(self):
         return "Matrix(%r)" % (self.to_lists(),)
@@ -308,11 +437,16 @@ class Matrix:
     # -- elimination ------------------------------------------------------
 
     def rref(self):
-        """Reduced row echelon form.  Returns (R, pivot_columns)."""
-        rows = self._dict_rows()
-        n, o = self.rows, self.field.of(1)
+        """Reduced row echelon form.  Returns (R, pivot_columns).
+
+        Fraction-free: the rows are the integer image, each row is kept a
+        multiple of itself, and row i of R is row i over its pivot entry.
+        """
+        field, p = self.field, self.field.char
+        n, m = self.rows, self.cols
+        rows = _int_rows(self._image()[0], n, m)
         pivots = []
-        for c in range(self.cols):
+        for c in range(m):
             r = len(pivots)
             if r == n:
                 break
@@ -322,26 +456,19 @@ class Matrix:
             else:
                 continue
             prow, rows[pr] = rows[pr], rows[r]
-            pv = prow[c]
-            if pv != o:
-                prow = {cc: x / pv for cc, x in prow.items()}
             rows[r] = prow
+            field._normalize(prow, c)
             for i, row in enumerate(rows):
-                f = row.get(c)
-                if f is not None and i != r:
-                    _axpy(row, -f, prow)
+                if c in row and i != r:
+                    _eliminate(row, prow, c, p)
             pivots.append(c)
-        flat = [self.field.of(0)] * (n * self.cols)
-        for i, row in enumerate(rows):
-            for c, x in row.items():
-                flat[i * self.cols + c] = x
-        return Matrix(self.field, n, self.cols, flat), tuple(pivots)
-
-    def _dict_rows(self):
-        """Each row as a dict {column: value} of its nonzero entries."""
-        m, ents = self.cols, self.entries
-        return [{c: x for c, x in enumerate(ents[i * m:(i + 1) * m]) if x}
-                for i in range(self.rows)]
+        d = lcm(*[rows[i][c] for i, c in enumerate(pivots)])
+        out = [0] * (n * m)
+        for i, c in enumerate(pivots):   # the rows after the pivot rows are empty
+            s = d // rows[i][c]
+            for cc, x in rows[i].items():
+                out[i * m + cc] = x * s
+        return Matrix._of_image(field, n, m, out, d), tuple(pivots)
 
     def rank(self):
         return len(self.rref()[1])
@@ -545,41 +672,42 @@ def quotient_dim(ambient_dim, basis):
 def sparse_kernel(ncols, rows, field):
     """Kernel basis of a homogeneous system given as sparse rows.
 
-    Each row is a dict {column: coefficient}.  Intended for the large
-    cocycle / derivation systems, where rows touch only a few unknowns.
-    Each pivot unknown is kept solved in terms of the non-pivot unknowns
-    only, so an incoming row is reduced in a single pass and each kernel
-    entry is a lookup.
+    Each row is a dict {column: int}: over Q any integer multiple of the
+    rational row (scaling a homogeneous row changes nothing), over GF(p)
+    ints congruent to its entries.  Intended for the large cocycle /
+    derivation systems, where rows touch only a few unknowns.  Each pivot
+    row stays free of every other pivot column, so an incoming row is
+    reduced in a single pass and each kernel entry is a lookup.
     Returns dense column vectors (deterministic, not RREF-canonical;
     canonicalize with span_basis if needed).
     """
-    pivots = {}  # pivot column c -> {non-pivot column j: a_j}: x_c = sum a_j x_j
+    p = field.char
+    pivots = {}   # pivot column c -> its row: a_c x_c + sum a_j x_j = 0, j not pivots
     for row in rows:
-        row = {c: x for c, x in row.items() if x}
+        row = ({c: x % p for c, x in row.items() if x % p} if p
+               else {c: x for c, x in row.items() if x})
         for c in [c for c in row if c in pivots]:
-            _axpy(row, row.pop(c), pivots[c])
+            _eliminate(row, pivots[c], c, p)
         if not row:
             continue
         c = min(row)
-        pv = -row.pop(c)
-        new = {cc: xx / pv for cc, xx in row.items()}
+        field._normalize(row, c)
         for prow in pivots.values():
-            f = prow.pop(c, None)
-            if f is not None:
-                _axpy(prow, f, new)
-        pivots[c] = new
-    z, o = field.of(0), field.of(1)
+            if c in prow:
+                _eliminate(prow, row, c, p)
+        pivots[c] = row
     basis = []
     for f in range(ncols):
         if f in pivots:
             continue
-        v = [z] * ncols
-        v[f] = o
-        for pc, prow in pivots.items():
-            xx = prow.get(f)
-            if xx is not None:
-                v[pc] = xx
-        basis.append(Matrix(field, ncols, 1, v))
+        # x_f = 1 and x_c = -a_f / a_c, over a common denominator d
+        hits = [(c, prow) for c, prow in pivots.items() if f in prow]
+        d = lcm(*[prow[c] for c, prow in hits])
+        v = [0] * ncols
+        v[f] = d
+        for c, prow in hits:
+            v[c] = -prow[f] * (d // prow[c])
+        basis.append(Matrix._of_image(field, ncols, 1, v, d))
     return basis
 
 
@@ -635,12 +763,11 @@ def block_image(nblocks, h, w, equations, field):
     if n == 0:
         return []
     rows = _block_rows(h, w, equations, field)
-    z = field.of(0)
-    cols = [[z] * len(rows) for _ in range(n)]
+    cols = [[0] * len(rows) for _ in range(n)]
     for r, row in enumerate(rows):
         for c, x in row.items():
             cols[c][r] = x
-    return span_basis([Matrix(field, len(rows), 1, col) for col in cols])
+    return span_basis([Matrix._of_image(field, len(rows), 1, col) for col in cols])
 
 
 def intertwiners(pairs, d_src, d_dst, field):
@@ -657,48 +784,64 @@ def intertwiners(pairs, d_src, d_dst, field):
 
 
 def _block_rows(h, w, equations, field):
-    """The sparse rows of the equations: row (e * h + i) * w + j is entry (i, j)
-    of equation e.
+    """The sparse int rows of the equations: row (e * h + i) * w + j is entry
+    (i, j) of equation e.
 
-    Terms that reach the same unknown add; a term c X_b takes the path of
-    c L X_b with L the identity.  The scaled nonzero entries of each matrix
-    are listed once per coefficient, in a cache keyed by ids whose entries
-    hold the matrix and the coefficient, so no id is reused while it is a key.
+    The rows are the integer image of the whole system: every term is
+    scaled by one common denominator, which changes neither the kernel nor
+    the column span.  Terms that reach the same unknown add; a term c X_b
+    takes the path of c L X_b with L the identity.  The scaled nonzero
+    entries of each distinct (c, L, R) are listed once, in a dict keyed by
+    ids; terms holds every matrix and coefficient, so no id is reused.
     """
-    o = field.of(1)
-    cache = {}
+    equations = list(equations)
+    terms = {}   # (id(c), id(L), id(R)) -> (c, L, R, numerator of c, denominator)
+    for eq in equations:
+        for c, l, _, r in eq:
+            key = (id(c), id(l), id(r))
+            if key not in terms:
+                (num,), d = field._image((c,))
+                for m in (l, r):
+                    if m is not None:
+                        d *= m._image()[1]
+                terms[key] = (c, l, r, num, d)
+    common = lcm(*{t[4] for t in terms.values()})
 
-    def nonzeros(m, by_col, c):
-        # [(k, c * m[i, k]) nonzero] for each row i, or [(k, c * m[k, j])] per
-        # column j; m None is the h x h identity
-        key = (id(m), by_col, id(c))
-        hit = cache.get(key)
-        if hit is None:
-            if m is None:
-                lines = [[(i, c)] for i in range(h)]
-            else:
-                ents, mc, scale = m.entries, m.cols, c != o
-                grid = [ents[i * mc:(i + 1) * mc] for i in range(m.rows)]
-                lines = [[(k, c * x if scale else x) for k, x in enumerate(line) if x]
-                         for line in (zip(*grid) if by_col else grid)]
-            hit = cache[key] = (m, c, lines)
-        return hit[2]
+    def nonzeros(m, by_col, s):
+        # [(k, s * m[i, k]) nonzero] for each row i of the image of m, or
+        # [(k, s * m[k, j])] per column j; m None is the h x h identity
+        if m is None:
+            return [[(i, s)] for i in range(h)]
+        ents, mc = m._image()[0], m.cols
+        grid = [ents[i * mc:(i + 1) * mc] for i in range(m.rows)]
+        return [[(k, s * x) for k, x in enumerate(line) if x]
+                for line in (zip(*grid) if by_col else grid)]
+
+    # (L lines, R lines) of each term, None where the term has no such factor
+    lines = {}
+    for key, (c, l, r, num, d) in terms.items():
+        s = num * (common // d)
+        if r is None:
+            lines[key] = (nonzeros(l, False, s), None)
+        elif l is None:
+            lines[key] = (None, nonzeros(r, True, s))
+        else:
+            lines[key] = (nonzeros(l, False, s), nonzeros(r, True, 1))
 
     cells = [(i, j) for i in range(h) for j in range(w)]
     rows = []
     for eq in equations:
         block = [{} for _ in cells]   # row i * w + j is entry (i, j)
         for c, l, b, r in eq:
+            lnz, rnz = lines[id(c), id(l), id(r)]
             bw = b * h * w
-            if r is None:
-                lnz = nonzeros(l, False, c)
+            if rnz is None:
                 for row, (i, j) in zip(block, cells):
                     for k, x in lnz[i]:
                         key = bw + k * w + j
                         v = row.get(key)
                         row[key] = x if v is None else v + x
-            elif l is None:
-                rnz = nonzeros(r, True, c)
+            elif lnz is None:
                 for row, (i, j) in zip(block, cells):
                     off = bw + i * w
                     for k, x in rnz[j]:
@@ -706,7 +849,6 @@ def _block_rows(h, w, equations, field):
                         v = row.get(key)
                         row[key] = x if v is None else v + x
             else:
-                lnz, rnz = nonzeros(l, False, c), nonzeros(r, True, o)
                 for row, (i, j) in zip(block, cells):
                     for k, x in lnz[i]:
                         off = bw + k * w
@@ -718,8 +860,14 @@ def _block_rows(h, w, equations, field):
     return rows
 
 
-def _axpy(row, f, other):
-    """row += f * other, in place, for dict rows and a nonzero f.
+def _int_rows(nums, rows, cols):
+    """Each row of a row-major int image as a dict {column: value} of its nonzeros."""
+    return [{c: x for c, x in enumerate(nums[i * cols:(i + 1) * cols]) if x}
+            for i in range(rows)]
+
+
+def _axpy(row, f, other, p):
+    """row += f * other, in place, for int dict rows and a nonzero f; mod p if p.
 
     The one inner loop of products, rref and sparse_kernel: it touches only
     the nonzero entries of other and drops the entries of row that cancel.
@@ -727,10 +875,34 @@ def _axpy(row, f, other):
     for c, x in other.items():
         v = row.get(c)
         if v is None:
-            row[c] = f * x   # nonzero: a field has no zero divisors
+            row[c] = f * x % p if p else f * x   # nonzero: no zero divisors
         else:
-            v = v + f * x
+            v += f * x
+            if p:
+                v %= p
             if v:
                 row[c] = v
             else:
                 del row[c]
+
+
+def _eliminate(row, prow, c, p):
+    """Clear column c of the int row with the pivot row prow, in place.
+
+    With a = prow[c] and f = row[c], row becomes a multiple of
+    a row - f prow, in which c cancels, divided by its content.  prow is
+    normalized, so over GF(p) a is 1 and this is row -= f prow.
+    """
+    f, a = row[c], prow[c]
+    if a == 1:
+        _axpy(row, -f, prow, p)
+        return
+    g = gcd(f, a)
+    a, f = a // g, f // g
+    for k, x in row.items():
+        row[k] = x * a
+    _axpy(row, -f, prow, p)
+    g = gcd(*row.values())
+    if g > 1:
+        for k, x in row.items():
+            row[k] = x // g

@@ -1,14 +1,16 @@
 """Independent brute-force oracles used by the tests.
 
 Everything here recomputes dimensions from first principles with sympy's
-rational linear algebra, touching only the raw operator tables and the
-digroup products, so agreement with the package is a genuine cross-check
-rather than the same code run twice.
+linear algebra (rational, or DomainMatrix over GF(p)), touching only the
+raw operator tables and the digroup products, so agreement with the
+package is a genuine cross-check rather than the same code run twice.
 """
 
 from fractions import Fraction
+from operator import attrgetter
 
 import sympy
+from sympy.polys.matrices import DomainMatrix
 
 
 def _sym(x):
@@ -31,11 +33,21 @@ def sympy_nullspace(rows, ncols):
     return [[Fraction(int(v.p), int(v.q)) for v in vec] for vec in m.nullspace()]
 
 
-def full_cocycle_rows(q, w):
+def gfp_rank(rows, ncols, p):
+    """Rank over GF(p) of an integer matrix given as list-of-lists."""
+    if not rows:
+        return 0
+    k = sympy.GF(p)
+    return DomainMatrix([[k(x) for x in row] for row in rows],
+                        (len(rows), ncols), k).to_sparse().rank()
+
+
+def full_cocycle_rows(q, w, num=Fraction):
     """All 3|D|^2 cocycle constraints on the full theta vector, explicitly.
 
     The unknown is the concatenation of the dim W x dim Q blocks theta_x
     in the element order of the digroup; no reduction or substitution.
+    num turns a matrix entry into a number (over GF(p), its residue).
     """
     d = q.digroup
     elems = d.elements
@@ -54,22 +66,22 @@ def full_cocycle_rows(q, w):
             xy_v = d.vdash(x, y)
             for i in range(dw):
                 for j in range(dq):
-                    row = [Fraction(0)] * nunk
+                    row = [0] * nunk
                     row[u(xy_d, i, j)] += 1
                     for k in range(dw):
-                        row[u(y, k, j)] -= Fraction(w.lam[x][i, k])
+                        row[u(y, k, j)] -= num(w.lam[x][i, k])
                     for k in range(dq):
-                        row[u(x, i, k)] -= Fraction(q.lam[y][k, j])
+                        row[u(x, i, k)] -= num(q.lam[y][k, j])
                     rows.append(row)
-                    row = [Fraction(0)] * nunk
+                    row = [0] * nunk
                     row[u(xy_v, i, j)] += 1
                     for k in range(dw):
-                        row[u(y, k, j)] -= Fraction(w.rho[x][i, k])
+                        row[u(y, k, j)] -= num(w.rho[x][i, k])
                     rows.append(row)
-                    row = [Fraction(0)] * nunk
+                    row = [0] * nunk
                     row[u(xy_d, i, j)] += 1
                     for k in range(dq):
-                        row[u(x, i, k)] -= Fraction(q.rho[y][k, j])
+                        row[u(x, i, k)] -= num(q.rho[y][k, j])
                     rows.append(row)
     return rows, nunk
 
@@ -79,23 +91,46 @@ def cocycle_dim_oracle(q, w):
     return sympy_nullity(rows, nunk)
 
 
-def hom_rho_oracle(q, w):
-    """Nullspace of the rho-intertwiner constraints, solved with sympy."""
-    d = q.digroup
-    dw, dq = w.dim, q.dim
+def intertwiner_rows(pairs, dq, dw, num=Fraction):
+    """The rows of t A = B t for each (A, B) in pairs, t a dw x dq unknown."""
     nunk = dw * dq
     rows = []
-    for g in range(d.group.order):
-        aw, aq = w.rho[(g, 0)], q.rho[(g, 0)]
+    for aq, aw in pairs:
         for i in range(dw):
             for j in range(dq):
-                row = [Fraction(0)] * nunk
+                row = [0] * nunk
                 for k in range(dq):
-                    row[i * dq + k] += Fraction(aq[k, j])
+                    row[i * dq + k] += num(aq[k, j])
                 for k in range(dw):
-                    row[k * dq + j] -= Fraction(aw[i, k])
+                    row[k * dq + j] -= num(aw[i, k])
                 rows.append(row)
-    return sympy_nullspace(rows, nunk)
+    return rows
+
+
+def hom_rho_oracle(q, w):
+    """Nullspace of the rho-intertwiner constraints, solved with sympy."""
+    pairs = [(q.rho[(g, 0)], w.rho[(g, 0)]) for g in range(q.digroup.group.order)]
+    return sympy_nullspace(intertwiner_rows(pairs, q.dim, w.dim), q.dim * w.dim)
+
+
+def ext1_dim_gfp_oracle(q, w):
+    """dim Z^1 - dim B^1 over GF(p), each dimension a rank over GF(p).
+
+    B^1 is the image of t -> (W.lam[x] t - t Q.lam[x])_x on the
+    rho-intertwiners, whose kernel is Hom_rep, so
+    dim B^1 = rank(rho and lam rows) - rank(rho rows).
+    """
+    p = q.field.p
+    elems = q.digroup.elements
+    nt = q.dim * w.dim
+    if nt == 0:
+        return 0
+    residue = attrgetter("v")
+    zrows, nunk = full_cocycle_rows(q, w, residue)
+    rho = intertwiner_rows([(q.rho[x], w.rho[x]) for x in elems], q.dim, w.dim, residue)
+    lam = intertwiner_rows([(q.lam[x], w.lam[x]) for x in elems], q.dim, w.dim, residue)
+    return ((nunk - gfp_rank(zrows, nunk, p))
+            - (gfp_rank(rho + lam, nt, p) - gfp_rank(rho, nt, p)))
 
 
 def ext1_dim_oracle(q, w):

@@ -89,6 +89,31 @@ def test_module_structure_checker_rejects_bad_actions():
         check_module(AlgebraModule(a, 2, tuple(action)))
 
 
+def test_rep_to_module_checks_once_and_corrupted_modules_still_raise(monkeypatch):
+    from digrep import envalg
+    from digrep.envalg import AlgebraModule
+    checked = []
+    full_check = envalg.check_module
+    monkeypatch.setattr(envalg, "check_module",
+                        lambda m: checked.append(m) or full_check(m))
+    for seed in range(4):
+        d, q, _ = sample_pair(seed + 300)
+        a = build_enveloping_algebra(d)
+        mod = rep_to_module(q, a)
+        assert rep_to_module(q, a) is mod and rep_to_module(q) is mod
+        assert checked.count(mod) == 1
+        # one corrupted action matrix in a hand-built module is still caught,
+        # both by a direct check and on the way back to a representation
+        for k in range(a.dim):
+            action = list(mod.action)
+            action[k] = action[k] + Matrix.identity(q.field, q.dim)
+            bad = AlgebraModule(a, q.dim, tuple(action))
+            with pytest.raises(AlgebraError):
+                check_module(bad)
+            with pytest.raises(AlgebraError):
+                module_to_rep(bad, d)
+
+
 def test_derivation_ext1_on_the_demo():
     d = demo_digroup()
     a = build_enveloping_algebra(d)

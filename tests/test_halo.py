@@ -1,15 +1,17 @@
 import pytest
 
-from digrep import (Digroup, FiniteGroup, GAction, Matrix, QQ,
-                    demo_digroup, demo_representation, demo_subspace_basis,
-                    hom_rep, random_semilinear, require_valid, seeded_rng,
-                    sub_quotient, to_semilinear)
+from digrep import (Digroup, FiniteGroup, GAction, Matrix, PrimeField, QQ,
+                    build_enveloping_algebra, demo_digroup, demo_representation,
+                    demo_subspace_basis, derivation_ext1, hom_rep,
+                    random_representation, random_semilinear, rep_to_module,
+                    require_valid, seeded_rng, sub_quotient, to_semilinear)
 from digrep.halo import (BEModule, check_be_module, ext1_BE, g_action_on_hom,
                          hom_BE, induction_L, invariant_class_dim, invariants,
                          underlying_module, verify_adjunction, verify_collapse)
 from digrep.reps import RepresentationError, SemilinearObject
 
-from _instances import sample_pair, sample_semilinear_pair
+from _instances import sample_digroup, sample_pair, sample_semilinear_pair
+from _oracles import ext1_dim_gfp_oracle
 
 
 def demo_sub_and_quotient():
@@ -199,3 +201,22 @@ def test_adjunction_on_seeded_instances():
         d, a, b = sample_semilinear_pair(seed + 50, max_dim=2)
         report = verify_adjunction(underlying_module(a), b)
         assert report["ok"], (seed, report)
+
+
+@pytest.mark.parametrize("p", (5, 7))
+def test_three_way_ext1_agreement_over_prime_fields(p):
+    """derivation_ext1, the cocycle model and the band invariants agree over
+    GF(p) with p prime to |G|, and match a rank oracle over GF(p)."""
+    field = PrimeField(p)
+    for seed in range(10):
+        rng = seeded_rng(4000 + seed)
+        d = sample_digroup(rng)
+        assert d.group.order % p
+        q = random_representation(d, rng.randint(1, 3), rng, field)
+        w = random_representation(d, rng.randint(1, 3), rng, field)
+        alg = build_enveloping_algebra(d, field)
+        der, _ = derivation_ext1(alg, rep_to_module(q, alg), rep_to_module(w, alg))
+        col = verify_collapse(q, w)
+        assert col["collapse_ok"], seed
+        assert (der == col["ext1_rep_dim"] == col["ext1_BE_invariant_dim"]
+                == ext1_dim_gfp_oracle(q, w)), seed

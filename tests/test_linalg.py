@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -37,6 +38,13 @@ def test_field_mixing_rejected():
     b = Matrix.identity(PrimeField(3), 2)
     with pytest.raises(FieldMismatchError):
         a + b
+    # an entry of another prime field is refused, not read as a residue
+    f5 = PrimeField(5)
+    c = Matrix.from_rows(f5, [[PrimeField(7).of(3)]])
+    with pytest.raises(FieldMismatchError):
+        c * Matrix.identity(f5, 1)
+    with pytest.raises(FieldMismatchError):
+        c.rref()
 
 
 def test_basic_shapes_and_arithmetic():
@@ -145,6 +153,16 @@ def test_intersect_and_quotient_dim():
     assert intersect([e1], [e3]) == []
 
 
+def int_image(rng, field, values):
+    """An integer image of a homogeneous row, as sparse_kernel takes it: over Q
+    the row times a common denominator and a random nonzero factor, over
+    GF(p) ints congruent to its residues."""
+    if field == QQ:
+        k = rng.choice((1, -1, 2, -3)) * lcm(*(x.denominator for x in values))
+        return [int(x * k) for x in values]
+    return [x.v + field.p * rng.randint(-2, 2) for x in values]
+
+
 def test_sparse_kernel_matches_dense():
     rng = random.Random(16)
     for field in (QQ, PrimeField(5), PrimeField(7)):
@@ -164,9 +182,14 @@ def test_sparse_kernel_matches_dense():
                 rows.append(a if rng.random() < 0.5
                             else [x + k * y for x, y in zip(a, b)])
             systems.append(Matrix.from_rows(field, rows))
+        # over Q with non-unit denominators and entries near 10^12
+        for _ in range(15):
+            systems.append(rand_sparse(rng, field, rng.randint(1, 6), rng.randint(1, 6),
+                                       rng.uniform(0.2, 1.0)))
         for dense in systems:
             cols = dense.cols
-            sparse_rows = [{j: dense[i, j] for j in range(cols) if dense[i, j]}
+            sparse_rows = [{j: x for j, x in enumerate(int_image(rng, field, dense.row_list(i)))
+                            if x or rng.random() < 0.2}
                            for i in range(dense.rows)]
             ker = sparse_kernel(cols, sparse_rows, field)
             for v in ker:
@@ -212,9 +235,22 @@ def dense_rref(m):
     return Matrix(m.field, m.rows, m.cols, [x for row in rows for x in row]), tuple(pivots)
 
 
+# over Q, non-unit denominators and entries near 10^12 as well as small ints
+BIG = 10 ** 12
+RATIONALS = (Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2), Fraction(-5, 7),
+             Fraction(BIG + 1), Fraction(-BIG + 3), Fraction(BIG, 7))
+
+
+def rand_value(rng, field):
+    """A nonzero scalar of the field."""
+    if field == QQ and rng.random() < 0.3:
+        return rng.choice(RATIONALS)
+    return field.of(rng.choice((-3, -2, -1, 1, 2, 3)))
+
+
 def rand_sparse(rng, field, rows, cols, density):
     return Matrix(field, rows, cols,
-                  [field.of(rng.choice((-3, -2, -1, 1, 2, 3)) if rng.random() < density else 0)
+                  [rand_value(rng, field) if rng.random() < density else field.of(0)
                    for _ in range(rows * cols)])
 
 
@@ -254,6 +290,43 @@ def test_rref_matches_whole_row_elimination():
                 r, piv = m.rref()
                 assert (r, piv) == dense_rref(m)
                 assert_field_scalars(r)
+
+
+def test_equality_and_hash_follow_the_entries():
+    """== and hash read the cached integer image; they must agree with
+    entrywise equality whichever kernel made the matrix."""
+    rng = random.Random(25)
+    for field in FIELDS:
+        for _ in range(30):
+            n, m = rng.randint(1, 4), rng.randint(1, 4)
+            a = rand_sparse(rng, field, n, m, rng.uniform(0.2, 1.0))
+            r = a.rref()[0]
+            made = {
+                "a": [a, Matrix.from_rows(field, a.to_lists()), Matrix(field, n, m, a.entries),
+                      Matrix.identity(field, n) * a, a * Matrix.identity(field, m),
+                      solve(Matrix.identity(field, n), a)],
+                "rref": [r, r.rref()[0], Matrix.from_rows(field, r.to_lists()),
+                         dense_rref(a)[0], vstack([r]) * Matrix.identity(field, m)],
+            }
+            # one entry changed, the transpose's shape, twice a
+            k = rng.randrange(n * m)
+            bumped = list(a.entries)
+            bumped[k] = bumped[k] + rand_value(rng, field)
+            made["bumped"] = [Matrix(field, n, m, bumped)]
+            made["reshaped"] = [Matrix(field, m, n, a.entries)]
+            made["twice"] = [a + a, a * Matrix.identity(field, m).scale(field.of(2))]
+            pool = [(x, name) for name, group in made.items() for x in group]
+            for x, _ in pool:
+                assert_field_scalars(x)
+            for x, xn in pool:
+                for y, yn in pool:
+                    same = (x.rows, x.cols) == (y.rows, y.cols) and x.entries == y.entries
+                    assert (x == y) == same, (xn, yn)
+                    assert (x != y) == (not same)
+                    if same:
+                        assert hash(x) == hash(y), (xn, yn)
+    assert Matrix.identity(QQ, 2) != Matrix.identity(PrimeField(5), 2)
+    assert Matrix.identity(PrimeField(5), 2) != Matrix.identity(PrimeField(7), 2)
 
 
 def test_prime_field_linear_algebra():
