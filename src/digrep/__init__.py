@@ -7,7 +7,8 @@ for hypothesis-failure witnesses).
 """
 
 from .linalg import (DimensionError, FieldMismatchError, Matrix, PrimeField,
-                     QQ, RationalField, hstack, solve, span_basis, vstack)
+                     QQ, RationalField, SubspaceError, hstack, solve,
+                     span_basis, vstack)
 from .digroup import (AxiomReport, Digroup, FiniteGroup, GAction,
                       GroupTableError, all_actions)
 from .reps import (Representation, RepresentationError, SemilinearObject,

@@ -21,14 +21,13 @@ derivation / inner-derivation linear system.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
 from .digroup import AxiomReport, first_failure
-from .linalg import (ContentMemo, Matrix, QQ, block_image, block_kernel, complete,
-                     devectorize)
-from .reps import Representation, require_valid
+from .linalg import (ContentMemo, Matrix, QQ, block_image, block_kernel,
+                     devectorize, quotient)
+from .reps import Representation, once, require_valid
 
 
 class AlgebraError(ValueError):
@@ -299,9 +298,6 @@ def _combine(m, pairs):
     return out
 
 
-_modules = weakref.WeakKeyDictionary()   # representation -> {id(algebra): module}
-
-
 def rep_to_module(r, algebra=None):
     """Turn a representation into a module over the enveloping algebra.
 
@@ -313,19 +309,15 @@ def rep_to_module(r, algebra=None):
     d = r.digroup
     if algebra is None:
         algebra = build_enveloping_algebra(d, r.field)
-    by_algebra = _modules.setdefault(r, {})
-    mod = by_algebra.get(id(algebra))
-    if mod is None:
-        action = []
-        for lab in algebra.basis_labels:
-            if lab[0] == "R":
-                action.append(r.rho[(lab[1], 0)])
-            else:
-                _, a, g = lab
-                action.append(r.lam[(g, a)])
-        mod = by_algebra[id(algebra)] = check_module(
-            AlgebraModule(algebra, r.dim, tuple(action)))
-    return mod
+    return once(r, ("module", id(algebra)),
+                lambda: check_module(_as_module(r, algebra)))
+
+
+def _as_module(r, algebra):
+    # R_g acts as rho[(g, 0)] and M_(a,g) as lam[(g, a)]
+    action = tuple(r.rho[(lab[1], 0)] if lab[0] == "R" else r.lam[(lab[2], lab[1])]
+                   for lab in algebra.basis_labels)
+    return AlgebraModule(algebra, r.dim, action)
 
 
 def module_to_rep(m, d):
@@ -372,9 +364,6 @@ def derivation_ext1(a, q, w):
     inner_basis = block_image(1, dw, dq, [[(o, w.action[k], 0, None),
                                            (neg, None, 0, q.action[k])]
                                           for k in range(na)], field)
-    reps_vecs = complete(inner_basis, der_basis)
-    dim = len(der_basis) - len(inner_basis)
-    assert dim == len(reps_vecs)
     families = [tuple(devectorize(v, range(na), dw, dq, field).values())
-                for v in reps_vecs]
-    return dim, families
+                for v in quotient(inner_basis, der_basis)]
+    return len(families), families

@@ -9,15 +9,14 @@ section, and an extension splits exactly when its class vanishes.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 
 from .digroup import AxiomReport, first_failure
-from .linalg import (ContentMemo, Matrix, block_kernel, complete, contains,
-                     coordinates, devectorize, hstack, intertwiners, solve,
-                     span_basis, vectorize, vstack)
+from .linalg import (ContentMemo, Matrix, block_kernel, coordinates, devectorize,
+                     hstack, intertwiners, quotient, solve, span_basis,
+                     vectorize, vstack)
 from .reps import (Representation, RepresentationError, lambda_factorization,
-                   rho_group_form, require_valid)
+                   once, require_ok, rho_group_form, require_valid)
 
 
 class MaschkeError(ArithmeticError):
@@ -105,44 +104,17 @@ def check_cocycle(theta, Q, W):
     })
 
 
-class _Verified:
-    """What has been computed and checked for one (Q, W) pair."""
-
-    def __init__(self):
-        self.cocycles = set()   # content keys of families that passed
-        self.z1 = None          # cocycle_space basis
-        self.hom = None         # hom_rho basis
-        self.cob_cols = None    # vectorized coboundaries of the hom basis
-
-
-_registry = weakref.WeakKeyDictionary()   # Q -> {W -> _Verified}, both weak
-
-
-def _verified(Q, W):
-    by_w = _registry.get(Q)
-    if by_w is None:
-        by_w = _registry[Q] = weakref.WeakKeyDictionary()
-    rec = by_w.get(W)
-    if rec is None:
-        rec = by_w[W] = _Verified()
-    return rec
-
-
 def require_cocycle(theta, Q, W):
     """Raise unless theta satisfies the cocycle identities over (Q, W).
 
     Each distinct family is checked exhaustively once per (Q, W), the way
-    require_valid treats representations.  The registry is keyed by
-    content (the tuple of theta's matrices in element order), so a family
-    that differs from every verified one in any entry is checked in full.
+    require_valid treats representations.  The key is the content (the
+    tuple of theta's matrices in element order), so a family that differs
+    from every verified one in any entry is checked in full.
     """
-    key = tuple(theta[x] for x in Q.digroup.elements)
-    checked = _verified(Q, W).cocycles
-    if key not in checked:
-        rep = check_cocycle(theta, Q, W)
-        if not rep.ok:
-            raise RepresentationError("cocycle identities fail: %r" % rep.failures())
-        checked.add(key)
+    key = ("cocycle",) + tuple(theta[x] for x in Q.digroup.elements)
+    once((Q, W), key, lambda: require_ok(check_cocycle(theta, Q, W),
+                                         "cocycle identities"))
     return theta
 
 
@@ -168,9 +140,11 @@ def average_section(s, s0=None):
     for g in range(n):
         acc = acc + rho_v[g] * s0 * rho_q[g].inverse()
     sec = acc.scale(field.of(1) / field.of(n))
-    assert s.pi * sec == Matrix.identity(field, s.Q.dim)
+    if s.pi * sec != Matrix.identity(field, s.Q.dim):
+        raise RepresentationError("the averaged section is not a section of pi")
     for g in range(n):
-        assert rho_v[g] * sec == sec * rho_q[g]
+        if rho_v[g] * sec != sec * rho_q[g]:
+            raise RepresentationError("the averaged section is not equivariant at g=%d" % g)
     return sec
 
 
@@ -218,10 +192,8 @@ def cocycle_space(Q, W):
     """
     if Q.digroup is not W.digroup:
         raise RepresentationError("cocycle space needs a common digroup")
-    rec = _verified(Q, W)
-    if rec.z1 is None:
-        rec.z1 = _solve_cocycle_space(Q, W)
-    return [CocycleFamily(dict(f.theta)) for f in rec.z1]
+    z1 = once((Q, W), "z1", lambda: _solve_cocycle_space(Q, W))
+    return [CocycleFamily(dict(f.theta)) for f in z1]
 
 
 def _solve_cocycle_space(Q, W):
@@ -260,7 +232,9 @@ def _solve_cocycle_space(Q, W):
         # redundancy of the bar-unit reduction, checked explicitly
         for g in range(n):
             for a in range(m):
-                assert theta[(g, d.action.apply(g, a))] == rho_w[g] * theta[(e, a)]
+                if theta[(g, d.action.apply(g, a))] != rho_w[g] * theta[(e, a)]:
+                    raise RepresentationError(
+                        "the bar-unit reduction fails at %r" % ((g, a),))
         out.append(CocycleFamily(theta))
     return out
 
@@ -272,12 +246,10 @@ def hom_rho(Q, W):
     """
     if Q.digroup is not W.digroup:
         raise RepresentationError("hom_rho needs a common digroup")
-    rec = _verified(Q, W)
-    if rec.hom is None:
-        rho_w, rho_q = rho_group_form(W), rho_group_form(Q)
-        rec.hom = intertwiners([(rho_q[g], rho_w[g]) for g in rho_w],
-                               Q.dim, W.dim, W.field)
-    return list(rec.hom)
+    # both maps list g = 0, 1, ... in order, so zip pairs rho_Q[g] with rho_W[g]
+    return list(once((Q, W), "hom", lambda: intertwiners(
+        list(zip(rho_group_form(Q).values(), rho_group_form(W).values())),
+        Q.dim, W.dim, W.field)))
 
 
 def coboundary(t, Q, W):
@@ -302,12 +274,10 @@ def coboundary_space(Q, W):
 
 def _coboundary_columns(Q, W):
     """Vectorized coboundaries of the hom_rho basis, in its order; once per pair."""
-    rec = _verified(Q, W)
-    if rec.cob_cols is None:
-        elems = Q.digroup.elements
-        rec.cob_cols = [vectorize(coboundary(t, Q, W).theta, elems, W.dim, Q.dim)
-                        for t in hom_rho(Q, W)]
-    return list(rec.cob_cols)
+    elems = Q.digroup.elements
+    return list(once((Q, W), "cob", lambda: [
+        vectorize(coboundary(t, Q, W).theta, elems, W.dim, Q.dim)
+        for t in hom_rho(Q, W)]))
 
 
 def ext1_dim(Q, W):
@@ -325,12 +295,9 @@ def ext1_dim(Q, W):
         return Ext1Result(0, 0, 0, [])
     zvecs = [vectorize(f.theta, elems, dw, dq) for f in zfam]
     bvecs = coboundary_space(Q, W)
-    assert contains(zvecs, *bvecs), "coboundary escapes the cocycle space"
-    reps = complete(bvecs, zvecs)
-    dim_ext = len(zvecs) - len(bvecs)
-    assert dim_ext == len(reps)
-    basis = [CocycleFamily(devectorize(v, elems, dw, dq, field)) for v in reps]
-    return Ext1Result(len(zvecs), len(bvecs), dim_ext, basis)
+    basis = [CocycleFamily(devectorize(v, elems, dw, dq, field))
+             for v in quotient(bvecs, zvecs)]
+    return Ext1Result(len(zvecs), len(bvecs), len(basis), basis)
 
 
 def extension_from_cocycle(theta, Q, W):
@@ -388,11 +355,11 @@ def is_split(s):
 
 
 def _checked_witness(s, sec):
-    field = s.V.field
-    assert s.pi * sec == Matrix.identity(field, s.Q.dim)
+    if s.pi * sec != Matrix.identity(s.V.field, s.Q.dim):
+        raise RepresentationError("the witness is not a section of pi")
     for x in s.V.digroup.elements:
-        assert s.V.lam[x] * sec == sec * s.Q.lam[x]
-        assert s.V.rho[x] * sec == sec * s.Q.rho[x]
+        if s.V.lam[x] * sec != sec * s.Q.lam[x] or s.V.rho[x] * sec != sec * s.Q.rho[x]:
+            raise RepresentationError("the witness is not a morphism at %r" % (x,))
     return sec
 
 

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import (Matrix, block_diag, block_image, block_kernel, complete,
-                     contains, coordinates, devectorize, hstack, intertwiners,
+from .linalg import (Matrix, block_diag, block_image, block_kernel, contains,
+                     coordinates, devectorize, hstack, intertwiners, quotient,
                      vectorize)
 from .reps import (RepresentationError, SemilinearObject,
                    require_valid_semilinear, to_semilinear, hom_rep)
@@ -80,7 +80,6 @@ def g_action_on_hom(q, w):
     basis = hom_BE(q, w)
     group = q.action.group
     field = w.field
-    k = len(basis)
     vecs = [Matrix(field, f.rows * f.cols, 1, f.entries) for f in basis]
     g_action = {}
     for g in range(group.order):
@@ -98,12 +97,20 @@ def g_action_on_hom(q, w):
                 raise RepresentationError("g.f leaves the span at g=%d" % g)
             cols.append(c)
         g_action[g] = hstack(cols) if cols else Matrix(field, 0, 0, [])
-    ident = Matrix.identity(field, k)
-    assert g_action[group.identity] == ident
+    _check_action_laws(g_action, group, "Hom")
+    return HomSpaceWithAction(basis, g_action)
+
+
+def _check_action_laws(g_action, group, what):
+    """Raise unless g -> g_action[g] is a group homomorphism."""
+    one = g_action[group.identity]
+    if one != Matrix.identity(one.field, one.rows):
+        raise RepresentationError("the identity acts nontrivially on %s" % what)
     for g in range(group.order):
         for h in range(group.order):
-            assert g_action[g] * g_action[h] == g_action[group.mul[g][h]]
-    return HomSpaceWithAction(basis, g_action)
+            if g_action[g] * g_action[h] != g_action[group.mul[g][h]]:
+                raise RepresentationError(
+                    "the action on %s is not multiplicative at (%d,%d)" % (what, g, h))
 
 
 def invariants(space):
@@ -154,12 +161,8 @@ def ext1_BE(q, w):
     # B: the image of t -> (eps_a^W t - t eps_a^Q)_a
     bvecs = block_image(1, dw, dq, [[(o, w.eps[a], 0, None), (neg, None, 0, q.eps[a])]
                                     for a in keys], field)
-    if not contains(zvecs, *bvecs):
-        raise RepresentationError("a coboundary escapes the eta space")
-
-    reps = complete(bvecs, zvecs)
-    dim_ext = len(zvecs) - len(bvecs)
-    assert dim_ext == len(reps)
+    reps = quotient(bvecs, zvecs)
+    dim_ext = len(reps)
     eta_basis = [devectorize(v, keys, dw, dq, field) for v in reps]
 
     act = q.action
@@ -191,11 +194,7 @@ def ext1_BE(q, w):
                 raise RepresentationError("class action leaves Z at g=%d" % g)
             cols.append(c.block(len(bvecs), 0, dim_ext, 1))
         g_classes[g] = hstack(cols) if cols else Matrix(field, 0, 0, [])
-    ident = Matrix.identity(field, dim_ext)
-    assert g_classes[group.identity] == ident
-    for g in range(group.order):
-        for h in range(group.order):
-            assert g_classes[g] * g_classes[h] == g_classes[group.mul[g][h]]
+    _check_action_laws(g_classes, group, "classes")
     return BEExtResult(len(zvecs), len(bvecs), dim_ext, eta_basis, g_classes)
 
 

@@ -32,7 +32,8 @@ Each linear-algebra operation the package needs has its one home here:
 * subspaces (lists of column vectors): span_basis (canonical basis),
   contains (membership of any number of vectors, one elimination),
   complete (the vectors extending one span to another, one elimination),
-  coordinates, intersect and quotient_dim;
+  quotient (representatives of ambient / sub, checking sub lies inside,
+  by the same elimination) and coordinates;
 * systems: solve (dense, inhomogeneous), sparse_kernel (sparse,
   homogeneous), and the block-linear systems sum c L X_b R = 0 in unknown
   blocks X_b: block_kernel solves them, block_image spans the image of
@@ -53,6 +54,10 @@ class FieldMismatchError(ValueError):
 
 class DimensionError(ValueError):
     """Raised when matrix shapes are incompatible."""
+
+
+class SubspaceError(ValueError):
+    """Raised when a subspace is not contained in the space it must lie in."""
 
 
 # the canonical scalar texts: ASCII digits, an optional leading minus, and
@@ -473,20 +478,6 @@ class Matrix:
     def rank(self):
         return len(self.rref()[1])
 
-    def kernel_basis(self):
-        """Basis of the right null space, read off the RREF (canonical)."""
-        R, piv = self.rref()
-        z, o = self.field.of(0), self.field.of(1)
-        free = [c for c in range(self.cols) if c not in piv]
-        basis = []
-        for f in free:
-            v = [z] * self.cols
-            v[f] = o
-            for i, pc in enumerate(piv):
-                v[pc] = -R[i, f]
-            basis.append(Matrix(self.field, self.cols, 1, v))
-        return basis
-
     def inverse(self):
         if self.rows != self.cols:
             raise DimensionError("only square matrices invert")
@@ -635,6 +626,20 @@ def complete(small, big):
     return [big[c - k] for c in piv if c >= k]
 
 
+def quotient(sub, ambient):
+    """Representatives of span(ambient) / span(sub): the vectors complete keeps.
+
+    sub and ambient are bases.  [sub | ambient] then has len(ambient)
+    pivots exactly when span(sub) lies in span(ambient), so the one
+    elimination of complete also checks the inclusion; SubspaceError if
+    it fails.
+    """
+    reps = complete(sub, ambient)
+    if len(sub) + len(reps) != len(ambient):
+        raise SubspaceError("a vector of the subspace lies outside the ambient span")
+    return reps
+
+
 def coordinates(basis, v):
     """Some x with sum_i x_i basis[i] = v, or None if v is outside the span.
 
@@ -643,28 +648,6 @@ def coordinates(basis, v):
     if not basis:
         return Matrix(v.field, 0, 1, []) if v.is_zero() else None
     return solve(hstack(basis), v)
-
-
-def intersect(ub, vb):
-    """Basis of span(ub) ∩ span(vb)."""
-    if not ub or not vb:
-        return []
-    a = hstack(list(ub) + list(vb))
-    inter = []
-    for k in a.kernel_basis():
-        # kernel vector (x, y) means U x = -V y, a point of the intersection
-        w = Matrix.zeros(a.field, ub[0].rows, 1)
-        for j, u in enumerate(ub):
-            w = w + u.scale(k[j, 0])
-        inter.append(w)
-    return span_basis(inter)
-
-
-def quotient_dim(ambient_dim, basis):
-    for v in basis:
-        if v.rows != ambient_dim:
-            raise DimensionError("basis vector length != ambient dimension")
-    return ambient_dim - len(span_basis(basis))
 
 
 # -- sparse homogeneous systems ------------------------------------------

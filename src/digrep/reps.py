@@ -86,33 +86,51 @@ def check_representation(r):
     return AxiomReport(results)
 
 
-_validated = weakref.WeakSet()
+# -- verify once ---------------------------------------------------------
+
+_done = weakref.WeakKeyDictionary()   # owner -> (results, next owner -> ...)
+
+
+def once(owners, key, make):
+    """make(), computed once per owner (or ordered pair of owners) and key.
+
+    This is the one registry of checked objects and verified results.
+    Every owner is held weakly at every level, so an entry goes when any
+    of its owners does; no owner may appear inside a key or a value.  A
+    make() that raises records nothing, so a broken object raises on every
+    call.  Callers hand out copies of mutable values.
+    """
+    level = _done
+    for owner in owners if isinstance(owners, tuple) else (owners,):
+        node = level.get(owner)
+        if node is None:
+            node = level[owner] = ({}, weakref.WeakKeyDictionary())
+        results, level = node
+    if key not in results:
+        results[key] = make()
+    return results[key]
+
+
+def require_ok(report, what):
+    """Raise RepresentationError unless the AxiomReport passed."""
+    if not report.ok:
+        raise RepresentationError("%s fail: %r" % (what, report.failures()))
 
 
 def require_valid(r):
-    if r in _validated:
-        return r
-    rep = check_representation(r)
-    if not rep.ok:
-        raise RepresentationError("representation axioms fail: %r" % rep.failures())
-    _validated.add(r)
+    once(r, "valid", lambda: require_ok(check_representation(r),
+                                        "representation axioms"))
     return r
-
-
-_group_forms = weakref.WeakKeyDictionary()
 
 
 def rho_group_form(r):
     """The map g -> rho_g, after verifying rho ignores the halo index.
 
     The verification (halo independence and multiplicativity, over every
-    pair) runs once per representation, the way require_valid does; later
-    calls return a fresh copy of the verified map.
+    pair) runs once per representation; later calls return a fresh copy
+    of the verified map.
     """
-    out = _group_forms.get(r)
-    if out is None:
-        out = _group_forms[r] = _verified_group_form(r)
-    return dict(out)
+    return dict(once(r, "rho_g", lambda: _verified_group_form(r)))
 
 
 def _verified_group_form(r):
@@ -132,7 +150,12 @@ def _verified_group_form(r):
 
 
 def lambda_factorization(r):
-    """The map a -> L_a with lam[(g,a)] = L_a rho_g, verified exhaustively."""
+    """The map a -> L_a with lam[(g,a)] = L_a rho_g, verified exhaustively
+    once per representation; later calls return a fresh copy."""
+    return dict(once(r, "lam_a", lambda: _verified_factorization(r)))
+
+
+def _verified_factorization(r):
     d = r.digroup
     e = d.group.identity
     rho_g = rho_group_form(r)
@@ -260,25 +283,25 @@ def check_semilinear(m):
     return AxiomReport(results)
 
 
-_validated_semilinear = weakref.WeakSet()
-
-
 def require_valid_semilinear(m):
-    if m in _validated_semilinear:
-        return m
-    rep = check_semilinear(m)
-    if not rep.ok:
-        raise RepresentationError("semilinear axioms fail: %r" % rep.failures())
-    _validated_semilinear.add(m)
+    once(m, "valid", lambda: require_ok(check_semilinear(m), "semilinear axioms"))
     return m
 
 
 def to_semilinear(r):
+    """The semilinear packaging of r, built and verified once per
+    representation; each call returns a new object with copied tables."""
+    eps, t = once(r, "semilinear", lambda: _semilinear_tables(r))
+    return SemilinearObject(r.digroup.action, r.dim, dict(eps), dict(t))
+
+
+def _semilinear_tables(r):
     d = r.digroup
     e = d.group.identity
     eps = {a: r.lam[(e, a)] for a in range(d.halo_size)}
-    t = rho_group_form(r)
-    return require_valid_semilinear(SemilinearObject(d.action, r.dim, eps, t))
+    m = require_valid_semilinear(SemilinearObject(d.action, r.dim, eps,
+                                                  rho_group_form(r)))
+    return m.eps, m.t
 
 
 def from_semilinear(m, d):

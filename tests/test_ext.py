@@ -320,3 +320,14 @@ def test_semisimplicity_probe():
     one = {(0, 0): Matrix.identity(QQ, 1)}
     triv = require_valid(Representation(d1, 1, dict(one), dict(one)))
     assert semisimplicity_probe([triv])["semisimple"]
+
+
+def test_a_wrong_splitting_witness_raises():
+    from digrep.ext import _checked_witness
+    s = demo_ses()
+    zero = Matrix.zeros(QQ, s.V.dim, s.Q.dim)
+    with pytest.raises(RepresentationError, match="not a section"):
+        _checked_witness(s, zero)
+    # a section of pi, but the demo sequence does not split
+    with pytest.raises(RepresentationError, match="not a morphism"):
+        _checked_witness(s, solve(s.pi, Matrix.identity(QQ, s.Q.dim)))

@@ -6,9 +6,9 @@ import pytest
 
 from digrep import random_representation, seeded_rng
 from digrep.linalg import (DimensionError, FieldMismatchError, FpElement, Matrix,
-                           PrimeField, QQ, block_diag, block_image, block_kernel,
-                           complete, devectorize, hstack, intertwiners, solve,
-                           span_basis, contains, intersect, quotient_dim,
+                           PrimeField, QQ, SubspaceError, block_diag, block_image,
+                           block_kernel, complete, devectorize, hstack,
+                           intertwiners, quotient, solve, span_basis, contains,
                            sparse_kernel, vectorize, vstack)
 from _instances import sample_digroup
 from _oracles import hom_rho_oracle, matrix_rank_oracle
@@ -19,6 +19,20 @@ FIELDS = (QQ, PrimeField(5), PrimeField(7))
 def rand_matrix(rng, rows, cols, lo=-4, hi=4, field=QQ):
     return Matrix.from_rows(field, [[rng.randint(lo, hi) for _ in range(cols)]
                                     for _ in range(rows)])
+
+
+def kernel_basis(m):
+    """Dense reference: a basis of the right null space, read off the RREF."""
+    R, piv = m.rref()
+    z, o = m.field.of(0), m.field.of(1)
+    basis = []
+    for f in (c for c in range(m.cols) if c not in piv):
+        v = [z] * m.cols
+        v[f] = o
+        for i, pc in enumerate(piv):
+            v[pc] = -R[i, f]
+        basis.append(Matrix(m.field, m.cols, 1, v))
+    return basis
 
 
 def test_field_parsing_and_formatting():
@@ -79,7 +93,7 @@ def test_kernel_basis_is_a_kernel_and_spans_it():
     for _ in range(30):
         rows, cols = rng.randint(1, 5), rng.randint(1, 5)
         m = rand_matrix(rng, rows, cols)
-        ker = m.kernel_basis()
+        ker = kernel_basis(m)
         for v in ker:
             assert (m * v).is_zero()
         assert len(ker) == cols - m.rank()
@@ -143,14 +157,27 @@ def test_span_basis_is_canonical():
             assert contains(b1, v)
 
 
-def test_intersect_and_quotient_dim():
-    e1 = Matrix.column(QQ, [1, 0, 0])
-    e2 = Matrix.column(QQ, [0, 1, 0])
-    e3 = Matrix.column(QQ, [0, 0, 1])
-    inter = intersect([e1, e2], [e2, e3])
-    assert inter == [e2]
-    assert quotient_dim(3, [e1, e2]) == 1
-    assert intersect([e1], [e3]) == []
+def test_quotient_matches_complete_and_rejects_an_escaping_vector():
+    rng = random.Random(29)
+    for field in FIELDS:
+        for _ in range(40):
+            n = rng.randint(1, 6)
+            gens = [rand_matrix(rng, n, 1, field=field) for _ in range(rng.randint(0, n))]
+            ambient = span_basis(gens)
+            # sub: a random subspace of span(ambient), given by a basis
+            sub = span_basis([sum((v.scale(field.of(rng.randint(-3, 3))) for v in ambient),
+                                  Matrix.zeros(field, n, 1))
+                              for _ in range(rng.randint(0, len(ambient)))])
+            reps = quotient(sub, ambient)
+            assert reps == complete(sub, ambient)
+            assert len(reps) == len(ambient) - len(sub)
+            if len(ambient) == n:
+                continue
+            # one vector of sub outside span(ambient): the quotient refuses
+            out = next(v for v in (Matrix.identity(field, n).col_vector(c)
+                                   for c in range(n)) if not contains(ambient, v))
+            with pytest.raises(SubspaceError):
+                quotient(sub + [out], ambient)
 
 
 def int_image(rng, field, values):
@@ -195,7 +222,7 @@ def test_sparse_kernel_matches_dense():
             for v in ker:
                 assert (dense * v).is_zero()
             assert len(ker) == cols - dense.rank()
-            assert span_basis(ker) == span_basis(dense.kernel_basis())
+            assert span_basis(ker) == span_basis(kernel_basis(dense))
 
 
 def dense_product(a, b):
@@ -336,7 +363,7 @@ def test_prime_field_linear_algebra():
     assert m * m.inverse() == Matrix.identity(f3, 2)
     sing = Matrix.from_rows(f3, [[1, 2], [2, 4]])
     assert sing.rank() == 1
-    assert len(sing.kernel_basis()) == 1
+    assert len(kernel_basis(sing)) == 1
 
 
 def dense_intertwiners(pairs, d_src, d_dst, field):
@@ -352,7 +379,7 @@ def dense_intertwiners(pairs, d_src, d_dst, field):
                 for k in range(d_dst):
                     row[k * d_src + j] -= b[i, k]
                 rows.append(row)
-    ker = Matrix.from_rows(field, rows).kernel_basis() if rows else []
+    ker = kernel_basis(Matrix.from_rows(field, rows)) if rows else []
     return [Matrix(field, d_dst, d_src, v.entries) for v in span_basis(ker)]
 
 
@@ -507,7 +534,7 @@ def test_block_kernel_and_image_match_the_dense_system():
                 eqs = []
             dense = dense_block_system(nblocks, h, w, eqs, field)
             kernel = block_kernel(nblocks, h, w, eqs, field)
-            assert kernel == span_basis(dense.kernel_basis())
+            assert kernel == span_basis(kernel_basis(dense))
             image = block_image(nblocks, h, w, eqs, field)
             assert image == span_basis([dense.col_vector(c) for c in range(dense.cols)])
             for v in kernel + image:

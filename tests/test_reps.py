@@ -168,3 +168,61 @@ def test_random_generation_is_deterministic_per_seed():
     d2, q2, w2 = sample_pair(42)
     assert q1.lam == q2.lam and q1.rho == q2.rho
     assert w1.lam == w2.lam and w1.rho == w2.rho
+
+
+def test_to_semilinear_checks_once_and_hands_out_copies(monkeypatch):
+    from digrep import reps
+    checked = []
+    full_check = reps.check_semilinear
+    monkeypatch.setattr(reps, "check_semilinear",
+                        lambda m: checked.append(m) or full_check(m))
+    for seed in range(4):
+        d, q, _ = sample_pair(seed + 310)
+        checked.clear()   # building q checked its own semilinear object
+        first = to_semilinear(q)
+        eps, t = dict(first.eps), dict(first.t)
+        first.eps.clear()
+        first.t[d.group.identity] = None
+        again = to_semilinear(q)
+        assert again.eps == eps and again.t == t
+        assert again.action is d.action and again.dim == q.dim
+        assert len(checked) == 1
+
+
+def test_lambda_factorization_verifies_once_and_rejects_on_every_call(monkeypatch):
+    r = demo_representation()
+    products = []
+    full_mul = Matrix.__mul__
+    monkeypatch.setattr(Matrix, "__mul__",
+                        lambda a, b: products.append(1) or full_mul(a, b))
+    first = lambda_factorization(r)
+    assert products
+    products.clear()
+    expected = dict(first)
+    first[0] = None   # callers get copies, not the verified map itself
+    assert lambda_factorization(r) == expected
+    assert not products
+    lam = dict(r.lam)
+    lam[(1, 0)] = lam[(1, 0)] + Matrix.identity(QQ, 2)
+    broken = Representation(r.digroup, 2, lam, r.rho)
+    for _ in range(2):
+        with pytest.raises(RepresentationError, match="lam factorization"):
+            lambda_factorization(broken)
+
+
+def test_the_registry_keeps_no_representation_alive():
+    import gc
+    import weakref
+    from digrep import build_enveloping_algebra, ext1_dim, rep_to_module
+    d, q, w = sample_pair(1005)   # Z^1 and Ext^1 nonzero both ways
+    for src, dst in ((q, q), (q, w), (w, q)):
+        ext1_dim(src, dst)
+    alg = build_enveloping_algebra(d)
+    for r in (q, w):
+        rep_to_module(r, alg)
+        to_semilinear(r)
+        lambda_factorization(r)
+    refs = [weakref.ref(q), weakref.ref(w)]
+    del q, w, src, dst, r
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
