@@ -1,6 +1,7 @@
 """Finite-dimensional algebras attached to a digroup.
 
-Two algebras are realized with explicit structure constants:
+Two monomial algebras are realized, each as an int product table on its
+basis (e_i e_j = e_k stored as k):
 
 * the enveloping algebra of a digroup, on the monomial basis
   {R_g} u {M_(a,g)} with products
@@ -22,7 +23,6 @@ derivation / inner-derivation linear system.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .digroup import AxiomReport, first_failure
 from .linalg import (ContentMemo, Matrix, QQ, block_image, block_kernel,
@@ -34,22 +34,19 @@ class AlgebraError(ValueError):
     pass
 
 
-def _nonzero_pairs(vec):
-    return tuple((k, c) for k, c in enumerate(vec) if c)
-
-
 @dataclass(frozen=True)
 class FDAlgebra:
-    """Associative unital algebra given by basis labels + structure constants.
+    """Associative unital monomial algebra, as a product table on its basis.
 
-    structure[i][j] is the coefficient vector of e_i e_j in the basis;
-    unit is the coefficient vector of 1.
+    Every product of two basis elements is one basis element:
+    product[i][j] is the index k with e_i e_j = e_k, and unit is the
+    index of 1.
     """
 
     field: object
     basis_labels: tuple
-    structure: tuple
-    unit: tuple
+    product: tuple
+    unit: int
 
     @property
     def dim(self):
@@ -58,69 +55,24 @@ class FDAlgebra:
     def index(self, label):
         return self.basis_labels.index(label)
 
-    @cached_property
-    def sparse_structure(self):
-        """structure[i][j] as the tuple of its nonzero (k, coefficient) pairs."""
-        return tuple(tuple(_nonzero_pairs(vec) for vec in row) for row in self.structure)
-
-    def basis_vector(self, i):
-        z, o = self.field.of(0), self.field.of(1)
-        return tuple(o if j == i else z for j in range(self.dim))
-
-    def multiply(self, u, v):
-        """Product of two coefficient vectors, expanded bilinearly."""
-        z = self.field.of(0)
-        out = [z] * self.dim
-        for i, a in enumerate(u):
-            if not a:
-                continue
-            for j, b in enumerate(v):
-                if not b:
-                    continue
-                ab = a * b
-                for k, c in enumerate(self.structure[i][j]):
-                    if c:
-                        out[k] = out[k] + ab * c
-        return tuple(out)
-
     def check(self):
-        """Exhaustive associativity and unit check; raises on failure.
-
-        Runs on a sparse view of the structure constants, so monomial
-        algebras (one term per product) check in linear-ish time.
-        """
-        n = self.dim
+        """Exhaustive table, unit and associativity check; raises on failure."""
+        n, p, u = self.dim, self.product, self.unit
+        if len(p) != n or any(len(row) != n for row in p):
+            raise AlgebraError("product table is not %d x %d" % (n, n))
+        if any(type(k) is not int or not 0 <= k < n
+               for k in [u] + [k for row in p for k in row]):
+            raise AlgebraError("product table index outside range(%d)" % n)
         for i in range(n):
-            ei = self.basis_vector(i)
-            if self.multiply(self.unit, ei) != ei or self.multiply(ei, self.unit) != ei:
+            if p[u][i] != i or p[i][u] != i:
                 raise AlgebraError("unit fails at basis element %d" % i)
-        sc = [[dict(pairs) for pairs in row] for row in self.sparse_structure]
-        for i in range(n):
-            sci = sc[i]
-            for j in range(n):
-                scij = sci[j]
-                scj = sc[j]
+        for i, pi in enumerate(p):
+            for j, pj in enumerate(p):
+                pij = p[pi[j]]
                 for k in range(n):
-                    lhs = {}
-                    for l, c in scij.items():
-                        for t, c2 in sc[l][k].items():
-                            v = lhs.get(t)
-                            v = c * c2 if v is None else v + c * c2
-                            if v:
-                                lhs[t] = v
-                            elif t in lhs:
-                                del lhs[t]
-                    rhs = {}
-                    for l, c in scj[k].items():
-                        for t, c2 in sci[l].items():
-                            v = rhs.get(t)
-                            v = c * c2 if v is None else v + c * c2
-                            if v:
-                                rhs[t] = v
-                            elif t in rhs:
-                                del rhs[t]
-                    if lhs != rhs:
-                        raise AlgebraError("associativity fails at (%d,%d,%d)" % (i, j, k))
+                    if pij[k] != pi[pj[k]]:
+                        raise AlgebraError("associativity fails at (%d,%d,%d)"
+                                           % (i, j, k))
         return True
 
 
@@ -142,15 +94,7 @@ def build_enveloping_algebra(d, field=QQ):
     labels = [("R", g) for g in range(n)]
     labels += [("M", a, g) for a in range(m) for g in range(n)]
     idx = {lab: i for i, lab in enumerate(labels)}
-    dim = len(labels)
-    z, o = field.of(0), field.of(1)
-
-    def unitvec(label):
-        v = [z] * dim
-        v[idx[label]] = o
-        return tuple(v)
-
-    structure = []
+    product = []
     for la in labels:
         row = []
         for lb in labels:
@@ -165,10 +109,10 @@ def build_enveloping_algebra(d, field=QQ):
             else:
                 _, a, g = la
                 lab = ("M", a, d.group.mul[g][lb[2]])
-            row.append(unitvec(lab))
-        structure.append(tuple(row))
-    alg = FDAlgebra(field, tuple(labels), tuple(structure),
-                    unitvec(("R", d.group.identity)))
+            row.append(idx[lab])
+        product.append(tuple(row))
+    alg = FDAlgebra(field, tuple(labels), tuple(product),
+                    idx[("R", d.group.identity)])
     alg.check()
     _envalg_cache[cache_key] = alg
     return alg
@@ -184,28 +128,11 @@ def build_halo_algebra(halo_size, field=QQ):
     hit = _halo_cache.get((halo_size, field))
     if hit is not None:
         return hit
-    labels = ["1"] + [("eps", a) for a in range(halo_size)]
-    idx = {lab: i for i, lab in enumerate(labels)}
-    dim = len(labels)
-    z, o = field.of(0), field.of(1)
-
-    def unitvec(label):
-        v = [z] * dim
-        v[idx[label]] = o
-        return tuple(v)
-
-    structure = []
-    for la in labels:
-        row = []
-        for lb in labels:
-            if la == "1":
-                row.append(unitvec(lb))
-            elif lb == "1":
-                row.append(unitvec(la))
-            else:
-                row.append(unitvec(la))  # eps_a eps_b = eps_a
-        structure.append(tuple(row))
-    alg = FDAlgebra(field, tuple(labels), tuple(structure), unitvec("1"))
+    labels = ("1",) + tuple(("eps", a) for a in range(halo_size))
+    # index 0 is the unit; every other row is constant: eps_a x = eps_a
+    product = tuple(tuple(j if i == 0 else i for j in range(len(labels)))
+                    for i in range(len(labels)))
+    alg = FDAlgebra(field, labels, product, 0)
     alg.check()
     _halo_cache[(halo_size, field)] = alg
     return alg
@@ -226,32 +153,34 @@ def tau_automorphism(g, action, field=QQ):
 def check_relations(a, d):
     """Evaluate the five defining relation families on the embedded elements.
 
-    ell_x and r_x are the images of the digroup element x among the
-    monomials; every relation is checked for every pair of elements.
+    ell_x and r_x are the basis indices of the images of the digroup
+    element x among the monomials, multiplied through the product table;
+    every relation is checked for every pair of elements.
     """
     results = {}
+    p = a.product
 
     def ell(x):
         g, al = x
-        return a.basis_vector(a.index(("M", al, g)))
+        return a.index(("M", al, g))
 
     def r(x):
         g, _al = x
-        return a.basis_vector(a.index(("R", g)))
+        return a.index(("R", g))
 
     elems = d.elements
 
     pairs = [(x, y) for x in elems for y in elems]
     results["ell_dashv"] = first_failure(
-        lambda x, y: ell(d.dashv(x, y)) == a.multiply(ell(x), ell(y)), pairs)
+        lambda x, y: ell(d.dashv(x, y)) == p[ell(x)][ell(y)], pairs)
     results["r_vdash"] = first_failure(
-        lambda x, y: r(d.vdash(x, y)) == a.multiply(r(x), r(y)), pairs)
+        lambda x, y: r(d.vdash(x, y)) == p[r(x)][r(y)], pairs)
     bad = next((e for e in d.halo() if r(e) != a.unit), None)
     results["r_unit"] = (bad is None, bad)
     results["r_ell"] = first_failure(
-        lambda x, y: a.multiply(r(x), ell(y)) == ell(d.vdash(x, y)), pairs)
+        lambda x, y: p[r(x)][ell(y)] == ell(d.vdash(x, y)), pairs)
     results["ell_r"] = first_failure(
-        lambda x, y: a.multiply(ell(x), r(y)) == ell(d.dashv(x, y)), pairs)
+        lambda x, y: p[ell(x)][r(y)] == ell(d.dashv(x, y)), pairs)
     return AxiomReport(results)
 
 
@@ -263,10 +192,10 @@ class AlgebraModule:
 
 
 def check_module(m):
-    """Exhaustive check of the unit and of every structure constant.
+    """Exhaustive check of the unit and of every entry of the product table.
 
-    Products are memoized by operand content and each distinct structure
-    vector is expanded once, so every pair is still checked.
+    Products are memoized by operand content, so every pair is still
+    checked: act(e_i) act(e_j) == act(e_product[i][j]).
     """
     a = m.algebra
     if len(m.action) != a.dim:
@@ -274,28 +203,15 @@ def check_module(m):
     for mat in m.action:
         if (mat.rows, mat.cols) != (m.dim, m.dim):
             raise AlgebraError("action matrix shape mismatch")
-    ident = Matrix.identity(a.field, m.dim)
-    if _combine(m, _nonzero_pairs(a.unit)) != ident:
+    if m.action[a.unit] != Matrix.identity(a.field, m.dim):
         raise AlgebraError("unit does not act as the identity")
     memo = ContentMemo()
     act = [memo.canon(mat) for mat in m.action]
-    combined = {}   # keyed by the nonzero pairs of a structure vector
-    for i, prods in enumerate(a.sparse_structure):
-        for j, pairs in enumerate(prods):
-            rhs = combined.get(pairs)
-            if rhs is None:
-                rhs = combined[pairs] = _combine(m, pairs)
-            if memo.mul(act[i], act[j]) != rhs:
-                raise AlgebraError("structure constants violated at (%d,%d)" % (i, j))
+    for i, row in enumerate(a.product):
+        for j, k in enumerate(row):
+            if memo.mul(act[i], act[j]) != act[k]:
+                raise AlgebraError("product table violated at (%d,%d)" % (i, j))
     return m
-
-
-def _combine(m, pairs):
-    """sum c act(e_k) over the nonzero (k, c) pairs of a coefficient vector."""
-    out = Matrix.zeros(m.algebra.field, m.dim, m.dim)
-    for k, c in pairs:
-        out = out + m.action[k].scale(c)
-    return out
 
 
 def rep_to_module(r, algebra=None):
@@ -354,11 +270,11 @@ def derivation_ext1(a, q, w):
 
     o, neg = field.of(1), field.of(-1)
     # c(1) = 0, and c(e_i e_j) - act_w(e_i) c(e_j) - c(e_i) act_q(e_j) = 0
-    eqs = [[(c, None, k, None) for k, c in _nonzero_pairs(a.unit)]]
-    for i, prods in enumerate(a.sparse_structure):
-        for j, prod in enumerate(prods):
-            eqs.append([(c, None, k, None) for k, c in prod]
-                       + [(neg, w.action[i], j, None), (neg, None, i, q.action[j])])
+    eqs = [[(o, None, a.unit, None)]]
+    for i, row in enumerate(a.product):
+        for j, k in enumerate(row):
+            eqs.append([(o, None, k, None), (neg, w.action[i], j, None),
+                        (neg, None, i, q.action[j])])
     der_basis = block_kernel(na, dw, dq, eqs, field)
     # the inner derivations: the image of t -> (act_w(e_k) t - t act_q(e_k))_k
     inner_basis = block_image(1, dw, dq, [[(o, w.action[k], 0, None),

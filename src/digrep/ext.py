@@ -134,7 +134,12 @@ def average_section(s, s0=None):
         s0 = solve(s.pi, Matrix.identity(field, s.Q.dim))
         if s0 is None:
             raise RepresentationError("pi admits no linear section")
-    rho_v = rho_group_form(s.V)
+    # V's rho is read directly: its semilinear view would also check lam,
+    # and an unvalidated V must reach the cocycle check.  Equal rho across
+    # the halo index lets the checks below on each rho_g cover all of rho.
+    rho_v = {g: s.V.rho[(g, 0)] for g in range(n)}
+    if any(m != rho_v[g] for (g, _a), m in s.V.rho.items()):
+        raise RepresentationError("rho of V depends on the halo index")
     rho_q = rho_group_form(s.Q)
     acc = Matrix.zeros(field, s.V.dim, s.Q.dim)
     for g in range(n):

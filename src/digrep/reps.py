@@ -124,46 +124,15 @@ def require_valid(r):
 
 
 def rho_group_form(r):
-    """The map g -> rho_g, after verifying rho ignores the halo index.
-
-    The verification (halo independence and multiplicativity, over every
-    pair) runs once per representation; later calls return a fresh copy
-    of the verified map.
-    """
-    return dict(once(r, "rho_g", lambda: _verified_group_form(r)))
-
-
-def _verified_group_form(r):
-    d = r.digroup
-    out = {}
-    for g in range(d.group.order):
-        ref = r.rho[(g, 0)]
-        for a in range(1, d.halo_size):
-            if r.rho[(g, a)] != ref:
-                raise RepresentationError("rho depends on halo index at g=%d" % g)
-        out[g] = ref
-    for g in out:
-        for h in out:
-            if out[d.group.mul[g][h]] != out[g] * out[h]:
-                raise RepresentationError("rho_g not multiplicative at (%d,%d)" % (g, h))
-    return out
+    """The map g -> rho_g of the verified semilinear view of r, as a
+    fresh copy on every call (see _semilinear_view)."""
+    return dict(_semilinear_view(r)[1])
 
 
 def lambda_factorization(r):
-    """The map a -> L_a with lam[(g,a)] = L_a rho_g, verified exhaustively
-    once per representation; later calls return a fresh copy."""
-    return dict(once(r, "lam_a", lambda: _verified_factorization(r)))
-
-
-def _verified_factorization(r):
-    d = r.digroup
-    e = d.group.identity
-    rho_g = rho_group_form(r)
-    left = {a: r.lam[(e, a)] for a in range(d.halo_size)}
-    for (g, a), m in r.lam.items():
-        if m != left[a] * rho_g[g]:
-            raise RepresentationError("lam factorization fails at %r" % ((g, a),))
-    return left
+    """The map a -> L_a with lam[(g,a)] = L_a rho_g, from the verified
+    semilinear view of r, as a fresh copy on every call."""
+    return dict(_semilinear_view(r)[0])
 
 
 def is_subrepresentation(r, basis):
@@ -278,7 +247,11 @@ def check_semilinear(m):
     bad = next(((x, a) for x in m.t for a in m.eps
                 if m.t[x] * m.eps[a] != m.eps[m.action.apply(x, a)] * m.t[x]), None)
     results["C3"] = (bad is None, bad)
-    sing = next((x for x in m.t if m.t[x].rank() != m.dim), None)
+    # with C1 and C2, t[x] t[x^-1] = t[1] = I: every t[x] is invertible,
+    # so the ranks are computed only when one of the two fails
+    sing = None
+    if not (results["C1"][0] and results["C2"][0]):
+        sing = next((x for x in m.t if m.t[x].rank() != m.dim), None)
     results["t_invertible"] = (sing is None, sing)
     return AxiomReport(results)
 
@@ -289,19 +262,37 @@ def require_valid_semilinear(m):
 
 
 def to_semilinear(r):
-    """The semilinear packaging of r, built and verified once per
-    representation; each call returns a new object with copied tables."""
-    eps, t = once(r, "semilinear", lambda: _semilinear_tables(r))
+    """The semilinear packaging of r; each call returns a new object with
+    copied tables of the verified semilinear view."""
+    eps, t = _semilinear_view(r)
     return SemilinearObject(r.digroup.action, r.dim, dict(eps), dict(t))
 
 
-def _semilinear_tables(r):
+def _semilinear_view(r):
+    """(eps, t) with eps[a] = L_a = lam[(1, a)] and t[g] = rho_g.
+
+    Verified once per representation, in order: rho ignores the halo
+    index, lam factorizes as lam[(g, a)] = L_a rho_g, and the semilinear
+    axioms hold.  The tables are shared; callers hand out copies.
+    """
+    return once(r, "semilinear", lambda: _verified_semilinear(r))
+
+
+def _verified_semilinear(r):
     d = r.digroup
-    e = d.group.identity
-    eps = {a: r.lam[(e, a)] for a in range(d.halo_size)}
-    m = require_valid_semilinear(SemilinearObject(d.action, r.dim, eps,
-                                                  rho_group_form(r)))
-    return m.eps, m.t
+    t = {}
+    for g in range(d.group.order):
+        t[g] = r.rho[(g, 0)]
+        for a in range(1, d.halo_size):
+            if r.rho[(g, a)] != t[g]:
+                raise RepresentationError("rho depends on halo index at g=%d" % g)
+    eps = {a: r.lam[(d.group.identity, a)] for a in range(d.halo_size)}
+    for (g, a), m in r.lam.items():
+        if m != eps[a] * t[g]:
+            raise RepresentationError("lam factorization fails at %r" % ((g, a),))
+    require_ok(check_semilinear(SemilinearObject(d.action, r.dim, eps, t)),
+               "semilinear axioms")
+    return eps, t
 
 
 def from_semilinear(m, d):

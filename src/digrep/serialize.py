@@ -8,6 +8,7 @@ sort keys, so identical data produces byte-identical output.
 from __future__ import annotations
 
 import json
+import re
 
 from .digroup import Digroup, FiniteGroup, GAction
 from .linalg import Matrix, PrimeField, QQ
@@ -19,15 +20,35 @@ class FormatError(ValueError):
     """Raised when an input document does not match the expected schema."""
 
 
+_PRIME_NAME = re.compile(r"[1-9][0-9]*")
+_ELEM_KEY = re.compile(r"[0-9]+,[0-9]+")
+
+
+def _json_int(x, what):
+    """x if it is a JSON integer (not a bool); anything else is malformed.
+
+    Every structure integer is read through here: no truncation of
+    floats, no padded or signed text.
+    """
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise FormatError("%s must be an integer, not %r" % (what, x))
+    return x
+
+
+def _int_table(rows, what):
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise FormatError("%s must be a list of rows" % what)
+    return [[_json_int(x, what + " entry") for x in row] for row in rows]
+
+
 def field_from_name(name):
+    """QQ for "rational", GF(p) for a prime p written in ASCII digits."""
     if name == "rational":
         return QQ
-    try:
-        p = int(name)
-    except (TypeError, ValueError):
+    if not isinstance(name, str) or not _PRIME_NAME.fullmatch(name):
         raise FormatError("unknown field %r" % (name,))
     try:
-        return PrimeField(p)
+        return PrimeField(int(name))
     except ValueError as e:
         raise FormatError("bad field %r: %s" % (name, e))
 
@@ -47,14 +68,14 @@ def group_from_json(obj):
     if not isinstance(obj, dict):
         raise FormatError("group must be an object")
     if "cyclic" in obj:
-        return FiniteGroup.cyclic(int(obj["cyclic"]))
+        return FiniteGroup.cyclic(_json_int(obj["cyclic"], "cyclic order"))
     if "symmetric" in obj:
-        if int(obj["symmetric"]) != 3:
+        if _json_int(obj["symmetric"], "symmetric degree") != 3:
             raise FormatError("only the symmetric group on 3 points is built in")
         return FiniteGroup.symmetric3()
     if "mul" in obj:
-        mul = obj["mul"]
-        if "order" in obj and int(obj["order"]) != len(mul):
+        mul = _int_table(obj["mul"], "group table")
+        if "order" in obj and _json_int(obj["order"], "group order") != len(mul):
             raise FormatError("declared order does not match the table")
         return FiniteGroup(mul)
     raise FormatError("group needs one of: cyclic, symmetric, mul")
@@ -73,12 +94,12 @@ def digroup_from_json(obj):
         raise FormatError("digroup must be an object")
     try:
         group = group_from_json(obj["group"])
-        m = int(obj["halo_size"])
+        m = _json_int(obj["halo_size"], "halo_size")
         action = obj.get("action", "trivial")
         if action == "trivial":
             act = GAction.trivial(group, m)
         else:
-            act = GAction(group, m, action)
+            act = GAction(group, m, _int_table(action, "action table"))
         return Digroup(group, act)
     except FormatError:
         raise
@@ -117,11 +138,10 @@ def _elem_key(x):
 
 
 def _elem_from_key(s):
-    try:
-        g, a = s.split(",")
-        return int(g), int(a)
-    except ValueError:
+    if not _ELEM_KEY.fullmatch(s):
         raise FormatError("bad element key %r" % (s,))
+    g, a = s.split(",")
+    return int(g), int(a)
 
 
 def _table_to_json(table):
@@ -133,7 +153,10 @@ def _table_from_json(obj, d, field, dim):
         raise FormatError("operator table must be an object")
     table = {}
     for key, mat in obj.items():
-        table[_elem_from_key(key)] = matrix_from_json(mat, field, dim, dim)
+        x = _elem_from_key(key)
+        if x in table:
+            raise FormatError("element key %r repeats an element" % (key,))
+        table[x] = matrix_from_json(mat, field, dim, dim)
     if sorted(table) != sorted(d.elements):
         raise FormatError("operator table keys do not match the digroup")
     return table
@@ -173,7 +196,7 @@ def rep_from_json(obj, field=None, validate=True, digroup=None):
             field = tagged
         elif tagged not in (field, QQ):
             raise FormatError("document is over %r, not %r" % (tagged, field))
-        dim = int(obj["dim"])
+        dim = _json_int(obj["dim"], "dim")
         lam = _table_from_json(obj["lambda"], digroup, field, dim)
         rho = _table_from_json(obj["rho"], digroup, field, dim)
     except FormatError:
@@ -232,9 +255,18 @@ def dumps(obj):
 def load_path(path):
     try:
         with open(path) as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_unique_keys)
     except (OSError, json.JSONDecodeError) as e:
         raise FormatError("cannot read %s: %s" % (path, e))
+
+
+def _unique_keys(pairs):
+    # json.load keeps the last of two equal keys; a document with both
+    # would read one way or the other depending only on their order
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        raise FormatError("a JSON object repeats a key")
+    return obj
 
 
 def save_path(path, obj):

@@ -259,3 +259,62 @@ def test_second_file_digroup_is_parsed_and_must_match(tmp_path, capsys):
     other.write_text(json.dumps(doc))
     code, _, _ = run(capsys, "ext1", "--json", paths["rep"], str(other))
     assert code == 0
+
+
+def _rename_key(table, old, new):
+    return {(new if k == old else k): v for k, v in table.items()}
+
+
+STRUCTURE_INTEGER_EDITS = {
+    "dim-float": lambda doc: doc.update(dim=2.9),
+    "halo-size-padded-text": lambda doc: doc["digroup"].update(halo_size=" 2 "),
+    "cyclic-float": lambda doc: doc["digroup"].update(group={"cyclic": 2.5}),
+    "order-float": lambda doc: doc["digroup"]["group"].update(order=2.7),
+    "field-float": lambda doc: doc.update(field=5.9),
+    "field-padded-text": lambda doc: doc.update(field=" 5"),
+    "mul-bools": lambda doc: doc["digroup"]["group"].update(
+        mul=[[False, True], [True, False]]),
+    "element-key-signed": lambda doc: doc.update(
+        {"lambda": _rename_key(doc["lambda"], "0,0", "0,+0")}),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(STRUCTURE_INTEGER_EDITS))
+def test_structure_integer_that_is_not_a_json_integer_exits_2(tmp_path, capsys,
+                                                              edit):
+    # int() would truncate 2.9 and 5.9, strip " 2 " and " 5", and read
+    # "+0" and true
+    paths = write_example(tmp_path, capsys)
+    with open(paths["rep"]) as fh:
+        doc = json.load(fh)
+    STRUCTURE_INTEGER_EDITS[edit](doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "check", "--json", str(bad))
+    assert (code, out) == (2, "")
+    assert "input error" in err
+
+
+def test_two_keys_for_one_element_exit_2_in_either_order(tmp_path, capsys):
+    paths = write_example(tmp_path, capsys)
+    with open(paths["rep"]) as fh:
+        doc = json.load(fh)
+    good, wrong = doc["lambda"]["0,0"], [["5", "0"], ["0", "5"]]
+    rest = {k: v for k, v in doc["lambda"].items() if k != "0,0"}
+    for keys in (("0,+0", "0,0"), ("0,0", "0,+0"), ("0,00", "0,0")):
+        for values in ((good, wrong), (wrong, good)):
+            doc["lambda"] = dict(zip(keys, values), **rest)
+            bad = tmp_path / "dup.json"
+            bad.write_text(json.dumps(doc))
+            code, out, err = run(capsys, "check", "--json", str(bad))
+            assert (code, out) == (2, ""), (keys, values)
+            assert "input error" in err
+    # the same key written twice, which json.load would collapse to the last
+    for first, second in ((good, wrong), (wrong, good)):
+        doc["lambda"] = dict(rest, **{"0,0": first})   # before "rho"
+        twice = json.dumps(doc).replace(
+            '"0,0": ', '"0,0": %s, "0,0": ' % json.dumps(second), 1)
+        bad.write_text(twice)
+        code, out, err = run(capsys, "check", "--json", str(bad))
+        assert (code, out) == (2, "")
+        assert "input error" in err

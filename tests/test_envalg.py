@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from digrep import (Matrix, QQ, build_enveloping_algebra, build_halo_algebra,
@@ -16,9 +18,9 @@ def test_enveloping_algebra_dimension_and_unit():
     d = demo_digroup()
     a = build_enveloping_algebra(d)
     assert a.dim == d.group.order * (1 + d.halo_size)
-    assert a.unit == a.basis_vector(a.index(("R", 0)))
-    one = a.basis_vector(a.index(("M", 1, 1)))
-    assert a.multiply(a.unit, one) == one
+    assert a.unit == a.index(("R", 0))
+    one = a.index(("M", 1, 1))
+    assert a.product[a.unit][one] == one == a.product[one][a.unit]
 
 
 def test_enveloping_product_rules():
@@ -26,35 +28,106 @@ def test_enveloping_product_rules():
     act = all_actions(s3, 2)[1]
     d = Digroup(act.group, act)
     a = build_enveloping_algebra(d)
+    bv = a.index
 
-    def bv(label):
-        return a.basis_vector(a.index(label))
+    def mul(x, y):
+        return a.product[bv(x)][bv(y)]
 
     for g in range(6):
         for h in range(6):
             gh = s3.mul[g][h]
-            assert a.multiply(bv(("R", g)), bv(("R", h))) == bv(("R", gh))
+            assert mul(("R", g), ("R", h)) == bv(("R", gh))
             for al in range(2):
-                assert a.multiply(bv(("R", g)), bv(("M", al, h))) \
+                assert mul(("R", g), ("M", al, h)) \
                     == bv(("M", act.apply(g, al), gh))
-                assert a.multiply(bv(("M", al, g)), bv(("R", h))) \
-                    == bv(("M", al, gh))
+                assert mul(("M", al, g), ("R", h)) == bv(("M", al, gh))
                 for be in range(2):
-                    assert a.multiply(bv(("M", al, g)), bv(("M", be, h))) \
-                        == bv(("M", al, gh))
+                    assert mul(("M", al, g), ("M", be, h)) == bv(("M", al, gh))
 
 
 def test_associativity_checker_catches_corruption():
     d = demo_digroup()
     a = build_enveloping_algebra(d)
-    structure = [list(row) for row in a.structure]
+    product = [list(row) for row in a.product]
     i = a.index(("M", 0, 1))
     j = a.index(("R", 1))
-    structure[i][j] = a.basis_vector(a.index(("R", 0)))
-    bad = FDAlgebra(a.field, a.basis_labels, tuple(tuple(r) for r in structure),
+    product[i][j] = a.index(("R", 0))
+    bad = FDAlgebra(a.field, a.basis_labels, tuple(tuple(r) for r in product),
                     a.unit)
     with pytest.raises(AlgebraError):
         bad.check()
+
+
+def _with_table(a, edits):
+    """a with some product entries replaced: edits maps (i, j) to k."""
+    product = [list(row) for row in a.product]
+    for (i, j), k in edits.items():
+        product[i][j] = k
+    return replace(a, product=tuple(tuple(r) for r in product))
+
+
+def _both_algebras():
+    d = demo_digroup()
+    return build_enveloping_algebra(d), build_halo_algebra(2)
+
+
+def test_table_check_rejects_malformed_tables_over_both_algebras():
+    for a in _both_algebras():
+        n = a.dim
+        assert a.check()
+        product = [list(row) for row in a.product]
+        ragged = product[:-1] + [product[-1][:-1]]
+        for rows in (ragged, product[:-1], product + [list(range(n))]):
+            with pytest.raises(AlgebraError, match="not %d x %d" % (n, n)):
+                replace(a, product=rows).check()
+        for k in (n, -1, True, 1.0, None):
+            with pytest.raises(AlgebraError, match="outside range"):
+                _with_table(a, {(n - 1, n - 1): k}).check()
+            with pytest.raises(AlgebraError, match="outside range"):
+                replace(a, unit=k).check()
+
+
+def test_table_check_rejects_a_wrong_unit_on_either_side():
+    for a in _both_algebras():
+        u = a.unit
+        other = next(i for i in range(a.dim) if i != u)
+        with pytest.raises(AlgebraError, match="unit fails"):
+            replace(a, unit=other).check()
+        # the unit row alone, then the unit column alone, is corrupted
+        for edit in ({(u, other): u}, {(other, u): u}):
+            with pytest.raises(AlgebraError, match="unit fails"):
+                _with_table(a, edit).check()
+
+
+def test_associativity_scan_reaches_the_last_index_in_each_slot():
+    # one-entry and two-entry corruptions of the band algebra on {1, eps_0,
+    # eps_1} whose only failing triples (i, j, k) have i, j or k = eps_1
+    b = build_halo_algebra(2)
+    for edits in ({(2, 1): 0},                 # fails only at i = 2
+                  {(1, 2): 2, (2, 2): 0},      # fails only at j = 2
+                  {(2, 2): 1}):                # fails only at k = 2
+        with pytest.raises(AlgebraError, match="associativity fails"):
+            _with_table(b, edits).check()
+    # a single-entry corruption over the enveloping algebra: M_(1,0) M_(0,0) = 1
+    a = build_enveloping_algebra(demo_digroup())
+    m0, m1 = a.index(("M", 0, 0)), a.index(("M", 1, 0))
+    with pytest.raises(AlgebraError, match="associativity fails"):
+        _with_table(a, {(m1, m0): a.unit}).check()
+
+
+def test_check_relations_names_the_relation_a_corrupted_table_breaks():
+    d = demo_digroup()
+    a = build_enveloping_algebra(d)
+    ix = a.index
+    r1, m0 = ix(("R", 1)), ix(("M", 0, 0))
+    for edit, name in (({(r1, r1): r1}, "r_vdash"),
+                       ({(m0, m0): ix(("M", 1, 0))}, "ell_dashv"),
+                       ({(r1, m0): m0}, "r_ell"),
+                       ({(m0, r1): m0}, "ell_r")):
+        report = check_relations(_with_table(a, edit), d)
+        assert name in report.failures(), (name, report.failures())
+    report = check_relations(replace(a, unit=r1), d)
+    assert "r_unit" in report.failures()
 
 
 def test_defining_relations_hold_on_embedded_elements():
@@ -128,10 +201,7 @@ def test_derivation_ext1_on_the_demo():
     for fam in fams:
         for i in range(a.dim):
             for j in range(a.dim):
-                lhs = Matrix.zeros(QQ, w.dim, q.dim)
-                for k, c in enumerate(a.structure[i][j]):
-                    if c:
-                        lhs = lhs + fam[k].scale(c)
+                lhs = fam[a.product[i][j]]
                 mw = rep_to_module(w, a).action[i]
                 mq = rep_to_module(q, a).action[j]
                 assert lhs == mw * fam[j] + fam[i] * mq
@@ -149,12 +219,12 @@ def test_derivation_ext1_matches_the_sympy_oracle():
 def test_halo_algebra_products():
     b = build_halo_algebra(3)
     assert b.dim == 4
+    assert b.unit == b.index("1")
     for al in range(3):
-        ea = b.basis_vector(b.index(("eps", al)))
+        ea = b.index(("eps", al))
         for be in range(3):
-            eb = b.basis_vector(b.index(("eps", be)))
-            assert b.multiply(ea, eb) == ea
-        assert b.multiply(b.unit, ea) == ea
+            assert b.product[ea][b.index(("eps", be))] == ea
+        assert b.product[b.unit][ea] == ea == b.product[ea][b.unit]
 
 
 def test_tau_automorphism_is_an_algebra_map():
@@ -172,5 +242,5 @@ def test_tau_automorphism_is_an_algebra_map():
         for al in range(3):
             ea = Matrix.column(QQ, [0] + [1 if i == al else 0 for i in range(3)])
             img = tg * ea
-            target = b.basis_vector(b.index(("eps", act.apply(g, al))))
-            assert tuple(img.flat()) == target
+            target = b.index(("eps", act.apply(g, al)))
+            assert tuple(img.flat()) == tuple(int(k == target) for k in range(b.dim))
