@@ -27,12 +27,10 @@ from .ext import MaschkeError, ext1_dim, is_split, semisimplicity_probe
 from .halo import verify_collapse
 from .reps import (RepresentationError, check_representation,
                    random_representation, require_valid, seeded_rng)
-from .serialize import (FormatError, digroup_from_json, digroup_to_json,
-                        dumps, field_from_name, load_path, matrix_to_json,
-                        rep_from_json, rep_to_json, save_path, ses_from_json,
-                        ses_to_json)
-
-GENERATE_CAPS = {"group_order": 6, "halo_size": 3, "dim": 4}
+from .serialize import (WORK_CAPS, FormatError, digroup_from_json,
+                        digroup_to_json, dumps, field_from_name, load_path,
+                        matrix_to_json, rep_from_json, rep_to_json, save_path,
+                        ses_from_json, ses_to_json)
 
 
 def main(argv=None):
@@ -99,13 +97,13 @@ def build_parser():
     common(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--group-order", type=int, default=2,
-                   help="cyclic group order (<= %d)" % GENERATE_CAPS["group_order"])
+                   help="cyclic group order (<= %d)" % WORK_CAPS["group_order"])
     p.add_argument("--symmetric3", action="store_true",
                    help="use the symmetric group on 3 points instead")
     p.add_argument("--halo-size", type=int, default=2,
-                   help="halo size (<= %d)" % GENERATE_CAPS["halo_size"])
+                   help="halo size (<= %d)" % WORK_CAPS["halo_size"])
     p.add_argument("--dim", type=int, default=2,
-                   help="representation dimension (<= %d)" % GENERATE_CAPS["dim"])
+                   help="representation dimension (<= %d)" % WORK_CAPS["dim"])
     p.add_argument("--out", default=".", help="output directory")
     p.set_defaults(func=cmd_generate)
     return parser
@@ -270,14 +268,14 @@ def cmd_generate(args):
     if args.field not in (None, "rational"):
         raise FormatError("generate supports the rational field only")
     n = 6 if args.symmetric3 else args.group_order
-    if not 1 <= n <= GENERATE_CAPS["group_order"]:
+    if not 1 <= n <= WORK_CAPS["group_order"]:
         raise FormatError("group order cap exceeded (max %d)"
-                          % GENERATE_CAPS["group_order"])
-    if not 1 <= args.halo_size <= GENERATE_CAPS["halo_size"]:
+                          % WORK_CAPS["group_order"])
+    if not 1 <= args.halo_size <= WORK_CAPS["halo_size"]:
         raise FormatError("halo size cap exceeded (max %d)"
-                          % GENERATE_CAPS["halo_size"])
-    if not 0 <= args.dim <= GENERATE_CAPS["dim"]:
-        raise FormatError("dimension cap exceeded (max %d)" % GENERATE_CAPS["dim"])
+                          % WORK_CAPS["halo_size"])
+    if not 0 <= args.dim <= WORK_CAPS["dim"]:
+        raise FormatError("dimension cap exceeded (max %d)" % WORK_CAPS["dim"])
     rng = seeded_rng(args.seed)
     group = FiniteGroup.symmetric3() if args.symmetric3 \
         else FiniteGroup.cyclic(n)

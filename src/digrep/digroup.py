@@ -20,6 +20,42 @@ class GroupTableError(ValueError):
     """Raised when a Cayley table is not a group table."""
 
 
+class AlgebraError(ValueError):
+    """Raised when a product table or a module fails an algebra check."""
+
+
+def table_generators(product, unit):
+    """A generating set of the monoid with this product table, found greedily.
+
+    product[i][j] is the index of the product of elements i and j, and
+    unit is the index of 1.  The elements are taken in index order; each
+    one outside the closure of those chosen so far joins the set.  The
+    closure of S is every word unit s_1 ... s_k with each s_i in S, built
+    by right multiplication.  The returned set is certified: its closure
+    reaches every element, or AlgebraError is raised.
+    """
+    gens = []
+    closed = {unit}
+    for g in range(len(product)):
+        if g in closed:
+            continue
+        gens.append(g)
+        # the old closure is closed under the old generators, so growing it
+        # under all of them gives the closure of the larger set
+        todo = list(closed)
+        while todo:
+            row = product[todo.pop()]
+            for s in gens:
+                y = row[s]
+                if y not in closed:
+                    closed.add(y)
+                    todo.append(y)
+    if len(closed) != len(product):
+        raise AlgebraError("the generating set reaches %d of %d elements"
+                           % (len(closed), len(product)))
+    return gens
+
+
 class FiniteGroup:
     """A finite group as a Cayley table on indices 0..n-1."""
 
@@ -69,28 +105,8 @@ class FiniteGroup:
         return self.mul[a][b]
 
     def generators(self):
-        """A small generating set, found greedily."""
-        gens = []
-        closed = {self.identity}
-        for g in range(self.order):
-            if g in closed:
-                continue
-            gens.append(g)
-            closed = set()
-            todo = [self.identity]
-            seen = {self.identity}
-            # regenerate the closure of gens
-            while todo:
-                x = todo.pop()
-                closed.add(x)
-                for s in gens:
-                    y = self.mul[x][s]
-                    if y not in seen:
-                        seen.add(y)
-                        todo.append(y)
-            if len(closed) == self.order:
-                break
-        return gens
+        """A small generating set: table_generators on the Cayley table."""
+        return table_generators(self.mul, self.identity)
 
     def __len__(self):
         return self.order

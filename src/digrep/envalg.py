@@ -24,14 +24,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .digroup import AxiomReport, first_failure
+from .digroup import AlgebraError, AxiomReport, first_failure, table_generators
 from .linalg import (ContentMemo, Matrix, QQ, block_image, block_kernel,
                      devectorize, quotient)
 from .reps import Representation, once, require_valid
-
-
-class AlgebraError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -54,6 +50,16 @@ class FDAlgebra:
 
     def index(self, label):
         return self.basis_labels.index(label)
+
+    def generators(self):
+        """Basis indices that generate every basis element as a monoid.
+
+        table_generators on the product table: greedy in index order, and
+        AlgebraError unless the closure reaches the whole basis.  On the
+        enveloping algebra of a digroup these are the R_g for the
+        generators of G and one M_(a, 1) per G-orbit of the halo.
+        """
+        return table_generators(self.product, self.unit)
 
     def check(self):
         """Exhaustive table, unit and associativity check; raises on failure."""
@@ -252,13 +258,32 @@ def module_to_rep(m, d):
 def derivation_ext1(a, q, w):
     """dim Ext^1 of modules over a finite-dimensional algebra, plus cocycles.
 
-    Solves for linear maps c : basis -> Hom(q, w) with
+    A derivation is a linear map c : basis -> Hom(q, w) with c(1) = 0 and
 
-        c(e_i e_j) = act_w(e_i) c(e_j) + c(e_i) act_q(e_j),   c(1) = 0,
+        c(x y) = act_w(x) c(y) + c(x) act_q(y)   for all basis elements x, y.
 
-    then quotients by the inner maps t -> (act_w(e_i) t - t act_q(e_i)).
-    Returns (dimension, representative cocycle families), where a family
-    is a tuple of dw x dq matrices indexed like the algebra basis.
+    It is solved on a generating set S of the basis monoid
+    (FDAlgebra.generators): the equations are c(1) = 0 and
+    c(e_i s) = act_w(e_i) c(s) + c(e_i) act_q(s) for every basis element
+    e_i and every s in S, and the unknowns are still all the blocks c(e_i).
+    This is the same system.  Every y is a word in S, and the rule for all
+    (x, y) follows by induction on the length of y.  For y = 1 it reads
+    c(x) = x c(1) + c(x), which is c(1) = 0.  For y = y' s, the equations
+    at (x y', s) and (y', s) and the rule at (x, y') give
+
+        c(x y' s) = x y' c(s) + c(x y') s
+                  = x y' c(s) + x c(y') s + c(x) y' s = x c(y) + c(x) y.
+
+    The closure scan of FDAlgebra.generators certifies that S reaches every
+    basis element, and check_module (run by rep_to_module, which makes the
+    modules passed here) that the actions multiply like the basis.  So the
+    kernel, its canonical basis and the answer are those of the system with
+    one equation per ordered pair of basis elements.
+
+    The result is the kernel modulo the inner maps
+    t -> (act_w(e_i) t - t act_q(e_i)).  Returns (dimension, representative
+    cocycle families), where a family is a tuple of dw x dq matrices indexed
+    like the algebra basis.
     """
     if q.algebra is not a or w.algebra is not a:
         raise AlgebraError("modules must live over the given algebra")
@@ -269,12 +294,13 @@ def derivation_ext1(a, q, w):
         return 0, []
 
     o, neg = field.of(1), field.of(-1)
-    # c(1) = 0, and c(e_i e_j) - act_w(e_i) c(e_j) - c(e_i) act_q(e_j) = 0
+    # c(1) = 0, and c(e_i s) - act_w(e_i) c(s) - c(e_i) act_q(s) = 0
     eqs = [[(o, None, a.unit, None)]]
+    gens = a.generators()
     for i, row in enumerate(a.product):
-        for j, k in enumerate(row):
-            eqs.append([(o, None, k, None), (neg, w.action[i], j, None),
-                        (neg, None, i, q.action[j])])
+        for s in gens:
+            eqs.append([(o, None, row[s], None), (neg, w.action[i], s, None),
+                        (neg, None, i, q.action[s])])
     der_basis = block_kernel(na, dw, dq, eqs, field)
     # the inner derivations: the image of t -> (act_w(e_k) t - t act_q(e_k))_k
     inner_basis = block_image(1, dw, dq, [[(o, w.action[k], 0, None),

@@ -20,6 +20,12 @@ class FormatError(ValueError):
     """Raised when an input document does not match the expected schema."""
 
 
+# The largest digroup a document may describe, and the largest instance
+# `digrep generate` makes (the dim cap is generate's alone).  Axiom checks
+# scan every triple of the |G| * halo_size elements, so a loader applies
+# the caps before any table is built or scanned.
+WORK_CAPS = {"group_order": 6, "halo_size": 3, "dim": 4}
+
 _PRIME_NAME = re.compile(r"[1-9][0-9]*")
 _ELEM_KEY = re.compile(r"[0-9]+,[0-9]+")
 
@@ -33,6 +39,15 @@ def _json_int(x, what):
     if isinstance(x, bool) or not isinstance(x, int):
         raise FormatError("%s must be an integer, not %r" % (what, x))
     return x
+
+
+def _capped(n, what):
+    """n, unless it exceeds WORK_CAPS[what]: then the input is refused."""
+    cap = WORK_CAPS[what]
+    if n > cap:
+        raise FormatError("%s cap exceeded (max %d): the document asks for %d"
+                          % (what.replace("_", " "), cap, n))
+    return n
 
 
 def _int_table(rows, what):
@@ -68,13 +83,15 @@ def group_from_json(obj):
     if not isinstance(obj, dict):
         raise FormatError("group must be an object")
     if "cyclic" in obj:
-        return FiniteGroup.cyclic(_json_int(obj["cyclic"], "cyclic order"))
+        return FiniteGroup.cyclic(
+            _capped(_json_int(obj["cyclic"], "cyclic order"), "group_order"))
     if "symmetric" in obj:
         if _json_int(obj["symmetric"], "symmetric degree") != 3:
             raise FormatError("only the symmetric group on 3 points is built in")
         return FiniteGroup.symmetric3()
     if "mul" in obj:
         mul = _int_table(obj["mul"], "group table")
+        _capped(len(mul), "group_order")
         if "order" in obj and _json_int(obj["order"], "group order") != len(mul):
             raise FormatError("declared order does not match the table")
         return FiniteGroup(mul)
@@ -94,7 +111,7 @@ def digroup_from_json(obj):
         raise FormatError("digroup must be an object")
     try:
         group = group_from_json(obj["group"])
-        m = _json_int(obj["halo_size"], "halo_size")
+        m = _capped(_json_int(obj["halo_size"], "halo_size"), "halo_size")
         action = obj.get("action", "trivial")
         if action == "trivial":
             act = GAction.trivial(group, m)

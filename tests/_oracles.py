@@ -12,6 +12,8 @@ from operator import attrgetter
 import sympy
 from sympy.polys.matrices import DomainMatrix
 
+from digrep.linalg import block_image, block_kernel, devectorize, quotient
+
 
 def _sym(x):
     return sympy.Rational(x.numerator, x.denominator)
@@ -167,3 +169,29 @@ def ext1_dim_oracle(q, w):
 def matrix_rank_oracle(mat_lists):
     return sympy.Matrix([[_sym(Fraction(x)) for x in row]
                          for row in mat_lists]).rank()
+
+
+def full_table_derivation_ext1(a, q, w):
+    """derivation_ext1 on the all-pairs system, the package's former solver.
+
+    One Leibniz equation c(e_i e_j) = act_w(e_i) c(e_j) + c(e_i) act_q(e_j)
+    for every ordered pair of basis elements, plus c(1) = 0, then the
+    quotient by the inner derivations; the reference for the solver that
+    writes the equations on a generating set only.
+    """
+    field, na, dq, dw = a.field, a.dim, q.dim, w.dim
+    if na * dw * dq == 0:
+        return 0, []
+    o, neg = field.of(1), field.of(-1)
+    eqs = [[(o, None, a.unit, None)]]
+    for i, row in enumerate(a.product):
+        for j, k in enumerate(row):
+            eqs.append([(o, None, k, None), (neg, w.action[i], j, None),
+                        (neg, None, i, q.action[j])])
+    der_basis = block_kernel(na, dw, dq, eqs, field)
+    inner_basis = block_image(1, dw, dq, [[(o, w.action[k], 0, None),
+                                           (neg, None, 0, q.action[k])]
+                                          for k in range(na)], field)
+    families = [tuple(devectorize(v, range(na), dw, dq, field).values())
+                for v in quotient(inner_basis, der_basis)]
+    return len(families), families

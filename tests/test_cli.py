@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -259,6 +260,31 @@ def test_second_file_digroup_is_parsed_and_must_match(tmp_path, capsys):
     other.write_text(json.dumps(doc))
     code, _, _ = run(capsys, "ext1", "--json", paths["rep"], str(other))
     assert code == 0
+
+
+def test_a_digroup_over_the_work_caps_exits_2_before_any_scan(tmp_path, capsys):
+    # the first document took minutes of exhaustive axiom scans, then exited 0
+    c7 = [[(i + j) % 7 for j in range(7)] for i in range(7)]
+    doc_path = tmp_path / "big.json"
+    for doc, cap in (({"group": {"cyclic": 2}, "halo_size": 150},
+                      "halo size cap exceeded (max 3)"),
+                     ({"group": {"cyclic": 7}, "halo_size": 1},
+                      "group order cap exceeded (max 6)"),
+                     ({"group": {"mul": c7}, "halo_size": 1},
+                      "group order cap exceeded (max 6)")):
+        for text in (json.dumps(doc),
+                     json.dumps({"digroup": doc, "dim": 1, "lambda": {},
+                                 "rho": {}})):
+            doc_path.write_text(text)
+            t0 = time.perf_counter()
+            code, out, err = run(capsys, "check", "--json", str(doc_path))
+            assert time.perf_counter() - t0 < 1, doc
+            assert (code, out) == (2, ""), doc
+            assert cap in err
+    # at the caps a document still loads and is checked
+    doc_path.write_text(json.dumps({"group": {"symmetric": 3}, "halo_size": 3}))
+    code, out, _ = run(capsys, "check", "--json", str(doc_path))
+    assert code == 0 and json.loads(out)["ok"]
 
 
 def _rename_key(table, old, new):

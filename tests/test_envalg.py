@@ -2,16 +2,17 @@ from dataclasses import replace
 
 import pytest
 
-from digrep import (Matrix, QQ, build_enveloping_algebra, build_halo_algebra,
-                    check_relations, demo_digroup, demo_representation,
-                    demo_subspace_basis, derivation_ext1, module_to_rep,
-                    rep_to_module, require_valid, sub_quotient,
-                    tau_automorphism)
+from digrep import (Matrix, PrimeField, QQ, build_enveloping_algebra,
+                    build_halo_algebra, check_relations, demo_digroup,
+                    demo_representation, demo_subspace_basis, derivation_ext1,
+                    module_to_rep, random_representation, rep_to_module,
+                    require_valid, seeded_rng, sub_quotient, tau_automorphism)
 from digrep.envalg import AlgebraError, FDAlgebra, check_module
-from digrep.digroup import Digroup, FiniteGroup, GAction, all_actions
+from digrep.digroup import (Digroup, FiniteGroup, GAction, all_actions,
+                            table_generators)
 
-from _instances import sample_pair
-from _oracles import ext1_dim_oracle
+from _instances import GROUPS, sample_digroup, sample_pair
+from _oracles import ext1_dim_oracle, full_table_derivation_ext1
 
 
 def test_enveloping_algebra_dimension_and_unit():
@@ -214,6 +215,64 @@ def test_derivation_ext1_matches_the_sympy_oracle():
         a = build_enveloping_algebra(d)
         dim, _ = derivation_ext1(a, rep_to_module(q, a), rep_to_module(w, a))
         assert dim == ext1_dim_oracle(q, w)
+
+
+def _both_solvers(d, q, w):
+    a = build_enveloping_algebra(d, q.field)
+    mq, mw = rep_to_module(q, a), rep_to_module(w, a)
+    got = derivation_ext1(a, mq, mw)
+    assert got == full_table_derivation_ext1(a, mq, mw)
+    return got[0]
+
+
+def test_generator_system_matches_the_all_pairs_system():
+    """Same (dim, families) as one equation per basis pair: every 10th
+    corpus pair over Q, ten pairs over GF(7), and modular pairs."""
+    for seed in range(1000, 1200, 10):
+        _both_solvers(*sample_pair(seed))
+    f7 = PrimeField(7)
+    for seed in range(10):
+        rng = seeded_rng(5000 + seed)
+        d = sample_digroup(rng)
+        _both_solvers(d, random_representation(d, rng.randint(1, 3), rng, f7),
+                      random_representation(d, rng.randint(1, 3), rng, f7))
+    # p divides |G|: no Maschke, and Ext^1 > 0 is common
+    dims = []
+    for p, names in ((2, ("C2", "C6", "S3")), (3, ("C3", "C6", "S3"))):
+        field = PrimeField(p)
+        for seed in range(12):
+            rng = seeded_rng(6000 + 100 * p + seed)
+            d = sample_digroup(rng, group_names=names)
+            assert d.group.order % p == 0
+            dims.append(_both_solvers(
+                d, random_representation(d, rng.randint(1, 3), rng, field),
+                random_representation(d, rng.randint(1, 3), rng, field)))
+    assert len(dims) == 24 and sum(x > 0 for x in dims) >= 10, dims
+
+
+def test_generating_set_is_group_generators_plus_one_per_orbit():
+    assert {name: make().generators() for name, make in GROUPS.items()} == {
+        "C1": [], "C2": [1], "C3": [1], "C6": [1], "S3": [1, 2]}
+    seen = set()
+    for seed in range(1000, 1200):
+        d, _, _ = sample_pair(seed)
+        if (d.group.mul, d.action.act) in seen:
+            continue
+        seen.add((d.group.mul, d.action.act))
+        gens = build_enveloping_algebra(d).generators()
+        assert len(gens) == (len(d.group.generators())
+                             + len(d.action.orbits())), seed
+    assert len(seen) == 36
+
+
+def test_generating_set_certificate_rejects_a_table_it_cannot_close():
+    # the closure grows from the given unit by right multiplication, so a
+    # unit whose row is not the identity leaves elements unreached
+    with pytest.raises(AlgebraError, match="reaches 1 of 2"):
+        table_generators(((1, 1), (1, 1)), 1)
+    with pytest.raises(AlgebraError, match="reaches 2 of 3"):
+        table_generators(((0, 0, 0), (1, 1, 1), (0, 0, 2)), 2)
+    assert table_generators(((0, 1), (1, 0)), 0) == [1]
 
 
 def test_halo_algebra_products():
