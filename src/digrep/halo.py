@@ -12,13 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import (Matrix, block_diag, block_image, block_kernel, contains,
-                     coordinates, devectorize, hstack, intertwiners, quotient,
-                     vectorize)
+from .linalg import (Matrix, block_diag, block_image, block_kernel, coordinates,
+                     devectorize, hstack, intertwiners, quotient, vectorize)
 from .reps import (RepresentationError, SemilinearObject,
                    require_valid_semilinear, to_semilinear, hom_rep)
 from .ext import cocycle_space, ext1_dim, extension_from_cocycle, is_split
-from .digroup import Digroup
+from .digroup import Digroup, first_failure
 
 
 @dataclass(frozen=True, eq=False)
@@ -41,10 +40,10 @@ def check_be_module(m):
     for a in m.eps:
         if (m.eps[a].rows, m.eps[a].cols) != (m.dim, m.dim):
             raise RepresentationError("eps shape mismatch at %r" % (a,))
-    for a in m.eps:
-        for b in m.eps:
-            if m.eps[a] * m.eps[b] != m.eps[a]:
-                raise RepresentationError("band identity fails at %r" % ((a, b),))
+    ok, bad = first_failure(lambda a, b: m.eps[a] * m.eps[b] == m.eps[a],
+                            [(a, b) for a in m.eps for b in m.eps])
+    if not ok:
+        raise RepresentationError("band identity fails at %r" % (bad,))
     return m
 
 
@@ -75,30 +74,37 @@ def g_action_on_hom(q, w):
     """The group action g.f = t_g^W f (t_g^Q)^-1 on the band Hom space.
 
     Returns the basis together with the action matrices in basis
-    coordinates; closure and the action laws are verified per g.
+    coordinates, one solve per g for the images of the whole basis;
+    band-linearity of each g.f, closure and the action laws are verified.
     """
     basis = hom_BE(q, w)
     group = q.action.group
     field = w.field
-    vecs = [Matrix(field, f.rows * f.cols, 1, f.entries) for f in basis]
+    n = w.dim * q.dim
+    vecs = [Matrix(field, n, 1, f.entries) for f in basis]
     g_action = {}
     for g in range(group.order):
         tw = w.t[g]
         tq_inv = q.t[g].inverse()
-        cols = []
+        images = []
         for f in basis:
             gf = tw * f * tq_inv
             for a in q.eps:
                 if gf * q.eps[a] != w.eps[a] * gf:
                     raise RepresentationError(
                         "g.f leaves the band-linear maps at g=%d" % g)
-            c = coordinates(vecs, Matrix(field, gf.rows * gf.cols, 1, gf.entries))
-            if c is None:
-                raise RepresentationError("g.f leaves the span at g=%d" % g)
-            cols.append(c)
-        g_action[g] = hstack(cols) if cols else Matrix(field, 0, 0, [])
+            images.append(Matrix(field, n, 1, gf.entries))
+        c = coordinates(vecs, _columns(field, n, images))
+        if c is None:
+            raise RepresentationError("g.f leaves the span at g=%d" % g)
+        g_action[g] = c
     _check_action_laws(g_action, group, "Hom")
     return HomSpaceWithAction(basis, g_action)
+
+
+def _columns(field, n, vectors):
+    """The n x len(vectors) matrix with the given column vectors."""
+    return hstack(vectors) if vectors else Matrix(field, n, 0, [])
 
 
 def _check_action_laws(g_action, group, what):
@@ -106,11 +112,13 @@ def _check_action_laws(g_action, group, what):
     one = g_action[group.identity]
     if one != Matrix.identity(one.field, one.rows):
         raise RepresentationError("the identity acts nontrivially on %s" % what)
-    for g in range(group.order):
-        for h in range(group.order):
-            if g_action[g] * g_action[h] != g_action[group.mul[g][h]]:
-                raise RepresentationError(
-                    "the action on %s is not multiplicative at (%d,%d)" % (what, g, h))
+    order = range(group.order)
+    ok, bad = first_failure(
+        lambda g, h: g_action[g] * g_action[h] == g_action[group.mul[g][h]],
+        [(g, h) for g in order for h in order])
+    if not ok:
+        raise RepresentationError(
+            "the action on %s is not multiplicative at (%d,%d)" % ((what,) + bad))
 
 
 def invariants(space):
@@ -162,40 +170,28 @@ def ext1_BE(q, w):
     bvecs = block_image(1, dw, dq, [[(o, w.eps[a], 0, None), (neg, None, 0, q.eps[a])]
                                     for a in keys], field)
     reps = quotient(bvecs, zvecs)
-    dim_ext = len(reps)
-    eta_basis = [devectorize(v, keys, dw, dq, field) for v in reps]
+    dim_ext, nb = len(reps), len(bvecs)
+    full = bvecs + reps   # a basis of Z
+    etas = [devectorize(v, keys, dw, dq, field) for v in full]
 
-    act = q.action
-    tq_inv = {g: q.t[g].inverse() for g in range(group.order)}
-
-    def g_dot(g, v):
-        eta = devectorize(v, keys, dw, dq, field)
-        ginv = group.inv[g]
-        return vectorize({a: w.t[g] * eta[act.apply(ginv, a)] * tq_inv[g]
-                          for a in keys}, keys, dw, dq)
-
-    # the lift must preserve Z and B
+    # one solve per g of g.[B | reps] in [B | reps]: the lift preserves Z
+    # when it is solvable and B when its lower-left block is zero; the
+    # lower-right block is the action on classes
+    g_classes = {}
     for g in range(group.order):
-        if not contains(zvecs, *(g_dot(g, v) for v in zvecs)):
+        tw, tq_inv, ginv = w.t[g], q.t[g].inverse(), group.inv[g]
+        images = [vectorize({a: tw * eta[q.action.apply(ginv, a)] * tq_inv for a in keys},
+                            keys, dw, dq) for eta in etas]
+        c = coordinates(full, _columns(field, m * dw * dq, images))
+        if c is None:
             raise RepresentationError(
                 "group action does not preserve the eta space at g=%d" % g)
-        if not contains(bvecs, *(g_dot(g, v) for v in bvecs)):
+        if not c.block(nb, 0, dim_ext, nb).is_zero():
             raise RepresentationError(
                 "group action does not preserve coboundaries at g=%d" % g)
-
-    # action on classes, in the coordinates (coboundary basis | class reps)
-    g_classes = {}
-    full = list(bvecs) + list(reps)
-    for g in range(group.order):
-        cols = []
-        for v in reps:
-            c = coordinates(full, g_dot(g, v))
-            if c is None:
-                raise RepresentationError("class action leaves Z at g=%d" % g)
-            cols.append(c.block(len(bvecs), 0, dim_ext, 1))
-        g_classes[g] = hstack(cols) if cols else Matrix(field, 0, 0, [])
+        g_classes[g] = c.block(nb, nb, dim_ext, dim_ext)
     _check_action_laws(g_classes, group, "classes")
-    return BEExtResult(len(zvecs), len(bvecs), dim_ext, eta_basis, g_classes)
+    return BEExtResult(len(zvecs), nb, dim_ext, etas[nb:], g_classes)
 
 
 def invariant_class_dim(res):

@@ -17,23 +17,28 @@ scalars; the field supplies the only differences: its char as the modulus
 
 The kernels work on dict rows {column: int} that hold only the nonzero
 entries: the product adds a multiple of row t of the right factor's image
-for each nonzero entry (i, t) of the left one, and is A'B' over d_A d_B;
-rref and sparse_kernel eliminate row by row, fraction-free (Bareiss, Math.
-Comp. 1968, dividing by the row content in place of the exact division):
-a row is replaced by a multiple of itself minus a multiple of the pivot
-row; rref divides by the pivots only when it builds R.  All three share
-one inner loop, _axpy (row += f * other), so no kernel spends arithmetic on
-a zero; the operators this package builds (idempotents, permutation blocks,
-monomial structure constants) are mostly zeros.
+for each nonzero entry (i, t) of the left one, and is A'B' over d_A d_B.
+There is one elimination, _reduce: Gauss-Jordan on rows that come in one
+at a time, fraction-free (Bareiss, Math. Comp. 1968, dividing by the row
+content in place of the exact division): a row is replaced by a multiple
+of itself minus a multiple of a pivot row.  Its pivot rows, over their
+pivot entries, are the RREF, and every linear question asks it once:
+rref builds R from them, sparse_kernel reads the kernel off them, and
+span_basis, complete and block_image hand it integer images directly.  The
+product and _reduce share one inner loop, _axpy (row += f * other), so no
+kernel spends arithmetic on a zero; the operators this package builds
+(idempotents, permutation blocks, monomial structure constants) are
+mostly zeros.
 
 Each linear-algebra operation the package needs has its one home here:
 
 * blocks: Matrix.block extracts one, hstack / vstack / block_diag build;
 * subspaces (lists of column vectors): span_basis (canonical basis),
-  contains (membership of any number of vectors, one elimination),
-  complete (the vectors extending one span to another, one elimination),
-  quotient (representatives of ambient / sub, checking sub lies inside,
-  by the same elimination) and coordinates;
+  complete (the vectors extending one span to another), contains
+  (membership of any number of vectors: complete keeps none), quotient
+  (representatives of ambient / sub, checking sub lies inside, by the
+  same elimination) and coordinates (of every column of a matrix at
+  once), each one elimination;
 * systems: solve (dense, inhomogeneous), sparse_kernel (sparse,
   homogeneous), and the block-linear systems sum c L X_b R = 0 in unknown
   blocks X_b: block_kernel solves them, block_image spans the image of
@@ -444,39 +449,22 @@ class Matrix:
     def rref(self):
         """Reduced row echelon form.  Returns (R, pivot_columns).
 
-        Fraction-free: the rows are the integer image, each row is kept a
-        multiple of itself, and row i of R is row i over its pivot entry.
+        The rows of the integer image go through _reduce; row i of R is its
+        i-th pivot row over that row's pivot entry.
         """
-        field, p = self.field, self.field.char
         n, m = self.rows, self.cols
-        rows = _int_rows(self._image()[0], n, m)
-        pivots = []
-        for c in range(m):
-            r = len(pivots)
-            if r == n:
-                break
-            for pr in range(r, n):
-                if c in rows[pr]:
-                    break
-            else:
-                continue
-            prow, rows[pr] = rows[pr], rows[r]
-            rows[r] = prow
-            field._normalize(prow, c)
-            for i, row in enumerate(rows):
-                if c in row and i != r:
-                    _eliminate(row, prow, c, p)
-            pivots.append(c)
-        d = lcm(*[rows[i][c] for i, c in enumerate(pivots)])
+        pivots = _reduce(_int_rows(self._image()[0], n, m), self.field)
+        cols = sorted(pivots)
+        d = lcm(*[pivots[c][c] for c in cols])
         out = [0] * (n * m)
-        for i, c in enumerate(pivots):   # the rows after the pivot rows are empty
-            s = d // rows[i][c]
-            for cc, x in rows[i].items():
+        for i, c in enumerate(cols):   # the rows after the pivot rows are empty
+            s = d // pivots[c][c]
+            for cc, x in pivots[c].items():
                 out[i * m + cc] = x * s
-        return Matrix._of_image(field, n, m, out, d), tuple(pivots)
+        return Matrix._of_image(self.field, n, m, out, d), tuple(cols)
 
     def rank(self):
-        return len(self.rref()[1])
+        return len(_reduce(_int_rows(self._image()[0], self.rows, self.cols), self.field))
 
     def inverse(self):
         if self.rows != self.cols:
@@ -586,29 +574,23 @@ class ContentMemo:
 #
 # Subspaces are lists of column vectors (n x 1 matrices).  Canonical bases
 # are the nonzero rows of the RREF of the spanning set, so two spanning
-# sets of the same subspace produce literally identical bases.
+# sets of the same subspace produce literally identical bases.  The
+# helpers eliminate the vectors' integer images: a positive multiple of a
+# vector changes neither a span nor a pivot column.
 
 def span_basis(vectors):
     vectors = list(vectors)
     if not vectors:
         return []
-    field = vectors[0].field
-    n = vectors[0].rows
-    rows = [[v[i, 0] for i in range(n)] for v in vectors]
-    R, piv = Matrix.from_rows(field, rows).rref()
-    return [Matrix(field, n, 1, R.row_list(i)) for i in range(len(piv))]
+    return _rref_vectors(vectors[0].rows, _column_images(vectors), vectors[0].field)
 
 
 def contains(basis, *vectors):
-    """Whether every vector lies in span(basis), by one elimination.
+    """Whether every vector lies in span(basis): complete keeps none of them.
 
-    The columns [basis | vectors] have a pivot beyond the basis exactly
-    when some vector adds to the span.  basis need not be independent.
+    basis need not be independent.
     """
-    if not basis:
-        return all(v.is_zero() for v in vectors)
-    _, piv = hstack(list(basis) + list(vectors)).rref()
-    return all(c < len(basis) for c in piv)
+    return not complete(basis, vectors)
 
 
 def complete(small, big):
@@ -621,9 +603,10 @@ def complete(small, big):
     big = list(big)
     if not big:
         return []
+    vectors = list(small) + big
+    rows = _transpose(_column_images(vectors), vectors[0].rows)   # [small | big]
     k = len(small)
-    _, piv = hstack(list(small) + big).rref()
-    return [big[c - k] for c in piv if c >= k]
+    return [big[c - k] for c in sorted(_reduce(rows, vectors[0].field)) if c >= k]
 
 
 def quotient(sub, ambient):
@@ -640,14 +623,45 @@ def quotient(sub, ambient):
     return reps
 
 
-def coordinates(basis, v):
-    """Some x with sum_i x_i basis[i] = v, or None if v is outside the span.
+def coordinates(basis, x):
+    """Some c with hstack(basis) c = x, or None if a column of x is outside the span.
 
-    The coordinates are unique when the basis is independent.
+    Every column of x is answered by one elimination, of [basis | x].  The
+    coordinates are unique when the basis is independent; an empty basis
+    gives 0 x k.
     """
     if not basis:
-        return Matrix(v.field, 0, 1, []) if v.is_zero() else None
-    return solve(hstack(basis), v)
+        return Matrix(x.field, 0, x.cols, []) if x.is_zero() else None
+    return solve(hstack(basis), x)
+
+
+def _column_images(vectors):
+    """The nonzero entries {i: int} of each vector's integer image; the
+    vectors are column vectors of one shape over one field."""
+    for v in vectors:
+        v._compat(vectors[0], True)
+    return [{i: x for i, x in enumerate(v._image()[0]) if x} for v in vectors]
+
+
+def _transpose(rows, n):
+    """The n columns of int dict rows, as int dict rows."""
+    cols = [{} for _ in range(n)]
+    for r, row in enumerate(rows):
+        for c, x in row.items():
+            cols[c][r] = x
+    return cols
+
+
+def _rref_vectors(n, rows, field):
+    """The nonzero RREF rows of the int rows of length n, as column vectors."""
+    pivots = _reduce(rows, field)
+    out = []
+    for c in sorted(pivots):
+        v = [0] * n
+        for k, x in pivots[c].items():
+            v[k] = x
+        out.append(Matrix._of_image(field, n, 1, v, pivots[c][c]))
+    return out
 
 
 # -- sparse homogeneous systems ------------------------------------------
@@ -655,30 +669,14 @@ def coordinates(basis, v):
 def sparse_kernel(ncols, rows, field):
     """Kernel basis of a homogeneous system given as sparse rows.
 
-    Each row is a dict {column: int}: over Q any integer multiple of the
-    rational row (scaling a homogeneous row changes nothing), over GF(p)
-    ints congruent to its entries.  Intended for the large cocycle /
-    derivation systems, where rows touch only a few unknowns.  Each pivot
-    row stays free of every other pivot column, so an incoming row is
-    reduced in a single pass and each kernel entry is a lookup.
-    Returns dense column vectors (deterministic, not RREF-canonical;
-    canonicalize with span_basis if needed).
+    Each row is a dict {column: int} (see _reduce).  Intended for the
+    large cocycle / derivation systems, where rows touch only a few
+    unknowns.  Each pivot row of _reduce is free of every other pivot
+    column, so each kernel entry is a lookup.  Returns dense column
+    vectors (deterministic, not RREF-canonical; canonicalize with
+    span_basis if needed).
     """
-    p = field.char
-    pivots = {}   # pivot column c -> its row: a_c x_c + sum a_j x_j = 0, j not pivots
-    for row in rows:
-        row = ({c: x % p for c, x in row.items() if x % p} if p
-               else {c: x for c, x in row.items() if x})
-        for c in [c for c in row if c in pivots]:
-            _eliminate(row, pivots[c], c, p)
-        if not row:
-            continue
-        c = min(row)
-        field._normalize(row, c)
-        for prow in pivots.values():
-            if c in prow:
-                _eliminate(prow, row, c, p)
-        pivots[c] = row
+    pivots = _reduce(rows, field)   # pivot column c -> a_c x_c + sum a_j x_j = 0
     basis = []
     for f in range(ncols):
         if f in pivots:
@@ -692,6 +690,36 @@ def sparse_kernel(ncols, rows, field):
             v[c] = -prow[f] * (d // prow[c])
         basis.append(Matrix._of_image(field, ncols, 1, v, d))
     return basis
+
+
+def _reduce(rows, field):
+    """Gauss-Jordan elimination of int dict rows: {pivot column: pivot row}.
+
+    The one elimination of the package.  Over Q a row may be any integer
+    multiple of the rational row, over GF(p) any ints congruent to it.
+    Each incoming row is reduced by every pivot row in one pass,
+    fraction-free (_eliminate); its lowest remaining column c becomes a
+    pivot, and c is cleared from the other pivot rows.  A row's columns
+    never fall below its pivot and no pivot row holds another pivot
+    column, so the rows over their pivot entries, in pivot order, are the
+    nonzero rows of the RREF.
+    """
+    p = field.char
+    pivots = {}
+    for row in rows:
+        row = ({c: x % p for c, x in row.items() if x % p} if p
+               else {c: x for c, x in row.items() if x})
+        for c in [c for c in row if c in pivots]:
+            _eliminate(row, pivots[c], c, p)
+        if not row:
+            continue
+        c = min(row)
+        field._normalize(row, c)
+        for prow in pivots.values():
+            if c in prow:
+                _eliminate(prow, row, c, p)
+        pivots[c] = row
+    return pivots
 
 
 # -- block-linear systems ------------------------------------------------
@@ -746,11 +774,7 @@ def block_image(nblocks, h, w, equations, field):
     if n == 0:
         return []
     rows = _block_rows(h, w, equations, field)
-    cols = [[0] * len(rows) for _ in range(n)]
-    for r, row in enumerate(rows):
-        for c, x in row.items():
-            cols[c][r] = x
-    return span_basis([Matrix._of_image(field, len(rows), 1, col) for col in cols])
+    return _rref_vectors(len(rows), _transpose(rows, n), field)
 
 
 def intertwiners(pairs, d_src, d_dst, field):
@@ -776,6 +800,8 @@ def _block_rows(h, w, equations, field):
     takes the path of c L X_b with L the identity.  The scaled nonzero
     entries of each distinct (c, L, R) are listed once, in a dict keyed by
     ids; terms holds every matrix and coefficient, so no id is reused.
+    An L or R over another field raises FieldMismatchError: the integer
+    images of two fields do not mix.
     """
     equations = list(equations)
     terms = {}   # (id(c), id(L), id(R)) -> (c, L, R, numerator of c, denominator)
@@ -786,6 +812,8 @@ def _block_rows(h, w, equations, field):
                 (num,), d = field._image((c,))
                 for m in (l, r):
                     if m is not None:
+                        if m.field != field:
+                            raise FieldMismatchError("mixed scalar modes")
                         d *= m._image()[1]
                 terms[key] = (c, l, r, num, d)
     common = lcm(*{t[4] for t in terms.values()})
@@ -852,7 +880,7 @@ def _int_rows(nums, rows, cols):
 def _axpy(row, f, other, p):
     """row += f * other, in place, for int dict rows and a nonzero f; mod p if p.
 
-    The one inner loop of products, rref and sparse_kernel: it touches only
+    The one inner loop of products and _reduce: it touches only
     the nonzero entries of other and drops the entries of row that cancel.
     """
     for c, x in other.items():

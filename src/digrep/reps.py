@@ -153,11 +153,8 @@ def sub_quotient(r, basis):
     field = r.field
     n = r.dim
     k = len(basis)
-    rows = [[v[i, 0] for i in range(n)] for v in basis]
-    if rows:
-        _, piv = Matrix.from_rows(field, rows).rref()
-    else:
-        piv = ()
+    # the pivot of each RREF row is its first nonzero entry
+    piv = [next(i for i, x in enumerate(v.entries) if x) for v in basis]
     compl = [c for c in range(n) if c not in piv]
     ident = Matrix.identity(field, n)
     cols = list(basis) + [ident.col_vector(c) for c in compl]
@@ -230,23 +227,15 @@ class SemilinearObject:
 def check_semilinear(m):
     g = m.action.group
     results = {}
-    bad = None
-    for a in m.eps:
-        for b in m.eps:
-            if m.eps[a] * m.eps[b] != m.eps[a]:
-                bad = (a, b)
-                break
-        if bad:
-            break
-    results["band"] = (bad is None, bad)
+    results["band"] = first_failure(lambda a, b: m.eps[a] * m.eps[b] == m.eps[a],
+                                    [(a, b) for a in m.eps for b in m.eps])
     ident = Matrix.identity(m.field, m.dim)
     results["C1"] = (m.t[g.identity] == ident, None if m.t[g.identity] == ident else g.identity)
-    bad = next(((x, y) for x in m.t for y in m.t
-                if m.t[x] * m.t[y] != m.t[g.mul[x][y]]), None)
-    results["C2"] = (bad is None, bad)
-    bad = next(((x, a) for x in m.t for a in m.eps
-                if m.t[x] * m.eps[a] != m.eps[m.action.apply(x, a)] * m.t[x]), None)
-    results["C3"] = (bad is None, bad)
+    results["C2"] = first_failure(lambda x, y: m.t[x] * m.t[y] == m.t[g.mul[x][y]],
+                                  [(x, y) for x in m.t for y in m.t])
+    results["C3"] = first_failure(
+        lambda x, a: m.t[x] * m.eps[a] == m.eps[m.action.apply(x, a)] * m.t[x],
+        [(x, a) for x in m.t for a in m.eps])
     # with C1 and C2, t[x] t[x^-1] = t[1] = I: every t[x] is invertible,
     # so the ranks are computed only when one of the two fails
     sing = None

@@ -12,7 +12,9 @@ from operator import attrgetter
 import sympy
 from sympy.polys.matrices import DomainMatrix
 
-from digrep.linalg import block_image, block_kernel, devectorize, quotient
+from digrep.halo import hom_BE
+from digrep.linalg import (Matrix, block_image, block_kernel, coordinates,
+                           devectorize, hstack, quotient, vectorize)
 
 
 def _sym(x):
@@ -195,3 +197,50 @@ def full_table_derivation_ext1(a, q, w):
     families = [tuple(devectorize(v, range(na), dw, dq, field).values())
                 for v in quotient(inner_basis, der_basis)]
     return len(families), families
+
+
+def per_vector_halo_actions(q, w):
+    """The G-actions of halo.g_action_on_hom and halo.ext1_BE, one solve per vector.
+
+    The package's former algorithm: each image g.f (f in the hom_BE basis)
+    and each image g.eta of a class representative is solved on its own,
+    in the basis of Hom_BE and of Z = [B | reps], and the columns are
+    stacked.  Returns ({g: action on Hom_BE}, {g: action on the classes});
+    the reference for the one solve per g of the package.
+    """
+    group, act = q.action.group, q.action
+    field = w.field if w.dim else q.field
+    dw, dq, m = w.dim, q.dim, len(q.eps)
+    tq_inv = {g: q.t[g].inverse() for g in range(group.order)}
+
+    def stacked(cols, n):
+        return hstack(cols) if cols else Matrix(field, n, 0, [])
+
+    basis = hom_BE(q, w)
+    vecs = [Matrix(field, dw * dq, 1, f.entries) for f in basis]
+    on_hom = {g: stacked([coordinates(vecs, Matrix(field, dw * dq, 1,
+                                                   (w.t[g] * f * tq_inv[g]).entries))
+                          for f in basis], 0)
+              for g in range(group.order)}
+    if dw * dq == 0:
+        return on_hom, {g: Matrix(field, 0, 0, []) for g in range(group.order)}
+    keys = range(m)
+    o, neg = field.of(1), field.of(-1)
+    zvecs = block_kernel(m, dw, dq, [[(o, w.eps[a], b, None), (o, None, a, q.eps[b]),
+                                      (neg, None, a, None)]
+                                     for a in keys for b in keys], field)
+    bvecs = block_image(1, dw, dq, [[(o, w.eps[a], 0, None), (neg, None, 0, q.eps[a])]
+                                    for a in keys], field)
+    reps = quotient(bvecs, zvecs)
+    full = bvecs + reps
+
+    def g_dot(g, v):
+        eta = devectorize(v, keys, dw, dq, field)
+        return vectorize({a: w.t[g] * eta[act.apply(group.inv[g], a)] * tq_inv[g]
+                          for a in keys}, keys, dw, dq)
+
+    on_classes = {g: stacked([coordinates(full, g_dot(g, v)).block(len(bvecs), 0,
+                                                                  len(reps), 1)
+                              for v in reps], 0)
+                  for g in range(group.order)}
+    return on_hom, on_classes

@@ -10,7 +10,9 @@ from digrep import (CocycleFamily, Matrix, MaschkeError, PrimeField, QQ,
                     ShortExactSeq, sub_quotient)
 from digrep.digroup import Digroup, FiniteGroup, GAction
 from digrep.ext import vectorize, coboundary_space
-from digrep.linalg import span_basis, solve, hstack
+from digrep.halo import hom_BE
+from digrep.linalg import FieldMismatchError, span_basis, solve, hstack
+from digrep.reps import hom_rep, random_representation, seeded_rng, to_semilinear
 
 from _instances import sample_pair
 from _oracles import cocycle_dim_oracle, ext1_dim_oracle, hom_rho_oracle
@@ -331,3 +333,30 @@ def test_a_wrong_splitting_witness_raises():
     # a section of pi, but the demo sequence does not split
     with pytest.raises(RepresentationError, match="not a morphism"):
         _checked_witness(s, solve(s.pi, Matrix.identity(QQ, s.Q.dim)))
+
+
+def test_a_pair_over_two_fields_raises():
+    # the integer images of Q and GF(7) do not mix: every solver refuses
+    # the pair instead of returning an answer for neither field
+    d = demo_digroup()
+
+    def answers(a, b):
+        return [len(hom_rep(a, b)), len(hom_rho(a, b)),
+                len(hom_BE(to_semilinear(a), to_semilinear(b))),
+                len(cocycle_space(a, b)), ext1_dim(a, b).dim_ext]
+
+    # seeds -> the answers on (q, w) and on (w, q), over either field alone
+    expected = {(5, 6): ([0, 0, 2, 0, 0], [0, 0, 2, 0, 0]),
+                (1, 2): ([0, 2, 2, 4, 2], [0, 2, 2, 2, 0])}
+    for (sq, sw), (forward, backward) in expected.items():
+        for field in (QQ, PrimeField(7)):
+            q = random_representation(d, 2, seeded_rng(sq), field)
+            w = random_representation(d, 2, seeded_rng(sw), field)
+            assert (answers(q, w), answers(w, q)) == (forward, backward)
+        q = random_representation(d, 2, seeded_rng(sq))
+        w = random_representation(d, 2, seeded_rng(sw), PrimeField(7))
+        for a, b in ((q, w), (w, q)):
+            for solve_pair in (hom_rep, hom_rho, cocycle_space, ext1_dim,
+                               lambda x, y: hom_BE(to_semilinear(x), to_semilinear(y))):
+                with pytest.raises(FieldMismatchError):
+                    solve_pair(a, b)

@@ -11,7 +11,7 @@ from digrep.halo import (BEModule, check_be_module, ext1_BE, g_action_on_hom,
 from digrep.reps import RepresentationError, SemilinearObject
 
 from _instances import sample_digroup, sample_pair, sample_semilinear_pair
-from _oracles import ext1_dim_gfp_oracle
+from _oracles import ext1_dim_gfp_oracle, per_vector_halo_actions
 
 
 def demo_sub_and_quotient():
@@ -108,6 +108,28 @@ def test_ext1_BE_rejects_a_group_lift_that_leaves_the_eta_space():
         ext1_BE(bad, v)
     with pytest.raises(RepresentationError, match="does not preserve"):
         ext1_BE(v, bad)
+
+
+@pytest.mark.parametrize("field", (QQ, PrimeField(7)), ids=repr)
+def test_halo_actions_match_the_per_vector_reference(field):
+    """One solve per g gives the actions that solving each vector gives."""
+    pairs = []
+    for seed in range(12):
+        rng = seeded_rng(5000 + seed)
+        d = sample_digroup(rng)
+        q = random_representation(d, rng.randint(1, 3), rng, field)
+        w = random_representation(d, rng.randint(1, 3), rng, field)
+        pairs.append((to_semilinear(q), to_semilinear(w)))
+    if field == QQ:   # dimension 0 on either side
+        pairs += [sample_semilinear_pair(seed)[1:] for seed in range(6)]
+    classes = 0
+    for q, w in pairs:
+        on_hom, on_classes = per_vector_halo_actions(q, w)
+        assert g_action_on_hom(q, w).g_action == on_hom
+        res = ext1_BE(q, w)
+        assert res.g_action_on_classes == on_classes
+        classes += res.dim_ext > 0
+    assert classes >= 3
 
 
 def test_ext1_BE_vanishes_for_identity_idempotents():

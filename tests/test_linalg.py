@@ -7,7 +7,7 @@ import pytest
 from digrep import random_representation, seeded_rng
 from digrep.linalg import (DimensionError, FieldMismatchError, FpElement, Matrix,
                            PrimeField, QQ, SubspaceError, block_diag, block_image,
-                           block_kernel, complete, devectorize, hstack,
+                           block_kernel, complete, coordinates, devectorize, hstack,
                            intertwiners, quotient, solve, span_basis, contains,
                            sparse_kernel, vectorize, vstack)
 from _instances import sample_digroup
@@ -470,6 +470,33 @@ def test_contains_several_vectors_is_the_conjunction():
             assert single == ref
             assert contains(basis, *vecs) == all(single)
             assert contains(basis)
+
+
+def test_coordinates_of_several_columns_are_the_column_by_column_answers():
+    rng = random.Random(24)
+    for field in FIELDS:
+        for _ in range(40):
+            n = rng.randint(1, 5)
+            # non-unit denominators over Q, and dependent basis vectors
+            basis = [v.scale(rand_value(rng, field))
+                     for v in rand_vectors(rng, field, n, rng.randint(1, 4))]
+            k = rng.randint(1, 3)
+            coeffs = Matrix(field, len(basis), k,
+                            [rand_value(rng, field) if rng.random() < 0.7 else field.of(0)
+                             for _ in range(len(basis) * k)])
+            x = hstack(basis) * coeffs
+            c = coordinates(basis, x)
+            assert hstack(basis) * c == x
+            assert c == hstack([coordinates(basis, x.col_vector(j)) for j in range(k)])
+            outside = rand_matrix(rng, n, 1, -2, 2, field)
+            if not contains(basis, outside):
+                j = rng.randrange(k + 1)
+                cols = [x.col_vector(i) for i in range(k)]
+                assert coordinates(basis, hstack(cols[:j] + [outside] + cols[j:])) is None
+        for k in (0, 1, 3):
+            assert coordinates([], Matrix.zeros(field, 2, k)) == Matrix(field, 0, k, [])
+        assert coordinates([], hstack([Matrix.zeros(field, 2, 1),
+                                       Matrix.column(field, [0, 1])])) is None
 
 
 def dense_block_system(nblocks, h, w, equations, field):

@@ -143,6 +143,14 @@ def test_semilinear_axiom_checker():
         bad_t[d.group.identity] = Matrix.identity(a.field, a.dim).scale(QQ.of(2))
         broken = SemilinearObject(a.action, a.dim, a.eps, bad_t)
         assert "C1" in check_semilinear(broken).failures()
+    # the demo: eps_0 = [[1, 0], [0, 0]], eps_1 = [[1, 0], [1, 0]], t_1 = -I,
+    # C2 acting trivially on the halo; the report pins the first failing pair
+    m = to_semilinear(demo_representation())
+    band = SemilinearObject(m.action, 2, {0: m.eps[0], 1: Matrix.identity(QQ, 2)}, m.t)
+    assert check_semilinear(band).failures() == {"band": (1, 0)}
+    c3 = SemilinearObject(m.action, 2, m.eps,
+                          {0: m.t[0], 1: Matrix.from_rows(QQ, [[1, 0], [0, -1]])})
+    assert check_semilinear(c3).failures() == {"C3": (1, 1)}
 
 
 def test_sign_characters():
