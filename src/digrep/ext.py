@@ -126,7 +126,8 @@ def average_section(s, s0=None):
     characteristic zero; over F_p it requires p not dividing |G|.
     """
     field = s.V.field
-    n = s.V.digroup.group.order
+    group = s.V.digroup.group
+    n = group.order
     if field.char != 0 and n % field.char == 0:
         raise MaschkeError("characteristic %d divides the group order %d"
                            % (field.char, n))
@@ -140,10 +141,12 @@ def average_section(s, s0=None):
     rho_v = {g: s.V.rho[(g, 0)] for g in range(n)}
     if any(m != rho_v[g] for (g, _a), m in s.V.rho.items()):
         raise RepresentationError("rho of V depends on the halo index")
+    # Q's semilinear view is verified, and its C1 and C2 give
+    # rho_g rho_{g^-1} = rho_1 = I: rho_g^-1 is rho_{g^-1}
     rho_q = rho_group_form(s.Q)
     acc = Matrix.zeros(field, s.V.dim, s.Q.dim)
     for g in range(n):
-        acc = acc + rho_v[g] * s0 * rho_q[g].inverse()
+        acc = acc + rho_v[g] * s0 * rho_q[group.inv[g]]
     sec = acc.scale(field.of(1) / field.of(n))
     if s.pi * sec != Matrix.identity(field, s.Q.dim):
         raise RepresentationError("the averaged section is not a section of pi")
@@ -158,21 +161,37 @@ def block_decompose(s, sec):
 
     The right family must be block diagonal (sec equivariant), the left
     family upper triangular; the off-diagonal blocks form the cocycle.
+    sec is a section of pi and pi iota = 0, so the inverse of
+    C = [iota | sec] is [L (I - sec pi); pi] for any L with L iota = I:
+    one solve for L on k rows, certified by one product.
     """
     field = s.V.field
     k, n = s.W.dim, s.V.dim
-    C = hstack([s.iota, sec]) if n else Matrix(field, 0, 0, [])
-    Cinv = C.inverse()
+    C = hstack([s.iota, sec])
+    Lt = solve(s.iota.transpose(), Matrix.identity(field, k))
+    if Lt is None:
+        raise RepresentationError("iota is not injective")
+    L = Lt.transpose()
+    Cinv = vstack([L - L * sec * s.pi, s.pi])
+    if Cinv * C != Matrix.identity(field, n):
+        raise RepresentationError("sec is not a section of pi")
+    # each distinct operator is brought into the (iota, sec) basis once
+    memo = ContentMemo()
+    Cinv, C = memo.canon(Cinv), memo.canon(C)
+
+    def coords(m):
+        return memo.mul(memo.mul(Cinv, memo.canon(m)), C)
+
     theta = {}
     for x in s.V.digroup.elements:
-        t = Cinv * s.V.rho[x] * C
+        t = coords(s.V.rho[x])
         if not t.block(k, 0, n - k, k).is_zero():
             raise RepresentationError("section not equivariant at %r" % (x,))
         if not t.block(0, k, k, n - k).is_zero():
             raise RepresentationError("rho not block diagonal at %r" % (x,))
         if t.block(0, 0, k, k) != s.W.rho[x] or t.block(k, k, n - k, n - k) != s.Q.rho[x]:
             raise RepresentationError("rho diagonal blocks mismatch at %r" % (x,))
-        t = Cinv * s.V.lam[x] * C
+        t = coords(s.V.lam[x])
         if not t.block(k, 0, n - k, k).is_zero():
             raise RepresentationError("lam not upper triangular at %r" % (x,))
         if t.block(0, 0, k, k) != s.W.lam[x] or t.block(k, k, n - k, n - k) != s.Q.lam[x]:

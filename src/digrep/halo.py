@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .linalg import (Matrix, block_diag, block_image, block_kernel, coordinates,
                      devectorize, hstack, intertwiners, quotient, vectorize)
-from .reps import (RepresentationError, SemilinearObject,
+from .reps import (RepresentationError, SemilinearObject, once,
                    require_valid_semilinear, to_semilinear, hom_rep)
 from .ext import cocycle_space, ext1_dim, extension_from_cocycle, is_split
 from .digroup import Digroup, first_failure
@@ -75,31 +75,53 @@ def g_action_on_hom(q, w):
 
     Returns the basis together with the action matrices in basis
     coordinates, one solve per g for the images of the whole basis;
-    band-linearity of each g.f, closure and the action laws are verified.
+    (t_g^Q)^-1 is t_{g^-1}^Q (_t_inverses), and band-linearity of each
+    g.f, closure and the action laws are verified.
     """
     basis = hom_BE(q, w)
     group = q.action.group
     field = w.field
     n = w.dim * q.dim
-    vecs = [Matrix(field, n, 1, f.entries) for f in basis]
+    vecs = [f.reshape(n, 1) for f in basis]
+    tq_inv = _t_inverses(q)
     g_action = {}
     for g in range(group.order):
         tw = w.t[g]
-        tq_inv = q.t[g].inverse()
         images = []
         for f in basis:
-            gf = tw * f * tq_inv
+            gf = tw * f * tq_inv[g]
             for a in q.eps:
                 if gf * q.eps[a] != w.eps[a] * gf:
                     raise RepresentationError(
                         "g.f leaves the band-linear maps at g=%d" % g)
-            images.append(Matrix(field, n, 1, gf.entries))
+            images.append(gf.reshape(n, 1))
         c = coordinates(vecs, _columns(field, n, images))
         if c is None:
             raise RepresentationError("g.f leaves the span at g=%d" % g)
         g_action[g] = c
     _check_action_laws(g_action, group, "Hom")
     return HomSpaceWithAction(basis, g_action)
+
+
+def _t_inverses(q):
+    """{g: (t_g^Q)^-1}, read as t_{g^-1}^Q: no elimination.
+
+    One product per pair {g, g^-1} certifies it, once per object (a
+    square matrix's right inverse is its inverse): RepresentationError
+    unless t_g t_{g^-1} = I.
+    """
+    def certified():
+        group, t, inv = q.action.group, q.t, {}
+        for g in range(group.order):
+            h = group.inv[g]
+            if h < g:
+                continue
+            if t[h].rows != t[h].cols or t[g] * t[h] != Matrix.identity(t[h].field, t[h].rows):
+                raise RepresentationError("t_g t_(g^-1) != I at g=%d" % g)
+            inv[g], inv[h] = t[h], t[g]
+        return inv
+
+    return once(q, "t_inverses", certified)
 
 
 def _columns(field, n, vectors):
@@ -147,9 +169,9 @@ def ext1_BE(q, w):
     Z = {eta : eps_a^W eta_b + eta_a eps_b^Q = eta_a for all a, b} is the
     compatibility condition for the block upper-triangular extension, and
     B is the effect of a block change of basis.  The group acts on
-    classes by (g.eta)_a = t_g^W eta_{g^-1.a} (t_g^Q)^-1; this lift is
-    verified to preserve Z and B and to satisfy the action laws, and any
-    failure raises rather than being repaired silently.
+    classes by (g.eta)_a = t_g^W eta_{g^-1.a} t_{g^-1}^Q (_t_inverses);
+    this lift is verified to preserve Z and B and to satisfy the action
+    laws, and any failure raises rather than being repaired silently.
     """
     if len(q.eps) != len(w.eps):
         raise RepresentationError("halo size mismatch")
@@ -177,11 +199,12 @@ def ext1_BE(q, w):
     # one solve per g of g.[B | reps] in [B | reps]: the lift preserves Z
     # when it is solvable and B when its lower-left block is zero; the
     # lower-right block is the action on classes
+    tq_inv = _t_inverses(q)
     g_classes = {}
     for g in range(group.order):
-        tw, tq_inv, ginv = w.t[g], q.t[g].inverse(), group.inv[g]
-        images = [vectorize({a: tw * eta[q.action.apply(ginv, a)] * tq_inv for a in keys},
-                            keys, dw, dq) for eta in etas]
+        tw, ginv = w.t[g], group.inv[g]
+        images = [vectorize({a: tw * eta[q.action.apply(ginv, a)] * tq_inv[g]
+                             for a in keys}, keys, dw, dq) for eta in etas]
         c = coordinates(full, _columns(field, m * dw * dq, images))
         if c is None:
             raise RepresentationError(
@@ -253,18 +276,13 @@ def induction_L(m, d):
     dm = m.dim
     dim = g_ord * dm
     field = m.field
-    z = field.of(0)
     eps = {a: block_diag(field, [m.eps[d.action.apply(d.group.inv[g], a)]
                                  for g in range(g_ord)])
            for a in range(d.halo_size)}
-    t = {}
-    for h in range(g_ord):
-        rows = [[z] * dim for _ in range(dim)]
-        for g in range(g_ord):
-            hg = d.group.mul[h][g]
-            for i in range(dm):
-                rows[hg * dm + i][g * dm + i] = field.of(1)
-        t[h] = Matrix.from_rows(field, rows) if dim else Matrix(field, 0, 0, [])
+    # column block g of t_h is column block h g of the identity
+    ident = Matrix.identity(field, dim)
+    t = {h: hstack([ident.block(0, d.group.mul[h][g] * dm, dim, dm) for g in range(g_ord)])
+         for h in range(g_ord)}
     return require_valid_semilinear(SemilinearObject(d.action, dim, eps, t))
 
 

@@ -7,32 +7,35 @@ operations are pure functions; there is no floating point anywhere.
 Scalars are fractions.Fraction in rational mode, or FpElement in prime
 field mode.  A matrix remembers its field and refuses to mix modes.
 
-A Matrix stores its entries densely, and computes once and keeps its
-integer image: over Q the numerators over one least common denominator d,
-over GF(p) the residues (d = 1).  Equal matrices have equal images, so ==
-and hash read the image.  The kernels compute on Python ints, never on
-Fraction or FpElement, and build their outputs from a table of shared
-scalars; the field supplies the only differences: its char as the modulus
-(0 over Q), how a pivot row is normalized, and the scalars.
+A Matrix holds its canonical integer image: over Q the numerators over
+their least common denominator d > 0, over GF(p) the residues (d = 1).
+Equal matrices have equal images, so == and hash read the image.  Every
+operation computes on Python ints, never on Fraction or FpElement, and
+returns a canonical image; the scalars are made from a table of shared
+ones only when entries, [i, j], to_lists or JSON asks for them (a matrix
+built from scalars keeps them and computes its image once).  The field
+supplies the only differences: its char as the modulus (0 over Q), the
+canonical form, how a pivot row is normalized, and the scalars.
 
 The kernels work on dict rows {column: int} that hold only the nonzero
-entries: the product adds a multiple of row t of the right factor's image
-for each nonzero entry (i, t) of the left one, and is A'B' over d_A d_B.
-There is one elimination, _reduce: Gauss-Jordan on rows that come in one
-at a time, fraction-free (Bareiss, Math. Comp. 1968, dividing by the row
-content in place of the exact division): a row is replaced by a multiple
-of itself minus a multiple of a pivot row.  Its pivot rows, over their
-pivot entries, are the RREF, and every linear question asks it once:
-rref builds R from them, sparse_kernel reads the kernel off them, and
-span_basis, complete and block_image hand it integer images directly.  The
-product and _reduce share one inner loop, _axpy (row += f * other), so no
-kernel spends arithmetic on a zero; the operators this package builds
-(idempotents, permutation blocks, monomial structure constants) are
-mostly zeros.
+entries: the product walks the nonzero entries (i, t) of the left
+factor's image, adding a multiple of row t of the right one, and is A'B'
+over d_A d_B.  There is one elimination, _reduce: Gauss-Jordan on rows
+that come in one at a time, fraction-free (Bareiss, Math. Comp. 1968,
+dividing by the row content in place of the exact division): a row is
+replaced by a multiple of itself minus a multiple of a pivot row.  Its
+pivot rows, over their pivot entries, are the RREF, and every linear
+question asks it once: rref builds R from them, solve and sparse_kernel
+read their answers off them, and span_basis, complete and block_image
+hand it integer images directly.  The product and _reduce share one
+inner loop, _axpy (row += f * other), so no kernel spends arithmetic on
+a zero; the operators this package builds (idempotents, permutation
+blocks, monomial structure constants) are mostly zeros.
 
 Each linear-algebra operation the package needs has its one home here:
 
-* blocks: Matrix.block extracts one, hstack / vstack / block_diag build;
+* blocks: Matrix.block extracts one, hstack / vstack / block_diag build,
+  Matrix.reshape keeps the entries in another shape;
 * subspaces (lists of column vectors): span_basis (canonical basis),
   complete (the vectors extending one span to another), contains
   (membership of any number of vectors: complete keeps none), quotient
@@ -126,18 +129,21 @@ class RationalField:
             return tuple([x.numerator for x in values]), 1
         return tuple([x.numerator * (d // x.denominator) for x in values]), d
 
-    def _scalars(self, nums, d):
-        """The canonical image of the values nums / d, and the values."""
+    def _canon(self, nums, d):
+        """The canonical image of the values nums / d (d > 0): d and the
+        numerators coprime."""
         if d != 1:
             g = gcd(d, *nums)
             if g != 1:
-                nums = [x // g for x in nums]
-                d //= g
+                return tuple([x // g for x in nums]), d // g
+        return tuple(nums), d
+
+    def _scalars(self, nums, d):
+        """The values nums / d of a canonical image, shared where integral."""
         shared = self._shared
         if d == 1:
-            return (tuple(nums), 1), [shared[x] for x in nums]
-        return (tuple(nums), d), [Fraction(x, d) if x % d else shared[x // d]
-                                  for x in nums]
+            return tuple([shared[x] for x in nums])
+        return tuple([Fraction(x, d) if x % d else shared[x // d] for x in nums])
 
     def _normalize(self, row, c):
         """Scale an int row to coprime entries with row[c] > 0."""
@@ -243,15 +249,18 @@ class PrimeField:
             raise FieldMismatchError("mixed scalar modes")
         return tuple([x.v for x in values]), 1
 
-    def _scalars(self, nums, d):
-        """The canonical image of the values nums / d, and the values."""
+    def _canon(self, nums, d):
+        """The canonical image of the values nums / d: residues over 1."""
         p = self.p
         if d != 1:
             inv = pow(d, -1, p)
-            nums = [x * inv for x in nums]
-        nums = tuple([x % p for x in nums])
+            return tuple([x * inv % p for x in nums]), 1
+        return tuple([x % p for x in nums]), 1
+
+    def _scalars(self, nums, d):
+        """The values of a canonical image, shared."""
         shared = self._shared
-        return (nums, 1), [shared[x] for x in nums]
+        return tuple([shared[x] for x in nums])
 
     def _normalize(self, row, c):
         """Scale an int row to row[c] = 1 mod p."""
@@ -282,14 +291,16 @@ class PrimeField:
 
 
 class Matrix:
-    """Immutable dense matrix; entries stored row-major.
+    """Immutable matrix over a field, held as its canonical integer image.
 
-    Its integer image (see _image) is computed on first use and kept, and
-    so are the image's nonzero rows once it is the right factor of a
-    product.
+    The image (nums, d) lists the entries row-major as nums / d (see the
+    module docstring for its canonical form).  The field scalars are made
+    the first time they are asked for, and kept; a matrix built from
+    scalars keeps them and computes its image on first use.  The image's
+    nonzero rows are kept once the matrix is a factor of a product.
     """
 
-    __slots__ = ("field", "rows", "cols", "entries", "_img", "_nonzero_rows")
+    __slots__ = ("field", "rows", "cols", "_ents", "_img", "_nonzero_rows")
 
     def __init__(self, field, rows, cols, entries):
         entries = tuple(entries)
@@ -298,41 +309,54 @@ class Matrix:
         self.field = field
         self.rows = rows
         self.cols = cols
-        self.entries = entries
+        self._ents = entries
         self._img = None
         self._nonzero_rows = None
 
     @classmethod
     def _of_image(cls, field, rows, cols, nums, d=1):
-        """The matrix of the row-major ints nums over d, its image kept."""
-        img, entries = field._scalars(nums, d)
-        m = cls(field, rows, cols, entries)
-        m._img = img
+        """The matrix of the row-major ints nums over d, brought to canonical form."""
+        m = cls.__new__(cls)
+        m.field, m.rows, m.cols = field, rows, cols
+        m._img, m._ents, m._nonzero_rows = field._canon(nums, d), None, None
         return m
 
-    def _image(self):
-        """The canonical integer image (nums, d) of the entries, computed once.
+    @property
+    def entries(self):
+        """The entries row-major, as field scalars."""
+        ents = self._ents
+        if ents is None:
+            ents = self._ents = self.field._scalars(*self._img)
+        return ents
 
-        Over Q the entries are nums / d with d their least common
-        denominator; over GF(p) nums are the residues and d is 1.  Equal
-        matrices over one field have equal images.
+    def _image(self):
+        """The canonical integer image (nums, d), computed once.
+
+        Equal matrices over one field have equal images.
         """
         img = self._img
         if img is None:
-            img = self._img = self.field._image(self.entries)
+            img = self._img = self.field._image(self._ents)
         return img
+
+    def _rows(self):
+        """The nonzero entries {column: int} of each row of the image, kept."""
+        rows = self._nonzero_rows
+        if rows is None:
+            rows = self._nonzero_rows = _int_rows(self._image()[0], self.rows, self.cols)
+        return rows
 
     # -- construction -----------------------------------------------------
 
     @classmethod
     def zeros(cls, field, rows, cols):
-        z = field.of(0)
-        return cls(field, rows, cols, [z] * (rows * cols))
+        return cls._of_image(field, rows, cols, [0] * (rows * cols))
 
     @classmethod
     def identity(cls, field, n):
-        z, o = field.of(0), field.of(1)
-        return cls(field, n, n, [o if i == j else z for i in range(n) for j in range(n)])
+        nums = [0] * (n * n)
+        nums[::n + 1] = [1] * n
+        return cls._of_image(field, n, n, nums)
 
     @classmethod
     def from_rows(cls, field, rows):
@@ -355,6 +379,16 @@ class Matrix:
     def column(cls, field, values):
         return cls.from_rows(field, [[v] for v in values])
 
+    def reshape(self, rows, cols):
+        """The same row-major entries as a rows x cols matrix."""
+        if rows * cols != self.rows * self.cols:
+            raise DimensionError("cannot reshape %dx%d to %dx%d"
+                                 % (self.rows, self.cols, rows, cols))
+        m = Matrix.__new__(Matrix)
+        m.field, m.rows, m.cols = self.field, rows, cols
+        m._img, m._ents, m._nonzero_rows = self._img, self._ents, None
+        return m
+
     # -- access -----------------------------------------------------------
 
     def __getitem__(self, ij):
@@ -366,11 +400,18 @@ class Matrix:
 
     def block(self, i0, j0, h, w):
         """The h x w submatrix whose top-left entry is (i0, j0)."""
-        return Matrix(self.field, h, w,
-                      [self[i0 + i, j0 + j] for i in range(h) for j in range(w)])
+        if min(i0, j0, h, w) < 0 or i0 + h > self.rows or j0 + w > self.cols:
+            raise DimensionError("block %dx%d at (%d, %d) outside %dx%d"
+                                 % (h, w, i0, j0, self.rows, self.cols))
+        nums, d = self._image()
+        out = []
+        for i in range(i0, i0 + h):
+            at = i * self.cols + j0
+            out += nums[at:at + w]
+        return Matrix._of_image(self.field, h, w, out, d)
 
     def col_vector(self, j):
-        return Matrix(self.field, self.rows, 1, [self[i, j] for i in range(self.rows)])
+        return self.block(0, j, self.rows, 1)
 
     def to_lists(self):
         return [self.row_list(i) for i in range(self.rows)]
@@ -390,47 +431,61 @@ class Matrix:
 
     def __add__(self, other):
         self._compat(other, True)
-        return Matrix(self.field, self.rows, self.cols,
-                      [a + b for a, b in zip(self.entries, other.entries)])
+        (a, b), d = _common_image((self, other))
+        return Matrix._of_image(self.field, self.rows, self.cols,
+                                [x + y for x, y in zip(a, b)], d)
 
     def __sub__(self, other):
         self._compat(other, True)
-        return Matrix(self.field, self.rows, self.cols,
-                      [a - b for a, b in zip(self.entries, other.entries)])
+        (a, b), d = _common_image((self, other))
+        return Matrix._of_image(self.field, self.rows, self.cols,
+                                [x - y for x, y in zip(a, b)], d)
 
     def __neg__(self):
-        return Matrix(self.field, self.rows, self.cols, [-a for a in self.entries])
+        nums, d = self._image()
+        return Matrix._of_image(self.field, self.rows, self.cols, [-x for x in nums], d)
 
     def __mul__(self, other):
+        """The product, A'B' over d_A d_B: for each nonzero entry (i, t) of
+        the left image, a multiple of row t of the right one."""
         self._compat(other, False)
         if self.cols != other.rows:
             raise DimensionError("cannot multiply %dx%d by %dx%d"
                                  % (self.rows, self.cols, other.rows, other.cols))
-        n, m, k = self.rows, self.cols, other.cols
-        ents, d = self._image()
-        bents, bd = other._image()
-        brows = other._nonzero_rows
-        if brows is None:
-            brows = other._nonzero_rows = _int_rows(bents, m, k)   # read only
-        out = [0] * (n * k)
-        for i in range(n):
+        k = other.cols
+        brows = other._rows()
+        out = [0] * (self.rows * k)
+        for i, arow in enumerate(self._rows()):
+            if not arow:
+                continue
+            base = i * k
+            if len(arow) == 1:   # a scaled row of the right factor
+                [(t, a)] = arow.items()
+                for j, x in brows[t].items():
+                    out[base + j] = a * x
+                continue
             acc = {}
-            for t, a in enumerate(ents[i * m:(i + 1) * m]):
-                if a:
-                    _axpy(acc, a, brows[t], 0)
+            for t, a in arow.items():
+                _axpy(acc, a, brows[t], 0)
             for j, x in acc.items():
-                out[i * k + j] = x
-        return Matrix._of_image(self.field, n, k, out, d * bd)
+                out[base + j] = x
+        return Matrix._of_image(self.field, self.rows, k, out,
+                                self._image()[1] * other._image()[1])
 
     def scale(self, c):
-        return Matrix(self.field, self.rows, self.cols, [c * a for a in self.entries])
+        (cn,), cd = self.field._image((c,))
+        nums, d = self._image()
+        return Matrix._of_image(self.field, self.rows, self.cols,
+                                [cn * x for x in nums], d * cd)
 
     def transpose(self):
-        return Matrix(self.field, self.cols, self.rows,
-                      [self[i, j] for j in range(self.cols) for i in range(self.rows)])
+        nums, d = self._image()
+        c = self.cols
+        return Matrix._of_image(self.field, c, self.rows,
+                                [x for j in range(c) for x in nums[j::c]], d)
 
     def is_zero(self):
-        return not any(self.entries)
+        return not any(self._image()[0])
 
     def __eq__(self, other):
         return self is other or (
@@ -475,6 +530,13 @@ class Matrix:
         return x
 
 
+def _common_image(mats):
+    """The images of the matrices over one common denominator: ([nums], d)."""
+    imgs = [m._image() for m in mats]
+    d = lcm(*[e for _, e in imgs])
+    return [nums if e == d else [x * (d // e) for x in nums] for nums, e in imgs], d
+
+
 def hstack(mats):
     mats = list(mats)
     field = mats[0].field
@@ -484,25 +546,26 @@ def hstack(mats):
             raise DimensionError("hstack row mismatch")
         if m.field != field:
             raise FieldMismatchError("mixed scalar modes")
-    ents = []
+    parts, d = _common_image(mats)
+    out = []
     for i in range(rows):
-        for m in mats:
-            ents.extend(m.row_list(i))
-    return Matrix(field, rows, sum(m.cols for m in mats), ents)
+        for nums, m in zip(parts, mats):
+            out += nums[i * m.cols:(i + 1) * m.cols]
+    return Matrix._of_image(field, rows, sum(m.cols for m in mats), out, d)
 
 
 def vstack(mats):
     mats = list(mats)
     field = mats[0].field
     cols = mats[0].cols
-    ents = []
     for m in mats:
         if m.cols != cols:
             raise DimensionError("vstack col mismatch")
         if m.field != field:
             raise FieldMismatchError("mixed scalar modes")
-        ents.extend(m.entries)
-    return Matrix(field, sum(m.rows for m in mats), cols, ents)
+    parts, d = _common_image(mats)
+    return Matrix._of_image(field, sum(m.rows for m in mats), cols,
+                            [x for nums in parts for x in nums], d)
 
 
 def block_diag(field, blocks):
@@ -519,22 +582,25 @@ def block_diag(field, blocks):
 def solve(a, b):
     """Some x with a x = b, or None if the system is inconsistent.
 
-    Free variables are set to zero, so the answer is deterministic.
+    Free variables are set to zero, so the answer is deterministic: one
+    elimination of [a | b], and x[c] is the pivot row of c read off at b's
+    columns, over its pivot entry.
     """
     a._compat(b, False)
     if a.rows != b.rows:
         raise DimensionError("solve: row mismatch")
-    aug = hstack([a, b])
-    R, piv = aug.rref()
-    for pc in piv:
-        if pc >= a.cols:
-            return None
-    z = a.field.of(0)
-    out = [[z] * b.cols for _ in range(a.cols)]
-    for i, pc in enumerate(piv):
-        for j in range(b.cols):
-            out[pc][j] = R[i, a.cols + j]
-    return Matrix.from_rows(a.field, out) if a.cols else Matrix(a.field, 0, b.cols, [])
+    n, k = a.cols, b.cols
+    pivots = _reduce(hstack([a, b])._rows(), a.field)
+    if any(c >= n for c in pivots):
+        return None
+    d = lcm(*[prow[c] for c, prow in pivots.items()])
+    out = [0] * (n * k)
+    for c, prow in pivots.items():
+        s = d // prow[c]
+        for cc, x in prow.items():
+            if cc >= n:
+                out[c * k + cc - n] = x * s
+    return Matrix._of_image(a.field, n, k, out, d)
 
 
 class ContentMemo:
@@ -731,18 +797,15 @@ def _reduce(rows, field):
 
 def vectorize(blocks, keys, h, w):
     """The h x w matrices blocks[k], for k in keys in order, as one column."""
-    field = next(iter(blocks.values())).field if blocks else None
-    vals = []
-    for k in keys:
-        vals.extend(blocks[k].entries)
-    return Matrix(field, len(keys) * h * w, 1, vals)
+    return vstack([blocks[k].reshape(h * w, 1) for k in keys])
 
 
 def devectorize(v, keys, h, w, field):
-    """The inverse of vectorize: {k: the k-th h x w block of v}."""
+    """The inverse of vectorize: {k: the k-th h x w block of v}; v is over field."""
+    if v.field != field:
+        raise FieldMismatchError("mixed scalar modes")
     blk = h * w
-    return {k: Matrix(field, h, w, v.entries[n * blk:(n + 1) * blk])
-            for n, k in enumerate(keys)}
+    return {k: v.block(n * blk, 0, blk, 1).reshape(h, w) for n, k in enumerate(keys)}
 
 
 def block_kernel(nblocks, h, w, equations, field):
@@ -786,8 +849,7 @@ def intertwiners(pairs, d_src, d_dst, field):
     """
     o, neg = field.of(1), field.of(-1)
     eqs = [[(o, None, 0, a), (neg, b, 0, None)] for a, b in dict.fromkeys(pairs)]
-    return [Matrix(field, d_dst, d_src, v.entries)
-            for v in block_kernel(1, d_dst, d_src, eqs, field)]
+    return [v.reshape(d_dst, d_src) for v in block_kernel(1, d_dst, d_src, eqs, field)]
 
 
 def _block_rows(h, w, equations, field):

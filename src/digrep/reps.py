@@ -154,7 +154,7 @@ def sub_quotient(r, basis):
     n = r.dim
     k = len(basis)
     # the pivot of each RREF row is its first nonzero entry
-    piv = [next(i for i, x in enumerate(v.entries) if x) for v in basis]
+    piv = [next(i for i, x in enumerate(v._image()[0]) if x) for v in basis]
     compl = [c for c in range(n) if c not in piv]
     ident = Matrix.identity(field, n)
     cols = list(basis) + [ident.col_vector(c) for c in compl]

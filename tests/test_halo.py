@@ -110,6 +110,30 @@ def test_ext1_BE_rejects_a_group_lift_that_leaves_the_eta_space():
         ext1_BE(v, bad)
 
 
+def test_group_law_inverses_are_certified():
+    # t[g^-1] is no longer the inverse of t[g], built without validation:
+    # the halo G-actions read t_g^-1 as t[g^-1] and must refuse it
+    rng = seeded_rng(17)
+    d = sample_digroup(rng, group_names=("C3",))
+    v = random_semilinear(d, 2, rng)
+    t = dict(v.t)
+    t[d.group.inv[1]] = t[d.group.inv[1]].scale(QQ.of(2))
+    bad = SemilinearObject(v.action, v.dim, dict(v.eps), t)
+    for f in (g_action_on_hom, ext1_BE):
+        with pytest.raises(RepresentationError, match=r"t_g t_\(g\^-1\) != I"):
+            f(bad, v)
+
+
+def test_verify_collapse_inverts_no_matrix(monkeypatch):
+    _, q, w = sample_pair(1000)
+    calls = []
+    inverse = Matrix.inverse
+    monkeypatch.setattr(Matrix, "inverse", lambda m: calls.append(m) or inverse(m))
+    report = verify_collapse(q, w)
+    assert report["collapse_ok"] and report["splitting_criterion_checked"]
+    assert calls == []
+
+
 @pytest.mark.parametrize("field", (QQ, PrimeField(7)), ids=repr)
 def test_halo_actions_match_the_per_vector_reference(field):
     """One solve per g gives the actions that solving each vector gives."""

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 
@@ -289,6 +289,18 @@ def assert_field_scalars(m):
             assert type(x) is FpElement and x.p == m.field.p
 
 
+def assert_canonical_image(m):
+    """The image is canonical and the entries are its values."""
+    nums, d = m._image()
+    assert len(nums) == m.rows * m.cols
+    if m.field == QQ:
+        assert d > 0 and gcd(d, *nums) == 1
+        assert m.entries == tuple(Fraction(x, d) for x in nums)
+    else:
+        assert d == 1 and all(0 <= x < m.field.p for x in nums)
+        assert m.entries == tuple(FpElement(x, m.field.p) for x in nums)
+
+
 def kernel_cases(rng, field):
     """Random shapes and densities 0.1-1.0, all-zero matrices and empty shapes."""
     shapes = [(rng.randint(1, 7), rng.randint(1, 7), rng.randint(1, 7)) for _ in range(40)]
@@ -342,8 +354,44 @@ def test_equality_and_hash_follow_the_entries():
             made["bumped"] = [Matrix(field, n, m, bumped)]
             made["reshaped"] = [Matrix(field, m, n, a.entries)]
             made["twice"] = [a + a, a * Matrix.identity(field, m).scale(field.of(2))]
+            # every constructor that works on the integer image, against the
+            # same matrix built from scalars
+            half, third = field.of(1) / field.of(2), field.of(1) / field.of(3)
+            rows = a.to_lists()
+            i, j = rng.randint(0, n), rng.randint(0, m)
+            made["a"] += [a.block(0, 0, n, m), -(-a), a.scale(third).scale(field.of(3)),
+                          a.transpose().transpose(), a.reshape(m, n).reshape(n, m),
+                          a.reshape(n * m, 1).reshape(n, m), (a - a) + a,
+                          hstack([a.block(0, 0, n, j), a.block(0, j, n, m - j)]),
+                          vstack([a.block(0, 0, i, m), a.block(i, 0, n - i, m)])]
+            made["reshaped"].append(a.reshape(m, n))
+            i0, j0 = rng.randrange(n), rng.randrange(m)
+            h, w = rng.randint(1, n - i0), rng.randint(1, m - j0)
+            made["block"] = [a.block(i0, j0, h, w),
+                             Matrix.from_rows(field, [r[j0:j0 + w] for r in rows[i0:i0 + h]])]
+            # parts over different denominators
+            made["hstack"] = [hstack([a, a.scale(half)]),
+                              Matrix.from_rows(field, [r + [x * half for x in r] for r in rows])]
+            made["vstack"] = [vstack([a.scale(third), a]),
+                              Matrix.from_rows(field, [[x * third for x in r] for r in rows]
+                                               + rows)]
+            made["transpose"] = [a.transpose(),
+                                 Matrix.from_rows(field, [list(c) for c in zip(*rows)])]
+            made["zeros"] = [a - a, Matrix.zeros(field, n, m), a.scale(field.of(0)),
+                             Matrix.from_rows(field, [[0] * m for _ in range(n)])]
+            made["identity"] = [Matrix.identity(field, n), Matrix.identity(field, n).transpose(),
+                                Matrix.from_rows(field, [[int(r == c) for c in range(n)]
+                                                         for r in range(n)])]
+            # left factor rows with no, one and two nonzero entries
+            picks = [rng.sample(range(n), min(n, r % 3)) for r in range(n)]
+            sel = Matrix(field, n, n, [rand_value(rng, field) if c in picks[r] else field.of(0)
+                                       for r in range(n) for c in range(n)])
+            made["product"] = [sel * a, dense_product(sel, a)]
+            lazy = sel * a   # no scalar is made until one is asked for
+            assert lazy._ents is None and lazy.entries == made["product"][1].entries
             pool = [(x, name) for name, group in made.items() for x in group]
             for x, _ in pool:
+                assert_canonical_image(x)
                 assert_field_scalars(x)
             for x, xn in pool:
                 for y, yn in pool:

@@ -3,32 +3,60 @@ import pathlib
 
 import digrep
 
-
-def test_no_assert_statement_in_the_package():
-    # python -O strips assert statements, so none may guard an answer
-    src = pathlib.Path(digrep.__file__).parent
-    found = ["%s:%d" % (p.name, node.lineno) for p in sorted(src.glob("*.py"))
-             for node in ast.walk(ast.parse(p.read_text()))
-             if isinstance(node, ast.Assert)]
-    assert found == []
+SRC = pathlib.Path(digrep.__file__).parent
 
 
-def test_only_reduce_eliminates():
-    # _eliminate, the row step of Gauss-Jordan, is called from linalg._reduce
-    # alone, so every elimination of the package is that one loop
-    src = pathlib.Path(digrep.__file__).parent
-    callers = set()
+def modules():
+    return [(p.stem, ast.parse(p.read_text())) for p in sorted(SRC.glob("*.py"))]
+
+
+def callers(name):
+    """The dotted scopes (module.class.function) that call name."""
+    found = set()
 
     def visit(node, scope):
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             scope = scope + (node.name,)
         if isinstance(node, ast.Call):
             f = node.func
-            if getattr(f, "id", None) == "_eliminate" or getattr(f, "attr", None) == "_eliminate":
-                callers.add(".".join(scope))
+            if getattr(f, "id", None) == name or getattr(f, "attr", None) == name:
+                found.add(".".join(scope))
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
 
-    for p in sorted(src.glob("*.py")):
-        visit(ast.parse(p.read_text()), (p.stem,))
-    assert callers == {"linalg._reduce"}
+    for stem, tree in modules():
+        visit(tree, (stem,))
+    return found
+
+
+def test_no_assert_statement_in_the_package():
+    # python -O strips assert statements, so none may guard an answer
+    found = ["%s:%d" % (stem, node.lineno) for stem, tree in modules()
+             for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_only_reduce_eliminates():
+    # _eliminate, the row step of Gauss-Jordan, is called from linalg._reduce
+    # alone, so every elimination of the package is that one loop
+    assert callers("_eliminate") == {"linalg._reduce"}
+
+
+def test_scalars_are_made_only_on_demand():
+    # a Matrix holds its integer image; the field's scalars are built by the
+    # lazy entries alone, and no module outside linalg rebuilds a matrix
+    # from another matrix's entries (reshape keeps the image)
+    assert callers("_scalars") == {"linalg.Matrix.entries"}
+    found = ["%s:%d" % (stem, node.lineno) for stem, tree in modules() if stem != "linalg"
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and builds_matrix(node)
+             and any(isinstance(a, ast.Attribute) and a.attr == "entries"
+                     for arg in node.args for a in ast.walk(arg))]
+    assert found == []
+
+
+def builds_matrix(call):
+    """Whether the call is Matrix(...) or Matrix.<constructor>(...)."""
+    f = call.func
+    return "Matrix" in (getattr(f, "id", None), getattr(f, "attr", None),
+                        getattr(getattr(f, "value", None), "id", None))
