@@ -12,6 +12,9 @@ Subcommands:
 
 Exit codes: 0 success, 1 axiom or cross-check failure, 2 unreadable or
 malformed input.
+
+One parser serves every main() call of a process: it is built on the
+first call (not at import) and holds no state between calls.
 """
 
 from __future__ import annotations
@@ -34,8 +37,7 @@ from .serialize import (WORK_CAPS, FormatError, digroup_from_json,
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except FormatError as e:
@@ -44,6 +46,17 @@ def main(argv=None):
     except (RepresentationError, GroupTableError, MaschkeError, ValueError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 1
+
+
+_the_parser = None
+
+
+def _parser():
+    """The process's one parser, built on the first main() call."""
+    global _the_parser
+    if _the_parser is None:
+        _the_parser = build_parser()
+    return _the_parser
 
 
 def build_parser():

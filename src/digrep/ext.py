@@ -5,6 +5,8 @@ against the invertible right family by group averaging; the left family
 then leaves an off-diagonal cocycle family theta.  Ext^1(Q, W) is the
 space of such families modulo the coboundaries coming from changing the
 section, and an extension splits exactly when its class vanishes.
+Each Z^1 basis family is scanned exhaustively, and B^1 is certified to
+lie in Z^1 by one span inclusion test (see _coboundary_columns).
 """
 
 from __future__ import annotations
@@ -12,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .digroup import AxiomReport, first_failure
-from .linalg import (ContentMemo, Matrix, block_kernel, coordinates, devectorize,
-                     hstack, intertwiners, quotient, solve, span_basis,
+from .linalg import (ContentMemo, Matrix, block_kernel, contains, coordinates,
+                     devectorize, hstack, intertwiners, quotient, solve, span_basis,
                      vectorize, vstack)
 from .reps import (Representation, RepresentationError, lambda_factorization,
                    once, require_ok, rho_group_form, require_valid)
@@ -282,26 +284,45 @@ def coboundary(t, Q, W):
     t is checked to intertwine rho on every call; the family goes through
     require_cocycle, so each distinct family is checked once per (Q, W).
     """
+    return CocycleFamily(require_cocycle(_delta(t, Q, W), Q, W))
+
+
+def _delta(t, Q, W):
+    """x -> W.lam[x] t - t Q.lam[x], for a t checked to intertwine rho."""
     rho_w = rho_group_form(W)
     rho_q = rho_group_form(Q)
     for g in rho_w:
         if rho_w[g] * t != t * rho_q[g]:
             raise RepresentationError("t is not a rho-intertwiner at g=%d" % g)
-    theta = {x: W.lam[x] * t - t * Q.lam[x] for x in Q.digroup.elements}
-    return CocycleFamily(require_cocycle(theta, Q, W))
+    return {x: W.lam[x] * t - t * Q.lam[x] for x in Q.digroup.elements}
 
 
 def coboundary_space(Q, W):
-    """Canonical basis of B^1 as vectorized columns (may be empty)."""
+    """Canonical basis of B^1, certified in Z^1, as vectorized columns (may be empty)."""
     return span_basis(_coboundary_columns(Q, W))
 
 
 def _coboundary_columns(Q, W):
-    """Vectorized coboundaries of the hom_rho basis, in its order; once per pair."""
+    """Vectorized coboundaries of the hom_rho basis, in its order; once per pair.
+
+    The identities are linear, so the span of the verified Z^1 basis holds
+    only cocycles: one contains elimination certifies every column.
+    """
+    def make():
+        elems = Q.digroup.elements
+        cols = [vectorize(_delta(t, Q, W), elems, W.dim, Q.dim)
+                for t in hom_rho(Q, W)]
+        if cols and not contains(_cocycle_columns(Q, W), *cols):
+            raise RepresentationError(
+                "a coboundary lies outside the verified cocycle space")
+        return cols
+    return list(once((Q, W), "cob", make))
+
+
+def _cocycle_columns(Q, W):
+    """The verified Z^1 basis as vectorized columns."""
     elems = Q.digroup.elements
-    return list(once((Q, W), "cob", lambda: [
-        vectorize(coboundary(t, Q, W).theta, elems, W.dim, Q.dim)
-        for t in hom_rho(Q, W)]))
+    return [vectorize(f.theta, elems, W.dim, Q.dim) for f in cocycle_space(Q, W)]
 
 
 def ext1_dim(Q, W):
@@ -311,13 +332,11 @@ def ext1_dim(Q, W):
     if field.char != 0 and n % field.char == 0:
         raise MaschkeError("characteristic %d divides the group order %d"
                            % (field.char, n))
-    d = Q.digroup
-    elems = d.elements
+    elems = Q.digroup.elements
     dw, dq = W.dim, Q.dim
-    zfam = cocycle_space(Q, W)
+    zvecs = _cocycle_columns(Q, W)
     if dw * dq == 0:
         return Ext1Result(0, 0, 0, [])
-    zvecs = [vectorize(f.theta, elems, dw, dq) for f in zfam]
     bvecs = coboundary_space(Q, W)
     basis = [CocycleFamily(devectorize(v, elems, dw, dq, field))
              for v in quotient(bvecs, zvecs)]

@@ -424,7 +424,7 @@ class Matrix:
     def _compat(self, other, same_shape):
         if not isinstance(other, Matrix):
             raise TypeError("expected Matrix")
-        if self.field != other.field:
+        if self.field is not other.field and self.field != other.field:
             raise FieldMismatchError("mixed scalar modes")
         if same_shape and (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionError("shape mismatch")
@@ -489,7 +489,8 @@ class Matrix:
 
     def __eq__(self, other):
         return self is other or (
-            isinstance(other, Matrix) and self.field == other.field
+            isinstance(other, Matrix)
+            and (self.field is other.field or self.field == other.field)
             and self.rows == other.rows and self.cols == other.cols
             and self._image() == other._image())
 
@@ -544,7 +545,7 @@ def hstack(mats):
     for m in mats:
         if m.rows != rows:
             raise DimensionError("hstack row mismatch")
-        if m.field != field:
+        if m.field is not field and m.field != field:
             raise FieldMismatchError("mixed scalar modes")
     parts, d = _common_image(mats)
     out = []
@@ -561,7 +562,7 @@ def vstack(mats):
     for m in mats:
         if m.cols != cols:
             raise DimensionError("vstack col mismatch")
-        if m.field != field:
+        if m.field is not field and m.field != field:
             raise FieldMismatchError("mixed scalar modes")
     parts, d = _common_image(mats)
     return Matrix._of_image(field, sum(m.rows for m in mats), cols,
@@ -802,7 +803,7 @@ def vectorize(blocks, keys, h, w):
 
 def devectorize(v, keys, h, w, field):
     """The inverse of vectorize: {k: the k-th h x w block of v}; v is over field."""
-    if v.field != field:
+    if v.field is not field and v.field != field:
         raise FieldMismatchError("mixed scalar modes")
     blk = h * w
     return {k: v.block(n * blk, 0, blk, 1).reshape(h, w) for n, k in enumerate(keys)}
@@ -874,7 +875,7 @@ def _block_rows(h, w, equations, field):
                 (num,), d = field._image((c,))
                 for m in (l, r):
                     if m is not None:
-                        if m.field != field:
+                        if m.field is not field and m.field != field:
                             raise FieldMismatchError("mixed scalar modes")
                         d *= m._image()[1]
                 terms[key] = (c, l, r, num, d)

@@ -344,3 +344,48 @@ def test_two_keys_for_one_element_exit_2_in_either_order(tmp_path, capsys):
         code, out, err = run(capsys, "check", "--json", str(bad))
         assert (code, out) == (2, "")
         assert "input error" in err
+
+
+def test_one_parser_serves_every_call_and_keeps_no_state(tmp_path, capsys, monkeypatch):
+    import weakref
+
+    from digrep import Matrix, QQ, Representation, cli, demo_representation, reps
+    from digrep.serialize import rep_to_json, save_path
+
+    paths = write_example(tmp_path, capsys)
+    # the bundled representation conjugated by diag(1, 2): a rational file
+    # with the entry 1/2, which a --field 7 left over from a call before
+    # would refuse (exit 2)
+    v = demo_representation()
+    s, s_inv = (Matrix.from_rows(QQ, [[1, 0], [0, c]]) for c in (2, QQ.of(1) / 2))
+    half = Representation(v.digroup, 2, {x: s_inv * m * s for x, m in v.lam.items()},
+                          {x: s_inv * m * s for x, m in v.rho.items()})
+    half_path = str(tmp_path / "half.json")
+    save_path(half_path, rep_to_json(half))
+    calls = [["example", "nonsplit", "--out", str(tmp_path)],
+             ["check", "--json", paths["rep"]],
+             ["ext1", "--json", "--field", "7", paths["rep"], paths["rep"]],
+             ["ext1", "--json", half_path, half_path],
+             ["ext1", "--field"],
+             ["generate", "--seed", "3", "--out", str(tmp_path)]]
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+
+    def call(argv):
+        try:
+            code = cli.main(argv)
+        except SystemExit as e:
+            code = e.code
+        return code, capsys.readouterr().out
+
+    first = []
+    for argv in calls:   # each call first in its process: fresh parser and registry
+        monkeypatch.setattr(cli, "_the_parser", None)
+        monkeypatch.setattr(reps, "_done", weakref.WeakKeyDictionary())
+        first.append(call(argv))
+    assert [code for code, _ in first] == [0, 0, 0, 0, 2, 0]
+    monkeypatch.setattr(cli, "_the_parser", None)
+    built.clear()
+    assert [call(argv) for argv in calls] == first
+    assert built == [1]

@@ -360,3 +360,51 @@ def test_a_pair_over_two_fields_raises():
                                lambda x, y: hom_BE(to_semilinear(x), to_semilinear(y))):
                 with pytest.raises(FieldMismatchError):
                     solve_pair(a, b)
+
+
+def test_a_coboundary_outside_the_verified_cocycle_basis_is_refused(
+        monkeypatch, tmp_path, capsys):
+    from digrep import ext
+    from digrep.cli import main
+    from digrep.linalg import devectorize, quotient
+    solve_z = ext._solve_cocycle_space
+
+    def without_coboundaries(Q, W):
+        # the Z^1 basis with every coboundary direction taken out: the
+        # representatives of Z^1 / B^1
+        elems, dw, dq = Q.digroup.elements, W.dim, Q.dim
+        zvecs = [vectorize(f.theta, elems, dw, dq) for f in solve_z(Q, W)]
+        bvecs = span_basis(vectorize(ext._delta(t, Q, W), elems, dw, dq)
+                           for t in hom_rho(Q, W))
+        assert bvecs
+        return [CocycleFamily(devectorize(v, elems, dw, dq, W.field))
+                for v in quotient(bvecs, zvecs)]
+
+    monkeypatch.setattr(ext, "_solve_cocycle_space", without_coboundaries)
+    _, w, q = demo_parts()   # a fresh pair, dim B = 1
+    with pytest.raises(RepresentationError, match="coboundary"):
+        ext1_dim(q, w)
+    with pytest.raises(RepresentationError, match="coboundary"):
+        is_split(demo_ses())
+    assert main(["example", "nonsplit", "--out", str(tmp_path)]) == 0
+    rep = str(tmp_path / "nonsplit_representation.json")
+    capsys.readouterr()
+    assert main(["ext1", rep, rep]) == 1
+    assert "coboundary" in capsys.readouterr().err
+
+
+def test_ext1_dim_scans_only_the_cocycle_basis(monkeypatch):
+    # the coboundaries are certified by span inclusion in the verified Z^1,
+    # not by an exhaustive scan of each coboundary family
+    from digrep import ext
+    scans = []
+    check = ext.check_cocycle
+    monkeypatch.setattr(ext, "check_cocycle",
+                        lambda theta, Q, W: scans.append(1) or check(theta, Q, W))
+    _, w, q = demo_parts()
+    pairs = [(q, w)] + [sample_pair(seed)[1:] for seed in range(1000, 1010)]
+    for q, w in pairs:   # fresh objects, so nothing is in the registry yet
+        scans.clear()
+        res = ext1_dim(q, w)
+        assert len(scans) <= res.dim_Z
+    assert ext1_dim(*pairs[0]).dim_B == 1

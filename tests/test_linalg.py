@@ -61,6 +61,24 @@ def test_field_mixing_rejected():
         c.rref()
 
 
+def test_fields_mix_by_value_not_by_object():
+    m = Matrix.identity(PrimeField(7), 2)
+    n = Matrix.identity(PrimeField(7), 2)   # a second, separately built GF(7)
+    assert m == n and m + n == m.scale(m.field.of(2)) and m * n == m
+    assert hstack([m, n]) == hstack([m, m]) and vstack([m, n]) == vstack([m, m])
+    assert span_basis([m.col_vector(0), n.col_vector(1)]) == [m.col_vector(0),
+                                                              m.col_vector(1)]
+    assert devectorize(n.reshape(4, 1), [0], 2, 2, m.field) == {0: m}
+    for other in (Matrix.identity(QQ, 2), Matrix.identity(PrimeField(5), 2)):
+        assert m != other
+        for mix in (lambda: m + other, lambda: m - other, lambda: m * other,
+                    lambda: hstack([m, other]), lambda: vstack([m, other]),
+                    lambda: span_basis([m.col_vector(0), other.col_vector(0)]),
+                    lambda: devectorize(other.reshape(4, 1), [0], 2, 2, m.field)):
+            with pytest.raises(FieldMismatchError):
+                mix()
+
+
 def test_basic_shapes_and_arithmetic():
     a = Matrix.from_rows(QQ, [[1, 2], [3, 4]])
     b = Matrix.from_rows(QQ, [[0, 1], [1, 0]])

@@ -60,3 +60,9 @@ def builds_matrix(call):
     f = call.func
     return "Matrix" in (getattr(f, "id", None), getattr(f, "attr", None),
                         getattr(getattr(f, "value", None), "id", None))
+
+
+def test_one_parser_per_process():
+    # the lazy accessor is the one caller of build_parser, so no code path
+    # builds a parser per main() call
+    assert callers("build_parser") == {"cli._parser"}
