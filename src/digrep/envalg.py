@@ -25,8 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .digroup import AlgebraError, AxiomReport, first_failure, table_generators
-from .linalg import (ContentMemo, Matrix, QQ, block_image, block_kernel,
-                     devectorize, quotient)
+from .linalg import ContentMemo, Matrix, QQ, block_image, devectorize, ext_classes
 from .reps import Representation, once, require_valid
 
 
@@ -281,9 +280,9 @@ def derivation_ext1(a, q, w):
     one equation per ordered pair of basis elements.
 
     The result is the kernel modulo the inner maps
-    t -> (act_w(e_i) t - t act_q(e_i)).  Returns (dimension, representative
-    cocycle families), where a family is a tuple of dw x dq matrices indexed
-    like the algebra basis.
+    t -> (act_w(e_i) t - t act_q(e_i)), by linalg.ext_classes.  Returns
+    (dimension, representative cocycle families), where a family is a tuple
+    of dw x dq matrices indexed like the algebra basis.
     """
     if q.algebra is not a or w.algebra is not a:
         raise AlgebraError("modules must live over the given algebra")
@@ -301,11 +300,9 @@ def derivation_ext1(a, q, w):
         for s in gens:
             eqs.append([(o, None, row[s], None), (neg, w.action[i], s, None),
                         (neg, None, i, q.action[s])])
-    der_basis = block_kernel(na, dw, dq, eqs, field)
     # the inner derivations: the image of t -> (act_w(e_k) t - t act_q(e_k))_k
-    inner_basis = block_image(1, dw, dq, [[(o, w.action[k], 0, None),
-                                           (neg, None, 0, q.action[k])]
-                                          for k in range(na)], field)
-    families = [tuple(devectorize(v, range(na), dw, dq, field).values())
-                for v in quotient(inner_basis, der_basis)]
+    inner = block_image(1, dw, dq, [[(o, w.action[k], 0, None), (neg, None, 0, q.action[k])]
+                                    for k in range(na)], field)
+    _, _, reps = ext_classes(na, dw, dq, eqs, inner, field)
+    families = [tuple(devectorize(v, range(na), dw, dq, field).values()) for v in reps]
     return len(families), families

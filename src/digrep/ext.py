@@ -5,8 +5,9 @@ against the invertible right family by group averaging; the left family
 then leaves an off-diagonal cocycle family theta.  Ext^1(Q, W) is the
 space of such families modulo the coboundaries coming from changing the
 section, and an extension splits exactly when its class vanishes.
-Each Z^1 basis family is scanned exhaustively, and B^1 is certified to
-lie in Z^1 by one span inclusion test (see _coboundary_columns).
+Z^1, B^1 and the classes are one linalg.ext_classes solve per pair on
+the bar-unit values (see _ext1); each Z^1 basis family is scanned
+exhaustively, and the same solve certifies B^1 in Z^1.
 """
 
 from __future__ import annotations
@@ -14,15 +15,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .digroup import AxiomReport, first_failure
-from .linalg import (ContentMemo, Matrix, block_kernel, contains, coordinates,
-                     devectorize, hstack, intertwiners, quotient, solve, span_basis,
-                     vectorize, vstack)
+from .linalg import (ContentMemo, Matrix, SubspaceError, coordinates, devectorize,
+                     ext_classes, hstack, intertwiners, solve, span_basis, vectorize,
+                     vstack)
 from .reps import (Representation, RepresentationError, lambda_factorization,
                    once, require_ok, rho_group_form, require_valid)
 
 
 class MaschkeError(ArithmeticError):
     """The averaging hypothesis fails: the characteristic divides |G|."""
+
+
+def _require_maschke(field, order):
+    if field.char != 0 and order % field.char == 0:
+        raise MaschkeError("characteristic %d divides the group order %d"
+                           % (field.char, order))
 
 
 @dataclass(frozen=True)
@@ -130,9 +137,7 @@ def average_section(s, s0=None):
     field = s.V.field
     group = s.V.digroup.group
     n = group.order
-    if field.char != 0 and n % field.char == 0:
-        raise MaschkeError("characteristic %d divides the group order %d"
-                           % (field.char, n))
+    _require_maschke(field, n)
     if s0 is None:
         s0 = solve(s.pi, Matrix.identity(field, s.Q.dim))
         if s0 is None:
@@ -205,30 +210,35 @@ def block_decompose(s, sec):
 def cocycle_space(Q, W):
     """Canonical basis of the cocycle space, as CocycleFamily objects.
 
-    A cocycle is determined by its values at the bar-units: the third
-    identity with a bar-unit on the left forces theta[(g, a)] to equal
-    eta_a rho_Q[g] where eta_a := theta[(1, a)].  The solver runs on the
-    eta unknowns with the first two identities rewritten through that
-    substitution (the invertibility of rho makes the rewrite reversible,
-    so no solutions are gained or lost).  Every basis member is expanded
-    back to the full family and verified against all three identities
-    over every pair of digroup elements (through require_cocycle, so once
-    per distinct family).  The basis is computed once per (Q, W); later
-    calls return copies of the verified families.
+    Solved and verified once per (Q, W) with the rest of Ext^1 (_ext1);
+    every call returns copies of the verified families.
+    """
+    return [CocycleFamily(dict(f.theta)) for f in _ext1(Q, W)[0]]
+
+
+def _ext1(Q, W):
+    """(Z^1 families, bar-unit coboundary columns, dim B^1, class families),
+    one registry entry per (Q, W), from one linalg.ext_classes solve.
+
+    The unknowns are eta_a := theta[(1, a)].  Every cocycle has
+    theta[(g, a)] = eta_a rho_Q[g] (Z1c with a bar-unit on the left), and
+    so has delta t for a rho-intertwiner t, by the verified factorization
+    lam = L_a rho_g; so comparing bar-unit columns compares whole families.
+    Z1a and Z1b are rewritten through the substitution (reversibly: rho is
+    invertible), and each Z^1 basis family is expanded and scanned
+    exhaustively (require_cocycle), so span(Z^1) holds only cocycles.
     """
     if Q.digroup is not W.digroup:
         raise RepresentationError("cocycle space needs a common digroup")
-    z1 = once((Q, W), "z1", lambda: _solve_cocycle_space(Q, W))
-    return [CocycleFamily(dict(f.theta)) for f in z1]
+    return once((Q, W), "ext1", lambda: _solve_ext1(Q, W))
 
 
-def _solve_cocycle_space(Q, W):
+def _solve_ext1(Q, W):
     d = Q.digroup
     field = Q.field if Q.dim else W.field
-    elems = d.elements
     dw, dq = W.dim, Q.dim
-    if dw * dq == 0 or not elems:
-        return []
+    if dw * dq == 0:
+        return [], [], 0, []
     n, m = d.group.order, d.halo_size
     # one object per distinct matrix, so repeated equations are the same
     # terms, which block_kernel assembles once
@@ -249,9 +259,16 @@ def _solve_cocycle_space(Q, W):
         for a in range(m):
             lwa = canon(lam_w[a] * rho_w[g])
             eqs += [[(o, None, a, lhs[b]), (neg, lwa, b, None)] for b in range(m)]
-    out = []
+    halo = d.halo()
+    cob = [vectorize(_delta(t, Q, W, halo), halo, dw, dq) for t in hom_rho(Q, W)]
+    try:
+        zvecs, bvecs, reps = ext_classes(m, dw, dq, eqs, cob, field)
+    except SubspaceError:
+        raise RepresentationError(
+            "a coboundary lies outside the verified cocycle space") from None
+    families = {}
     e = d.group.identity
-    for v in block_kernel(m, dw, dq, eqs, field):
+    for v in zvecs:
         eta = devectorize(v, range(m), dw, dq, field)
         theta = {(g, a): eta[a] * rho_q[g] for g in range(n) for a in range(m)}
         require_cocycle(theta, Q, W)
@@ -261,8 +278,8 @@ def _solve_cocycle_space(Q, W):
                 if theta[(g, d.action.apply(g, a))] != rho_w[g] * theta[(e, a)]:
                     raise RepresentationError(
                         "the bar-unit reduction fails at %r" % ((g, a),))
-        out.append(CocycleFamily(theta))
-    return out
+        families[v] = CocycleFamily(theta)
+    return list(families.values()), cob, len(bvecs), [families[v] for v in reps]
 
 
 def hom_rho(Q, W):
@@ -284,63 +301,34 @@ def coboundary(t, Q, W):
     t is checked to intertwine rho on every call; the family goes through
     require_cocycle, so each distinct family is checked once per (Q, W).
     """
-    return CocycleFamily(require_cocycle(_delta(t, Q, W), Q, W))
+    return CocycleFamily(require_cocycle(_delta(t, Q, W, Q.digroup.elements), Q, W))
 
 
-def _delta(t, Q, W):
-    """x -> W.lam[x] t - t Q.lam[x], for a t checked to intertwine rho."""
+def _delta(t, Q, W, keys):
+    """x -> W.lam[x] t - t Q.lam[x] over keys, for a t checked to intertwine rho."""
     rho_w = rho_group_form(W)
     rho_q = rho_group_form(Q)
     for g in rho_w:
         if rho_w[g] * t != t * rho_q[g]:
             raise RepresentationError("t is not a rho-intertwiner at g=%d" % g)
-    return {x: W.lam[x] * t - t * Q.lam[x] for x in Q.digroup.elements}
+    return {x: W.lam[x] * t - t * Q.lam[x] for x in keys}
 
 
 def coboundary_space(Q, W):
-    """Canonical basis of B^1, certified in Z^1, as vectorized columns (may be empty)."""
-    return span_basis(_coboundary_columns(Q, W))
-
-
-def _coboundary_columns(Q, W):
-    """Vectorized coboundaries of the hom_rho basis, in its order; once per pair.
-
-    The identities are linear, so the span of the verified Z^1 basis holds
-    only cocycles: one contains elimination certifies every column.
-    """
-    def make():
-        elems = Q.digroup.elements
-        cols = [vectorize(_delta(t, Q, W), elems, W.dim, Q.dim)
-                for t in hom_rho(Q, W)]
-        if cols and not contains(_cocycle_columns(Q, W), *cols):
-            raise RepresentationError(
-                "a coboundary lies outside the verified cocycle space")
-        return cols
-    return list(once((Q, W), "cob", make))
-
-
-def _cocycle_columns(Q, W):
-    """The verified Z^1 basis as vectorized columns."""
+    """Canonical basis of B^1 as columns over every element (may be empty),
+    certified in Z^1 by _ext1."""
+    _ext1(Q, W)
     elems = Q.digroup.elements
-    return [vectorize(f.theta, elems, W.dim, Q.dim) for f in cocycle_space(Q, W)]
+    return span_basis(vectorize(_delta(t, Q, W, elems), elems, W.dim, Q.dim)
+                      for t in hom_rho(Q, W))
 
 
 def ext1_dim(Q, W):
-    """Z^1, B^1 and their quotient, with deterministic representatives."""
-    field = W.field if W.dim else Q.field
-    n = Q.digroup.group.order
-    if field.char != 0 and n % field.char == 0:
-        raise MaschkeError("characteristic %d divides the group order %d"
-                           % (field.char, n))
-    elems = Q.digroup.elements
-    dw, dq = W.dim, Q.dim
-    zvecs = _cocycle_columns(Q, W)
-    if dw * dq == 0:
-        return Ext1Result(0, 0, 0, [])
-    bvecs = coboundary_space(Q, W)
-    basis = [CocycleFamily(devectorize(v, elems, dw, dq, field))
-             for v in quotient(bvecs, zvecs)]
-    return Ext1Result(len(zvecs), len(bvecs), len(basis), basis)
+    """Z^1, B^1 and their quotient, with deterministic representatives (_ext1)."""
+    _require_maschke(W.field if W.dim else Q.field, Q.digroup.group.order)
+    z1, _, dim_b, reps = _ext1(Q, W)
+    return Ext1Result(len(z1), dim_b, len(reps),
+                      [CocycleFamily(dict(f.theta)) for f in reps])
 
 
 def extension_from_cocycle(theta, Q, W):
@@ -383,15 +371,14 @@ def is_split(s):
         return True, _checked_witness(s, sec)
     sec = average_section(s)
     fam = block_decompose(s, sec)
-    elems = s.V.digroup.elements
     dw, dq = s.W.dim, s.Q.dim
-    tv = vectorize(fam.theta, elems, dw, dq)
-    tbasis = hom_rho(s.Q, s.W)
-    coeffs = coordinates(_coboundary_columns(s.Q, s.W), tv)
+    # both are cocycles, so their bar-unit columns decide (see _ext1)
+    tv = vectorize(fam.theta, s.V.digroup.halo(), dw, dq)
+    coeffs = coordinates(_ext1(s.Q, s.W)[1], tv)
     if coeffs is None:
         return False, fam
     t = Matrix.zeros(field, dw, dq)
-    for i, base in enumerate(tbasis):
+    for i, base in enumerate(hom_rho(s.Q, s.W)):
         t = t + base.scale(coeffs[i, 0])
     witness = sec - s.iota * t
     return True, _checked_witness(s, witness)

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import (Matrix, block_diag, block_image, block_kernel, coordinates,
-                     devectorize, hstack, intertwiners, quotient, vectorize)
+from .linalg import (Matrix, block_diag, block_image, coordinates, devectorize,
+                     ext_classes, hstack, intertwiners, vectorize)
 from .reps import (RepresentationError, SemilinearObject, once,
                    require_valid_semilinear, to_semilinear, hom_rep)
 from .ext import cocycle_space, ext1_dim, extension_from_cocycle, is_split
@@ -168,7 +168,8 @@ def ext1_BE(q, w):
 
     Z = {eta : eps_a^W eta_b + eta_a eps_b^Q = eta_a for all a, b} is the
     compatibility condition for the block upper-triangular extension, and
-    B is the effect of a block change of basis.  The group acts on
+    B is the effect of a block change of basis (linalg.ext_classes).
+    The group acts on
     classes by (g.eta)_a = t_g^W eta_{g^-1.a} t_{g^-1}^Q (_t_inverses);
     this lift is verified to preserve Z and B and to satisfy the action
     laws, and any failure raises rather than being repaired silently.
@@ -185,13 +186,12 @@ def ext1_BE(q, w):
     keys = range(m)   # eta families are vectorized over the halo indices
     o, neg = field.of(1), field.of(-1)
     # Z: eps_a^W eta_b + eta_a eps_b^Q - eta_a = 0
-    zvecs = block_kernel(m, dw, dq, [[(o, w.eps[a], b, None), (o, None, a, q.eps[b]),
-                                      (neg, None, a, None)]
-                                     for a in keys for b in keys], field)
+    z_eqs = [[(o, w.eps[a], b, None), (o, None, a, q.eps[b]), (neg, None, a, None)]
+             for a in keys for b in keys]
     # B: the image of t -> (eps_a^W t - t eps_a^Q)_a
-    bvecs = block_image(1, dw, dq, [[(o, w.eps[a], 0, None), (neg, None, 0, q.eps[a])]
-                                    for a in keys], field)
-    reps = quotient(bvecs, zvecs)
+    cob = block_image(1, dw, dq, [[(o, w.eps[a], 0, None), (neg, None, 0, q.eps[a])]
+                                  for a in keys], field)
+    zvecs, bvecs, reps = ext_classes(m, dw, dq, z_eqs, cob, field)
     dim_ext, nb = len(reps), len(bvecs)
     full = bvecs + reps   # a basis of Z
     etas = [devectorize(v, keys, dw, dq, field) for v in full]

@@ -46,7 +46,8 @@ Each linear-algebra operation the package needs has its one home here:
   homogeneous), and the block-linear systems sum c L X_b R = 0 in unknown
   blocks X_b: block_kernel solves them, block_image spans the image of
   the same assembled map, vectorize / devectorize are their block layout,
-  and intertwiners (f A = B f, every Hom space) is the one-block case.
+  intertwiners (f A = B f, every Hom space) is the one-block case, and
+  ext_classes (Z, B and the classes Z / B) is the one Ext^1 solve.
 """
 
 from __future__ import annotations
@@ -851,6 +852,15 @@ def intertwiners(pairs, d_src, d_dst, field):
     o, neg = field.of(1), field.of(-1)
     eqs = [[(o, None, 0, a), (neg, b, 0, None)] for a, b in dict.fromkeys(pairs)]
     return [v.reshape(d_dst, d_src) for v in block_kernel(1, d_dst, d_src, eqs, field)]
+
+
+def ext_classes(nblocks, h, w, z_equations, coboundaries, field):
+    """(Z, B, reps): Z = block_kernel(z_equations), B = span_basis(coboundaries)
+    and reps = quotient(B, Z), representatives of Z / B whose elimination
+    also certifies B in Z (SubspaceError if not)."""
+    z = block_kernel(nblocks, h, w, z_equations, field)
+    b = span_basis(coboundaries)
+    return z, b, quotient(b, z)
 
 
 def _block_rows(h, w, equations, field):

@@ -1,6 +1,6 @@
 """Seeded random instance helpers shared across the test modules."""
 
-from digrep import (Digroup, FiniteGroup, all_actions, random_representation,
+from digrep import (QQ, Digroup, FiniteGroup, all_actions, random_representation,
                     random_semilinear, seeded_rng)
 
 GROUPS = {
@@ -21,12 +21,12 @@ def sample_digroup(rng, halo_sizes=(1, 2, 3), group_names=None):
     return Digroup(action.group, action)
 
 
-def sample_pair(seed, max_dim=3, halo_sizes=(1, 2, 3), group_names=None):
-    """A digroup with two random representations, deterministic per seed."""
+def sample_pair(seed, max_dim=3, halo_sizes=(1, 2, 3), group_names=None, field=QQ):
+    """A digroup with two random representations over field, deterministic per seed."""
     rng = seeded_rng(seed)
     d = sample_digroup(rng, halo_sizes, group_names)
-    q = random_representation(d, rng.randint(1, max_dim), rng)
-    w = random_representation(d, rng.randint(1, max_dim), rng)
+    q = random_representation(d, rng.randint(1, max_dim), rng, field)
+    w = random_representation(d, rng.randint(1, max_dim), rng, field)
     return d, q, w
 
 

@@ -12,9 +12,11 @@ from operator import attrgetter
 import sympy
 from sympy.polys.matrices import DomainMatrix
 
+from digrep.ext import (average_section, block_decompose, coboundary, cocycle_space,
+                        hom_rho)
 from digrep.halo import hom_BE
 from digrep.linalg import (Matrix, block_image, block_kernel, coordinates,
-                           devectorize, hstack, quotient, vectorize)
+                           devectorize, hstack, quotient, span_basis, vectorize)
 
 
 def _sym(x):
@@ -244,3 +246,35 @@ def per_vector_halo_actions(q, w):
                               for v in reps], 0)
                   for g in range(group.order)}
     return on_hom, on_classes
+
+
+def full_family_ext1(q, w):
+    """The cocycle model of Ext^1 on families over every element, the
+    package's former layout.
+
+    The Z^1 basis (cocycle_space) and the coboundaries delta t of the
+    hom_rho basis are vectorized over all |D| elements, and the classes
+    are quotient(span_basis(B), Z).  Returns (dim Z, dim B, class families,
+    the B basis, split), where split(s) is the former is_split on an
+    extension of q by w: (True, witness) or (False, cocycle family).
+    """
+    elems, dw, dq = q.digroup.elements, w.dim, q.dim
+    field = w.field if dw else q.field
+    ts = hom_rho(q, w)
+    zvecs = [vectorize(f.theta, elems, dw, dq) for f in cocycle_space(q, w)]
+    cols = [vectorize(coboundary(t, q, w).theta, elems, dw, dq) for t in ts]
+    bvecs = span_basis(cols)
+    classes = [devectorize(v, elems, dw, dq, field) for v in quotient(bvecs, zvecs)]
+
+    def split(s):
+        sec = average_section(s)
+        theta = block_decompose(s, sec).theta
+        c = coordinates(cols, vectorize(theta, elems, dw, dq))
+        if c is None:
+            return False, theta
+        t = Matrix.zeros(field, dw, dq)
+        for i, base in enumerate(ts):
+            t = t + base.scale(c[i, 0])
+        return True, sec - s.iota * t
+
+    return len(zvecs), len(bvecs), classes, bvecs, split

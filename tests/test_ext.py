@@ -11,11 +11,12 @@ from digrep import (CocycleFamily, Matrix, MaschkeError, PrimeField, QQ,
 from digrep.digroup import Digroup, FiniteGroup, GAction
 from digrep.ext import vectorize, coboundary_space
 from digrep.halo import hom_BE
-from digrep.linalg import FieldMismatchError, span_basis, solve, hstack
+from digrep.linalg import FieldMismatchError, SubspaceError, span_basis, solve, hstack
 from digrep.reps import hom_rep, random_representation, seeded_rng, to_semilinear
 
 from _instances import sample_pair
-from _oracles import cocycle_dim_oracle, ext1_dim_oracle, hom_rho_oracle
+from _oracles import (cocycle_dim_oracle, ext1_dim_oracle, full_family_ext1,
+                      hom_rho_oracle)
 
 
 def demo_parts():
@@ -362,25 +363,35 @@ def test_a_pair_over_two_fields_raises():
                     solve_pair(a, b)
 
 
+def without_coboundaries(engine):
+    """engine (linalg.ext_classes) with every coboundary direction taken out of Z.
+
+    One more Z equation per pivot of the canonical B basis sets that
+    coordinate to zero, which cuts Z down to a complement of B in Z: a
+    vector of B vanishing at every pivot of B is zero.
+    """
+    def unit(field, n, i):
+        return Matrix.from_rows(field, [[field.of(int(r == c == i)) for c in range(n)]
+                                        for r in range(n)])
+
+    def faulty(nblocks, h, w, z_equations, coboundaries, field):
+        b = span_basis(coboundaries)
+        assert b
+        cut = []
+        for v in b:
+            k = next(k for k in range(v.rows) if v[k, 0])
+            i, j = divmod(k % (h * w), w)
+            cut.append([(field.of(1), unit(field, h, i), k // (h * w), unit(field, w, j))])
+        return engine(nblocks, h, w, list(z_equations) + cut, coboundaries, field)
+    return faulty
+
+
 def test_a_coboundary_outside_the_verified_cocycle_basis_is_refused(
         monkeypatch, tmp_path, capsys):
     from digrep import ext
     from digrep.cli import main
-    from digrep.linalg import devectorize, quotient
-    solve_z = ext._solve_cocycle_space
-
-    def without_coboundaries(Q, W):
-        # the Z^1 basis with every coboundary direction taken out: the
-        # representatives of Z^1 / B^1
-        elems, dw, dq = Q.digroup.elements, W.dim, Q.dim
-        zvecs = [vectorize(f.theta, elems, dw, dq) for f in solve_z(Q, W)]
-        bvecs = span_basis(vectorize(ext._delta(t, Q, W), elems, dw, dq)
-                           for t in hom_rho(Q, W))
-        assert bvecs
-        return [CocycleFamily(devectorize(v, elems, dw, dq, W.field))
-                for v in quotient(bvecs, zvecs)]
-
-    monkeypatch.setattr(ext, "_solve_cocycle_space", without_coboundaries)
+    # the Z^1 basis with every coboundary direction taken out
+    monkeypatch.setattr(ext, "ext_classes", without_coboundaries(ext.ext_classes))
     _, w, q = demo_parts()   # a fresh pair, dim B = 1
     with pytest.raises(RepresentationError, match="coboundary"):
         ext1_dim(q, w)
@@ -391,6 +402,52 @@ def test_a_coboundary_outside_the_verified_cocycle_basis_is_refused(
     capsys.readouterr()
     assert main(["ext1", rep, rep]) == 1
     assert "coboundary" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("model", ["envalg", "halo"])
+def test_a_coboundary_outside_z_is_refused_by_every_model(model, monkeypatch, tmp_path,
+                                                          capsys):
+    # derivation_ext1 (inner derivations outside the derivations) and ext1_BE
+    # (B outside the eta space) refuse the same fault as the cocycle model
+    import importlib
+    from digrep.cli import main
+    from digrep.envalg import build_enveloping_algebra, derivation_ext1, rep_to_module
+    from digrep.halo import ext1_BE
+    module = importlib.import_module("digrep." + model)
+    monkeypatch.setattr(module, "ext_classes", without_coboundaries(module.ext_classes))
+    _, w, q = demo_parts()
+    with pytest.raises(SubspaceError):
+        if model == "envalg":
+            alg = build_enveloping_algebra(q.digroup)
+            derivation_ext1(alg, rep_to_module(q, alg), rep_to_module(w, alg))
+        else:
+            ext1_BE(to_semilinear(q), to_semilinear(w))
+    assert main(["example", "nonsplit", "--out", str(tmp_path)]) == 0
+    rep = str(tmp_path / "nonsplit_representation.json")
+    capsys.readouterr()
+    assert main(["ext1", rep, rep]) == 1
+    assert "outside" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", (QQ, PrimeField(7)), ids=repr)
+def test_the_bar_unit_solve_matches_the_full_family_layout(field):
+    """ext1_dim, coboundary_space and is_split on every 8th corpus pair equal
+    the former solve on families over every element (_oracles); is_split
+    runs on the extensions of the class basis and of two Z^1 families."""
+    flags = []
+    for seed in range(1000, 1200, 8):
+        _, q, w = sample_pair(seed, field=field)
+        dim_z, dim_b, classes, bvecs, split = full_family_ext1(q, w)
+        res = ext1_dim(q, w)
+        assert (res.dim_Z, res.dim_B, res.dim_ext) == (dim_z, dim_b, len(classes)), seed
+        assert [f.theta for f in res.class_basis] == classes, seed
+        assert coboundary_space(q, w) == bvecs, seed
+        for fam in res.class_basis + cocycle_space(q, w)[:2]:
+            s = extension_from_cocycle(fam, q, w)
+            flag, payload = is_split(s)
+            assert (flag, payload if flag else payload.theta) == split(s), seed
+            flags.append(flag)
+    assert flags.count(True) >= 3 and flags.count(False) >= 3, flags
 
 
 def test_ext1_dim_scans_only_the_cocycle_basis(monkeypatch):

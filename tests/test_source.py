@@ -42,6 +42,12 @@ def test_only_reduce_eliminates():
     assert callers("_eliminate") == {"linalg._reduce"}
 
 
+def test_one_ext1_solve():
+    # the cocycle, derivation and band-algebra models reach Z / B through
+    # linalg.ext_classes alone, so every Ext^1 class decision is that one solve
+    assert callers("quotient") == {"linalg.ext_classes"}
+
+
 def test_scalars_are_made_only_on_demand():
     # a Matrix holds its integer image; the field's scalars are built by the
     # lazy entries alone, and no module outside linalg rebuilds a matrix
