@@ -29,8 +29,8 @@ from .envalg import build_enveloping_algebra, derivation_ext1, rep_to_module
 from .ext import MaschkeError, ext1_dim, is_split, semisimplicity_probe
 from .halo import verify_collapse
 from .reps import (RepresentationError, check_representation,
-                   random_representation, require_valid, seeded_rng)
-from .serialize import (WORK_CAPS, FormatError, digroup_from_json,
+                   random_representation, seeded_rng)
+from .serialize import (WORK_CAPS, FormatError, _require_axioms, digroup_from_json,
                         digroup_to_json, dumps, field_from_name, load_path,
                         matrix_to_json, rep_from_json, rep_to_json, save_path,
                         ses_from_json, ses_to_json)
@@ -141,7 +141,7 @@ def load_rep(path, field, like=None):
                       digroup=like.digroup if like is not None else None)
     if like is not None and r.field != like.field:
         raise FormatError("%s is over %r, not %r" % (path, r.field, like.field))
-    return require_valid(r)
+    return _require_axioms(r)
 
 
 def cmd_check(args):

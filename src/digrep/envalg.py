@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from .digroup import AlgebraError, AxiomReport, first_failure, table_generators
 from .linalg import ContentMemo, Matrix, QQ, block_image, devectorize, ext_classes
-from .reps import Representation, once, require_valid
+from .reps import SemilinearObject, from_semilinear, once, require_valid
 
 
 @dataclass(frozen=True)
@@ -242,16 +242,17 @@ def _as_module(r, algebra):
 
 
 def module_to_rep(m, d):
-    """Recover the representation from a module over the enveloping algebra."""
+    """Recover the representation from a module over the enveloping algebra.
+
+    Its generators are L_a = act(M_(a,1)) and rho_g = act(R_g); check_module
+    gives act(M_(a,g)) = L_a rho_g, since M_(a,1) R_g = M_(a,g).
+    """
     check_module(m)
     a = m.algebra
-    lam, rho = {}, {}
-    for g in range(d.group.order):
-        rg = m.action[a.index(("R", g))]
-        for al in range(d.halo_size):
-            rho[(g, al)] = rg
-            lam[(g, al)] = m.action[a.index(("M", al, g))]
-    return require_valid(Representation(d, m.dim, lam, rho))
+    e = d.group.identity
+    eps = {al: m.action[a.index(("M", al, e))] for al in range(d.halo_size)}
+    t = {g: m.action[a.index(("R", g))] for g in range(d.group.order)}
+    return from_semilinear(SemilinearObject(d.action, m.dim, eps, t), d)
 
 
 def derivation_ext1(a, q, w):
@@ -303,6 +304,6 @@ def derivation_ext1(a, q, w):
     # the inner derivations: the image of t -> (act_w(e_k) t - t act_q(e_k))_k
     inner = block_image(1, dw, dq, [[(o, w.action[k], 0, None), (neg, None, 0, q.action[k])]
                                     for k in range(na)], field)
-    _, _, reps = ext_classes(na, dw, dq, eqs, inner, field)
+    _, reps = ext_classes(na, dw, dq, eqs, inner, field)
     families = [tuple(devectorize(v, range(na), dw, dq, field).values()) for v in reps]
     return len(families), families

@@ -15,11 +15,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .digroup import AxiomReport, first_failure
-from .linalg import (ContentMemo, Matrix, SubspaceError, coordinates, devectorize,
-                     ext_classes, hstack, intertwiners, solve, span_basis, vectorize,
-                     vstack)
-from .reps import (Representation, RepresentationError, lambda_factorization,
-                   once, require_ok, rho_group_form, require_valid)
+from .linalg import (ContentMemo, Matrix, SubspaceError, block_diag, coordinates,
+                     devectorize, ext_classes, hstack, intertwiners, solve,
+                     span_basis, vectorize, vstack)
+from .reps import (Representation, RepresentationError, SemilinearObject,
+                   _generators, from_semilinear, lambda_factorization, once,
+                   require_ok, rho_group_form, to_semilinear)
 
 
 class MaschkeError(ArithmeticError):
@@ -42,7 +43,8 @@ class ShortExactSeq:
 
 
 def short_exact(W, V, Q, iota, pi):
-    """Validated constructor: exactness plus morphism checks, exhaustive."""
+    """Validated constructor: W, V and Q verified (require_valid), exactness,
+    and iota and pi morphisms on the m + n generators."""
     if not (W.digroup is V.digroup is Q.digroup):
         raise RepresentationError("sequence members live over different digroups")
     if (iota.rows, iota.cols) != (V.dim, W.dim):
@@ -57,11 +59,11 @@ def short_exact(W, V, Q, iota, pi):
         raise RepresentationError("pi is not surjective")
     if not (pi * iota).is_zero():
         raise RepresentationError("pi o iota != 0")
-    for x in V.digroup.elements:
-        if V.lam[x] * iota != iota * W.lam[x] or V.rho[x] * iota != iota * W.rho[x]:
-            raise RepresentationError("iota is not a morphism at %r" % (x,))
-        if pi * V.lam[x] != Q.lam[x] * pi or pi * V.rho[x] != Q.rho[x] * pi:
-            raise RepresentationError("pi is not a morphism at %r" % (x,))
+    for name, w, v, q in _generators(W, V, Q):
+        if v * iota != iota * w:
+            raise RepresentationError("iota is not a morphism at %s" % name)
+        if pi * v != q * pi:
+            raise RepresentationError("pi is not a morphism at %s" % name)
     return ShortExactSeq(W, V, Q, iota, pi)
 
 
@@ -261,8 +263,9 @@ def _solve_ext1(Q, W):
             eqs += [[(o, None, a, lhs[b]), (neg, lwa, b, None)] for b in range(m)]
     halo = d.halo()
     cob = [vectorize(_delta(t, Q, W, halo), halo, dw, dq) for t in hom_rho(Q, W)]
+    bvecs = span_basis(cob)
     try:
-        zvecs, bvecs, reps = ext_classes(m, dw, dq, eqs, cob, field)
+        zvecs, reps = ext_classes(m, dw, dq, eqs, bvecs, field)
     except SubspaceError:
         raise RepresentationError(
             "a coboundary lies outside the verified cocycle space") from None
@@ -332,7 +335,12 @@ def ext1_dim(Q, W):
 
 
 def extension_from_cocycle(theta, Q, W):
-    """The block upper-triangular extension attached to a cocycle family."""
+    """The block upper-triangular extension attached to a cocycle family.
+
+    V has eps_V[a] = [[L^W_a, theta[(1, a)]], [0, L^Q_a]] and
+    t_V[g] = diag(rho^W_g, rho^Q_g); its lam[(g, a)] has theta[(g, a)] in
+    the corner, since theta[(g, a)] = theta[(1, a)] rho^Q_g (Z1c).
+    """
     if isinstance(theta, CocycleFamily):
         theta = theta.theta
     require_cocycle(theta, Q, W)
@@ -341,18 +349,12 @@ def extension_from_cocycle(theta, Q, W):
     k, m = W.dim, Q.dim
     n = k + m
     lower_left = Matrix.zeros(field, m, k)
-
-    def upper(tl, tr, br):
-        return vstack([hstack([tl, tr]), hstack([lower_left, br])])
-
-    # rho ignores the halo index (rho_group_form verifies it), so one
-    # matrix per group element is shared across halo indices
-    rho_w, rho_q = rho_group_form(W), rho_group_form(Q)
-    zero = Matrix.zeros(field, k, m)
-    rho_g = {g: upper(rho_w[g], zero, rho_q[g]) for g in rho_w}
-    lam = {x: upper(W.lam[x], theta[x], Q.lam[x]) for x in d.elements}
-    rho = {x: rho_g[x[0]] for x in d.elements}
-    V = require_valid(Representation(d, n, lam, rho))
+    sw, sq = to_semilinear(W), to_semilinear(Q)
+    e = d.group.identity
+    eps = {a: vstack([hstack([sw.eps[a], theta[(e, a)]]),
+                      hstack([lower_left, sq.eps[a]])]) for a in sw.eps}
+    t = {g: block_diag(field, [sw.t[g], sq.t[g]]) for g in sw.t}
+    V = from_semilinear(SemilinearObject(d.action, n, eps, t), d)
     ident = Matrix.identity(field, n)
     return short_exact(W, V, Q, ident.block(0, 0, n, k), ident.block(k, 0, m, n))
 
@@ -387,9 +389,9 @@ def is_split(s):
 def _checked_witness(s, sec):
     if s.pi * sec != Matrix.identity(s.V.field, s.Q.dim):
         raise RepresentationError("the witness is not a section of pi")
-    for x in s.V.digroup.elements:
-        if s.V.lam[x] * sec != sec * s.Q.lam[x] or s.V.rho[x] * sec != sec * s.Q.rho[x]:
-            raise RepresentationError("the witness is not a morphism at %r" % (x,))
+    for name, v, q in _generators(s.V, s.Q):
+        if v * sec != sec * q:
+            raise RepresentationError("the witness is not a morphism at %s" % name)
     return sec
 
 

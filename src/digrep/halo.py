@@ -75,8 +75,9 @@ def g_action_on_hom(q, w):
 
     Returns the basis together with the action matrices in basis
     coordinates, one solve per g for the images of the whole basis;
-    (t_g^Q)^-1 is t_{g^-1}^Q (_t_inverses), and band-linearity of each
-    g.f, closure and the action laws are verified.
+    (t_g^Q)^-1 is t_{g^-1}^Q (_t_inverses).  The basis spans all of
+    Hom_BE, so the solve refuses every g.f that is not band-linear; the
+    action laws are verified.
     """
     basis = hom_BE(q, w)
     group = q.action.group
@@ -86,15 +87,7 @@ def g_action_on_hom(q, w):
     tq_inv = _t_inverses(q)
     g_action = {}
     for g in range(group.order):
-        tw = w.t[g]
-        images = []
-        for f in basis:
-            gf = tw * f * tq_inv[g]
-            for a in q.eps:
-                if gf * q.eps[a] != w.eps[a] * gf:
-                    raise RepresentationError(
-                        "g.f leaves the band-linear maps at g=%d" % g)
-            images.append(gf.reshape(n, 1))
+        images = [(w.t[g] * f * tq_inv[g]).reshape(n, 1) for f in basis]
         c = coordinates(vecs, _columns(field, n, images))
         if c is None:
             raise RepresentationError("g.f leaves the span at g=%d" % g)
@@ -191,9 +184,9 @@ def ext1_BE(q, w):
     # B: the image of t -> (eps_a^W t - t eps_a^Q)_a
     cob = block_image(1, dw, dq, [[(o, w.eps[a], 0, None), (neg, None, 0, q.eps[a])]
                                   for a in keys], field)
-    zvecs, bvecs, reps = ext_classes(m, dw, dq, z_eqs, cob, field)
-    dim_ext, nb = len(reps), len(bvecs)
-    full = bvecs + reps   # a basis of Z
+    zvecs, reps = ext_classes(m, dw, dq, z_eqs, cob, field)
+    dim_ext, nb = len(reps), len(cob)
+    full = cob + reps   # a basis of Z
     etas = [devectorize(v, keys, dw, dq, field) for v in full]
 
     # one solve per g of g.[B | reps] in [B | reps]: the lift preserves Z

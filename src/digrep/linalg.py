@@ -47,7 +47,8 @@ Each linear-algebra operation the package needs has its one home here:
   blocks X_b: block_kernel solves them, block_image spans the image of
   the same assembled map, vectorize / devectorize are their block layout,
   intertwiners (f A = B f, every Hom space) is the one-block case, and
-  ext_classes (Z, B and the classes Z / B) is the one Ext^1 solve.
+  ext_classes (Z and the classes Z / B, given a basis of B) is the one
+  Ext^1 solve.
 """
 
 from __future__ import annotations
@@ -854,13 +855,15 @@ def intertwiners(pairs, d_src, d_dst, field):
     return [v.reshape(d_dst, d_src) for v in block_kernel(1, d_dst, d_src, eqs, field)]
 
 
-def ext_classes(nblocks, h, w, z_equations, coboundaries, field):
-    """(Z, B, reps): Z = block_kernel(z_equations), B = span_basis(coboundaries)
-    and reps = quotient(B, Z), representatives of Z / B whose elimination
-    also certifies B in Z (SubspaceError if not)."""
+def ext_classes(nblocks, h, w, z_equations, b, field):
+    """(Z, reps): Z = block_kernel(z_equations) and reps = quotient(b, Z),
+    representatives of Z / span(b), for b a basis of the coboundaries.
+
+    The one elimination of quotient also certifies that b is independent
+    and lies in Z: SubspaceError if not.
+    """
     z = block_kernel(nblocks, h, w, z_equations, field)
-    b = span_basis(coboundaries)
-    return z, b, quotient(b, z)
+    return z, quotient(b, z)
 
 
 def _block_rows(h, w, equations, field):

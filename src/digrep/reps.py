@@ -1,9 +1,9 @@
-"""Digroup representations as explicit operator tables.
+"""Digroup representations: operator tables at the boundary, generators inside.
 
-A representation stores one matrix per digroup element for each of the
-two operator families (lam for the left family, rho for the invertible
-right family), keyed by the element pair (g, a).  The five defining
-identities are
+A representation is written as one matrix per digroup element for each
+of the two operator families (lam for the left family, rho for the
+invertible right family), keyed by the element pair (g, a).  The five
+defining identities are
 
     R1  lam[x -| y] = lam[x] lam[y]
     R2  rho[x |- y] = rho[x] rho[y]
@@ -11,9 +11,15 @@ identities are
     R4  rho[x] lam[y] = lam[x |- y]
     R5  lam[x] rho[y] = lam[x -| y]
 
-Storing operators per element keeps the structural reductions (rho only
-depends on g; lam factors through the halo part) as checkable facts
-rather than assumptions baked into the data layout.
+The 2 n m tables are the boundary format: they are what the JSON files
+hold, and where tables enter from outside (`digrep check`, the loaders)
+check_representation scans R1-R5 over every pair of elements.  Inside
+the package a representation is its semilinear form (L, rho): the m
+halo idempotents L_a = lam[(1, a)] and the n group operators rho_g.
+require_valid verifies that form once per object (_view); every
+representation the package makes is built from generator blocks by
+from_semilinear, and every later scan runs over the m + n generators
+(_generators).
 """
 
 from __future__ import annotations
@@ -57,8 +63,11 @@ class Representation:
 def check_representation(r):
     """Exhaustive check of R1-R5 plus invertibility of every rho operator.
 
-    Products are memoized by operand content: the operator tables repeat
-    values heavily, so this stays exhaustive but avoids recomputation.
+    The report for tables from outside: it names every failing identity
+    with its first failing pair.  require_valid makes the same decision
+    on the generators (see _view).  Products are memoized by operand
+    content: the operator tables repeat values heavily, so this stays
+    exhaustive but avoids recomputation.
     """
     r.check_shapes()
     d = r.digroup
@@ -118,34 +127,100 @@ def require_ok(report, what):
 
 
 def require_valid(r):
-    once(r, "valid", lambda: require_ok(check_representation(r),
-                                        "representation axioms"))
+    """r, once its semilinear form is verified (_view); RepresentationError
+    on every call otherwise."""
+    _view(r)
     return r
 
 
+def _view(r):
+    """(eps, t) with eps[a] = L_a = lam[(1, a)] and t[g] = rho_g, verified
+    once per representation; the tables are shared, callers hand out copies.
+
+    The checks, in order: check_shapes, rho ignores the halo index,
+    lam[(g, a)] = L_a rho_g, and check_semilinear on (eps, t).  They pass
+    exactly when R1-R5 hold and every rho operator is invertible, the
+    decision of check_representation, but on m + n generators.  Write
+    x = (g, a) and y = (h, b), so x -| y = (gh, a), x |- y = (gh, g.b) and
+    the bar-units are the (1, a).
+
+    R1-R5 give the checks.  R2 at x, (1, b) with R3 gives
+    rho[(g, g.b)] = rho[(g, a)]; g.b runs over the whole halo, so rho
+    ignores the halo index.  R5 at the bar-unit (1, a) and (g, b) gives
+    lam[(g, a)] = L_a rho_g.  R1 at two bar-units is the band law
+    L_a L_b = L_a, R3 is C1, R2 is C2, and R4 at (g, b), (1, a) with the
+    factorization is C3: rho_g L_a = L_(g.a) rho_g.  The rho_g are
+    invertible.
+
+    The checks give R1-R5.  Now rho[x] = t_g and lam[x] = L_a t_g.  R3 is
+    C1 and R2 is C2.  R5: L_a t_g t_h = L_a t_gh by C2.  R4: C3 then C2
+    give t_g L_b t_h = L_(g.b) t_gh.  R1: C3, C2 and the band law give
+    L_a t_g L_b t_h = L_a L_(g.b) t_gh = L_a t_gh.  C1 and C2 give
+    t_g t_(g^-1) = I, so every rho operator is invertible.
+    """
+    return once(r, "valid", lambda: _verified_view(r))
+
+
+def _verified_view(r):
+    r.check_shapes()
+    d = r.digroup
+    t = {}
+    for g in range(d.group.order):
+        t[g] = r.rho[(g, 0)]
+        for a in range(1, d.halo_size):
+            if r.rho[(g, a)] != t[g]:
+                raise RepresentationError("rho depends on halo index at g=%d" % g)
+    eps = {a: r.lam[(d.group.identity, a)] for a in range(d.halo_size)}
+    for (g, a), m in r.lam.items():
+        if m != eps[a] * t[g]:
+            raise RepresentationError("lam factorization fails at %r" % ((g, a),))
+    require_ok(check_semilinear(SemilinearObject(d.action, r.dim, eps, t)),
+               "semilinear axioms")
+    return eps, t
+
+
+def _generators(*reps):
+    """[(name, X_1, X_2, ...)], X_i the generator of reps[i]: ("L_a", L_a)
+    for each halo index a, then ("rho_g", rho_g) for each g, from the
+    verified semilinear forms of reps (one digroup).
+
+    Since lam[(g, a)] = L_a rho_g and rho[(g, a)] = rho_g, a linear map
+    between two of them intertwines every operator exactly when it
+    intertwines each generator, and a subspace stable under each
+    generator is stable under every operator.
+    """
+    views = [_view(r) for r in reps]
+    eps, t = views[0]
+    return ([("L_%d" % a,) + tuple(v[0][a] for v in views) for a in eps]
+            + [("rho_%d" % g,) + tuple(v[1][g] for v in views) for g in t])
+
+
 def rho_group_form(r):
-    """The map g -> rho_g of the verified semilinear view of r, as a
-    fresh copy on every call (see _semilinear_view)."""
-    return dict(_semilinear_view(r)[1])
+    """The map g -> rho_g of the verified semilinear form of r, as a fresh
+    copy on every call (see _view)."""
+    return dict(_view(r)[1])
 
 
 def lambda_factorization(r):
     """The map a -> L_a with lam[(g,a)] = L_a rho_g, from the verified
-    semilinear view of r, as a fresh copy on every call."""
-    return dict(_semilinear_view(r)[0])
+    semilinear form of r, as a fresh copy on every call."""
+    return dict(_view(r)[0])
 
 
 def is_subrepresentation(r, basis):
+    """Whether span(basis) is stable under r, decided on its generators."""
     basis = span_basis(basis)
-    ops = dict.fromkeys(list(r.lam.values()) + list(r.rho.values()))
+    ops = dict.fromkeys(x for _, x in _generators(r))
     return contains(basis, *(m * v for m in ops for v in basis))
 
 
 def sub_quotient(r, basis):
-    """Split off the stable subspace: returns (W, Q, iota, pi).
+    """Split off the stable subspace: returns (W, Q, iota, pi), W and Q verified.
 
     Quotient coordinates are the non-pivot coordinates of the canonical
-    basis of the subspace, so the construction is reproducible.
+    basis of the subspace, so the construction is reproducible.  In the
+    basis [subspace | complement] each generator of r is block upper
+    triangular; its diagonal blocks are the generators of W and Q.
     """
     basis = span_basis(basis)
     if not is_subrepresentation(r, basis):
@@ -161,16 +236,21 @@ def sub_quotient(r, basis):
     C = hstack(cols) if cols else Matrix(field, n, 0, [])
     Cinv = C.inverse()
 
-    lam_w, rho_w, lam_q, rho_q = {}, {}, {}, {}
-    for x in r.digroup.elements:
-        for src, dst_w, dst_q in ((r.lam, lam_w, lam_q), (r.rho, rho_w, rho_q)):
-            t = Cinv * src[x] * C
-            dst_w[x] = t.block(0, 0, k, k)
-            dst_q[x] = t.block(k, k, n - k, n - k)
-            if not t.block(k, 0, n - k, k).is_zero():
+    def blocks(ops):
+        top, bottom = {}, {}
+        for key, m in ops.items():
+            x = Cinv * m * C
+            if not x.block(k, 0, n - k, k).is_zero():
                 raise RepresentationError("subspace not stable (internal)")
-    W = Representation(r.digroup, k, lam_w, rho_w)
-    Q = Representation(r.digroup, n - k, lam_q, rho_q)
+            top[key] = x.block(0, 0, k, k)
+            bottom[key] = x.block(k, k, n - k, n - k)
+        return top, bottom
+
+    eps, t = _view(r)
+    (eps_w, eps_q), (t_w, t_q) = blocks(eps), blocks(t)
+    d = r.digroup
+    W = from_semilinear(SemilinearObject(d.action, k, eps_w, t_w), d)
+    Q = from_semilinear(SemilinearObject(d.action, n - k, eps_q, t_q), d)
     iota = hstack(basis) if basis else Matrix(field, n, 0, [])
     pi = Cinv.block(k, 0, n - k, n)
     return W, Q, iota, pi
@@ -180,20 +260,19 @@ def direct_sum(r1, r2):
     if r1.digroup is not r2.digroup:
         raise RepresentationError("direct sum needs a common digroup")
     field = r1.field
-    lam, rho = {}, {}
-    for x in r1.digroup.elements:
-        lam[x] = block_diag(field, [r1.lam[x], r2.lam[x]])
-        rho[x] = block_diag(field, [r1.rho[x], r2.rho[x]])
-    return Representation(r1.digroup, r1.dim + r2.dim, lam, rho)
+    (eps1, t1), (eps2, t2) = _view(r1), _view(r2)
+    eps = {a: block_diag(field, [eps1[a], eps2[a]]) for a in eps1}
+    t = {g: block_diag(field, [t1[g], t2[g]]) for g in t1}
+    d = r1.digroup
+    return from_semilinear(SemilinearObject(d.action, r1.dim + r2.dim, eps, t), d)
 
 
 def hom_rep(r1, r2):
     """Canonical basis of the intertwiner space between two representations."""
     if r1.digroup is not r2.digroup:
         raise RepresentationError("hom needs a common digroup")
-    pairs = [(t1[x], t2[x]) for x in r1.digroup.elements
-             for t1, t2 in ((r1.lam, r2.lam), (r1.rho, r2.rho))]
-    return intertwiners(pairs, r1.dim, r2.dim, r1.field)
+    return intertwiners([(x1, x2) for _, x1, x2 in _generators(r1, r2)],
+                        r1.dim, r2.dim, r1.field)
 
 
 # -- the semilinear packaging --------------------------------------------
@@ -251,47 +330,22 @@ def require_valid_semilinear(m):
 
 
 def to_semilinear(r):
-    """The semilinear packaging of r; each call returns a new object with
-    copied tables of the verified semilinear view."""
-    eps, t = _semilinear_view(r)
+    """The semilinear form of r; each call returns a new object with
+    copied tables of the verified form (see _view)."""
+    eps, t = _view(r)
     return SemilinearObject(r.digroup.action, r.dim, dict(eps), dict(t))
 
 
-def _semilinear_view(r):
-    """(eps, t) with eps[a] = L_a = lam[(1, a)] and t[g] = rho_g.
-
-    Verified once per representation, in order: rho ignores the halo
-    index, lam factorizes as lam[(g, a)] = L_a rho_g, and the semilinear
-    axioms hold.  The tables are shared; callers hand out copies.
-    """
-    return once(r, "semilinear", lambda: _verified_semilinear(r))
-
-
-def _verified_semilinear(r):
-    d = r.digroup
-    t = {}
-    for g in range(d.group.order):
-        t[g] = r.rho[(g, 0)]
-        for a in range(1, d.halo_size):
-            if r.rho[(g, a)] != t[g]:
-                raise RepresentationError("rho depends on halo index at g=%d" % g)
-    eps = {a: r.lam[(d.group.identity, a)] for a in range(d.halo_size)}
-    for (g, a), m in r.lam.items():
-        if m != eps[a] * t[g]:
-            raise RepresentationError("lam factorization fails at %r" % ((g, a),))
-    require_ok(check_semilinear(SemilinearObject(d.action, r.dim, eps, t)),
-               "semilinear axioms")
-    return eps, t
-
-
 def from_semilinear(m, d):
+    """The representation lam[(g, a)] = eps[a] t[g], rho[(g, a)] = t[g],
+    verified by require_valid; every representation the package makes
+    from parts is built here."""
     if m.action is not d.action:
         raise RepresentationError("semilinear object lives over a different action")
     lam, rho = {}, {}
-    for g in range(d.group.order):
-        for a in range(d.halo_size):
-            rho[(g, a)] = m.t[g]
-            lam[(g, a)] = m.eps[a] * m.t[g]
+    for g, a in d.elements:
+        rho[(g, a)] = m.t[g]
+        lam[(g, a)] = m.eps[a] * m.t[g]
     return require_valid(Representation(d, m.dim, lam, rho))
 
 

@@ -12,7 +12,8 @@ import re
 
 from .digroup import Digroup, FiniteGroup, GAction
 from .linalg import Matrix, PrimeField, QQ
-from .reps import Representation, require_valid
+from .reps import (Representation, check_representation, require_ok,
+                   require_valid)
 from .ext import ShortExactSeq, short_exact
 
 
@@ -221,9 +222,15 @@ def rep_from_json(obj, field=None, validate=True, digroup=None):
     except (KeyError, TypeError, ValueError) as e:
         raise FormatError("bad representation document: %s" % e)
     r = Representation(digroup, dim, lam, rho)
-    if validate:
-        require_valid(r)
-    return r
+    return _require_axioms(r) if validate else r
+
+
+def _require_axioms(r):
+    """r, after the exhaustive R1-R5 report on its tables passes
+    (check_representation: the error names each failing identity), with
+    its semilinear form registered (require_valid)."""
+    require_ok(check_representation(r), "representation axioms")
+    return require_valid(r)
 
 
 # -- short exact sequences ------------------------------------------------

@@ -110,6 +110,19 @@ def test_ext1_BE_rejects_a_group_lift_that_leaves_the_eta_space():
         ext1_BE(v, bad)
 
 
+def test_g_action_on_hom_rejects_a_group_lift_that_leaves_the_band_maps():
+    # the same unvalidated t_1 as above: g.f is not band-linear, so it lies
+    # outside the span of the hom_BE basis and the coordinates solve refuses it
+    v = to_semilinear(demo_representation())
+    t = dict(v.t)
+    t[1] = Matrix.from_rows(QQ, [[0, 1], [1, 0]])
+    bad = SemilinearObject(v.action, v.dim, dict(v.eps), t)
+    with pytest.raises(RepresentationError, match="leaves the span"):
+        g_action_on_hom(bad, v)
+    with pytest.raises(RepresentationError, match="leaves the span"):
+        g_action_on_hom(v, bad)
+
+
 def test_group_law_inverses_are_certified():
     # t[g^-1] is no longer the inverse of t[g], built without validation:
     # the halo G-actions read t_g^-1 as t[g^-1] and must refuse it

@@ -7,9 +7,9 @@ import pytest
 from digrep import random_representation, seeded_rng
 from digrep.linalg import (DimensionError, FieldMismatchError, FpElement, Matrix,
                            PrimeField, QQ, SubspaceError, block_diag, block_image,
-                           block_kernel, complete, coordinates, devectorize, hstack,
-                           intertwiners, quotient, solve, span_basis, contains,
-                           sparse_kernel, vectorize, vstack)
+                           block_kernel, complete, coordinates, devectorize,
+                           ext_classes, hstack, intertwiners, quotient, solve,
+                           span_basis, contains, sparse_kernel, vectorize, vstack)
 from _instances import sample_digroup
 from _oracles import hom_rho_oracle, matrix_rank_oracle
 
@@ -196,6 +196,18 @@ def test_quotient_matches_complete_and_rejects_an_escaping_vector():
                                    for c in range(n)) if not contains(ambient, v))
             with pytest.raises(SubspaceError):
                 quotient(sub + [out], ambient)
+
+
+def test_ext_classes_refuses_a_dependent_coboundary_list():
+    # B is passed as a basis: a repeated column counts twice against dim Z,
+    # so the one quotient elimination refuses it
+    for field in FIELDS:
+        same = [[(field.of(1), None, 0, None), (field.of(-1), None, 1, None)]]   # X_0 = X_1
+        z, reps = ext_classes(2, 1, 1, same, [], field)
+        assert len(z) == 1 and reps == z
+        assert ext_classes(2, 1, 1, same, z, field) == (z, [])
+        with pytest.raises(SubspaceError):
+            ext_classes(2, 1, 1, same, z + z, field)
 
 
 def int_image(rng, field, values):

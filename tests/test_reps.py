@@ -1,6 +1,6 @@
 import pytest
 
-from digrep import (Matrix, QQ, Representation, RepresentationError,
+from digrep import (Matrix, PrimeField, QQ, Representation, RepresentationError,
                     check_representation, demo_representation,
                     demo_subspace_basis, direct_sum, from_semilinear, hom_rep,
                     lambda_factorization, random_representation,
@@ -73,6 +73,64 @@ def test_fault_injection_pinpoints_broken_axioms():
     singular = {k: Matrix.zeros(QQ, 2, 2) for k in r.rho}
     report = check_representation(Representation(r.digroup, 2, r.lam, singular))
     assert "rho_invertible" in report.failures()
+
+
+def corruptions(r, rng):
+    """(what, lam, rho): r's tables with one fault each."""
+    d, field, n = r.digroup, r.field, r.dim
+
+    def bumped(m):
+        i, j = rng.randrange(n), rng.randrange(n)
+        return m + Matrix.from_rows(field, [[int((a, b) == (i, j)) for b in range(n)]
+                                            for a in range(n)])
+
+    def one(table, x, m):
+        out = dict(table)
+        if m is None:
+            del out[x]
+        else:
+            out[x] = m
+        return out
+
+    e = d.group.identity
+    x = rng.choice(d.elements)
+    bar = (e, rng.randrange(d.halo_size))
+    yield "lam entry", one(r.lam, x, bumped(r.lam[x])), r.rho
+    yield "rho entry at a bar-unit", r.lam, one(r.rho, bar, bumped(r.rho[bar]))
+    others = [y for y in d.elements if y[0] != e]
+    if others:
+        y = rng.choice(others)
+        yield "rho entry off the bar-units", r.lam, one(r.rho, y, bumped(r.rho[y]))
+    yield "singular rho", r.lam, one(r.rho, x, Matrix.zeros(field, n, n))
+    yield "missing lam key", one(r.lam, x, None), r.rho
+    yield "missing rho key", r.lam, one(r.rho, x, None)
+
+
+@pytest.mark.parametrize("field", (QQ, PrimeField(7)), ids=repr)
+def test_require_valid_decides_like_the_exhaustive_report(field):
+    # require_valid raises exactly when check_representation fails or
+    # check_shapes refuses the tables, and the views raise with it
+    rng = seeded_rng(71)
+    refused = {}
+    for seed in range(1000, 1200, 8):
+        d, q, w = sample_pair(seed, field=field)
+        for r in (q, w):
+            for what, lam, rho in [("unchanged", r.lam, r.rho)] + list(corruptions(r, rng)):
+                broken = Representation(d, r.dim, lam, rho)
+                try:
+                    valid = check_representation(broken).ok
+                except RepresentationError:
+                    valid = False
+                refused[what] = refused.get(what, 0) + (not valid)
+                for view in (require_valid, rho_group_form, lambda_factorization,
+                             to_semilinear):
+                    if valid:
+                        view(broken)
+                    else:
+                        with pytest.raises(RepresentationError):
+                            view(broken)
+    # a bumped entry can leave a valid table (an idempotent L_a = 0 made 1)
+    assert refused.pop("unchanged") == 0 and min(refused.values()) >= 10, refused
 
 
 def test_sub_quotient_of_the_demo():
@@ -186,26 +244,32 @@ def test_to_semilinear_checks_once_and_hands_out_copies(monkeypatch):
                         lambda m: checked.append(m) or full_check(m))
     for seed in range(4):
         d, q, _ = sample_pair(seed + 310)
-        checked.clear()   # building q checked its own semilinear object
-        first = to_semilinear(q)
+        r = Representation(d, q.dim, q.lam, q.rho)   # q's tables, not yet checked
+        checked.clear()
+        require_valid(r)
+        first = to_semilinear(r)
         eps, t = dict(first.eps), dict(first.t)
         first.eps.clear()
         first.t[d.group.identity] = None
-        again = to_semilinear(q)
+        again = to_semilinear(r)
         assert again.eps == eps and again.t == t
         assert again.action is d.action and again.dim == q.dim
+        lambda_factorization(r)
         assert len(checked) == 1
 
 
 def test_lambda_factorization_verifies_once_and_rejects_on_every_call(monkeypatch):
-    r = demo_representation()
+    v = demo_representation()
+    r = Representation(v.digroup, 2, v.lam, v.rho)   # the demo's tables, not yet checked
     products = []
     full_mul = Matrix.__mul__
     monkeypatch.setattr(Matrix, "__mul__",
                         lambda a, b: products.append(1) or full_mul(a, b))
-    first = lambda_factorization(r)
+    require_valid(r)
     assert products
     products.clear()
+    first = lambda_factorization(r)
+    to_semilinear(r)
     expected = dict(first)
     first[0] = None   # callers get copies, not the verified map itself
     assert lambda_factorization(r) == expected

@@ -72,3 +72,18 @@ def test_one_parser_per_process():
     # the lazy accessor is the one caller of build_parser, so no code path
     # builds a parser per main() call
     assert callers("build_parser") == {"cli._parser"}
+
+
+def test_tables_are_checked_at_the_boundary_only():
+    # the exhaustive R1-R5 report runs where tables enter from outside:
+    # `digrep check` and the JSON loaders' helper; inside the package each
+    # representation is checked once, on its generators (require_valid)
+    assert callers("check_representation") == {"cli.cmd_check",
+                                                "serialize._require_axioms"}
+
+
+def test_representations_are_built_from_their_generators():
+    # from_semilinear builds the tables from (L, rho); only the JSON loader
+    # and the bundled demo write tables themselves
+    assert callers("Representation") == {"reps.from_semilinear", "serialize.rep_from_json",
+                                         "demo.demo_representation"}
