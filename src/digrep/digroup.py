@@ -63,6 +63,7 @@ class FiniteGroup:
         self.mul = tuple(tuple(row) for row in mul)
         self.order = len(self.mul)
         self.name = name
+        self._generators = None
         n = self.order
         for row in self.mul:
             if len(row) != n or any(not (0 <= x < n) for x in row):
@@ -105,8 +106,11 @@ class FiniteGroup:
         return self.mul[a][b]
 
     def generators(self):
-        """A small generating set: table_generators on the Cayley table."""
-        return table_generators(self.mul, self.identity)
+        """A small generating set S_G: table_generators on the Cayley table,
+        found once per group."""
+        if self._generators is None:
+            self._generators = tuple(table_generators(self.mul, self.identity))
+        return list(self._generators)
 
     def __len__(self):
         return self.order
@@ -268,6 +272,52 @@ def first_failure(pred, cases):
         if not pred(*case):
             return (False, case)
     return (True, None)
+
+
+def generated_homomorphism(images, group, one):
+    """(f, entry): the map g -> f[g] on the whole group that images spans,
+    and the first_failure entry of its group law.
+
+    images holds f[s] for every s in S_G = group.generators(), and may hold
+    more of the group; one is the value the identity must take.  f[1] is
+    one unless images gives it, and a given f[1] != one fails at (1,).
+    The scan runs over the pairs (x, s), x in G in closure order (the
+    order in which right multiplication by S_G reaches x from 1) and s in
+    S_G: f[x s] is set to f[x] f[s] where images leaves it open, and
+    checked against it otherwise; the first pair that fails is reported.
+    So the law below holds at every pair exactly when the entry passes, and
+    this is the one G x S_G scan of the package: the C1 and C2 check of
+    every semilinear object and the halo G-actions built from their
+    values on S_G go through it.
+
+    Lemma.  If f(1) = I and f(x) f(s) = f(x s) for every x in G and s in
+    S_G, then f(x) f(y) = f(x y) for all x, y in G.  table_generators
+    certifies that every y is a word 1 s_1 ... s_k in S_G.  By induction
+    on k: for k = 0, f(x) f(1) = f(x).  For y = y' s,
+
+        f(x) f(y' s) = f(x) f(y') f(s) = f(x y') f(s) = f(x y' s),
+
+    by the law at (y', s), the induction hypothesis and the law at
+    (x y', s).  In particular f(x) f(x^-1) = I, so every f(x) is
+    invertible.  The same induction, with the words read from the left,
+    serves the generating sets of FDAlgebra.generators.
+    """
+    e = group.identity
+    f = dict(images)
+    if f.setdefault(e, one) != one:
+        return f, (False, (e,))
+    gens = group.generators()
+    order, reached = [e], {e}
+
+    def law(x, s):
+        xs = group.mul[x][s]
+        if xs not in reached:
+            reached.add(xs)
+            order.append(xs)   # the scan below reaches it in turn
+        value = f[x] * f[s]
+        return f.setdefault(xs, value) == value
+
+    return f, first_failure(law, ((x, s) for x in order for s in gens))
 
 
 class Digroup:

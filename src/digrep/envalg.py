@@ -199,17 +199,12 @@ class AlgebraModule:
 def check_module(m):
     """Exhaustive check of the unit and of every entry of the product table.
 
-    Products are memoized by operand content, so every pair is still
-    checked: act(e_i) act(e_j) == act(e_product[i][j]).
+    The check for modules from outside (module_to_rep) and the tests'
+    oracle; check_module_on_generators makes the same decision on the
+    generators.  Products are memoized by operand content, so every pair
+    is still checked: act(e_i) act(e_j) == act(e_product[i][j]).
     """
-    a = m.algebra
-    if len(m.action) != a.dim:
-        raise AlgebraError("one action matrix per basis element required")
-    for mat in m.action:
-        if (mat.rows, mat.cols) != (m.dim, m.dim):
-            raise AlgebraError("action matrix shape mismatch")
-    if m.action[a.unit] != Matrix.identity(a.field, m.dim):
-        raise AlgebraError("unit does not act as the identity")
+    a = _require_unit(m)
     memo = ContentMemo()
     act = [memo.canon(mat) for mat in m.action]
     for i, row in enumerate(a.product):
@@ -219,11 +214,49 @@ def check_module(m):
     return m
 
 
+def check_module_on_generators(m):
+    """The decision of check_module, on a generating set S of the basis.
+
+    The unit acts as I, and act(s) act(e_j) = act(s e_j) for every s in
+    S = FDAlgebra.generators() and every basis element e_j: |S| dim A
+    products in place of dim A^2.  Every basis element x is a word
+    s_1 ... s_k in S (the closure that FDAlgebra.generators certifies),
+    and the rule for all (x, y) follows by induction on k, the lemma of
+    digroup.generated_homomorphism read from the left: for x = s x',
+    act(s x') act(y) = act(s) act(x') act(y) = act(s) act(x' y)
+    = act(s x' y), by the rule at (s, x'), the induction hypothesis, the
+    rule at (s, x' y) and associativity of the table (FDAlgebra.check,
+    run by the algebra's builders).
+    """
+    a = _require_unit(m)
+    act, p = m.action, a.product
+    for s in a.generators():
+        for j in range(a.dim):
+            if act[s] * act[j] != act[p[s][j]]:
+                raise AlgebraError("product table violated at (%d,%d)" % (s, j))
+    return m
+
+
+def _require_unit(m):
+    """m.algebra, once m has one square action matrix per basis element
+    and the unit acts as the identity; AlgebraError otherwise."""
+    a = m.algebra
+    if len(m.action) != a.dim:
+        raise AlgebraError("one action matrix per basis element required")
+    for mat in m.action:
+        if (mat.rows, mat.cols) != (m.dim, m.dim):
+            raise AlgebraError("action matrix shape mismatch")
+    if m.action[a.unit] != Matrix.identity(a.field, m.dim):
+        raise AlgebraError("unit does not act as the identity")
+    return a
+
+
 def rep_to_module(r, algebra=None):
     """Turn a representation into a module over the enveloping algebra.
 
     The module is built and checked once per (representation, algebra),
-    the way require_valid treats representations; later calls return the
+    on the generators of the algebra (check_module_on_generators), the
+    way require_valid treats representations; later calls return the
     same module.  The module holds its algebra, so no id in a key is reused.
     """
     require_valid(r)
@@ -231,7 +264,7 @@ def rep_to_module(r, algebra=None):
     if algebra is None:
         algebra = build_enveloping_algebra(d, r.field)
     return once(r, ("module", id(algebra)),
-                lambda: check_module(_as_module(r, algebra)))
+                lambda: check_module_on_generators(_as_module(r, algebra)))
 
 
 def _as_module(r, algebra):
@@ -275,10 +308,10 @@ def derivation_ext1(a, q, w):
                   = x y' c(s) + x c(y') s + c(x) y' s = x c(y) + c(x) y.
 
     The closure scan of FDAlgebra.generators certifies that S reaches every
-    basis element, and check_module (run by rep_to_module, which makes the
-    modules passed here) that the actions multiply like the basis.  So the
-    kernel, its canonical basis and the answer are those of the system with
-    one equation per ordered pair of basis elements.
+    basis element, and check_module_on_generators (run by rep_to_module,
+    which makes the modules passed here) that the actions multiply like
+    the basis.  So the kernel, its canonical basis and the answer are those
+    of the system with one equation per ordered pair of basis elements.
 
     The result is the kernel modulo the inner maps
     t -> (act_w(e_i) t - t act_q(e_i)), by linalg.ext_classes.  Returns

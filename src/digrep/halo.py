@@ -17,7 +17,7 @@ from .linalg import (Matrix, block_diag, block_image, coordinates, devectorize,
 from .reps import (RepresentationError, SemilinearObject, once,
                    require_valid_semilinear, to_semilinear, hom_rep)
 from .ext import cocycle_space, ext1_dim, extension_from_cocycle, is_split
-from .digroup import Digroup, first_failure
+from .digroup import Digroup, first_failure, generated_homomorphism
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,10 +74,12 @@ def g_action_on_hom(q, w):
     """The group action g.f = t_g^W f (t_g^Q)^-1 on the band Hom space.
 
     Returns the basis together with the action matrices in basis
-    coordinates, one solve per g for the images of the whole basis;
-    (t_g^Q)^-1 is t_{g^-1}^Q (_t_inverses).  The basis spans all of
-    Hom_BE, so the solve refuses every g.f that is not band-linear; the
-    action laws are verified.
+    coordinates.  One solve for each s in S_G gives the images of the
+    whole basis; (t_s^Q)^-1 is t_{s^-1}^Q (_t_inverses).  The basis spans
+    all of Hom_BE, so the solve refuses every s.f that is not band-linear.
+    Every other g acts by the product along the closure (_extend_action),
+    which is the lift at g for verified q and w: by C2,
+    f -> t_g^W f (t_g^Q)^-1 is multiplicative in g.
     """
     basis = hom_BE(q, w)
     group = q.action.group
@@ -85,33 +87,31 @@ def g_action_on_hom(q, w):
     n = w.dim * q.dim
     vecs = [f.reshape(n, 1) for f in basis]
     tq_inv = _t_inverses(q)
-    g_action = {}
-    for g in range(group.order):
-        images = [(w.t[g] * f * tq_inv[g]).reshape(n, 1) for f in basis]
+    on_gens = {}
+    for s in group.generators():
+        images = [(w.t[s] * f * tq_inv[s]).reshape(n, 1) for f in basis]
         c = coordinates(vecs, _columns(field, n, images))
         if c is None:
-            raise RepresentationError("g.f leaves the span at g=%d" % g)
-        g_action[g] = c
-    _check_action_laws(g_action, group, "Hom")
-    return HomSpaceWithAction(basis, g_action)
+            raise RepresentationError("g.f leaves the span at g=%d" % s)
+        on_gens[s] = c
+    one = Matrix.identity(field, len(basis))
+    return HomSpaceWithAction(basis, _extend_action(on_gens, one, q, w, "Hom"))
 
 
 def _t_inverses(q):
-    """{g: (t_g^Q)^-1}, read as t_{g^-1}^Q: no elimination.
+    """{s: (t_s^Q)^-1} for s in S_G, read as t_{s^-1}^Q: no elimination.
 
-    One product per pair {g, g^-1} certifies it, once per object (a
-    square matrix's right inverse is its inverse): RepresentationError
-    unless t_g t_{g^-1} = I.
+    One product per s certifies it, once per object (a square matrix's
+    right inverse is its inverse): RepresentationError unless
+    t_s t_{s^-1} = I.
     """
     def certified():
         group, t, inv = q.action.group, q.t, {}
-        for g in range(group.order):
-            h = group.inv[g]
-            if h < g:
-                continue
-            if t[h].rows != t[h].cols or t[g] * t[h] != Matrix.identity(t[h].field, t[h].rows):
-                raise RepresentationError("t_g t_(g^-1) != I at g=%d" % g)
-            inv[g], inv[h] = t[h], t[g]
+        for s in group.generators():
+            h = group.inv[s]
+            if t[h].rows != t[h].cols or t[s] * t[h] != Matrix.identity(t[h].field, t[h].rows):
+                raise RepresentationError("t_g t_(g^-1) != I at g=%d" % s)
+            inv[s] = t[h]
         return inv
 
     return once(q, "t_inverses", certified)
@@ -122,18 +122,24 @@ def _columns(field, n, vectors):
     return hstack(vectors) if vectors else Matrix(field, n, 0, [])
 
 
-def _check_action_laws(g_action, group, what):
-    """Raise unless g -> g_action[g] is a group homomorphism."""
-    one = g_action[group.identity]
-    if one != Matrix.identity(one.field, one.rows):
-        raise RepresentationError("the identity acts nontrivially on %s" % what)
-    order = range(group.order)
-    ok, bad = first_failure(
-        lambda g, h: g_action[g] * g_action[h] == g_action[group.mul[g][h]],
-        [(g, h) for g in order for h in order])
+def _extend_action(on_gens, one, q, w, what):
+    """{g: action matrix} for every g, from the matrices on S_G; one is
+    the identity matrix of their size.
+
+    generated_homomorphism sets g = x s to act as x.(s.v) along the
+    closure and certifies the group law on G x S_G, so the result is an
+    action of G.  It is the lift at every g once q and w are verified
+    semilinear objects (require_valid_semilinear; checked last, so that a
+    lift that fails at a generator is reported by the solve that meets it).
+    """
+    group = q.action.group
+    f, (ok, bad) = generated_homomorphism(on_gens, group, one)
     if not ok:
         raise RepresentationError(
-            "the action on %s is not multiplicative at (%d,%d)" % ((what,) + bad))
+            "the action on %s is not multiplicative at %r" % (what, bad))
+    require_valid_semilinear(q)
+    require_valid_semilinear(w)
+    return {g: f[g] for g in range(group.order)}
 
 
 def invariants(space):
@@ -163,9 +169,10 @@ def ext1_BE(q, w):
     compatibility condition for the block upper-triangular extension, and
     B is the effect of a block change of basis (linalg.ext_classes).
     The group acts on
-    classes by (g.eta)_a = t_g^W eta_{g^-1.a} t_{g^-1}^Q (_t_inverses);
-    this lift is verified to preserve Z and B and to satisfy the action
-    laws, and any failure raises rather than being repaired silently.
+    classes by (g.eta)_a = t_g^W eta_{g^-1.a} t_{g^-1}^Q (_t_inverses).
+    The lift is solved for s in S_G, verified to preserve Z and B, and
+    extended to every g along the closure (_extend_action); any failure
+    raises rather than being repaired silently.
     """
     if len(q.eps) != len(w.eps):
         raise RepresentationError("halo size mismatch")
@@ -174,8 +181,9 @@ def ext1_BE(q, w):
     field = w.field if dw else q.field
     group = q.action.group
     if dw * dq == 0:
-        return BEExtResult(0, 0, 0, [],
-                           {g: Matrix(field, 0, 0, []) for g in range(group.order)})
+        one = Matrix.identity(field, 0)
+        return BEExtResult(0, 0, 0, [], _extend_action(
+            dict.fromkeys(group.generators(), one), one, q, w, "classes"))
     keys = range(m)   # eta families are vectorized over the halo indices
     o, neg = field.of(1), field.of(-1)
     # Z: eps_a^W eta_b + eta_a eps_b^Q - eta_a = 0
@@ -189,25 +197,25 @@ def ext1_BE(q, w):
     full = cob + reps   # a basis of Z
     etas = [devectorize(v, keys, dw, dq, field) for v in full]
 
-    # one solve per g of g.[B | reps] in [B | reps]: the lift preserves Z
-    # when it is solvable and B when its lower-left block is zero; the
-    # lower-right block is the action on classes
+    # one solve per s in S_G of s.[B | reps] in [B | reps]: the lift
+    # preserves Z when it is solvable and B when its lower-left block is
+    # zero; the lower-right block is the action on classes
     tq_inv = _t_inverses(q)
-    g_classes = {}
-    for g in range(group.order):
-        tw, ginv = w.t[g], group.inv[g]
-        images = [vectorize({a: tw * eta[q.action.apply(ginv, a)] * tq_inv[g]
+    on_gens = {}
+    for s in group.generators():
+        tw, sinv = w.t[s], group.inv[s]
+        images = [vectorize({a: tw * eta[q.action.apply(sinv, a)] * tq_inv[s]
                              for a in keys}, keys, dw, dq) for eta in etas]
         c = coordinates(full, _columns(field, m * dw * dq, images))
         if c is None:
             raise RepresentationError(
-                "group action does not preserve the eta space at g=%d" % g)
+                "group action does not preserve the eta space at g=%d" % s)
         if not c.block(nb, 0, dim_ext, nb).is_zero():
             raise RepresentationError(
-                "group action does not preserve coboundaries at g=%d" % g)
-        g_classes[g] = c.block(nb, nb, dim_ext, dim_ext)
-    _check_action_laws(g_classes, group, "classes")
-    return BEExtResult(len(zvecs), nb, dim_ext, etas[nb:], g_classes)
+                "group action does not preserve coboundaries at g=%d" % s)
+        on_gens[s] = c.block(nb, nb, dim_ext, dim_ext)
+    return BEExtResult(len(zvecs), nb, dim_ext, etas[nb:], _extend_action(
+        on_gens, Matrix.identity(field, dim_ext), q, w, "classes"))
 
 
 def invariant_class_dim(res):
@@ -293,9 +301,12 @@ def verify_adjunction(m, n):
     g_ord = d.group.order
     dm, dn, dl = m.dim, n.dim, lm.dim
 
-    # left side: Phi with Phi eps_a^L = eps_a^N Phi and Phi t_h^L = t_h^N Phi
+    # left side: Phi with Phi eps_a^L = eps_a^N Phi and Phi t_s^L = t_s^N Phi
+    # for s in S_G, so for every t_h (C2 of the verified L(M) and N)
+    require_valid_semilinear(n)
+    gens = d.group.generators()
     pairs = [(lm.eps[a], n.eps[a]) for a in range(d.halo_size)]
-    pairs += [(lm.t[h], n.t[h]) for h in range(g_ord)]
+    pairs += [(lm.t[s], n.t[s]) for s in gens]
     left = intertwiners(pairs, dl, dn, field)
     right = hom_BE(m, underlying_module(n))
 
@@ -313,16 +324,15 @@ def verify_adjunction(m, n):
         if spread(restrict(phi)) != phi:
             unit_counit_ok = False
     for f in right:
-        if restrict(spread(f)) != f:
-            unit_counit_ok = False
-    for f in right:
-        # spreading must land back among the equivariant maps
         ft = spread(f)
+        if restrict(ft) != f:
+            unit_counit_ok = False
+        # spreading must land back among the equivariant maps
         for a in range(d.halo_size):
             if ft * lm.eps[a] != n.eps[a] * ft:
                 unit_counit_ok = False
-        for h in range(g_ord):
-            if ft * lm.t[h] != n.t[h] * ft:
+        for s in gens:
+            if ft * lm.t[s] != n.t[s] * ft:
                 unit_counit_ok = False
     return {
         "left_dim": len(left),

@@ -821,12 +821,16 @@ def block_kernel(nblocks, h, w, equations, field):
     n = nblocks * h * w
     if n == 0:
         return []
-    # equations made of the very same terms have the very same rows, so each
-    # is assembled once; the dict holds the terms, so no id in a key is reused
-    distinct = {tuple((id(c), id(l), b, id(r)) for c, l, b, r in eq): eq
-                for eq in equations}
-    return span_basis(sparse_kernel(n, _block_rows(h, w, distinct.values(), field),
+    return span_basis(sparse_kernel(n, _block_rows(h, w, _distinct(equations), field),
                                     field))
+
+
+def _distinct(equations):
+    """The equations, each made of the very same terms listed once: such
+    equations have the very same rows.  The dict holds the terms, so no id
+    in a key is reused."""
+    return {tuple((id(c), id(l), b, id(r)) for c, l, b, r in eq): eq
+            for eq in equations}.values()
 
 
 def block_image(nblocks, h, w, equations, field):
@@ -856,14 +860,35 @@ def intertwiners(pairs, d_src, d_dst, field):
 
 
 def ext_classes(nblocks, h, w, z_equations, b, field):
-    """(Z, reps): Z = block_kernel(z_equations) and reps = quotient(b, Z),
+    """(Z, reps): Z the canonical basis of the block families solving
+    z_equations (the kernel block_kernel gives) and reps = quotient(b, Z),
     representatives of Z / span(b), for b a basis of the coboundaries.
 
-    The one elimination of quotient also certifies that b is independent
-    and lies in Z: SubspaceError if not.
+    Both are certified, so callers need not scan what they return.  The
+    residual: the rows of z_equations, assembled once for the solve and
+    for this check, times each vector of Z must vanish (on the integer
+    images, so no scalar is built).  The one elimination of quotient
+    certifies that b is independent and lies in Z.  SubspaceError if
+    either fails.
     """
-    z = block_kernel(nblocks, h, w, z_equations, field)
-    return z, quotient(b, z)
+    n, z = nblocks * h * w, []
+    if n:
+        rows = _block_rows(h, w, _distinct(z_equations), field)
+        z = span_basis(sparse_kernel(n, rows, field))
+        # column c of the rows is {row: entry}; the residual of v sums
+        # v[c] times column c over the nonzeros of v
+        cols = _transpose(rows, n)
+        for v in z:
+            residual = {}
+            for c, x in enumerate(v._image()[0]):
+                if x:
+                    _axpy(residual, x, cols[c], field.char)
+            if any(residual.values()):   # a row's entries may cancel to 0
+                raise SubspaceError("a Z basis vector does not solve the Z equations")
+    try:
+        return z, quotient(b, z)
+    except SubspaceError:
+        raise SubspaceError("a coboundary lies outside Z") from None
 
 
 def _block_rows(h, w, equations, field):

@@ -16,10 +16,11 @@ hold, and where tables enter from outside (`digrep check`, the loaders)
 check_representation scans R1-R5 over every pair of elements.  Inside
 the package a representation is its semilinear form (L, rho): the m
 halo idempotents L_a = lam[(1, a)] and the n group operators rho_g.
-require_valid verifies that form once per object (_view); every
-representation the package makes is built from generator blocks by
-from_semilinear, and every later scan runs over the m + n generators
-(_generators).
+require_valid verifies that form once per object (_view), with the group
+law and C3 checked on S_G = FiniteGroup.generators() only (the lemma of
+digroup.generated_homomorphism); every representation the package makes
+is built from a verified semilinear object by from_semilinear, and every
+later scan runs over the m + |S_G| generators (_generators).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import random
 import weakref
 from dataclasses import dataclass
 
-from .digroup import AxiomReport, Digroup, first_failure
+from .digroup import AxiomReport, Digroup, first_failure, generated_homomorphism
 from .linalg import (ContentMemo, DimensionError, Matrix, QQ, block_diag,
                      contains, hstack, intertwiners, span_basis)
 
@@ -138,7 +139,8 @@ def _view(r):
     once per representation; the tables are shared, callers hand out copies.
 
     The checks, in order: check_shapes, rho ignores the halo index,
-    lam[(g, a)] = L_a rho_g, and check_semilinear on (eps, t).  They pass
+    lam[(g, a)] = L_a rho_g, and check_semilinear_on_generators on
+    (eps, t), which decides like check_semilinear.  They pass
     exactly when R1-R5 hold and every rho operator is invertible, the
     decision of check_representation, but on m + n generators.  Write
     x = (g, a) and y = (h, b), so x -| y = (gh, a), x |- y = (gh, g.b) and
@@ -174,25 +176,28 @@ def _verified_view(r):
     for (g, a), m in r.lam.items():
         if m != eps[a] * t[g]:
             raise RepresentationError("lam factorization fails at %r" % ((g, a),))
-    require_ok(check_semilinear(SemilinearObject(d.action, r.dim, eps, t)),
+    require_ok(check_semilinear_on_generators(SemilinearObject(d.action, r.dim, eps, t)),
                "semilinear axioms")
     return eps, t
 
 
 def _generators(*reps):
     """[(name, X_1, X_2, ...)], X_i the generator of reps[i]: ("L_a", L_a)
-    for each halo index a, then ("rho_g", rho_g) for each g, from the
-    verified semilinear forms of reps (one digroup).
+    for each halo index a, then ("rho_s", rho_s) for each s in S_G, from
+    the verified semilinear forms of reps (one digroup).
 
-    Since lam[(g, a)] = L_a rho_g and rho[(g, a)] = rho_g, a linear map
-    between two of them intertwines every operator exactly when it
-    intertwines each generator, and a subspace stable under each
-    generator is stable under every operator.
+    Since lam[(g, a)] = L_a rho_g, rho[(g, a)] = rho_g and every rho_g is
+    a product of the rho_s (C2 and the lemma of
+    digroup.generated_homomorphism), a linear map between two of them
+    intertwines every operator exactly when it intertwines each
+    generator, and a subspace stable under each generator is stable
+    under every operator.
     """
     views = [_view(r) for r in reps]
-    eps, t = views[0]
+    eps = views[0][0]
     return ([("L_%d" % a,) + tuple(v[0][a] for v in views) for a in eps]
-            + [("rho_%d" % g,) + tuple(v[1][g] for v in views) for g in t])
+            + [("rho_%d" % s,) + tuple(v[1][s] for v in views)
+               for s in reps[0].digroup.group.generators()])
 
 
 def rho_group_form(r):
@@ -304,6 +309,12 @@ class SemilinearObject:
 
 
 def check_semilinear(m):
+    """Exhaustive report of the semilinear axioms: the band law, C1, C2
+    over every pair of group elements and C3 over every (g, a).
+
+    The report for tests and for objects from outside;
+    check_semilinear_on_generators makes the same decision on S_G.
+    """
     g = m.action.group
     results = {}
     results["band"] = first_failure(lambda a, b: m.eps[a] * m.eps[b] == m.eps[a],
@@ -324,29 +335,72 @@ def check_semilinear(m):
     return AxiomReport(results)
 
 
+def check_semilinear_on_generators(m):
+    """The decision of check_semilinear, on the generators S_G of the group.
+
+    The band law over every pair of halo indices; C1 and C2 through
+    digroup.generated_homomorphism (t[1] = I and t[x] t[s] = t[x s] for
+    x in G, s in S_G); C3 for s in S_G and every a.  By the lemma of
+    generated_homomorphism these give C2 at every pair and make every
+    t[g] invertible, and C3 follows at every g by induction along the
+    words: t[x s] L_a = t[x] t[s] L_a = t[x] L_(s.a) t[s]
+    = L_(x s.a) t[x] t[s] = L_(x s.a) t[x s].  So the report passes
+    exactly when check_semilinear's does, with (n + m) |S_G| + m^2
+    products in place of n^2 + n m + m^2.
+    """
+    group = m.action.group
+    ident = Matrix.identity(m.field, m.dim)
+    return AxiomReport({
+        "band": first_failure(lambda a, b: m.eps[a] * m.eps[b] == m.eps[a],
+                              [(a, b) for a in m.eps for b in m.eps]),
+        "C1_C2": generated_homomorphism(m.t, group, ident)[1],
+        "C3": first_failure(
+            lambda s, a: m.t[s] * m.eps[a] == m.eps[m.action.apply(s, a)] * m.t[s],
+            [(s, a) for s in group.generators() for a in m.eps]),
+    })
+
+
 def require_valid_semilinear(m):
-    once(m, "valid", lambda: require_ok(check_semilinear(m), "semilinear axioms"))
+    """m, once check_semilinear_on_generators has passed on it; one
+    registry entry per object, RepresentationError on every call otherwise."""
+    once(m, "valid", lambda: require_ok(check_semilinear_on_generators(m),
+                                        "semilinear axioms"))
     return m
 
 
 def to_semilinear(r):
     """The semilinear form of r; each call returns a new object with
-    copied tables of the verified form (see _view)."""
+    copied tables of the verified form (see _view), registered as verified."""
     eps, t = _view(r)
-    return SemilinearObject(r.digroup.action, r.dim, dict(eps), dict(t))
+    m = SemilinearObject(r.digroup.action, r.dim, dict(eps), dict(t))
+    once(m, "valid", lambda: None)
+    return m
 
 
 def from_semilinear(m, d):
-    """The representation lam[(g, a)] = eps[a] t[g], rho[(g, a)] = t[g],
-    verified by require_valid; every representation the package makes
-    from parts is built here."""
+    """The representation lam[(g, a)] = eps[a] t[g], rho[(g, a)] = t[g];
+    every representation the package makes from parts is built here.
+
+    m is verified by require_valid_semilinear, and the tables built from
+    it pass check_shapes.  They then satisfy every check of _view by
+    construction: rho ignores the halo index and lam factors as
+    L_a rho_g, with L_a = eps[a] (C1: lam[(1, a)] = eps[a] t[1] = eps[a]).
+    So (eps, t) is registered as the verified view of the result without
+    recomputing the n m products it was built from.
+    """
     if m.action is not d.action:
         raise RepresentationError("semilinear object lives over a different action")
+    require_valid_semilinear(m)
     lam, rho = {}, {}
     for g, a in d.elements:
         rho[(g, a)] = m.t[g]
         lam[(g, a)] = m.eps[a] * m.t[g]
-    return require_valid(Representation(d, m.dim, lam, rho))
+    r = Representation(d, m.dim, lam, rho)
+    r.check_shapes()
+    view = ({a: m.eps[a] for a in range(d.halo_size)},
+            {g: m.t[g] for g in range(d.group.order)})
+    once(r, "valid", lambda: view)
+    return r
 
 
 # -- seeded random instances ---------------------------------------------

@@ -1,7 +1,8 @@
 """Seeded random instance helpers shared across the test modules."""
 
-from digrep import (QQ, Digroup, FiniteGroup, all_actions, random_representation,
-                    random_semilinear, seeded_rng)
+from digrep import (QQ, Digroup, FiniteGroup, Matrix, all_actions, from_semilinear,
+                    random_representation, random_semilinear, seeded_rng)
+from digrep.halo import induction_L, underlying_module
 
 GROUPS = {
     "C1": lambda: FiniteGroup.cyclic(1),
@@ -37,3 +38,32 @@ def sample_semilinear_pair(seed, max_dim=3, halo_sizes=(1, 2, 3),
     a = random_semilinear(d, rng.randint(0, max_dim), rng)
     b = random_semilinear(d, rng.randint(0, max_dim), rng)
     return d, a, b
+
+
+def induced_pair(seed, field=QQ, group_names=None):
+    """A digroup d, the induced representation L = from_semilinear(induction_L(M, d), d)
+    of the band module M of a random 1-dimensional semilinear object, and a
+    random representation W of dimension 1 or 2, over field.
+
+    The t_g of L permute its halo blocks, so these pairs move the halo,
+    unlike the sign characters of sample_pair.
+    """
+    rng = seeded_rng(seed)
+    d = sample_digroup(rng, group_names=group_names)
+    m = underlying_module(random_semilinear(d, 1, rng, field))
+    lift = from_semilinear(induction_L(m, d), d)
+    w = random_representation(d, rng.randint(1, 2), rng, field)
+    return d, lift, w
+
+
+def corrupted_tables(table):
+    """(key, a copy of table with table[key] changed), for each key of a
+    table of matrices: first with 1 added to the first entry, then negated
+    (where that changes the matrix)."""
+    for key, m in table.items():
+        f = m.field
+        bump = Matrix.from_rows(f, [[f.of(int(i == j == 0)) for j in range(m.cols)]
+                                    for i in range(m.rows)])
+        for changed in (m + bump, -m):
+            if changed != m:
+                yield key, {**table, key: changed}

@@ -15,6 +15,7 @@ from sympy.polys.matrices import DomainMatrix
 from digrep.ext import (average_section, block_decompose, coboundary, cocycle_space,
                         hom_rho)
 from digrep.halo import hom_BE
+from digrep.reps import check_semilinear
 from digrep.linalg import (Matrix, block_image, block_kernel, coordinates,
                            devectorize, hstack, quotient, span_basis, vectorize)
 
@@ -246,6 +247,26 @@ def per_vector_halo_actions(q, w):
                               for v in reps], 0)
                   for g in range(group.order)}
     return on_hom, on_classes
+
+
+def exhaustive_halo_actions(q, w):
+    """The decision and the G-actions of halo.g_action_on_hom and
+    halo.ext1_BE, by a solve at every g and exhaustive checks.
+
+    None when q or w fails the exhaustive check_semilinear or an action
+    fails its group law at some pair of G x G; otherwise the per-g
+    actions of per_vector_halo_actions.  The reference for the package,
+    which solves on the generators only.
+    """
+    if not (check_semilinear(q).ok and check_semilinear(w).ok):
+        return None
+    actions = per_vector_halo_actions(q, w)
+    group = q.action.group
+    for f in actions:
+        if any(f[g] * f[h] != f[group.mul[g][h]]
+               for g in range(group.order) for h in range(group.order)):
+            return None
+    return actions
 
 
 def full_family_ext1(q, w):

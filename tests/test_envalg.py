@@ -7,11 +7,12 @@ from digrep import (Matrix, PrimeField, QQ, build_enveloping_algebra,
                     demo_representation, demo_subspace_basis, derivation_ext1,
                     module_to_rep, random_representation, rep_to_module,
                     require_valid, seeded_rng, sub_quotient, tau_automorphism)
-from digrep.envalg import AlgebraError, FDAlgebra, check_module
+from digrep.envalg import (AlgebraError, AlgebraModule, FDAlgebra, check_module,
+                           check_module_on_generators)
 from digrep.digroup import (Digroup, FiniteGroup, GAction, all_actions,
                             table_generators)
 
-from _instances import GROUPS, sample_digroup, sample_pair
+from _instances import GROUPS, corrupted_tables, induced_pair, sample_digroup, sample_pair
 from _oracles import ext1_dim_oracle, full_table_derivation_ext1
 
 
@@ -167,9 +168,9 @@ def test_rep_to_module_checks_once_and_corrupted_modules_still_raise(monkeypatch
     from digrep import envalg
     from digrep.envalg import AlgebraModule
     checked = []
-    full_check = envalg.check_module
-    monkeypatch.setattr(envalg, "check_module",
-                        lambda m: checked.append(m) or full_check(m))
+    check = envalg.check_module_on_generators
+    monkeypatch.setattr(envalg, "check_module_on_generators",
+                        lambda m: checked.append(m) or check(m))
     for seed in range(4):
         d, q, _ = sample_pair(seed + 300)
         a = build_enveloping_algebra(d)
@@ -303,3 +304,33 @@ def test_tau_automorphism_is_an_algebra_map():
             img = tg * ea
             target = b.index(("eps", act.apply(g, al)))
             assert tuple(img.flat()) == tuple(int(k == target) for k in range(b.dim))
+
+
+def decision(check, m):
+    try:
+        check(m)
+    except AlgebraError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("field", (QQ, PrimeField(7)), ids=repr)
+def test_module_check_on_generators_decides_like_check_module(field):
+    # every action matrix, the unit's included, of the modules of induced
+    # and random representations over C1, cyclic groups and S3, changed one
+    # at a time; most basis elements are not among the algebra's generators
+    refused = off_gens = 0
+    for i, name in enumerate(("C1", "C2", "C3", "C6", "S3")):
+        d, lift, w = induced_pair(7100 + i, field, (name,))
+        alg = build_enveloping_algebra(d, field)
+        gens = alg.generators()
+        for r in (lift, w):
+            mod = rep_to_module(r, alg)
+            assert decision(check_module, mod)
+            for k, action in corrupted_tables(dict(enumerate(mod.action))):
+                bad = AlgebraModule(alg, mod.dim, tuple(action.values()))
+                ok = decision(check_module, bad)
+                assert decision(check_module_on_generators, bad) == ok, (name, k)
+                refused += not ok
+                off_gens += not ok and k not in gens
+    assert refused > off_gens >= 20

@@ -1,20 +1,22 @@
+import sys
+
 import pytest
 
 from digrep import (CocycleFamily, Matrix, MaschkeError, PrimeField, QQ,
                     Representation, RepresentationError, average_section,
                     block_decompose, change_of_splitting_check, check_cocycle,
-                    coboundary, cocycle_space, demo_digroup,
+                    coboundary, cocycle_space, demo_digroup, demo_representation,
                     demo_ses, demo_subspace_basis,
                     direct_sum, ext1_dim, extension_from_cocycle, hom_rho,
                     is_split, require_valid, semisimplicity_probe, short_exact,
                     ShortExactSeq, sub_quotient)
 from digrep.digroup import Digroup, FiniteGroup, GAction
-from digrep.ext import vectorize, coboundary_space
+from digrep.ext import check_cocycle_on_generators, vectorize, coboundary_space
 from digrep.halo import hom_BE
 from digrep.linalg import FieldMismatchError, SubspaceError, span_basis, solve, hstack
 from digrep.reps import hom_rep, random_representation, seeded_rng, to_semilinear
 
-from _instances import sample_pair
+from _instances import corrupted_tables, induced_pair, sample_pair
 from _oracles import (cocycle_dim_oracle, ext1_dim_oracle, full_family_ext1,
                       hom_rho_oracle)
 
@@ -404,29 +406,57 @@ def test_a_coboundary_outside_the_verified_cocycle_basis_is_refused(
     assert "coboundary" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("model", ["envalg", "halo"])
+def with_a_non_kernel_vector(kernel):
+    """kernel (linalg.sparse_kernel) with one more vector when ext_classes
+    calls it: the unit vector of the first column a row constrains, which
+    that row does not annihilate."""
+    def faulty(ncols, rows, field):
+        basis = kernel(ncols, rows, field)
+        c = next((c for row in rows for c, x in sorted(row.items()) if field.of(x)), None)
+        if sys._getframe(1).f_code.co_name != "ext_classes" or c is None:
+            return basis
+        return basis + [Matrix.from_rows(field, [[int(i == c)] for i in range(ncols)])]
+    return faulty
+
+
+@pytest.mark.parametrize("model", ["envalg", "halo", "kernel"])
 def test_a_coboundary_outside_z_is_refused_by_every_model(model, monkeypatch, tmp_path,
                                                           capsys):
     # derivation_ext1 (inner derivations outside the derivations) and ext1_BE
-    # (B outside the eta space) refuse the same fault as the cocycle model
+    # (B outside the eta space) refuse the same fault as the cocycle model;
+    # a kernel solve that returns a vector outside the kernel is refused by
+    # the residual of linalg.ext_classes in all three models
     import importlib
+    from digrep import linalg
     from digrep.cli import main
     from digrep.envalg import build_enveloping_algebra, derivation_ext1, rep_to_module
     from digrep.halo import ext1_BE
-    module = importlib.import_module("digrep." + model)
-    monkeypatch.setattr(module, "ext_classes", without_coboundaries(module.ext_classes))
     _, w, q = demo_parts()
-    with pytest.raises(SubspaceError):
-        if model == "envalg":
-            alg = build_enveloping_algebra(q.digroup)
-            derivation_ext1(alg, rep_to_module(q, alg), rep_to_module(w, alg))
-        else:
-            ext1_BE(to_semilinear(q), to_semilinear(w))
+    if model == "kernel":
+        q = w = demo_representation()   # Z is a proper subspace in all three models
+    alg = build_enveloping_algebra(q.digroup)
+    solves = {
+        "cocycle": lambda: ext1_dim(q, w),
+        "envalg": lambda: derivation_ext1(alg, rep_to_module(q, alg), rep_to_module(w, alg)),
+        "halo": lambda: ext1_BE(to_semilinear(q), to_semilinear(w)),
+    }
+    if model == "kernel":
+        monkeypatch.setattr(linalg, "sparse_kernel",
+                            with_a_non_kernel_vector(linalg.sparse_kernel))
+        refused, message = (RepresentationError, SubspaceError), "does not solve"
+    else:
+        module = importlib.import_module("digrep." + model)
+        monkeypatch.setattr(module, "ext_classes", without_coboundaries(module.ext_classes))
+        solves = {model: solves[model]}
+        refused, message = SubspaceError, "outside"
+    for solve in solves.values():
+        with pytest.raises(refused):
+            solve()
     assert main(["example", "nonsplit", "--out", str(tmp_path)]) == 0
     rep = str(tmp_path / "nonsplit_representation.json")
     capsys.readouterr()
     assert main(["ext1", rep, rep]) == 1
-    assert "outside" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("field", (QQ, PrimeField(7)), ids=repr)
@@ -465,3 +495,42 @@ def test_ext1_dim_scans_only_the_cocycle_basis(monkeypatch):
         res = ext1_dim(q, w)
         assert len(scans) <= res.dim_Z
     assert ext1_dim(*pairs[0]).dim_B == 1
+
+
+@pytest.mark.parametrize("field", (QQ, PrimeField(7), PrimeField(2), PrimeField(3)), ids=repr)
+def test_every_cocycle_space_family_passes_the_exhaustive_check(field):
+    """The Z^1 basis is registered without a scan (_ext1); each family still
+    passes check_cocycle, on corpus pairs, induced pairs and their direct
+    sums, also where the characteristic divides |G|."""
+    pairs = [sample_pair(seed, field=field)[1:] for seed in range(1000, 1200, 10)]
+    for i, name in enumerate(("C2", "C3", "C6", "S3")):
+        _, lift, w = induced_pair(7200 + i, field, (name,))
+        both = direct_sum(lift, w)
+        pairs += [(lift, w), (w, lift), (both, lift), (w, both)]
+    families = 0
+    for q, w in pairs:
+        for fam in cocycle_space(q, w):
+            assert check_cocycle(fam.theta, q, w).ok
+            families += 1
+    assert families >= 40
+
+
+@pytest.mark.parametrize("field", (QQ, PrimeField(7)), ids=repr)
+def test_cocycle_check_on_generators_decides_like_check_cocycle(field):
+    # Z^1 families and coboundaries of corpus and induced pairs over C1,
+    # cyclic groups and S3, each value changed one element at a time
+    pairs = [sample_pair(seed, field=field)[1:] for seed in range(1000, 1040, 4)]
+    for i, name in enumerate(("C1", "C2", "C3", "C6", "S3")):
+        _, lift, w = induced_pair(7300 + i, field, (name,))
+        pairs += [(lift, w), (w, lift)]
+    refused = 0
+    for q, w in pairs:
+        families = [f.theta for f in cocycle_space(q, w)[:2]]
+        families += [coboundary(t, q, w).theta for t in hom_rho(q, w)[:1]]
+        for theta in families:
+            assert check_cocycle_on_generators(theta, q, w).ok
+            for x, bad in corrupted_tables(theta):
+                ok = check_cocycle(bad, q, w).ok
+                assert check_cocycle_on_generators(bad, q, w).ok == ok, x
+                refused += not ok
+    assert refused >= 50

@@ -10,8 +10,9 @@ from digrep.halo import (BEModule, check_be_module, ext1_BE, g_action_on_hom,
                          underlying_module, verify_adjunction, verify_collapse)
 from digrep.reps import RepresentationError, SemilinearObject
 
-from _instances import sample_digroup, sample_pair, sample_semilinear_pair
-from _oracles import ext1_dim_gfp_oracle, per_vector_halo_actions
+from _instances import (corrupted_tables, induced_pair, sample_digroup, sample_pair,
+                        sample_semilinear_pair)
+from _oracles import ext1_dim_gfp_oracle, exhaustive_halo_actions, per_vector_halo_actions
 
 
 def demo_sub_and_quotient():
@@ -279,3 +280,42 @@ def test_three_way_ext1_agreement_over_prime_fields(p):
         assert col["collapse_ok"], seed
         assert (der == col["ext1_rep_dim"] == col["ext1_BE_invariant_dim"]
                 == ext1_dim_gfp_oracle(q, w)), seed
+
+
+def package_halo_actions(q, w):
+    """(action on Hom_BE, action on the classes), or None where refused."""
+    try:
+        return g_action_on_hom(q, w).g_action, ext1_BE(q, w).g_action_on_classes
+    except RepresentationError:
+        return None
+
+
+@pytest.mark.parametrize("field", (QQ, PrimeField(5), PrimeField(7)), ids=repr)
+def test_generator_built_halo_actions_decide_like_the_per_g_solve(field):
+    """The actions solved on S_G and extended along the closure equal the
+    solve at every g, and are refused exactly where the exhaustive checks
+    refuse: for each eps_a and t_g of either side changed in turn."""
+    pairs = []
+    for i, name in enumerate(("C1", "C2", "C3", "C6", "S3")):
+        _, lift, w = induced_pair(7400 + i, field, (name,))
+        lift, w = to_semilinear(lift), to_semilinear(w)
+        pairs += [(lift, w), (w, lift)]
+    refused = moved = 0
+    for q, w in pairs:
+        expected = exhaustive_halo_actions(q, w)
+        assert expected is not None and package_halo_actions(q, w) == expected
+        on_hom = expected[0].values()
+        moved += any(m != Matrix.identity(m.field, m.rows) for m in on_hom)
+        gens = q.group.generators()
+        for side in (0, 1):
+            obj = (q, w)[side]
+            for part in ("eps", "t"):
+                for key, table in corrupted_tables(getattr(obj, part)):
+                    bad = [q, w]
+                    bad[side] = SemilinearObject(obj.action, obj.dim,
+                                                 **{"eps": obj.eps, "t": obj.t, part: table})
+                    expected = exhaustive_halo_actions(*bad)
+                    assert (package_halo_actions(*bad) is None) == (expected is None), \
+                        (side, part, key)
+                    refused += expected is None and part == "t" and key not in gens
+    assert refused >= 20 and moved >= 3

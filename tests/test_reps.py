@@ -6,10 +6,13 @@ from digrep import (Matrix, PrimeField, QQ, Representation, RepresentationError,
                     lambda_factorization, random_representation,
                     random_semilinear, require_valid, rho_group_form,
                     seeded_rng, sub_quotient, to_semilinear)
-from digrep.reps import sign_characters, check_semilinear, SemilinearObject
+from dataclasses import replace
+
+from digrep.reps import (sign_characters, check_semilinear, check_semilinear_on_generators,
+                         SemilinearObject)
 from digrep.digroup import FiniteGroup
 
-from _instances import sample_pair, sample_semilinear_pair
+from _instances import corrupted_tables, induced_pair, sample_pair, sample_semilinear_pair
 
 
 def test_demo_representation_passes_all_axioms():
@@ -104,6 +107,17 @@ def corruptions(r, rng):
     yield "singular rho", r.lam, one(r.rho, x, Matrix.zeros(field, n, n))
     yield "missing lam key", one(r.lam, x, None), r.rho
     yield "missing rho key", r.lam, one(r.rho, x, None)
+    # rho_g changed at a g outside the generating set, at every halo index,
+    # with lam still L_a rho_g: only the group law and C3 off S_G fail
+    gens = d.group.generators()
+    off = [g for g in range(d.group.order) if g != e and g not in gens]
+    if off:
+        g = rng.choice(off)
+        t = bumped(r.rho[(g, 0)])
+        halo = range(d.halo_size)
+        yield ("rho_g off the generators",
+               {**r.lam, **{(g, a): r.lam[(e, a)] * t for a in halo}},
+               {**r.rho, **{(g, a): t for a in halo}})
 
 
 @pytest.mark.parametrize("field", (QQ, PrimeField(7)), ids=repr)
@@ -112,8 +126,9 @@ def test_require_valid_decides_like_the_exhaustive_report(field):
     # check_shapes refuses the tables, and the views raise with it
     rng = seeded_rng(71)
     refused = {}
-    for seed in range(1000, 1200, 8):
-        d, q, w = sample_pair(seed, field=field)
+    pairs = [sample_pair(seed, field=field) for seed in range(1000, 1200, 8)]
+    pairs += [induced_pair(7500 + i, field, (name,)) for i, name in enumerate(("C3", "S3"))]
+    for d, q, w in pairs:
         for r in (q, w):
             for what, lam, rho in [("unchanged", r.lam, r.rho)] + list(corruptions(r, rng)):
                 broken = Representation(d, r.dim, lam, rho)
@@ -239,9 +254,9 @@ def test_random_generation_is_deterministic_per_seed():
 def test_to_semilinear_checks_once_and_hands_out_copies(monkeypatch):
     from digrep import reps
     checked = []
-    full_check = reps.check_semilinear
-    monkeypatch.setattr(reps, "check_semilinear",
-                        lambda m: checked.append(m) or full_check(m))
+    check = reps.check_semilinear_on_generators
+    monkeypatch.setattr(reps, "check_semilinear_on_generators",
+                        lambda m: checked.append(m) or check(m))
     for seed in range(4):
         d, q, _ = sample_pair(seed + 310)
         r = Representation(d, q.dim, q.lam, q.rho)   # q's tables, not yet checked
@@ -298,3 +313,26 @@ def test_the_registry_keeps_no_representation_alive():
     del q, w, src, dst, r
     gc.collect()
     assert [ref() for ref in refs] == [None, None]
+
+
+@pytest.mark.parametrize("field", (QQ, PrimeField(5), PrimeField(7)), ids=repr)
+def test_semilinear_check_on_generators_decides_like_the_exhaustive_report(field):
+    # every eps_a and every t_g of induced objects (t_g moves the halo) and
+    # of random ones, over C1, cyclic groups and S3, changed one at a time;
+    # C3 and C6 have one generator, so most t_g are not generators
+    objects = []
+    for i, name in enumerate(("C1", "C2", "C3", "C6", "S3") * 2):
+        _, lift, w = induced_pair(7000 + i, field, (name,))
+        objects += [to_semilinear(lift), to_semilinear(w)]
+    refused = {"eps": 0, "t": 0, "t off S_G": 0}
+    for m in objects:
+        assert check_semilinear(m).ok and check_semilinear_on_generators(m).ok
+        gens = m.group.generators()
+        for part in ("eps", "t"):
+            for key, table in corrupted_tables(getattr(m, part)):
+                bad = replace(m, **{part: table})
+                ok = check_semilinear(bad).ok
+                assert check_semilinear_on_generators(bad).ok == ok, (part, key)
+                refused[part] += not ok
+                refused["t off S_G"] += not ok and part == "t" and key not in gens
+    assert min(refused.values()) >= 10, refused

@@ -87,3 +87,60 @@ def test_representations_are_built_from_their_generators():
     # and the bundled demo write tables themselves
     assert callers("Representation") == {"reps.from_semilinear", "serialize.rep_from_json",
                                          "demo.demo_representation"}
+
+
+def test_exhaustive_checkers_run_at_the_boundary_only():
+    # inside the package a semilinear object, a cocycle family and a module
+    # are decided on generators (the *_on_generators checks); the exhaustive
+    # reports are the tests' oracles, and check_module reads the modules a
+    # caller hands to module_to_rep
+    assert callers("check_semilinear") == set()
+    assert callers("check_cocycle") == set()
+    assert callers("check_module") == {"envalg.module_to_rep"}
+
+
+def generator_scans():
+    """The dotted functions holding a comprehension or a loop nest that pairs
+    a loop over a generating set (a .generators() call, or a name the same
+    function binds to one) with a second loop."""
+    def over_generators(it, names):
+        return (isinstance(it, ast.Call) and getattr(it.func, "attr", None) == "generators"
+                or isinstance(it, ast.Name) and it.id in names)
+
+    found = set()
+    for stem, tree in modules():
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            names = {t.id for node in ast.walk(fn)
+                     if isinstance(node, ast.Assign) and over_generators(node.value, ())
+                     for t in node.targets if isinstance(t, ast.Name)}
+            for node in ast.walk(fn):
+                if isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)):
+                    loops = [g.iter for g in node.generators]
+                elif isinstance(node, ast.For):
+                    loops = [n.iter for n in ast.walk(node) if isinstance(n, ast.For)]
+                else:
+                    continue
+                if len(loops) > 1 and any(over_generators(it, names) for it in loops):
+                    found.add("%s.%s" % (stem, fn.name))
+    return found
+
+
+def test_generated_homomorphism_is_the_one_group_law_scan():
+    # digroup.generated_homomorphism is the only scan of G x S_G: it checks
+    # and extends every group law (C1 and C2, the halo G-actions).  The other
+    # scans over generators pair S_G with the halo (C3, Z1b), the algebra's
+    # generators with its basis (the module rule, the derivation system), or
+    # S_G with a Hom basis (the adjunction's spread check)
+    assert generator_scans() == {
+        "digroup.generated_homomorphism",
+        "reps.check_semilinear_on_generators",
+        "ext.check_cocycle_on_generators",
+        "ext._solve_ext1",
+        "envalg.check_module_on_generators",
+        "envalg.derivation_ext1",
+        "halo.verify_adjunction",
+    }
+    assert callers("generated_homomorphism") == {"reps.check_semilinear_on_generators",
+                                                 "halo._extend_action"}
