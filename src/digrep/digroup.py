@@ -13,7 +13,8 @@ here is small enough for brute force.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import permutations, product
+from operator import mul
 
 
 class GroupTableError(ValueError):
@@ -182,71 +183,29 @@ _action_cache = {}
 def all_actions(group, set_size):
     """Every action of `group` on a set of `set_size` points.
 
-    Enumerated by choosing permutation images for a generating set and
-    extending along the Cayley table; each candidate is verified in full.
+    Each choice of permutation images for S_G = group.generators(), in
+    itertools.product order, is extended along the closure by
+    generated_homomorphism with permutation composition as the product;
+    the choices whose group law holds on G x S_G are the actions (its
+    lemma), and the GAction constructor verifies each in full.
     """
     key = (group.mul, set_size)
-    if key in _action_cache:
-        return _action_cache[key]
-    gens = group.generators()
-    perms = list(permutations(range(set_size)))
-    found = []
-    if not gens:
-        found.append(GAction.trivial(group, set_size))
-    for images in _product_of_perms(perms, len(gens)):
-        tbl = _extend_hom(group, gens, images, set_size)
-        if tbl is None:
-            continue
-        try:
-            found.append(GAction(group, set_size, tbl))
-        except ValueError:
-            continue
-    _action_cache[key] = found
-    return found
+    if key not in _action_cache:
+        gens = group.generators()
+        perms = list(permutations(range(set_size)))
+        found = []
+        for images in product(perms, repeat=len(gens)):
+            f, (ok, _) = generated_homomorphism(zip(gens, images), group,
+                                                tuple(range(set_size)), _compose)
+            if ok:
+                found.append(GAction(group, set_size, [f[g] for g in range(group.order)]))
+        _action_cache[key] = found
+    return _action_cache[key]
 
 
-def _product_of_perms(perms, k):
-    if k == 0:
-        return
-    idx = [0] * k
-    while True:
-        yield [perms[i] for i in idx]
-        j = k - 1
-        while j >= 0:
-            idx[j] += 1
-            if idx[j] < len(perms):
-                break
-            idx[j] = 0
-            j -= 1
-        if j < 0:
-            return
-
-
-def _extend_hom(group, gens, images, set_size):
-    """Try to extend generator images to a full action table; None on clash."""
-    n = group.order
-    phi = {group.identity: tuple(range(set_size))}
-    for g, p in zip(gens, images):
-        if g in phi and phi[g] != p:
-            return None
-        phi[g] = p
-    changed = True
-    while changed and len(phi) < n:
-        changed = False
-        for a in list(phi):
-            for s in gens:
-                b = group.mul[a][s]
-                comp = tuple(phi[a][phi[s][k]] for k in range(set_size))
-                if b in phi:
-                    if phi[b] != comp:
-                        return None
-                else:
-                    phi[b] = comp
-                    changed = True
-    if len(phi) < n:
-        return None
-    # full verification happens in the GAction constructor
-    return [list(phi[g]) for g in range(n)]
+def _compose(p, q):
+    # the permutation k -> p[q[k]]: q acts first, as in GAction.act
+    return tuple(p[k] for k in q)
 
 
 @dataclass(frozen=True)
@@ -274,21 +233,23 @@ def first_failure(pred, cases):
     return (True, None)
 
 
-def generated_homomorphism(images, group, one):
+def generated_homomorphism(images, group, one, times=mul):
     """(f, entry): the map g -> f[g] on the whole group that images spans,
     and the first_failure entry of its group law.
 
     images holds f[s] for every s in S_G = group.generators(), and may hold
-    more of the group; one is the value the identity must take.  f[1] is
-    one unless images gives it, and a given f[1] != one fails at (1,).
+    more of the group; one is the value the identity must take, and
+    times(u, v) the product of two values (matrix product by default,
+    permutation composition for all_actions).  f[1] is one unless images
+    gives it, and a given f[1] != one fails at (1,).
     The scan runs over the pairs (x, s), x in G in closure order (the
     order in which right multiplication by S_G reaches x from 1) and s in
     S_G: f[x s] is set to f[x] f[s] where images leaves it open, and
     checked against it otherwise; the first pair that fails is reported.
     So the law below holds at every pair exactly when the entry passes, and
     this is the one G x S_G scan of the package: the C1 and C2 check of
-    every semilinear object and the halo G-actions built from their
-    values on S_G go through it.
+    every semilinear object, the halo G-actions built from their values on
+    S_G and the enumeration of all_actions go through it.
 
     Lemma.  If f(1) = I and f(x) f(s) = f(x s) for every x in G and s in
     S_G, then f(x) f(y) = f(x y) for all x, y in G.  table_generators
@@ -314,7 +275,7 @@ def generated_homomorphism(images, group, one):
         if xs not in reached:
             reached.add(xs)
             order.append(xs)   # the scan below reaches it in turn
-        value = f[x] * f[s]
+        value = times(f[x], f[s])
         return f.setdefault(xs, value) == value
 
     return f, first_failure(law, ((x, s) for x in order for s in gens))

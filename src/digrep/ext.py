@@ -9,6 +9,10 @@ Z^1, B^1 and the classes are one linalg.ext_classes solve per pair on
 the bar-unit values, with the group identities on S_G = the generators
 of G only (see _ext1 and the lemma of digroup.generated_homomorphism);
 the solve certifies its Z^1 basis by a residual and B^1 in Z^1.
+Splitting reads V through its verified view as well: the averaged
+section is checked on S_G, and the cocycle of a section is read off the
+m + |S_G| generators of V in the basis [iota | section] (_corners), then
+spread to every element by Z1c.
 """
 
 from __future__ import annotations
@@ -188,35 +192,55 @@ def average_section(s, s0=None):
         s0 = solve(s.pi, Matrix.identity(field, s.Q.dim))
         if s0 is None:
             raise RepresentationError("pi admits no linear section")
-    # V's rho is read directly: its semilinear view would also check lam,
-    # and an unvalidated V must reach the cocycle check.  Equal rho across
-    # the halo index lets the checks below on each rho_g cover all of rho.
-    rho_v = {g: s.V.rho[(g, 0)] for g in range(n)}
-    if any(m != rho_v[g] for (g, _a), m in s.V.rho.items()):
-        raise RepresentationError("rho of V depends on the halo index")
-    # Q's semilinear view is verified, and its C1 and C2 give
-    # rho_g rho_{g^-1} = rho_1 = I: rho_g^-1 is rho_{g^-1}
-    rho_q = rho_group_form(s.Q)
+    # the verified views refuse an unvalidated V; by C1 and C2
+    # rho_g rho_{g^-1} = rho_1 = I, so rho_g^-1 is rho_{g^-1}
+    rho_v, rho_q = rho_group_form(s.V), rho_group_form(s.Q)
     acc = Matrix.zeros(field, s.V.dim, s.Q.dim)
     for g in range(n):
         acc = acc + rho_v[g] * s0 * rho_q[group.inv[g]]
     sec = acc.scale(field.of(1) / field.of(n))
     if s.pi * sec != Matrix.identity(field, s.Q.dim):
         raise RepresentationError("the averaged section is not a section of pi")
-    for g in range(n):
+    # every rho_g is a product of the rho_s (C2), so S_G decides
+    for g in group.generators():
         if rho_v[g] * sec != sec * rho_q[g]:
             raise RepresentationError("the averaged section is not equivariant at g=%d" % g)
     return sec
 
 
-def block_decompose(s, sec):
-    """Coordinates along (iota, sec): block shapes verified, theta extracted.
+def _corners(s, sec):
+    """{a: eta_a}, the upper-right block of L_a^V in the basis C = [iota | sec].
 
-    The right family must be block diagonal (sec equivariant), the left
-    family upper triangular; the off-diagonal blocks form the cocycle.
-    sec is a section of pi and pi iota = 0, so the inverse of
-    C = [iota | sec] is [L (I - sec pi); pi] for any L with L iota = I:
-    one solve for L on k rows, certified by one product.
+    sec is a section of pi and pi iota = 0, so the inverse of C is
+    [L (I - sec pi); pi] for any L with L iota = I: one solve for L on k
+    rows, certified by one product.  Each generator X of V (reps._generators:
+    the L_a^V, then the rho_s^V for s in S_G) is conjugated to
+    P(X) = C^-1 X C, which must have a zero lower-left block and the
+    generators of W and Q as its diagonal blocks; each P(rho_s) must also
+    have a zero upper-right block (sec is rho-equivariant).
+    RepresentationError otherwise.
+
+    These checks decide like the former scan of every element x of V,
+    which required P(rho[x]) = diag(W.rho[x], Q.rho[x]), P(lam[x]) upper
+    triangular with diagonal blocks W.lam[x] and Q.lam[x], and the corner
+    family theta[x] of P(lam[x]) to be a cocycle.  P is multiplicative,
+    and V, W and Q have verified views (reps._view): rho[(g, a)] = rho_g,
+    each rho_g a product of the rho_s (C2 and the lemma of
+    digroup.generated_homomorphism), and lam[(g, a)] = L_a rho_g.  So the
+    checks on the rho_s give P(rho_g) = diag(rho^W_g, rho^Q_g) for every
+    g, and then
+
+        P(lam[(g, a)]) = P(L_a) P(rho_g)
+                       = [[L^W_a rho^W_g, eta_a rho^Q_g], [0, L^Q_a rho^Q_g]]:
+
+    every element passes, and theta[(g, a)] = eta_a rho^Q_g.  P(V) is a
+    representation, so the corners of its R1, R4 and R5 are the cocycle
+    identities Z1a, Z1b and Z1c of theta.  Conversely the generators are
+    elements of V, so a failure here is a failure of the scan.  A V that
+    is not a representation is refused by its view, as the scan refused
+    it by one of its checks or at the cocycle identities: had they all
+    passed, V would be C times the extension of W by the cocycle theta
+    times C^-1, a representation.
     """
     field = s.V.field
     k, n = s.W.dim, s.V.dim
@@ -228,29 +252,35 @@ def block_decompose(s, sec):
     Cinv = vstack([L - L * sec * s.pi, s.pi])
     if Cinv * C != Matrix.identity(field, n):
         raise RepresentationError("sec is not a section of pi")
-    # each distinct operator is brought into the (iota, sec) basis once
-    memo = ContentMemo()
-    Cinv, C = memo.canon(Cinv), memo.canon(C)
+    eta = {}
+    for i, (name, v, w, q) in enumerate(_generators(s.V, s.W, s.Q)):
+        p = Cinv * v * C
+        if not p.block(k, 0, n - k, k).is_zero():
+            raise RepresentationError("%s is not upper triangular along (iota, sec)" % name)
+        if p.block(0, 0, k, k) != w or p.block(k, k, n - k, n - k) != q:
+            raise RepresentationError("diagonal blocks mismatch at %s" % name)
+        if i < s.V.digroup.halo_size:   # the L_a come first, a in order
+            eta[i] = p.block(0, k, k, n - k)
+        elif not p.block(0, k, k, n - k).is_zero():
+            raise RepresentationError("section not equivariant at %s" % name)
+    return eta
 
-    def coords(m):
-        return memo.mul(memo.mul(Cinv, memo.canon(m)), C)
 
-    theta = {}
-    for x in s.V.digroup.elements:
-        t = coords(s.V.rho[x])
-        if not t.block(k, 0, n - k, k).is_zero():
-            raise RepresentationError("section not equivariant at %r" % (x,))
-        if not t.block(0, k, k, n - k).is_zero():
-            raise RepresentationError("rho not block diagonal at %r" % (x,))
-        if t.block(0, 0, k, k) != s.W.rho[x] or t.block(k, k, n - k, n - k) != s.Q.rho[x]:
-            raise RepresentationError("rho diagonal blocks mismatch at %r" % (x,))
-        t = coords(s.V.lam[x])
-        if not t.block(k, 0, n - k, k).is_zero():
-            raise RepresentationError("lam not upper triangular at %r" % (x,))
-        if t.block(0, 0, k, k) != s.W.lam[x] or t.block(k, k, n - k, n - k) != s.Q.lam[x]:
-            raise RepresentationError("lam diagonal blocks mismatch at %r" % (x,))
-        theta[x] = t.block(0, k, k, n - k)
-    return CocycleFamily(require_cocycle(theta, s.Q, s.W))
+def _verified_family(eta, Q, W):
+    """The family theta[(g, a)] = eta_a rho^Q_g of the bar-unit values eta
+    of a cocycle, registered as a verified cocycle of (Q, W); the caller
+    proves that eta is one (_solve_ext1, _corners)."""
+    rho_q = rho_group_form(Q)
+    theta = {(g, a): eta[a] * rho_q[g] for g in range(Q.digroup.group.order) for a in eta}
+    once((Q, W), _cocycle_key(theta, Q.digroup), lambda: None)
+    return CocycleFamily(theta)
+
+
+def block_decompose(s, sec):
+    """The cocycle family of s in the coordinates (iota, sec): the corners
+    eta_a of the L_a (_corners, which verifies the block shapes), spread
+    to every element by Z1c."""
+    return _verified_family(_corners(s, sec), s.Q, s.W)
 
 
 def cocycle_space(Q, W):
@@ -294,7 +324,7 @@ def _solve_ext1(Q, W):
     dw, dq = W.dim, Q.dim
     if dw * dq == 0:
         return [], [], 0, []
-    n, m = d.group.order, d.halo_size
+    m = d.halo_size
     rho_w, rho_q = rho_group_form(W), rho_group_form(Q)
     lam_w = lambda_factorization(W)   # a -> L_a with lam[(g,a)] = L_a rho_g
     lam_q = lambda_factorization(Q)
@@ -310,12 +340,8 @@ def _solve_ext1(Q, W):
         zvecs, reps = ext_classes(m, dw, dq, eqs, bvecs, field)
     except SubspaceError as err:
         raise RepresentationError(str(err)) from None
-    families = {}
-    for v in zvecs:
-        eta = devectorize(v, range(m), dw, dq, field)
-        theta = {(g, a): eta[a] * rho_q[g] for g in range(n) for a in range(m)}
-        once((Q, W), _cocycle_key(theta, d), lambda: None)
-        families[v] = CocycleFamily(theta)
+    families = {v: _verified_family(devectorize(v, range(m), dw, dq, field), Q, W)
+                for v in zvecs}
     return list(families.values()), cob, len(bvecs), [families[v] for v in reps]
 
 
@@ -402,6 +428,9 @@ def is_split(s):
 
     On success the witness is a section of pi intertwining both operator
     families; on failure the certificate is the nonzero cocycle family.
+    The decision reads the corners eta of the averaged section
+    (_corners); the family over every element is built only for the
+    certificate.
     """
     field = s.V.field
     if s.Q.dim == 0:
@@ -410,13 +439,13 @@ def is_split(s):
         sec = solve(s.pi, Matrix.identity(field, s.Q.dim))
         return True, _checked_witness(s, sec)
     sec = average_section(s)
-    fam = block_decompose(s, sec)
+    eta = _corners(s, sec)
     dw, dq = s.W.dim, s.Q.dim
-    # both are cocycles, so their bar-unit columns decide (see _ext1)
-    tv = vectorize(fam.theta, s.V.digroup.halo(), dw, dq)
-    coeffs = coordinates(_ext1(s.Q, s.W)[1], tv)
+    # eta is the bar-unit column of a cocycle, and so is each coboundary
+    # column: comparing them compares whole families (see _ext1)
+    coeffs = coordinates(_ext1(s.Q, s.W)[1], vectorize(eta, range(len(eta)), dw, dq))
     if coeffs is None:
-        return False, fam
+        return False, _verified_family(eta, s.Q, s.W)
     t = Matrix.zeros(field, dw, dq)
     for i, base in enumerate(hom_rho(s.Q, s.W)):
         t = t + base.scale(coeffs[i, 0])

@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 from .linalg import (Matrix, block_diag, block_image, coordinates, devectorize,
                      ext_classes, hstack, intertwiners, vectorize)
-from .reps import (RepresentationError, SemilinearObject, once,
+from .reps import (RepresentationError, SemilinearObject, band_law, once,
                    require_valid_semilinear, to_semilinear, hom_rep)
 from .ext import cocycle_space, ext1_dim, extension_from_cocycle, is_split
-from .digroup import Digroup, first_failure, generated_homomorphism
+from .digroup import Digroup, generated_homomorphism
 
 
 @dataclass(frozen=True, eq=False)
@@ -40,8 +40,7 @@ def check_be_module(m):
     for a in m.eps:
         if (m.eps[a].rows, m.eps[a].cols) != (m.dim, m.dim):
             raise RepresentationError("eps shape mismatch at %r" % (a,))
-    ok, bad = first_failure(lambda a, b: m.eps[a] * m.eps[b] == m.eps[a],
-                            [(a, b) for a in m.eps for b in m.eps])
+    ok, bad = band_law(m.eps)
     if not ok:
         raise RepresentationError("band identity fails at %r" % (bad,))
     return m

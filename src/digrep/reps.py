@@ -308,6 +308,13 @@ class SemilinearObject:
         return QQ
 
 
+def band_law(eps):
+    """The first_failure entry of the band law eps[a] eps[b] = eps[a] over
+    every pair of halo indices."""
+    return first_failure(lambda a, b: eps[a] * eps[b] == eps[a],
+                         [(a, b) for a in eps for b in eps])
+
+
 def check_semilinear(m):
     """Exhaustive report of the semilinear axioms: the band law, C1, C2
     over every pair of group elements and C3 over every (g, a).
@@ -317,8 +324,7 @@ def check_semilinear(m):
     """
     g = m.action.group
     results = {}
-    results["band"] = first_failure(lambda a, b: m.eps[a] * m.eps[b] == m.eps[a],
-                                    [(a, b) for a in m.eps for b in m.eps])
+    results["band"] = band_law(m.eps)
     ident = Matrix.identity(m.field, m.dim)
     results["C1"] = (m.t[g.identity] == ident, None if m.t[g.identity] == ident else g.identity)
     results["C2"] = first_failure(lambda x, y: m.t[x] * m.t[y] == m.t[g.mul[x][y]],
@@ -351,8 +357,7 @@ def check_semilinear_on_generators(m):
     group = m.action.group
     ident = Matrix.identity(m.field, m.dim)
     return AxiomReport({
-        "band": first_failure(lambda a, b: m.eps[a] * m.eps[b] == m.eps[a],
-                              [(a, b) for a in m.eps for b in m.eps]),
+        "band": band_law(m.eps),
         "C1_C2": generated_homomorphism(m.t, group, ident)[1],
         "C3": first_failure(
             lambda s, a: m.t[s] * m.eps[a] == m.eps[m.action.apply(s, a)] * m.t[s],

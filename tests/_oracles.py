@@ -7,17 +7,20 @@ package is a genuine cross-check rather than the same code run twice.
 """
 
 from fractions import Fraction
+from itertools import permutations
 from operator import attrgetter
 
 import sympy
 from sympy.polys.matrices import DomainMatrix
 
-from digrep.ext import (average_section, block_decompose, coboundary, cocycle_space,
-                        hom_rho)
+from digrep.ext import (CocycleFamily, MaschkeError, check_cocycle, coboundary,
+                        cocycle_space, hom_rho)
+from digrep.digroup import GAction
 from digrep.halo import hom_BE
-from digrep.reps import check_semilinear
-from digrep.linalg import (Matrix, block_image, block_kernel, coordinates,
-                           devectorize, hstack, quotient, span_basis, vectorize)
+from digrep.reps import RepresentationError, check_semilinear
+from digrep.linalg import (ContentMemo, Matrix, block_image, block_kernel, coordinates,
+                           devectorize, hstack, quotient, solve, span_basis, vectorize,
+                           vstack)
 
 
 def _sym(x):
@@ -277,7 +280,8 @@ def full_family_ext1(q, w):
     hom_rho basis are vectorized over all |D| elements, and the classes
     are quotient(span_basis(B), Z).  Returns (dim Z, dim B, class families,
     the B basis, split), where split(s) is the former is_split on an
-    extension of q by w: (True, witness) or (False, cocycle family).
+    extension of q by w, on exhaustive_average_section and
+    exhaustive_block_decompose: (True, witness) or (False, cocycle family).
     """
     elems, dw, dq = q.digroup.elements, w.dim, q.dim
     field = w.field if dw else q.field
@@ -288,8 +292,8 @@ def full_family_ext1(q, w):
     classes = [devectorize(v, elems, dw, dq, field) for v in quotient(bvecs, zvecs)]
 
     def split(s):
-        sec = average_section(s)
-        theta = block_decompose(s, sec).theta
+        sec = exhaustive_average_section(s)
+        theta = exhaustive_block_decompose(s, sec).theta
         c = coordinates(cols, vectorize(theta, elems, dw, dq))
         if c is None:
             return False, theta
@@ -299,3 +303,139 @@ def full_family_ext1(q, w):
         return True, sec - s.iota * t
 
     return len(zvecs), len(bvecs), classes, bvecs, split
+
+
+def exhaustive_average_section(s, s0=None):
+    """The package's former average_section: s0 averaged over every g
+    through the raw rho tables, checked to be a section of pi and
+    rho-equivariant at every element of V."""
+    field = s.V.field
+    group = s.V.digroup.group
+    n = group.order
+    if field.char != 0 and n % field.char == 0:
+        raise MaschkeError("characteristic %d divides the group order %d" % (field.char, n))
+    if s0 is None:
+        s0 = solve(s.pi, Matrix.identity(field, s.Q.dim))
+        if s0 is None:
+            raise RepresentationError("pi admits no linear section")
+    rho_v = {g: s.V.rho[(g, 0)] for g in range(n)}
+    if any(m != rho_v[g] for (g, _a), m in s.V.rho.items()):
+        raise RepresentationError("rho of V depends on the halo index")
+    acc = Matrix.zeros(field, s.V.dim, s.Q.dim)
+    for g in range(n):
+        acc = acc + rho_v[g] * s0 * s.Q.rho[(group.inv[g], 0)]
+    sec = acc.scale(field.of(1) / field.of(n))
+    if s.pi * sec != Matrix.identity(field, s.Q.dim):
+        raise RepresentationError("the averaged section is not a section of pi")
+    for x in s.V.digroup.elements:
+        if s.V.rho[x] * sec != sec * s.Q.rho[x]:
+            raise RepresentationError("the averaged section is not equivariant at %r" % (x,))
+    return sec
+
+
+def exhaustive_block_decompose(s, sec):
+    """The package's former block_decompose: every element of V brought
+    into the basis C = [iota | sec] (products memoized by content), its
+    block shapes checked against W and Q at that element, and the corner
+    family checked by the exhaustive check_cocycle.  The reference for
+    the package, which conjugates the generators of V only."""
+    field = s.V.field
+    k, n = s.W.dim, s.V.dim
+    C = hstack([s.iota, sec])
+    Lt = solve(s.iota.transpose(), Matrix.identity(field, k))
+    if Lt is None:
+        raise RepresentationError("iota is not injective")
+    L = Lt.transpose()
+    Cinv = vstack([L - L * sec * s.pi, s.pi])
+    if Cinv * C != Matrix.identity(field, n):
+        raise RepresentationError("sec is not a section of pi")
+    memo = ContentMemo()
+    Cinv, C = memo.canon(Cinv), memo.canon(C)
+
+    def coords(m):
+        return memo.mul(memo.mul(Cinv, memo.canon(m)), C)
+
+    theta = {}
+    for x in s.V.digroup.elements:
+        t = coords(s.V.rho[x])
+        if not t.block(k, 0, n - k, k).is_zero():
+            raise RepresentationError("section not equivariant at %r" % (x,))
+        if not t.block(0, k, k, n - k).is_zero():
+            raise RepresentationError("rho not block diagonal at %r" % (x,))
+        if t.block(0, 0, k, k) != s.W.rho[x] or t.block(k, k, n - k, n - k) != s.Q.rho[x]:
+            raise RepresentationError("rho diagonal blocks mismatch at %r" % (x,))
+        t = coords(s.V.lam[x])
+        if not t.block(k, 0, n - k, k).is_zero():
+            raise RepresentationError("lam not upper triangular at %r" % (x,))
+        if t.block(0, 0, k, k) != s.W.lam[x] or t.block(k, k, n - k, n - k) != s.Q.lam[x]:
+            raise RepresentationError("lam diagonal blocks mismatch at %r" % (x,))
+        theta[x] = t.block(0, k, k, n - k)
+    report = check_cocycle(theta, s.Q, s.W)
+    if not report.ok:
+        raise RepresentationError("cocycle identities fail: %r" % report.failures())
+    return CocycleFamily(theta)
+
+
+def former_all_actions(group, set_size):
+    """The act tables of every action of group on set_size points, by the
+    package's former enumeration: permutation images for the generators
+    in counter order (_product_of_perms), each extended along the Cayley
+    table by its own closure walk (_extend_hom) and verified in full by
+    GAction; the trivial group's one action is added by hand."""
+    gens = group.generators()
+    perms = list(permutations(range(set_size)))
+    found = []
+    if not gens:
+        found.append(GAction.trivial(group, set_size).act)
+    for images in _product_of_perms(perms, len(gens)):
+        tbl = _extend_hom(group, gens, images, set_size)
+        if tbl is None:
+            continue
+        try:
+            found.append(GAction(group, set_size, tbl).act)
+        except ValueError:
+            continue
+    return found
+
+
+def _product_of_perms(perms, k):
+    if k == 0:
+        return
+    idx = [0] * k
+    while True:
+        yield [perms[i] for i in idx]
+        j = k - 1
+        while j >= 0:
+            idx[j] += 1
+            if idx[j] < len(perms):
+                break
+            idx[j] = 0
+            j -= 1
+        if j < 0:
+            return
+
+
+def _extend_hom(group, gens, images, set_size):
+    """Extend generator images to a full action table; None on a clash."""
+    n = group.order
+    phi = {group.identity: tuple(range(set_size))}
+    for g, p in zip(gens, images):
+        if g in phi and phi[g] != p:
+            return None
+        phi[g] = p
+    changed = True
+    while changed and len(phi) < n:
+        changed = False
+        for a in list(phi):
+            for s in gens:
+                b = group.mul[a][s]
+                comp = tuple(phi[a][phi[s][k]] for k in range(set_size))
+                if b in phi:
+                    if phi[b] != comp:
+                        return None
+                else:
+                    phi[b] = comp
+                    changed = True
+    if len(phi) < n:
+        return None
+    return [list(phi[g]) for g in range(n)]

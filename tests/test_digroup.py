@@ -3,6 +3,8 @@ import pytest
 from digrep.digroup import (Digroup, FiniteGroup, GAction, GroupTableError,
                             all_actions)
 
+from _oracles import former_all_actions
+
 
 def test_cyclic_group_tables():
     c4 = FiniteGroup.cyclic(4)
@@ -96,6 +98,19 @@ def test_all_actions_counts():
     assert len(all_actions(triv, 2)) == 1
     for act in all_actions(FiniteGroup.symmetric3(), 2):
         assert act.group.order == 6
+
+
+def test_all_actions_keeps_the_former_enumeration_order():
+    # corpus and `digrep generate` pick actions[rng.randrange(...)], so the
+    # list, not only the set, must equal the former closure walk's
+    c2, c3 = FiniteGroup.cyclic(2), FiniteGroup.cyclic(3)
+    groups = [FiniteGroup.cyclic(n) for n in range(1, 7)] + [
+        FiniteGroup.symmetric3(), FiniteGroup.direct_product(c2, c3),
+        FiniteGroup.direct_product(c2, c2)]
+    for group in groups:
+        for m in range(1, 5):
+            assert [a.act for a in all_actions(group, m)] == former_all_actions(group, m), \
+                (group.name, m)
 
 
 def test_digroup_products_and_halo():

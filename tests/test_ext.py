@@ -1,4 +1,6 @@
 import sys
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -17,7 +19,8 @@ from digrep.linalg import FieldMismatchError, SubspaceError, span_basis, solve, 
 from digrep.reps import hom_rep, random_representation, seeded_rng, to_semilinear
 
 from _instances import corrupted_tables, induced_pair, sample_pair
-from _oracles import (cocycle_dim_oracle, ext1_dim_oracle, full_family_ext1,
+from _oracles import (cocycle_dim_oracle, exhaustive_average_section,
+                      exhaustive_block_decompose, ext1_dim_oracle, full_family_ext1,
                       hom_rho_oracle)
 
 
@@ -235,7 +238,8 @@ def test_verified_registry_lets_no_corrupted_cocycle_through():
     assert not check_cocycle(bad, q, w).ok
     with pytest.raises(RepresentationError, match="cocycle identities fail"):
         extension_from_cocycle(bad, q, w)
-    # the same corruption inside an unvalidated extension reaches is_split
+    # the same corruption inside an unvalidated extension reaches is_split,
+    # which refuses V by its view: (1, 1) is not a generator
     k = w.dim
     lam = dict(good.V.lam)
     lm = lam[x]
@@ -244,7 +248,7 @@ def test_verified_registry_lets_no_corrupted_cocycle_through():
                      for i in range(lm.rows) for j in range(lm.cols)])
     V = Representation(good.V.digroup, good.V.dim, lam, good.V.rho)
     corrupted = ShortExactSeq(w, V, q, good.iota, good.pi)
-    with pytest.raises(RepresentationError, match="cocycle identities fail"):
+    with pytest.raises(RepresentationError, match="lam factorization fails"):
         is_split(corrupted)
 
 
@@ -478,6 +482,63 @@ def test_the_bar_unit_solve_matches_the_full_family_layout(field):
             assert (flag, payload if flag else payload.theta) == split(s), seed
             flags.append(flag)
     assert flags.count(True) >= 3 and flags.count(False) >= 3, flags
+
+
+def splitting_cases(s):
+    """(label, sequence, shift) for an extension s and seeded corruptions of
+    it; the section is the averaged one, plus iota shift when shift is given.
+    The corruptions: a shift that is not a rho-intertwiner, V.lam changed
+    at an (g, a) with g != 1 and V.rho at a g outside S_G and 1 (neither a
+    generator of V), and iota of rank dim W - 1."""
+    field, k, group = s.V.field, s.W.dim, s.V.digroup.group
+    yield "extension", s, None
+    yield "shifted", s, Matrix.from_rows(field, [[1 + i + 2 * j for j in range(s.Q.dim)]
+                                                 for i in range(k)])
+    gens = {group.identity, *group.generators()}
+    for label, outside in (("lam", {group.identity}), ("rho", gens)):
+        for (g, _a), bad in corrupted_tables(getattr(s.V, label)):
+            if g not in outside:
+                V = replace(s.V, **{label: bad})
+                yield label, ShortExactSeq(s.W, V, s.Q, s.iota, s.pi), None
+    drop = Matrix.from_rows(field, [[int(i == j != 0) for j in range(k)] for i in range(k)])
+    yield "iota", ShortExactSeq(s.W, s.V, s.Q, s.iota * drop, s.pi), None
+
+
+def split_or_refuse(average, decompose, s, shift):
+    """The theta of decompose on the averaged section (shifted by iota
+    shift), or None when either step raises RepresentationError."""
+    try:
+        sec = average(s)
+        return decompose(s, sec if shift is None else sec + s.iota * shift).theta
+    except RepresentationError:
+        return None
+
+
+@pytest.mark.parametrize("field", (QQ, PrimeField(5), PrimeField(7)), ids=repr)
+def test_splitting_on_generators_decides_like_the_element_scan(field):
+    """average_section and block_decompose, which read the m + |S_G|
+    generators of V, against the former scans of every element
+    (_oracles.exhaustive_*): on the extension of every class and every
+    coboundary of corpus and induced pairs, and on seeded corruptions of
+    each, both refuse or both return the same theta."""
+    pairs = [sample_pair(seed, field=field)[1:] for seed in range(1000, 1200, 10)]
+    for i, name in enumerate(("C2", "C3", "C6", "S3")):
+        _, lift, w = induced_pair(7400 + i, field, (name,))
+        pairs += [(lift, w), (w, lift)]
+    outcomes = Counter()
+    for q, w in pairs:
+        thetas = [f.theta for f in ext1_dim(q, w).class_basis]
+        thetas += [coboundary(t, q, w).theta for t in hom_rho(q, w)]
+        for theta in thetas:
+            for label, s, shift in splitting_cases(extension_from_cocycle(theta, q, w)):
+                got = split_or_refuse(average_section, block_decompose, s, shift)
+                assert got == split_or_refuse(exhaustive_average_section,
+                                              exhaustive_block_decompose, s, shift), label
+                if label == "extension":
+                    assert got == theta
+                outcomes[label, got is None] += 1
+    assert all(outcomes[label, True] >= 5 for label in ("shifted", "lam", "rho", "iota")), \
+        outcomes
 
 
 def test_ext1_dim_scans_only_the_cocycle_basis(monkeypatch):

@@ -99,6 +99,25 @@ def test_exhaustive_checkers_run_at_the_boundary_only():
     assert callers("check_module") == {"envalg.module_to_rep"}
 
 
+def test_content_memos_serve_the_exhaustive_reports_only():
+    # the boundary reports scan every pair of table entries and memoize the
+    # products; every other check runs on generators and needs no memo
+    assert callers("ContentMemo") == {"reps.check_representation", "ext.check_cocycle",
+                                      "envalg.check_module"}
+
+
+def test_splitting_reads_no_operator_table():
+    # average_section, _corners (block_decompose) and is_split read V, W
+    # and Q through their verified views, never the 2 n m tables
+    tree = dict(modules())["ext"]
+    found = ["%s:%d" % (fn.name, node.lineno) for fn in tree.body
+             if isinstance(fn, ast.FunctionDef)
+             and fn.name in ("average_section", "block_decompose", "_corners", "is_split")
+             for node in ast.walk(fn)
+             if isinstance(node, ast.Attribute) and node.attr in ("lam", "rho")]
+    assert found == []
+
+
 def generator_scans():
     """The dotted functions holding a comprehension or a loop nest that pairs
     a loop over a generating set (a .generators() call, or a name the same
@@ -143,4 +162,5 @@ def test_generated_homomorphism_is_the_one_group_law_scan():
         "halo.verify_adjunction",
     }
     assert callers("generated_homomorphism") == {"reps.check_semilinear_on_generators",
-                                                 "halo._extend_action"}
+                                                 "halo._extend_action",
+                                                 "digroup.all_actions"}
