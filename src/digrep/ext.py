@@ -12,7 +12,9 @@ the solve certifies its Z^1 basis by a residual and B^1 in Z^1.
 Splitting reads V through its verified view as well: the averaged
 section is checked on S_G, and the cocycle of a section is read off the
 m + |S_G| generators of V in the basis [iota | section] (_corners), then
-spread to every element by Z1c.
+spread to every element by Z1c.  The extension of a cocycle is split
+on the rho side already, so its splitting is decided in block form
+(_split_cocycle), without building V.
 """
 
 from __future__ import annotations
@@ -440,17 +442,52 @@ def is_split(s):
         return True, _checked_witness(s, sec)
     sec = average_section(s)
     eta = _corners(s, sec)
-    dw, dq = s.W.dim, s.Q.dim
-    # eta is the bar-unit column of a cocycle, and so is each coboundary
-    # column: comparing them compares whole families (see _ext1)
-    coeffs = coordinates(_ext1(s.Q, s.W)[1], vectorize(eta, range(len(eta)), dw, dq))
-    if coeffs is None:
+    t = _splitting_map(eta, s.Q, s.W, field)
+    if t is None:
         return False, _verified_family(eta, s.Q, s.W)
-    t = Matrix.zeros(field, dw, dq)
-    for i, base in enumerate(hom_rho(s.Q, s.W)):
+    return True, _checked_witness(s, sec - s.iota * t)
+
+
+def _splitting_map(eta, Q, W, field):
+    """A rho-intertwiner t with L^W_a t - t L^Q_a = eta_a for every a, or
+    None when there is none.  eta is the bar-unit column of a cocycle, and
+    so is each coboundary column: comparing them compares whole families
+    (see _ext1)."""
+    coeffs = coordinates(_ext1(Q, W)[1], vectorize(eta, range(len(eta)), W.dim, Q.dim))
+    if coeffs is None:
+        return None
+    t = Matrix.zeros(field, W.dim, Q.dim)
+    for i, base in enumerate(hom_rho(Q, W)):
         t = t + base.scale(coeffs[i, 0])
-    witness = sec - s.iota * t
-    return True, _checked_witness(s, witness)
+    return t
+
+
+def _split_cocycle(theta, Q, W):
+    """is_split(extension_from_cocycle(theta, Q, W)), in the block form of
+    that extension, without building it.
+
+    Its sections of pi are the [-t; I], and [0; I] is rho-equivariant, so
+    averaging returns it, C = I and _corners returns eta_a = theta[(1, a)].
+    On the generators of V, [-t; I] is a morphism exactly when
+    L^W_a t - t L^Q_a = eta_a for every a and rho^W_s t = t rho^Q_s for s in
+    S_G (the other blocks agree identically); these are checked, and a
+    failure raises RepresentationError.
+    """
+    if isinstance(theta, CocycleFamily):
+        theta = theta.theta
+    require_cocycle(theta, Q, W)
+    field = W.field if W.dim else Q.field
+    if W.dim and Q.dim:   # is_split averages on these only
+        _require_maschke(field, Q.digroup.group.order)
+    eta = {a: theta[(Q.digroup.group.identity, a)] for a in range(Q.digroup.halo_size)}
+    t = _splitting_map(eta, Q, W, field)
+    if t is None:
+        return False, _verified_family(eta, Q, W)
+    for i, (name, w, q) in enumerate(_generators(W, Q)):   # the L_a first, a in order
+        r = w * t - t * q
+        if (r != eta[i]) if i < len(eta) else not r.is_zero():
+            raise RepresentationError("the witness is not a morphism at %s" % name)
+    return True, vstack([-t, Matrix.identity(field, Q.dim)])
 
 
 def _checked_witness(s, sec):

@@ -16,7 +16,7 @@ from .linalg import (Matrix, block_diag, block_image, coordinates, devectorize,
                      ext_classes, hstack, intertwiners, vectorize)
 from .reps import (RepresentationError, SemilinearObject, band_law, once,
                    require_valid_semilinear, to_semilinear, hom_rep)
-from .ext import cocycle_space, ext1_dim, extension_from_cocycle, is_split
+from .ext import _split_cocycle, cocycle_space, ext1_dim
 from .digroup import Digroup, generated_homomorphism
 
 
@@ -231,7 +231,9 @@ def verify_collapse(q_rep, w_rep):
     Computes the invariant dimensions on the band side and the direct
     dimensions on the digroup side, reports their equality, and, when
     the invariant extension space vanishes, confirms the splitting
-    criterion on every cocycle basis member.
+    criterion on every cocycle basis member.  Each basis family is decided
+    in the block form of its extension (ext._split_cocycle), with the
+    splitting witness checked on the generators.
     """
     q = to_semilinear(q_rep)
     w = to_semilinear(w_rep)
@@ -245,8 +247,7 @@ def verify_collapse(q_rep, w_rep):
     splitting_checked = False
     if ok and inv_dim == 0:
         for fam in cocycle_space(q_rep, w_rep):
-            ses = extension_from_cocycle(fam, q_rep, w_rep)
-            flag, _ = is_split(ses)
+            flag, _ = _split_cocycle(fam, q_rep, w_rep)
             if not flag:
                 ok = False
                 break

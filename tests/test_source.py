@@ -107,15 +107,25 @@ def test_content_memos_serve_the_exhaustive_reports_only():
 
 
 def test_splitting_reads_no_operator_table():
-    # average_section, _corners (block_decompose) and is_split read V, W
-    # and Q through their verified views, never the 2 n m tables
+    # average_section, _corners (block_decompose), is_split and
+    # _split_cocycle read V, W and Q through their verified views, never
+    # the 2 n m tables
     tree = dict(modules())["ext"]
     found = ["%s:%d" % (fn.name, node.lineno) for fn in tree.body
              if isinstance(fn, ast.FunctionDef)
-             and fn.name in ("average_section", "block_decompose", "_corners", "is_split")
+             and fn.name in ("average_section", "block_decompose", "_corners", "is_split",
+                             "_split_cocycle", "_splitting_map")
              for node in ast.walk(fn)
              if isinstance(node, ast.Attribute) and node.attr in ("lam", "rho")]
     assert found == []
+
+
+def test_the_collapse_builds_no_extension():
+    # verify_collapse decides each cocycle in block form (_split_cocycle);
+    # only `digrep split` averages and conjugates a sequence, and only the
+    # public API builds the extension of a cocycle
+    assert callers("extension_from_cocycle") == set()
+    assert callers("is_split") == {"cli.cmd_split"}
 
 
 def generator_scans():
