@@ -57,6 +57,34 @@ def table_generators(product, unit):
     return gens
 
 
+def table_presentation(product, unit, gens):
+    """(tree, rules): a presentation <gens | rules> of the monoid with this
+    product table, by the enumeration of Froidure and Pin (Theoret.
+    Comput. Sci. 1997); gens must generate it (table_generators).
+
+    A breadth-first scan of the edges (x, s), x -> x s for s in gens in
+    their order, reaches each element y != unit first along a tree edge,
+    listed in the order met, and w(y) = w(x) s is the shortlex least word
+    for y.  The element of w(y) without its first letter is suffix(y).
+    The rules are the other edges (x, s) with x = unit or (suffix(x), s) a
+    tree edge: then w(x) s is a minimal non-normal word, and the rule
+    rewrites it to w(x s).  Every non-normal word holds a minimal one, and
+    rewriting lowers the shortlex order, so every word rewrites to the
+    normal form of its element: the rules present the monoid.
+    """
+    suffix, order, tree, rules = {unit: unit}, [unit], {}, []
+    for x in order:
+        for s in gens:
+            y = product[x][s]
+            if y not in suffix:
+                suffix[y] = unit if x == unit else product[suffix[x]][s]
+                order.append(y)
+                tree[x, s] = y
+            elif x == unit or (suffix[x], s) in tree:
+                rules.append((x, s))
+    return list(tree), rules
+
+
 class FiniteGroup:
     """A finite group as a Cayley table on indices 0..n-1."""
 
@@ -141,7 +169,7 @@ class FiniteGroup:
 class GAction:
     """A left action of a finite group on {0..set_size-1}, as a lookup table."""
 
-    def __init__(self, group, set_size, act):
+    def __init__(self, group, set_size, act, _law_certified=False):
         self.group = group
         self.set_size = set_size
         self.act = tuple(tuple(row) for row in act)
@@ -151,6 +179,8 @@ class GAction:
         for a in range(set_size):
             if self.act[e][a] != a:
                 raise ValueError("identity does not act trivially")
+        if _law_certified:   # all_actions: by generated_homomorphism's lemma
+            return
         for g in range(group.order):
             for h in range(group.order):
                 gh = group.mul[g][h]
@@ -187,7 +217,7 @@ def all_actions(group, set_size):
     itertools.product order, is extended along the closure by
     generated_homomorphism with permutation composition as the product;
     the choices whose group law holds on G x S_G are the actions (its
-    lemma), and the GAction constructor verifies each in full.
+    lemma), so the GAction constructor skips its (g, h, a) rescan.
     """
     key = (group.mul, set_size)
     if key not in _action_cache:
@@ -198,7 +228,8 @@ def all_actions(group, set_size):
             f, (ok, _) = generated_homomorphism(zip(gens, images), group,
                                                 tuple(range(set_size)), _compose)
             if ok:
-                found.append(GAction(group, set_size, [f[g] for g in range(group.order)]))
+                found.append(GAction(group, set_size, [f[g] for g in range(group.order)],
+                                     _law_certified=True))
         _action_cache[key] = found
     return _action_cache[key]
 

@@ -24,7 +24,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .digroup import AlgebraError, AxiomReport, first_failure, table_generators
+from .digroup import (AlgebraError, AxiomReport, first_failure, table_generators,
+                      table_presentation)
 from .linalg import ContentMemo, Matrix, QQ, block_image, devectorize, ext_classes
 from .reps import SemilinearObject, from_semilinear, once, require_valid
 
@@ -59,6 +60,13 @@ class FDAlgebra:
         generators of G and one M_(a, 1) per G-orbit of the halo.
         """
         return table_generators(self.product, self.unit)
+
+    def presentation(self):
+        """(tree, rules) of table_presentation on generators(), found once."""
+        if "_presentation" not in self.__dict__:
+            object.__setattr__(self, "_presentation", table_presentation(
+                self.product, self.unit, self.generators()))
+        return self._presentation
 
     def check(self):
         """Exhaustive table, unit and associativity check; raises on failure."""
@@ -295,23 +303,19 @@ def derivation_ext1(a, q, w):
 
         c(x y) = act_w(x) c(y) + c(x) act_q(y)   for all basis elements x, y.
 
-    It is solved on a generating set S of the basis monoid
-    (FDAlgebra.generators): the equations are c(1) = 0 and
-    c(e_i s) = act_w(e_i) c(s) + c(e_i) act_q(s) for every basis element
-    e_i and every s in S, and the unknowns are still all the blocks c(e_i).
-    This is the same system.  Every y is a word in S, and the rule for all
-    (x, y) follows by induction on the length of y.  For y = 1 it reads
-    c(x) = x c(1) + c(x), which is c(1) = 0.  For y = y' s, the equations
-    at (x y', s) and (y', s) and the rule at (x, y') give
-
-        c(x y' s) = x y' c(s) + c(x y') s
-                  = x y' c(s) + x c(y') s + c(x) y' s = x c(y) + c(x) y.
-
-    The closure scan of FDAlgebra.generators certifies that S reaches every
-    basis element, and check_module_on_generators (run by rep_to_module,
-    which makes the modules passed here) that the actions multiply like
-    the basis.  So the kernel, its canonical basis and the answer are those
-    of the system with one equation per ordered pair of basis elements.
+    It is solved on the presentation <S | R> of the basis monoid
+    (FDAlgebra.presentation): the equations are c(1) = 0 and
+    c(x s) = act_w(x) c(s) + c(x) act_q(s) on the tree and rule edges
+    (x, s), and the unknowns are still all the blocks c(e_i).  Let D be the
+    derivation of the free monoid on S with D(s) = c(s) (Fox, Ann. Math.
+    1953).  The tree equations give c(y) = D(w(y)) for every y, so the rule
+    equations say D(w(x) s) = D(w(x s)): the Fox conditions of R.  As R
+    presents the monoid, D then agrees on words of one element and c is a
+    derivation; conversely every derivation solves the equations.  So the
+    kernel, its canonical basis and the answer are those of the system with
+    one equation per ordered pair of basis elements (the modules passed
+    here come from rep_to_module, whose check_module_on_generators makes
+    the actions multiply like the basis).
 
     The result is the kernel modulo the inner maps
     t -> (act_w(e_i) t - t act_q(e_i)), by linalg.ext_classes.  Returns
@@ -327,13 +331,11 @@ def derivation_ext1(a, q, w):
         return 0, []
 
     o, neg = field.of(1), field.of(-1)
-    # c(1) = 0, and c(e_i s) - act_w(e_i) c(s) - c(e_i) act_q(s) = 0
+    # c(1) = 0, and c(x s) - act_w(x) c(s) - c(x) act_q(s) = 0
+    tree, rules = a.presentation()
     eqs = [[(o, None, a.unit, None)]]
-    gens = a.generators()
-    for i, row in enumerate(a.product):
-        for s in gens:
-            eqs.append([(o, None, row[s], None), (neg, w.action[i], s, None),
-                        (neg, None, i, q.action[s])])
+    eqs += [[(o, None, a.product[x][s], None), (neg, w.action[x], s, None),
+             (neg, None, x, q.action[s])] for x, s in tree + rules]
     # the inner derivations: the image of t -> (act_w(e_k) t - t act_q(e_k))_k
     inner = block_image(1, dw, dq, [[(o, w.action[k], 0, None), (neg, None, 0, q.action[k])]
                                     for k in range(na)], field)

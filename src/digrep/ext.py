@@ -14,7 +14,7 @@ section is checked on S_G, and the cocycle of a section is read off the
 m + |S_G| generators of V in the basis [iota | section] (_corners), then
 spread to every element by Z1c.  The extension of a cocycle is split
 on the rho side already, so its splitting is decided in block form
-(_split_cocycle), without building V.
+(_split_cocycles), without building V.
 """
 
 from __future__ import annotations
@@ -442,52 +442,61 @@ def is_split(s):
         return True, _checked_witness(s, sec)
     sec = average_section(s)
     eta = _corners(s, sec)
-    t = _splitting_map(eta, s.Q, s.W, field)
+    t = _splitting_maps([eta], s.Q, s.W, field)[0]
     if t is None:
         return False, _verified_family(eta, s.Q, s.W)
     return True, _checked_witness(s, sec - s.iota * t)
 
 
-def _splitting_map(eta, Q, W, field):
-    """A rho-intertwiner t with L^W_a t - t L^Q_a = eta_a for every a, or
-    None when there is none.  eta is the bar-unit column of a cocycle, and
-    so is each coboundary column: comparing them compares whole families
-    (see _ext1)."""
-    coeffs = coordinates(_ext1(Q, W)[1], vectorize(eta, range(len(eta)), W.dim, Q.dim))
-    if coeffs is None:
-        return None
-    t = Matrix.zeros(field, W.dim, Q.dim)
-    for i, base in enumerate(hom_rho(Q, W)):
-        t = t + base.scale(coeffs[i, 0])
-    return t
+def _splitting_maps(etas, Q, W, field):
+    """For each eta, a rho-intertwiner t with L^W_a t - t L^Q_a = eta_a for
+    every a, or None when there is none.  eta is the bar-unit column of a
+    cocycle, and so is each coboundary column: comparing them compares
+    whole families (see _ext1).  One elimination, with the etas as the
+    columns of x, answers them all when each has a t; otherwise the pivot
+    of a column outside the span alters the other columns' rows, so each
+    eta is answered on its own."""
+    coeffs = coordinates(_ext1(Q, W)[1], hstack([vectorize(eta, range(len(eta)), W.dim, Q.dim)
+                                                 for eta in etas])) if etas else None
+    if coeffs is None:   # no eta, or one without a t
+        return [None] if len(etas) == 1 else [_splitting_maps([eta], Q, W, field)[0]
+                                              for eta in etas]
+    basis = hom_rho(Q, W)
+    return [sum((base.scale(coeffs[i, j]) for i, base in enumerate(basis) if coeffs[i, j]),
+                Matrix.zeros(field, W.dim, Q.dim)) for j in range(len(etas))]
 
 
-def _split_cocycle(theta, Q, W):
-    """is_split(extension_from_cocycle(theta, Q, W)), in the block form of
-    that extension, without building it.
+def _split_cocycles(thetas, Q, W):
+    """[is_split(extension_from_cocycle(theta, Q, W)) for theta in thetas],
+    in the block form of those extensions, without building them, and with
+    one _splitting_maps solve for every theta.
 
-    Its sections of pi are the [-t; I], and [0; I] is rho-equivariant, so
+    Their sections of pi are the [-t; I], and [0; I] is rho-equivariant, so
     averaging returns it, C = I and _corners returns eta_a = theta[(1, a)].
     On the generators of V, [-t; I] is a morphism exactly when
     L^W_a t - t L^Q_a = eta_a for every a and rho^W_s t = t rho^Q_s for s in
     S_G (the other blocks agree identically); these are checked, and a
     failure raises RepresentationError.
     """
-    if isinstance(theta, CocycleFamily):
-        theta = theta.theta
-    require_cocycle(theta, Q, W)
+    thetas = [theta.theta if isinstance(theta, CocycleFamily) else theta for theta in thetas]
+    for theta in thetas:
+        require_cocycle(theta, Q, W)
     field = W.field if W.dim else Q.field
     if W.dim and Q.dim:   # is_split averages on these only
         _require_maschke(field, Q.digroup.group.order)
-    eta = {a: theta[(Q.digroup.group.identity, a)] for a in range(Q.digroup.halo_size)}
-    t = _splitting_map(eta, Q, W, field)
-    if t is None:
-        return False, _verified_family(eta, Q, W)
-    for i, (name, w, q) in enumerate(_generators(W, Q)):   # the L_a first, a in order
-        r = w * t - t * q
-        if (r != eta[i]) if i < len(eta) else not r.is_zero():
-            raise RepresentationError("the witness is not a morphism at %s" % name)
-    return True, vstack([-t, Matrix.identity(field, Q.dim)])
+    e, m = Q.digroup.group.identity, Q.digroup.halo_size
+    etas = [{a: theta[(e, a)] for a in range(m)} for theta in thetas]
+    out = []
+    for eta, t in zip(etas, _splitting_maps(etas, Q, W, field)):
+        if t is None:
+            out.append((False, _verified_family(eta, Q, W)))
+            continue
+        for i, (name, w, q) in enumerate(_generators(W, Q)):   # the L_a first, a in order
+            r = w * t - t * q
+            if (r != eta[i]) if i < len(eta) else not r.is_zero():
+                raise RepresentationError("the witness is not a morphism at %s" % name)
+        out.append((True, vstack([-t, Matrix.identity(field, Q.dim)])))
+    return out
 
 
 def _checked_witness(s, sec):

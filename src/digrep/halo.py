@@ -16,7 +16,7 @@ from .linalg import (Matrix, block_diag, block_image, coordinates, devectorize,
                      ext_classes, hstack, intertwiners, vectorize)
 from .reps import (RepresentationError, SemilinearObject, band_law, once,
                    require_valid_semilinear, to_semilinear, hom_rep)
-from .ext import _split_cocycle, cocycle_space, ext1_dim
+from .ext import _split_cocycles, cocycle_space, ext1_dim
 from .digroup import Digroup, generated_homomorphism
 
 
@@ -141,12 +141,17 @@ def _extend_action(on_gens, one, q, w, what):
     return {g: f[g] for g in range(group.order)}
 
 
-def invariants(space):
-    """Canonical basis of the common fixed space of all action matrices."""
+def invariants(space, gens=None):
+    """Canonical basis of the common fixed space of the action matrices of
+    gens, every g by default.  A generating set S_G of the group fixes the
+    same vectors as every g when g_action is an action, as _extend_action
+    certifies."""
     mats = list(space.g_action.values())
     if not mats:
         return []
     field, k = mats[0].field, mats[0].rows
+    if gens is not None:
+        mats = [space.g_action[s] for s in gens]
     # a fixed vector v is a k x 1 map with v I_1 = M v for every M
     one = Matrix.identity(field, 1)
     return intertwiners([(one, m) for m in mats], 1, k, field)
@@ -217,12 +222,13 @@ def ext1_BE(q, w):
         on_gens, Matrix.identity(field, dim_ext), q, w, "classes"))
 
 
-def invariant_class_dim(res):
-    """Dimension of the fixed space of the class action of a BEExtResult."""
+def invariant_class_dim(res, gens=None):
+    """Dimension of the fixed space of the class action of a BEExtResult,
+    taken on gens (invariants)."""
     if res.dim_ext == 0:
         return 0
     space = HomSpaceWithAction([], res.g_action_on_classes)
-    return len(invariants(space))
+    return len(invariants(space, gens))
 
 
 def verify_collapse(q_rep, w_rep):
@@ -231,26 +237,24 @@ def verify_collapse(q_rep, w_rep):
     Computes the invariant dimensions on the band side and the direct
     dimensions on the digroup side, reports their equality, and, when
     the invariant extension space vanishes, confirms the splitting
-    criterion on every cocycle basis member.  Each basis family is decided
-    in the block form of its extension (ext._split_cocycle), with the
-    splitting witness checked on the generators.
+    criterion on every cocycle basis member.  The basis families are
+    decided in the block form of their extensions (ext._split_cocycles),
+    with one solve for all of them and each splitting witness checked on
+    the generators.
     """
     q = to_semilinear(q_rep)
     w = to_semilinear(w_rep)
+    gens = q.action.group.generators()
     hom_space = g_action_on_hom(q, w)
-    hom_inv = invariants(hom_space)
+    hom_inv = invariants(hom_space, gens)
     hom_rep_basis = hom_rep(q_rep, w_rep)
     be = ext1_BE(q, w)
-    inv_dim = invariant_class_dim(be)
+    inv_dim = invariant_class_dim(be, gens)
     rep_res = ext1_dim(q_rep, w_rep)
     ok = (inv_dim == rep_res.dim_ext) and (len(hom_inv) == len(hom_rep_basis))
     splitting_checked = False
     if ok and inv_dim == 0:
-        for fam in cocycle_space(q_rep, w_rep):
-            flag, _ = _split_cocycle(fam, q_rep, w_rep)
-            if not flag:
-                ok = False
-                break
+        ok = all(flag for flag, _ in _split_cocycles(cocycle_space(q_rep, w_rep), q_rep, w_rep))
         splitting_checked = True
     return {
         "hom_BE_dim": len(hom_space.basis),

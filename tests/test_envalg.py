@@ -228,15 +228,21 @@ def _both_solvers(d, q, w):
 
 def test_generator_system_matches_the_all_pairs_system():
     """Same (dim, families) as one equation per basis pair: every 10th
-    corpus pair over Q, ten pairs over GF(7), and modular pairs."""
+    corpus pair over Q, ten pairs over GF(7) and ten over GF(5), induced
+    pairs both ways over all three fields, and modular pairs."""
     for seed in range(1000, 1200, 10):
         _both_solvers(*sample_pair(seed))
-    f7 = PrimeField(7)
-    for seed in range(10):
-        rng = seeded_rng(5000 + seed)
-        d = sample_digroup(rng)
-        _both_solvers(d, random_representation(d, rng.randint(1, 3), rng, f7),
-                      random_representation(d, rng.randint(1, 3), rng, f7))
+    for field, base in ((PrimeField(7), 5000), (PrimeField(5), 5500)):
+        for seed in range(10):
+            rng = seeded_rng(base + seed)
+            d = sample_digroup(rng)
+            _both_solvers(d, random_representation(d, rng.randint(1, 3), rng, field),
+                          random_representation(d, rng.randint(1, 3), rng, field))
+    for field in (QQ, PrimeField(5), PrimeField(7)):
+        for i, name in enumerate(sorted(GROUPS)):
+            d, lift, w = induced_pair(7600 + i, field, (name,))
+            _both_solvers(d, lift, w)
+            _both_solvers(d, w, lift)
     # p divides |G|: no Maschke, and Ext^1 > 0 is common
     dims = []
     for p, names in ((2, ("C2", "C6", "S3")), (3, ("C3", "C6", "S3"))):
@@ -274,6 +280,55 @@ def test_generating_set_certificate_rejects_a_table_it_cannot_close():
     with pytest.raises(AlgebraError, match="reaches 2 of 3"):
         table_generators(((0, 0, 0), (1, 1, 1), (0, 0, 2)), 2)
     assert table_generators(((0, 1), (1, 0)), 0) == [1]
+
+
+def rewrite(word, rules):
+    """word with the first left side of a rule replaced by its right side,
+    repeatedly, until no left side occurs; rules maps left to right sides."""
+    for _ in range(1000):   # each step of a correct rule set lowers the shortlex order
+        hit = next(((i, lhs) for i in range(len(word)) for lhs in rules
+                    if word[i:i + len(lhs)] == lhs), None)
+        if hit is None:
+            return word
+        i, lhs = hit
+        word = word[:i] + rules[lhs] + word[i + len(lhs):]
+    raise AssertionError("rewriting does not stop at %r" % (word,))
+
+
+def presentation_algebras():
+    """The enveloping algebras of the corpus digroups and of S3 and C6 with
+    every action on 1 to 4 points."""
+    seen = {}
+    for seed in range(1000, 1200):
+        d, _, _ = sample_pair(seed)
+        seen[d.group.mul, d.action.act] = d
+    for group in (FiniteGroup.symmetric3(), FiniteGroup.cyclic(6)):
+        for m in range(1, 5):
+            for act in all_actions(group, m):
+                seen[group.mul, act.act] = Digroup(group, act)
+    return [build_enveloping_algebra(d) for d in seen.values()]
+
+
+def test_presentation_rules_rewrite_every_word_to_its_normal_form():
+    """The rules of FDAlgebra.presentation are the minimal non-normal words
+    w(x) s, and rewriting with them takes every w(x) s to w(x s)."""
+    algebras = presentation_algebras()
+    assert len(algebras) == 89
+    for a in algebras:
+        tree, rules = a.presentation()
+        words = {a.unit: ()}
+        for x, s in tree:
+            words[a.product[x][s]] = words[x] + (s,)
+        assert len(words) == a.dim
+        normal = set(words.values())
+        edges = [(x, s) for x in words for s in a.generators()]
+        # in shortlex order of w(x) s, as the scan meets them
+        shortlex = sorted(edges, key=lambda e: (len(words[e[0]]), words[e[0]], e[1]))
+        assert rules == [(x, s) for x, s in shortlex
+                         if (x, s) not in tree and (words[x] + (s,))[1:] in normal]
+        lhs = {words[x] + (s,): words[a.product[x][s]] for x, s in rules}
+        for x, s in edges:
+            assert rewrite(words[x] + (s,), lhs) == words[a.product[x][s]]
 
 
 def test_halo_algebra_products():

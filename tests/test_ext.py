@@ -609,12 +609,13 @@ def split_outcome(split):
 
 @pytest.mark.parametrize("field", (QQ, PrimeField(5), PrimeField(7)), ids=repr)
 def test_split_cocycle_decides_like_is_split_on_the_built_extension(field):
-    """_split_cocycle, which never builds V, against is_split on the
+    """_split_cocycles, which never builds V, against is_split on the
     extension_from_cocycle sequence: every Z^1 basis family and every class
     family of every 5th corpus seed, of induced pairs and of pairs with a
     dimension-0 side (their zero family) give the same flag, the same
-    witness and the same certificate."""
-    from digrep.ext import _split_cocycle
+    witness and the same certificate, one family at a time and all of a
+    pair's families in one call."""
+    from digrep.ext import _split_cocycles
     pairs = [sample_pair(seed, field=field)[1:] for seed in range(1000, 1200, 5)]
     for i, name in enumerate(("C1", "C2", "C3", "C6", "S3")):
         _, lift, w = induced_pair(7500 + i, field, (name,))
@@ -627,46 +628,48 @@ def test_split_cocycle_decides_like_is_split_on_the_built_extension(field):
         thetas = [f.theta for f in cocycle_space(q, w) + ext1_dim(q, w).class_basis]
         if 0 in (q.dim, w.dim):
             thetas.append({x: Matrix.zeros(field, w.dim, q.dim) for x in q.digroup.elements})
+        singles = []
         for theta in thetas:
-            got = split_outcome(lambda: _split_cocycle(theta, q, w))
+            got = split_outcome(lambda: _split_cocycles([theta], q, w)[0])
             assert got == split_outcome(lambda: is_split(extension_from_cocycle(theta, q, w)))
             flags[got[0]] += 1
+            singles.append(got)
+        assert [split_outcome(lambda: r) for r in _split_cocycles(thetas, q, w)] == singles
     assert flags[True] >= 40 and flags[False] >= 40, flags
 
 
 def test_split_cocycle_refuses_like_is_split_where_maschke_fails():
-    from digrep.ext import _split_cocycle
+    from digrep.ext import _split_cocycles
     _, q, w = sample_pair(1000, field=PrimeField(3))   # |G| = 6
     fam = cocycle_space(q, w)[0]
-    assert split_outcome(lambda: _split_cocycle(fam, q, w)) is MaschkeError
+    assert split_outcome(lambda: _split_cocycles([fam], q, w)[0]) is MaschkeError
     assert split_outcome(lambda: is_split(extension_from_cocycle(fam, q, w))) is MaschkeError
 
 
 def test_split_cocycle_refuses_a_family_changed_off_the_bar_units():
-    from digrep.ext import _split_cocycle
+    from digrep.ext import _split_cocycles
     _, q, w = sample_pair(1000)
     fam = cocycle_space(q, w)[0]
     refused = 0
     for (g, _a), bad in corrupted_tables(fam.theta):
         if g != q.digroup.group.identity:
             with pytest.raises(RepresentationError, match="cocycle identities fail"):
-                _split_cocycle(bad, q, w)
+                _split_cocycles([bad], q, w)
             refused += 1
     assert refused >= 10
 
 
 def with_a_non_hom_unit(helper):
-    """helper, with t shifted by the first matrix unit that is not a
+    """helper, with each t shifted by the first matrix unit that is not a
     homomorphism Q -> W."""
     from digrep.reps import _generators
 
-    def faulty(eta, Q, W, field):
-        t = helper(eta, Q, W, field)
+    def faulty(etas, Q, W, field):
         units = (Matrix.from_rows(field, [[int((r, c) == (i, j)) for c in range(Q.dim)]
                                           for r in range(W.dim)])
                  for i in range(W.dim) for j in range(Q.dim))
-        return None if t is None else t + next(
-            e for e in units if any(x * e != e * y for _, x, y in _generators(W, Q)))
+        unit = next(e for e in units if any(x * e != e * y for _, x, y in _generators(W, Q)))
+        return [None if t is None else t + unit for t in helper(etas, Q, W, field)]
     return faulty
 
 
@@ -678,9 +681,9 @@ def test_a_wrong_splitting_map_is_refused_by_collapse(monkeypatch, tmp_path, cap
     _, q, w = sample_pair(1000)
     res = ext1_dim(q, w)
     assert res.dim_ext == 0 < res.dim_Z
-    monkeypatch.setattr(ext, "_splitting_map", with_a_non_hom_unit(ext._splitting_map))
+    monkeypatch.setattr(ext, "_splitting_maps", with_a_non_hom_unit(ext._splitting_maps))
     with pytest.raises(RepresentationError, match="the witness is not a morphism"):
-        ext._split_cocycle(cocycle_space(q, w)[0], q, w)
+        ext._split_cocycles(cocycle_space(q, w)[:1], q, w)
     with pytest.raises(RepresentationError, match="the witness is not a morphism"):
         verify_collapse(q, w)
     paths = [str(tmp_path / name) for name in ("q.json", "w.json")]

@@ -108,20 +108,20 @@ def test_content_memos_serve_the_exhaustive_reports_only():
 
 def test_splitting_reads_no_operator_table():
     # average_section, _corners (block_decompose), is_split and
-    # _split_cocycle read V, W and Q through their verified views, never
+    # _split_cocycles read V, W and Q through their verified views, never
     # the 2 n m tables
     tree = dict(modules())["ext"]
     found = ["%s:%d" % (fn.name, node.lineno) for fn in tree.body
              if isinstance(fn, ast.FunctionDef)
              and fn.name in ("average_section", "block_decompose", "_corners", "is_split",
-                             "_split_cocycle", "_splitting_map")
+                             "_split_cocycles", "_splitting_maps")
              for node in ast.walk(fn)
              if isinstance(node, ast.Attribute) and node.attr in ("lam", "rho")]
     assert found == []
 
 
 def test_the_collapse_builds_no_extension():
-    # verify_collapse decides each cocycle in block form (_split_cocycle);
+    # verify_collapse decides each cocycle in block form (_split_cocycles);
     # only `digrep split` averages and conjugates a sequence, and only the
     # public API builds the extension of a cocycle
     assert callers("extension_from_cocycle") == set()
@@ -160,17 +160,26 @@ def test_generated_homomorphism_is_the_one_group_law_scan():
     # digroup.generated_homomorphism is the only scan of G x S_G: it checks
     # and extends every group law (C1 and C2, the halo G-actions).  The other
     # scans over generators pair S_G with the halo (C3, Z1b), the algebra's
-    # generators with its basis (the module rule, the derivation system), or
-    # S_G with a Hom basis (the adjunction's spread check)
+    # generators with its basis (the module rule), or S_G with a Hom basis
+    # (the adjunction's spread check); the derivation system reads its edges
+    # from the presentation (test_derivations_are_solved_on_the_presentation)
     assert generator_scans() == {
         "digroup.generated_homomorphism",
         "reps.check_semilinear_on_generators",
         "ext.check_cocycle_on_generators",
         "ext._solve_ext1",
         "envalg.check_module_on_generators",
-        "envalg.derivation_ext1",
         "halo.verify_adjunction",
     }
     assert callers("generated_homomorphism") == {"reps.check_semilinear_on_generators",
                                                  "halo._extend_action",
                                                  "digroup.all_actions"}
+
+
+def test_derivations_are_solved_on_the_presentation():
+    # derivation_ext1 writes its Leibniz equations on the tree and rule edges
+    # of FDAlgebra.presentation(), not on every basis element times every
+    # generator; digroup.table_presentation is the one scan of those edges
+    assert callers("presentation") == {"envalg.derivation_ext1"}
+    assert callers("table_presentation") == {"envalg.FDAlgebra.presentation"}
+    assert "envalg.derivation_ext1" not in callers("generators")
