@@ -131,9 +131,6 @@ class FiniteGroup:
                         return (a, b, c)
         return None
 
-    def op(self, a, b):
-        return self.mul[a][b]
-
     def generators(self):
         """A small generating set S_G: table_generators on the Cayley table,
         found once per group."""
@@ -375,34 +372,6 @@ class Digroup:
         if self.dashv(left, x) != e or self.vdash(x, right) != e:
             raise GroupTableError("inverses fail at %r relative to %r" % (x, e))
         return left, right
-
-    def right_group_at(self, e):
-        """The right group at bar-unit e, with its multiplication table.
-
-        Returns (elements, table) where elements[g] = (g^-1, g^-1 . b) and
-        table is indexed like the parent group but transported through |-
-        (the transport reverses factor order).
-        """
-        if not self.is_bar_unit(e):
-            raise ValueError("%r is not a bar-unit" % (e,))
-        b = e[1]
-        n = self.group.order
-        elems = [(self.group.inv[g], self.action.apply(self.group.inv[g], b))
-                 for g in range(n)]
-        pos = {x: i for i, x in enumerate(elems)}
-        table = []
-        for g in range(n):
-            row = []
-            for h in range(n):
-                prod = self.vdash(elems[g], elems[h])
-                if prod not in pos:
-                    raise GroupTableError("right group not closed under |-")
-                # elems[g] |- elems[h] must land at elems[h*g]
-                if pos[prod] != self.group.mul[h][g]:
-                    raise GroupTableError("right group law does not transport")
-                row.append(pos[prod])
-            table.append(row)
-        return elems, table
 
     def check_axioms(self):
         """Exhaustive axiom check; returns an AxiomReport."""

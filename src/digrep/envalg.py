@@ -26,7 +26,8 @@ from dataclasses import dataclass
 
 from .digroup import (AlgebraError, AxiomReport, first_failure, table_generators,
                       table_presentation)
-from .linalg import ContentMemo, Matrix, QQ, block_image, devectorize, ext_classes
+from .linalg import (ContentMemo, Matrix, QQ, block_image, complete, devectorize,
+                     ext_classes)
 from .reps import SemilinearObject, from_semilinear, once, require_valid
 
 
@@ -304,23 +305,26 @@ def derivation_ext1(a, q, w):
         c(x y) = act_w(x) c(y) + c(x) act_q(y)   for all basis elements x, y.
 
     It is solved on the presentation <S | R> of the basis monoid
-    (FDAlgebra.presentation): the equations are c(1) = 0 and
-    c(x s) = act_w(x) c(s) + c(x) act_q(s) on the tree and rule edges
-    (x, s), and the unknowns are still all the blocks c(e_i).  Let D be the
-    derivation of the free monoid on S with D(s) = c(s) (Fox, Ann. Math.
-    1953).  The tree equations give c(y) = D(w(y)) for every y, so the rule
-    equations say D(w(x) s) = D(w(x s)): the Fox conditions of R.  As R
-    presents the monoid, D then agrees on words of one element and c is a
-    derivation; conversely every derivation solves the equations.  So the
-    kernel, its canonical basis and the answer are those of the system with
-    one equation per ordered pair of basis elements (the modules passed
-    here come from rep_to_module, whose check_module_on_generators makes
-    the actions multiply like the basis).
+    (FDAlgebra.presentation), S the targets of the tree edges out of 1,
+    for the blocks c(s), s in S.  Let D be the derivation of the free
+    monoid on S with D(s) = c(s) (Fox, Ann. Math. 1953): D(s_1 ... s_l)
+    sums act_w(s_1 ... s_i-1) c(s_i) act_q(s_i+1 ... s_l).  There is one
+    equation D(w(x) s) = D(w(x s)) per rule (x, s), w the normal forms.
 
-    The result is the kernel modulo the inner maps
-    t -> (act_w(e_i) t - t act_q(e_i)), by linalg.ext_classes.  Returns
-    (dimension, representative cocycle families), where a family is a tuple
-    of dw x dq matrices indexed like the algebra basis.
+    * c(y) = D(w(y)), so restriction to S is injective on derivations;
+    * the equations are the Fox conditions of R, which presents the
+      monoid, so every solution spreads to the derivation y -> D(w(y));
+    * inner derivations restrict to B_S, the span of
+      t -> (act_w(s) t - t act_q(s))_s.
+
+    Hence dim Z_S / B_S (linalg.ext_classes) = dim Z / B (the modules come
+    from rep_to_module, whose check makes the actions multiply like the
+    basis).  Only when it is not 0 are the solutions spread: Z is their
+    canonical basis, and the vectors of Z that quotient(B, Z) keeps are
+    found on their S blocks against B_S, the same choice as restriction
+    is injective on Z.  Returns (dimension, representative cocycle
+    families), a family being a tuple of dw x dq matrices indexed like the
+    algebra basis.
     """
     if q.algebra is not a or w.algebra is not a:
         raise AlgebraError("modules must live over the given algebra")
@@ -331,14 +335,32 @@ def derivation_ext1(a, q, w):
         return 0, []
 
     o, neg = field.of(1), field.of(-1)
-    # c(1) = 0, and c(x s) - act_w(x) c(s) - c(x) act_q(s) = 0
+    p, unit = a.product, a.unit
     tree, rules = a.presentation()
-    eqs = [[(o, None, a.unit, None)]]
-    eqs += [[(o, None, a.product[x][s], None), (neg, w.action[x], s, None),
-             (neg, None, x, q.action[s])] for x, s in tree + rules]
-    # the inner derivations: the image of t -> (act_w(e_k) t - t act_q(e_k))_k
-    inner = block_image(1, dw, dq, [[(o, w.action[k], 0, None), (neg, None, 0, q.action[k])]
-                                    for k in range(na)], field)
-    _, reps = ext_classes(na, dw, dq, eqs, inner, field)
-    families = [tuple(devectorize(v, range(na), dw, dq, field).values()) for v in reps]
+    gens = [s for x, s in tree if x == unit]
+    block = {s: k for k, s in enumerate(gens)}
+
+    def times(x, s):
+        # the (prefix, letter, suffix) elements of D(w(x) s)
+        return [(l, g, p[r][s]) for l, g, r in fox[x]] + [(x, s, unit)]
+
+    def terms(c, triples):
+        return [(c, None if l == unit else w.action[l], block[g],
+                 None if r == unit else q.action[r]) for l, g, r in triples]
+
+    fox = {unit: []}   # y -> the triples of D(w(y)), along the tree
+    for x, s in tree:
+        fox[p[x][s]] = times(x, s)
+    eqs = [terms(o, times(x, s)) + terms(neg, fox[p[x][s]]) for x, s in rules]
+    inner = block_image(1, dw, dq, [[(o, w.action[s], 0, None), (neg, None, 0, q.action[s])]
+                                    for s in gens], field)
+    z_s, reps = ext_classes(len(gens), dw, dq, eqs, inner, field)
+    if not reps:
+        return 0, []
+    # c(y) = D(w(y)) for every basis element y, on the integer images
+    z = block_image(len(gens), dw, dq, [terms(o, fox[y]) for y in range(na)], field, z_s)
+    blk = dw * dq
+    coords = [s * blk + i for s in gens for i in range(blk)]
+    families = [tuple(devectorize(v, range(na), dw, dq, field).values())
+                for v in complete(inner, z, coords)]
     return len(families), families

@@ -418,9 +418,6 @@ class Matrix:
     def to_lists(self):
         return [self.row_list(i) for i in range(self.rows)]
 
-    def flat(self):
-        return list(self.entries)
-
     # -- arithmetic -------------------------------------------------------
 
     def _compat(self, other, same_shape):
@@ -662,20 +659,26 @@ def contains(basis, *vectors):
     return not complete(basis, vectors)
 
 
-def complete(small, big):
+def complete(small, big, coords=None):
     """The vectors of big, in order, that extend span(small) to span(small + big).
 
     A vector is kept when it lies outside the span of everything before
     it, which is exactly a pivot column of [small | big]; one elimination
     gives the same choice as adding the vectors greedily one by one.
+    With coords, big's vectors are read at those coordinates only, and
+    small's vectors have len(coords) rows.
     """
     big = list(big)
     if not big:
         return []
-    vectors = list(small) + big
-    rows = _transpose(_column_images(vectors), vectors[0].rows)   # [small | big]
+    cols = _column_images(big)
+    if coords is not None:
+        cols = [{n: col[c] for n, c in enumerate(coords) if c in col} for col in cols]
+    n = big[0].rows if coords is None else len(coords)
+    like = Matrix.zeros(big[0].field, n, 1)   # the shape and field small must have
+    rows = _transpose(_column_images(list(small) + [like])[:-1] + cols, n)   # [small | big]
     k = len(small)
-    return [big[c - k] for c in sorted(_reduce(rows, vectors[0].field)) if c >= k]
+    return [big[c - k] for c in sorted(_reduce(rows, big[0].field)) if c >= k]
 
 
 def quotient(sub, ambient):
@@ -833,8 +836,9 @@ def _distinct(equations):
             for eq in equations}.values()
 
 
-def block_image(nblocks, h, w, equations, field):
-    """Canonical basis of the image of X -> (the value of each equation at X).
+def block_image(nblocks, h, w, equations, field, vectors=None):
+    """Canonical basis of the image of X -> (the value of each equation at X),
+    or of the image of span(vectors) when vectors (block layout) are given.
 
     The rows block_kernel assembles are the matrix of this map, so the
     image is their column span; equation e's entry (i, j) is coordinate
@@ -844,7 +848,10 @@ def block_image(nblocks, h, w, equations, field):
     if n == 0:
         return []
     rows = _block_rows(h, w, equations, field)
-    return _rref_vectors(len(rows), _transpose(rows, n), field)
+    cols = _transpose(rows, n)
+    if vectors is not None:
+        cols = [_apply(cols, v, field.char) for v in vectors]
+    return _rref_vectors(len(rows), cols, field)
 
 
 def intertwiners(pairs, d_src, d_dst, field):
@@ -875,16 +882,10 @@ def ext_classes(nblocks, h, w, z_equations, b, field):
     if n:
         rows = _block_rows(h, w, _distinct(z_equations), field)
         z = span_basis(sparse_kernel(n, rows, field))
-        # column c of the rows is {row: entry}; the residual of v sums
-        # v[c] times column c over the nonzeros of v
         cols = _transpose(rows, n)
-        for v in z:
-            residual = {}
-            for c, x in enumerate(v._image()[0]):
-                if x:
-                    _axpy(residual, x, cols[c], field.char)
-            if any(residual.values()):   # a row's entries may cancel to 0
-                raise SubspaceError("a Z basis vector does not solve the Z equations")
+        # a row's entries may cancel to 0, so look at the residual's values
+        if any(any(_apply(cols, v, field.char).values()) for v in z):
+            raise SubspaceError("a Z basis vector does not solve the Z equations")
     try:
         return z, quotient(b, z)
     except SubspaceError:
@@ -970,6 +971,17 @@ def _block_rows(h, w, equations, field):
                             row[key] = y if v is None else v + y
         rows += block
     return rows
+
+
+def _apply(cols, v, p):
+    """M v as an int dict {row: entry}, for M given by its columns as int
+    dict rows: v[c] times column c, summed over the nonzeros of v's
+    integer image, so a positive multiple of M v; an entry may be 0."""
+    out = {}
+    for c, x in enumerate(v._image()[0]):
+        if x:
+            _axpy(out, x, cols[c], p)
+    return out
 
 
 def _int_rows(nums, rows, cols):

@@ -15,7 +15,7 @@ from sympy.polys.matrices import DomainMatrix
 
 from digrep.ext import (CocycleFamily, MaschkeError, check_cocycle, coboundary,
                         cocycle_space, hom_rho)
-from digrep.digroup import GAction
+from digrep.digroup import GAction, GroupTableError
 from digrep.halo import hom_BE
 from digrep.reps import RepresentationError, check_semilinear
 from digrep.linalg import (ContentMemo, Matrix, block_image, block_kernel, coordinates,
@@ -203,6 +203,62 @@ def full_table_derivation_ext1(a, q, w):
     families = [tuple(devectorize(v, range(na), dw, dq, field).values())
                 for v in quotient(inner_basis, der_basis)]
     return len(families), families
+
+
+def former_derivation_ext1(a, q, w):
+    """derivation_ext1 with unknowns on every basis block, its former solver.
+
+    c(1) = 0 and c(x s) = act_w(x) c(s) + c(x) act_q(s) on every tree and
+    rule edge (x, s) of FDAlgebra.presentation(), then the quotient by the
+    inner derivations t -> (act_w(e_k) t - t act_q(e_k))_k in full
+    coordinates: the reference for the solver on the generators only.
+    """
+    field, na, dq, dw = a.field, a.dim, q.dim, w.dim
+    if na * dw * dq == 0:
+        return 0, []
+    o, neg = field.of(1), field.of(-1)
+    tree, rules = a.presentation()
+    eqs = [[(o, None, a.unit, None)]]
+    eqs += [[(o, None, a.product[x][s], None), (neg, w.action[x], s, None),
+             (neg, None, x, q.action[s])] for x, s in tree + rules]
+    inner = block_image(1, dw, dq, [[(o, w.action[k], 0, None), (neg, None, 0, q.action[k])]
+                                    for k in range(na)], field)
+    families = [tuple(devectorize(v, range(na), dw, dq, field).values())
+                for v in quotient(inner, block_kernel(na, dw, dq, eqs, field))]
+    return len(families), families
+
+
+def right_group_at(d, e):
+    """The right group at the bar-unit e of the digroup d, with its table.
+
+    Returns (elements, table) where elements[g] = (g^-1, g^-1 . b) and
+    table is indexed like the parent group but transported through |-
+    (the transport reverses factor order).
+    """
+    if not d.is_bar_unit(e):
+        raise ValueError("%r is not a bar-unit" % (e,))
+    b = e[1]
+    n = d.group.order
+    elems = [(d.group.inv[g], d.action.apply(d.group.inv[g], b)) for g in range(n)]
+    pos = {x: i for i, x in enumerate(elems)}
+    table = []
+    for g in range(n):
+        row = []
+        for h in range(n):
+            prod = d.vdash(elems[g], elems[h])
+            if prod not in pos:
+                raise GroupTableError("right group not closed under |-")
+            # elems[g] |- elems[h] must land at elems[h*g]
+            if pos[prod] != d.group.mul[h][g]:
+                raise GroupTableError("right group law does not transport")
+            row.append(pos[prod])
+        table.append(row)
+    return elems, table
+
+
+def flat(m):
+    """The entries of the matrix m, row-major, as a list."""
+    return list(m.entries)
 
 
 def per_vector_halo_actions(q, w):

@@ -7,13 +7,16 @@ from digrep import (Matrix, PrimeField, QQ, build_enveloping_algebra,
                     demo_representation, demo_subspace_basis, derivation_ext1,
                     module_to_rep, random_representation, rep_to_module,
                     require_valid, seeded_rng, sub_quotient, tau_automorphism)
+from digrep import linalg
 from digrep.envalg import (AlgebraError, AlgebraModule, FDAlgebra, check_module,
                            check_module_on_generators)
+from digrep.linalg import SubspaceError
 from digrep.digroup import (Digroup, FiniteGroup, GAction, all_actions,
                             table_generators)
 
 from _instances import GROUPS, corrupted_tables, induced_pair, sample_digroup, sample_pair
-from _oracles import ext1_dim_oracle, full_table_derivation_ext1
+from _oracles import (ext1_dim_oracle, flat, former_derivation_ext1,
+                      full_table_derivation_ext1)
 
 
 def test_enveloping_algebra_dimension_and_unit():
@@ -257,6 +260,93 @@ def test_generator_system_matches_the_all_pairs_system():
     assert len(dims) == 24 and sum(x > 0 for x in dims) >= 10, dims
 
 
+def _against_former(d, q, w):
+    """The dimensions of derivation_ext1 in the (q, w), (w, q) and (q, q)
+    orders, each with the very (dim, families) of the former solver."""
+    a = build_enveloping_algebra(d, q.field)
+    mq, mw = rep_to_module(q, a), rep_to_module(w, a)
+    dims = []
+    for x, y in ((mq, mw), (mw, mq), (mq, mq)):
+        got = derivation_ext1(a, x, y)
+        assert got == former_derivation_ext1(a, x, y)
+        dims.append(got[0])
+    return dims
+
+
+@pytest.mark.parametrize("field", (QQ, PrimeField(2), PrimeField(3), PrimeField(5),
+                                   PrimeField(7)), ids=repr)
+def test_fox_system_matches_the_former_solver(field):
+    """Unknowns on the generators, one Fox equation per rule: the same
+    (dim, families) as unknowns on every block, on every 5th corpus pair,
+    the induced pairs and pairs with a dimension-0 side."""
+    dims = []
+    for seed in range(1000, 1200, 5):
+        dims += _against_former(*sample_pair(seed, field=field))
+    for i, name in enumerate(sorted(GROUPS)):
+        dims += _against_former(*induced_pair(7600 + i, field, (name,)))
+    rng = seeded_rng(7700)
+    d = sample_digroup(rng)
+    dims += _against_former(d, random_representation(d, 0, rng, field),
+                            random_representation(d, 2, rng, field))
+    assert dims[-3:] == [0, 0, 0] and any(dims)
+
+
+def test_fox_system_matches_the_former_solver_beyond_the_caps():
+    # the smallest rung of tools/size_ladder.py: C6, halo 6, dim 6
+    field = PrimeField(32003)
+    rng = seeded_rng(0)
+    c6 = FiniteGroup.cyclic(6)
+    d = Digroup(c6, rng.choice(all_actions(c6, 6)))
+    q, w = (random_representation(d, 6, rng, field) for _ in range(2))
+    a = build_enveloping_algebra(d, field)
+    mq, mw = rep_to_module(q, a), rep_to_module(w, a)
+    got = derivation_ext1(a, mq, mw)
+    assert got[0] == 13
+    assert got == former_derivation_ext1(a, mq, mw)
+
+
+def test_fox_system_on_a_group_algebra():
+    """The group algebra of S3 with its permutation module P on 3 points:
+    Ext^1(P, k) = H^1(C2, k) (Shapiro), 1 over GF(2) and 0 over GF(3).
+    Its representatives, unlike those over an enveloping algebra, are
+    nonzero on letters whose suffix is a product of noncommuting letters."""
+    s3 = FiniteGroup.symmetric3()
+    act = next(x for x in all_actions(s3, 3) if len({x.apply(g, 0) for g in range(6)}) == 3)
+    for p, ext in ((2, 1), (3, 0)):
+        f = PrimeField(p)
+        a = FDAlgebra(f, tuple(range(6)), s3.mul, s3.identity)
+        perm = check_module(AlgebraModule(a, 3, tuple(
+            Matrix.from_rows(f, [[int(act.apply(g, j) == i) for j in range(3)]
+                                 for i in range(3)]) for g in range(6))))
+        triv = AlgebraModule(a, 1, (Matrix.identity(f, 1),) * 6)
+        for q, w in ((perm, triv), (triv, perm), (perm, perm)):
+            got = derivation_ext1(a, q, w)
+            assert got == former_derivation_ext1(a, q, w)
+        assert derivation_ext1(a, perm, triv)[0] == ext
+
+
+def test_a_solution_that_breaks_one_fox_rule_is_refused(monkeypatch):
+    """Solving without the rows of one Fox equation gives Z_S vectors that
+    break it whenever the kernel grows; ext_classes' residual refuses them."""
+    d, q, w = sample_pair(1040, field=PrimeField(2))
+    a = build_enveloping_algebra(d, q.field)
+    mq, mw = rep_to_module(q, a), rep_to_module(w, a)
+    expected = derivation_ext1(a, mq, mw)
+    kernel, blk = linalg.sparse_kernel, q.dim * w.dim
+    refused = 0
+    for k in range(len(a.presentation()[1])):
+        monkeypatch.setattr(linalg, "sparse_kernel", lambda n, rows, f: kernel(
+            n, rows[:k * blk] + rows[(k + 1) * blk:], f))
+        try:
+            got = derivation_ext1(a, mq, mw)
+        except SubspaceError as e:
+            assert "does not solve" in str(e)
+            refused += 1
+        else:
+            assert got == expected
+    assert refused > 0
+
+
 def test_generating_set_is_group_generators_plus_one_per_orbit():
     assert {name: make().generators() for name, make in GROUPS.items()} == {
         "C1": [], "C2": [1], "C3": [1], "C6": [1], "S3": [1, 2]}
@@ -358,7 +448,7 @@ def test_tau_automorphism_is_an_algebra_map():
             ea = Matrix.column(QQ, [0] + [1 if i == al else 0 for i in range(3)])
             img = tg * ea
             target = b.index(("eps", act.apply(g, al)))
-            assert tuple(img.flat()) == tuple(int(k == target) for k in range(b.dim))
+            assert tuple(flat(img)) == tuple(int(k == target) for k in range(b.dim))
 
 
 def decision(check, m):

@@ -177,9 +177,10 @@ def test_generated_homomorphism_is_the_one_group_law_scan():
 
 
 def test_derivations_are_solved_on_the_presentation():
-    # derivation_ext1 writes its Leibniz equations on the tree and rule edges
-    # of FDAlgebra.presentation(), not on every basis element times every
-    # generator; digroup.table_presentation is the one scan of those edges
+    # derivation_ext1 reads its generators off the tree of
+    # FDAlgebra.presentation() and writes one Fox equation per rule, with no
+    # second closure scan; digroup.table_presentation is the one scan of
+    # those edges
     assert callers("presentation") == {"envalg.derivation_ext1"}
     assert callers("table_presentation") == {"envalg.FDAlgebra.presentation"}
     assert "envalg.derivation_ext1" not in callers("generators")

@@ -1,0 +1,89 @@
+"""Time the three Ext^1 models on fixed instances beyond the work caps.
+
+    python3 tools/size_ladder.py [--rungs N]
+
+Each rung is a group, a halo size and a dimension.  Its instance is built
+in-process from seeded_rng(0): one action drawn from all_actions(group,
+halo), then two random_representation calls (q, then w) of that
+dimension.  For each field (Q, GF(32003)) and each model, the instance is
+built afresh, so every model starts from cold registries, and the model
+is timed once:
+
+  cocycle     ext.ext1_dim(q, w)
+  derivation  build_enveloping_algebra, rep_to_module, derivation_ext1
+  collapse    halo.verify_collapse(q, w)
+
+Prints one line per (rung, field, model): the wall time, the rows handed
+to linalg.sparse_kernel and the Ext^1 dimension.  --rungs N runs the
+first N rungs only, smallest first.  A record, not a gate: nothing is
+compared with a budget.
+"""
+
+import argparse
+import pathlib
+import sys
+import time
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
+
+from digrep import (QQ, Digroup, FiniteGroup, PrimeField, all_actions,  # noqa: E402
+                    build_enveloping_algebra, derivation_ext1, ext1_dim,
+                    random_representation, rep_to_module, seeded_rng, verify_collapse)
+from digrep import linalg  # noqa: E402
+
+RUNGS = [
+    ("C6", FiniteGroup.cyclic(6), 6, 6),
+    ("S3xC2", FiniteGroup.direct_product(FiniteGroup.symmetric3(), FiniteGroup.cyclic(2)),
+     4, 6),
+    ("S3", FiniteGroup.symmetric3(), 3, 8),
+    ("C12", FiniteGroup.cyclic(12), 4, 8),
+]
+
+
+def instance(group, halo, dim, field):
+    rng = seeded_rng(0)
+    action = rng.choice(all_actions(group, halo))
+    d = Digroup(group, action)
+    return (random_representation(d, dim, rng, field),
+            random_representation(d, dim, rng, field))
+
+
+def derivation(q, w):
+    a = build_enveloping_algebra(q.digroup, q.field)
+    return derivation_ext1(a, rep_to_module(q, a), rep_to_module(w, a))[0]
+
+
+MODELS = [
+    ("cocycle", lambda q, w: ext1_dim(q, w).dim_ext),
+    ("derivation", derivation),
+    ("collapse", lambda q, w: verify_collapse(q, w)["ext1_BE_invariant_dim"]),
+]
+
+
+def main(argv):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--rungs", type=int, default=len(RUNGS))
+    args = ap.parse_args(argv)
+    rows = [0]
+    kernel = linalg.sparse_kernel
+
+    def counted(ncols, eqs, field):
+        rows[0] += len(eqs)
+        return kernel(ncols, eqs, field)
+
+    linalg.sparse_kernel = counted
+    for name, group, halo, dim in RUNGS[:args.rungs]:
+        for field in (QQ, PrimeField(32003)):
+            for model, run in MODELS:
+                q, w = instance(group, halo, dim, field)
+                rows[0] = 0
+                t0 = time.perf_counter()
+                ext = run(q, w)
+                wall = time.perf_counter() - t0
+                print("%-6s halo %d dim %d  %-9r %-10s %8.2f s  rows %6d  ext %d"
+                      % (name, halo, dim, field, model, wall, rows[0], ext), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
