@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import (Matrix, block_diag, block_image, coordinates, devectorize,
-                     ext_classes, hstack, intertwiners, vectorize)
+from .linalg import (Matrix, block_diag, block_image, block_permutation, coordinates,
+                     devectorize, ext_classes, hstack, intertwiners, vectorize)
 from .reps import (RepresentationError, SemilinearObject, band_law, once,
                    require_valid_semilinear, to_semilinear, hom_rep)
 from .ext import _split_cocycles, cocycle_space, ext1_dim
@@ -37,12 +37,17 @@ class BEModule:
 
 
 def check_be_module(m):
-    for a in m.eps:
-        if (m.eps[a].rows, m.eps[a].cols) != (m.dim, m.dim):
-            raise RepresentationError("eps shape mismatch at %r" % (a,))
-    ok, bad = band_law(m.eps)
-    if not ok:
-        raise RepresentationError("band identity fails at %r" % (bad,))
+    """m, once its eps are dim x dim and obey the band law; one registry
+    entry per module, RepresentationError on every call otherwise."""
+    def check():
+        for a in m.eps:
+            if (m.eps[a].rows, m.eps[a].cols) != (m.dim, m.dim):
+                raise RepresentationError("eps shape mismatch at %r" % (a,))
+        ok, bad = band_law(m.eps)
+        if not ok:
+            raise RepresentationError("band identity fails at %r" % (bad,))
+
+    once(m, "band_module", check)
     return m
 
 
@@ -272,7 +277,7 @@ def induction_L(m, d):
     """Induce a band module to a semilinear object, one block per group element.
 
     The idempotent eps_a acts on block g through the twisted index
-    g^-1 . a, and t_h permutes blocks by g -> h g with identity matrices.
+    g^-1 . a, and t_h is the block permutation g -> h g.
     """
     check_be_module(m)
     if m.halo_size != d.halo_size:
@@ -284,10 +289,7 @@ def induction_L(m, d):
     eps = {a: block_diag(field, [m.eps[d.action.apply(d.group.inv[g], a)]
                                  for g in range(g_ord)])
            for a in range(d.halo_size)}
-    # column block g of t_h is column block h g of the identity
-    ident = Matrix.identity(field, dim)
-    t = {h: hstack([ident.block(0, d.group.mul[h][g] * dm, dim, dm) for g in range(g_ord)])
-         for h in range(g_ord)}
+    t = {h: block_permutation(field, d.group.mul[h], dm) for h in range(g_ord)}
     return require_valid_semilinear(SemilinearObject(d.action, dim, eps, t))
 
 
@@ -312,7 +314,7 @@ def verify_adjunction(m, n):
     pairs = [(lm.eps[a], n.eps[a]) for a in range(d.halo_size)]
     pairs += [(lm.t[s], n.t[s]) for s in gens]
     left = intertwiners(pairs, dl, dn, field)
-    right = hom_BE(m, underlying_module(n))
+    right = hom_BE(m, n)   # n's band law is part of require_valid_semilinear
 
     def restrict(phi):
         # f_Phi = Phi on the identity-group block

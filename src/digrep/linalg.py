@@ -34,7 +34,8 @@ blocks, monomial structure constants) are mostly zeros.
 
 Each linear-algebra operation the package needs has its one home here:
 
-* blocks: Matrix.block extracts one, hstack / vstack / block_diag build,
+* blocks: Matrix.block extracts one, hstack / vstack / block_diag /
+  block_permutation build,
   Matrix.reshape keeps the entries in another shape;
 * subspaces (lists of column vectors): span_basis (canonical basis),
   complete (the vectors extending one span to another), contains
@@ -569,14 +570,32 @@ def vstack(mats):
 
 
 def block_diag(field, blocks):
-    """The block-diagonal matrix with the given blocks down the diagonal."""
-    width = sum(b.cols for b in blocks)
-    rows, left = [], 0
+    """The block-diagonal matrix with the given blocks down the diagonal,
+    written row by row into one image over their common denominator."""
     for b in blocks:
-        rows.append(hstack([Matrix.zeros(field, b.rows, left), b,
-                            Matrix.zeros(field, b.rows, width - left - b.cols)]))
-        left += b.cols
-    return vstack(rows) if rows else Matrix(field, 0, width, [])
+        if b.field is not field and b.field != field:
+            raise FieldMismatchError("mixed scalar modes")
+    height, width = sum(b.rows for b in blocks), sum(b.cols for b in blocks)
+    parts, d = _common_image(blocks)
+    out, at, left = [0] * (height * width), 0, 0
+    for nums, b in zip(parts, blocks):
+        c = b.cols
+        for i in range(b.rows):
+            out[at + left:at + left + c] = nums[i * c:(i + 1) * c]
+            at += width
+        left += c
+    return Matrix._of_image(field, height, width, out, d)
+
+
+def block_permutation(field, perm, k):
+    """The permutation matrix that moves block g to block perm[g], for
+    blocks of size k: entry (perm[g] k + i, g k + i) is 1."""
+    n = len(perm) * k
+    nums = [0] * (n * n)
+    for g, h in enumerate(perm):
+        at = h * k * n + g * k
+        nums[at:at + (n + 1) * k:n + 1] = [1] * k
+    return Matrix._of_image(field, n, n, nums)
 
 
 def solve(a, b):

@@ -2,7 +2,7 @@
 
 from digrep import (QQ, Digroup, FiniteGroup, Matrix, all_actions, from_semilinear,
                     random_representation, random_semilinear, seeded_rng)
-from digrep.halo import induction_L, underlying_module
+from digrep.halo import BEModule, induction_L, underlying_module
 
 GROUPS = {
     "C1": lambda: FiniteGroup.cyclic(1),
@@ -54,6 +54,25 @@ def induced_pair(seed, field=QQ, group_names=None):
     lift = from_semilinear(induction_L(m, d), d)
     w = random_representation(d, rng.randint(1, 2), rng, field)
     return d, lift, w
+
+
+def random_band_module(rng, halo, dim, field=QQ):
+    """A BEModule whose eps_a differ from one halo index to the next (for
+    dim > 1): the idempotents [[I_r, 0], [A_a, 0]] (eps_a eps_b = eps_a),
+    conjugated by S = L D L^T, L unitriangular and D diagonal in {1, 2, 3}."""
+    r = rng.randint(1, dim - 1) if dim > 1 else rng.randint(0, dim)
+    lower = Matrix.from_rows(field, [[1 if i == j else rng.randint(-2, 2) if i > j else 0
+                                      for j in range(dim)] for i in range(dim)])
+    diag = Matrix.from_rows(field, [[rng.randint(1, 3) if i == j else 0 for j in range(dim)]
+                                    for i in range(dim)])
+    s = lower * diag * lower.transpose()
+    s_inv = s.inverse()
+    eps = {}
+    for a in range(halo):
+        rows = [[int(i == j) if i < r else rng.randint(-3, 3) if j < r else 0
+                 for j in range(dim)] for i in range(dim)]
+        eps[a] = s * Matrix.from_rows(field, rows) * s_inv
+    return BEModule(dim, eps)
 
 
 def corrupted_tables(table):

@@ -17,7 +17,7 @@ from digrep.ext import (CocycleFamily, MaschkeError, check_cocycle, coboundary,
                         cocycle_space, hom_rho)
 from digrep.digroup import GAction, GroupTableError
 from digrep.halo import hom_BE
-from digrep.reps import RepresentationError, check_semilinear
+from digrep.reps import RepresentationError, SemilinearObject, check_semilinear
 from digrep.linalg import (ContentMemo, Matrix, block_image, block_kernel, coordinates,
                            devectorize, hstack, quotient, solve, span_basis, vectorize,
                            vstack)
@@ -226,6 +226,33 @@ def former_derivation_ext1(a, q, w):
     families = [tuple(devectorize(v, range(na), dw, dq, field).values())
                 for v in quotient(inner, block_kernel(na, dw, dq, eqs, field))]
     return len(families), families
+
+
+def former_block_diag(field, blocks):
+    """block_diag as its former construction: each block padded by two zero
+    matrices into one hstack per block row, then one vstack."""
+    width = sum(b.cols for b in blocks)
+    rows, left = [], 0
+    for b in blocks:
+        rows.append(hstack([Matrix.zeros(field, b.rows, left), b,
+                            Matrix.zeros(field, b.rows, width - left - b.cols)]))
+        left += b.cols
+    return vstack(rows) if rows else Matrix(field, 0, width, [])
+
+
+def former_induction_L(m, d):
+    """The induced object of induction_L, built as it formerly was (and not
+    checked): eps^L_a by former_block_diag, column block g of t_h cut out of
+    the identity at column block h g and hstacked."""
+    g_ord, dm, field = d.group.order, m.dim, m.field
+    dim = g_ord * dm
+    eps = {a: former_block_diag(field, [m.eps[d.action.apply(d.group.inv[g], a)]
+                                        for g in range(g_ord)])
+           for a in range(d.halo_size)}
+    ident = Matrix.identity(field, dim)
+    t = {h: hstack([ident.block(0, d.group.mul[h][g] * dm, dim, dm) for g in range(g_ord)])
+         for h in range(g_ord)}
+    return SemilinearObject(d.action, dim, eps, t)
 
 
 def right_group_at(d, e):

@@ -1,6 +1,6 @@
 import pytest
 
-from digrep import (Digroup, FiniteGroup, GAction, Matrix, PrimeField, QQ,
+from digrep import (Digroup, FiniteGroup, GAction, Matrix, PrimeField, QQ, all_actions,
                     build_enveloping_algebra, demo_digroup, demo_representation,
                     demo_subspace_basis, derivation_ext1, hom_rep,
                     random_representation, random_semilinear, rep_to_module,
@@ -8,11 +8,13 @@ from digrep import (Digroup, FiniteGroup, GAction, Matrix, PrimeField, QQ,
 from digrep.halo import (BEModule, check_be_module, ext1_BE, g_action_on_hom,
                          hom_BE, induction_L, invariant_class_dim, invariants,
                          underlying_module, verify_adjunction, verify_collapse)
+from digrep import halo, reps
 from digrep.reps import RepresentationError, SemilinearObject
 
-from _instances import (corrupted_tables, induced_pair, sample_digroup, sample_pair,
-                        sample_semilinear_pair)
-from _oracles import ext1_dim_gfp_oracle, exhaustive_halo_actions, per_vector_halo_actions
+from _instances import (corrupted_tables, induced_pair, random_band_module, sample_digroup,
+                        sample_pair, sample_semilinear_pair)
+from _oracles import (ext1_dim_gfp_oracle, exhaustive_halo_actions, former_induction_L,
+                      per_vector_halo_actions)
 
 
 def demo_sub_and_quotient():
@@ -245,6 +247,75 @@ def test_induction_twists_idempotents_by_the_action():
         for g in range(2):
             expect = m.eps[act.apply(c2.inv[g], a)][0, 0]
             assert lm.eps[a][g, g] == expect
+
+
+@pytest.mark.parametrize("field", (QQ, PrimeField(5), PrimeField(7)), ids=repr)
+def test_induction_matches_the_former_construction(field):
+    """Every eps^L_a and t^L_h equal those of the identity-block construction,
+    for every action of C1, C2, C3, C6, S3 and S3 x C2 on halos 1-3 and
+    band modules of dimension 0 to 3."""
+    rng = seeded_rng(2200)
+    groups = [FiniteGroup.cyclic(n) for n in (1, 2, 3, 6)] + [
+        FiniteGroup.symmetric3(),
+        FiniteGroup.direct_product(FiniteGroup.symmetric3(), FiniteGroup.cyclic(2))]
+    for group in groups:
+        for halo_size in (1, 2, 3):
+            for action in all_actions(group, halo_size):
+                d = Digroup(group, action)
+                for dm in range(4):
+                    m = random_band_module(rng, halo_size, dm, field)
+                    lm, former = induction_L(m, d), former_induction_L(m, d)
+                    assert lm.dim == former.dim == group.order * dm
+                    assert lm.eps == former.eps and lm.t == former.t
+
+
+@pytest.mark.parametrize("bad", [
+    BEModule(1, {0: Matrix.identity(QQ, 1), 1: Matrix.from_rows(QQ, [[2]])}),
+    BEModule(2, {0: Matrix.from_rows(QQ, [[1, 0], [0, 0]]),
+                 1: Matrix.from_rows(QQ, [[0, 0], [0, 1]])}),
+    BEModule(2, {0: Matrix.identity(QQ, 2), 1: Matrix.identity(QQ, 1)}),
+], ids=("not-idempotent", "band-law", "eps-shape"))
+def test_a_broken_band_module_is_refused_on_every_call(bad):
+    d = Digroup(FiniteGroup.cyclic(2), GAction.trivial(FiniteGroup.cyclic(2), 2))
+    for _ in range(2):
+        with pytest.raises(RepresentationError):
+            check_be_module(bad)
+    for _ in range(2):
+        with pytest.raises(RepresentationError):
+            induction_L(bad, d)
+
+
+def test_adjunction_refuses_an_unchecked_n_that_breaks_the_band_law():
+    c2 = FiniteGroup.cyclic(2)
+    m = BEModule(2, {0: Matrix.identity(QQ, 2), 1: Matrix.identity(QQ, 2)})
+    one = Matrix.identity(QQ, 2)
+    n = SemilinearObject(GAction.trivial(c2, 2), 2,
+                         {0: Matrix.from_rows(QQ, [[1, 0], [0, 0]]),
+                          1: Matrix.from_rows(QQ, [[0, 0], [0, 1]])}, {0: one, 1: one})
+    for _ in range(2):
+        with pytest.raises(RepresentationError):
+            verify_adjunction(m, n)
+
+
+def test_adjunction_scans_each_band_law_once(monkeypatch):
+    """One verify_adjunction call scans the band law of M, of L(M) and of an
+    unchecked N once each, and answers as before."""
+    scanned, band_law = [], reps.band_law
+
+    def counting(eps):
+        scanned.append(eps)
+        return band_law(eps)
+
+    monkeypatch.setattr(reps, "band_law", counting)
+    monkeypatch.setattr(halo, "band_law", counting)
+    for seed in range(6):
+        _, a, b = sample_semilinear_pair(seed + 70, max_dim=2)
+        n = SemilinearObject(b.action, b.dim, dict(b.eps), dict(b.t))
+        scanned.clear()
+        report = verify_adjunction(underlying_module(a), n)
+        assert report["ok"], (seed, report)
+        assert len(scanned) == 3, seed
+        assert len({tuple(map(id, eps.values())) for eps in scanned}) == 3, seed
 
 
 def test_adjunction_on_the_demo_data():

@@ -7,11 +7,11 @@ import pytest
 from digrep import random_representation, seeded_rng
 from digrep.linalg import (DimensionError, FieldMismatchError, FpElement, Matrix,
                            PrimeField, QQ, SubspaceError, block_diag, block_image,
-                           block_kernel, complete, coordinates, devectorize,
+                           block_kernel, block_permutation, complete, coordinates, devectorize,
                            ext_classes, hstack, intertwiners, quotient, solve,
                            span_basis, contains, sparse_kernel, vectorize, vstack)
 from _instances import sample_digroup
-from _oracles import hom_rho_oracle, matrix_rank_oracle
+from _oracles import former_block_diag, hom_rho_oracle, matrix_rank_oracle
 
 FIELDS = (QQ, PrimeField(5), PrimeField(7))
 
@@ -158,6 +158,36 @@ def test_stack_operations():
     assert block_diag(QQ, [a, Matrix.identity(QQ, 1)]).to_lists() == \
         [[1, 2, 0], [0, 0, 1]]
     assert block_diag(QQ, []) == Matrix(QQ, 0, 0, [])
+
+
+@pytest.mark.parametrize("field", (QQ, PrimeField(7)), ids=repr)
+def test_block_diag_matches_the_former_construction(field):
+    def m(rows, cols, entries):
+        return Matrix(field, rows, cols, [field.parse(x) for x in entries])
+
+    blocks = [m(0, 0, []), m(0, 2, []), m(2, 0, []), m(1, 1, ["2"]),
+              m(2, 2, ["1/2", "0", "3", "-1/3"] if field == QQ else ["4", "0", "3", "6"]),
+              m(1, 3, ["5/7", "1", "0"] if field == QQ else ["5", "1", "0"])]
+    cases = [[], *([b] for b in blocks), blocks, blocks[::-1], blocks[2:] + blocks[:2],
+             [blocks[1], blocks[2]], [blocks[2], blocks[1]], [blocks[0]] * 3]
+    for case in cases:
+        got = block_diag(field, case)
+        assert got == former_block_diag(field, case)
+        assert (got.rows, got.cols) == (sum(b.rows for b in case), sum(b.cols for b in case))
+    other = PrimeField(5) if field == QQ else QQ
+    for case in ([Matrix.identity(other, 1)], [Matrix.identity(field, 2), Matrix.zeros(other, 0, 1)],
+                 [Matrix.identity(field, 1), Matrix.identity(PrimeField(11), 1)]):
+        with pytest.raises(FieldMismatchError):
+            block_diag(field, case)
+
+
+def test_block_permutation_moves_blocks():
+    # block g goes to block perm[g]: the columns of block g are those of block
+    # perm[g] of the identity
+    p = block_permutation(QQ, [2, 0, 1], 2)
+    ident = Matrix.identity(QQ, 6)
+    assert p == hstack([ident.block(0, 2 * h, 6, 2) for h in (2, 0, 1)])
+    assert block_permutation(PrimeField(3), [0], 0) == Matrix(PrimeField(3), 0, 0, [])
 
 
 def test_span_basis_is_canonical():

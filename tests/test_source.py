@@ -128,6 +128,23 @@ def test_the_collapse_builds_no_extension():
     assert callers("is_split") == {"cli.cmd_split"}
 
 
+def test_induction_is_written_on_integer_images():
+    # induction_L builds eps^L with block_diag and t^L with
+    # linalg.block_permutation: it cuts no identity into blocks and stacks
+    # none, and only linalg writes a matrix from an integer image
+    for name in ("hstack", "block", "identity"):
+        assert not any(c.startswith("halo.induction_L") for c in callers(name)), name
+    assert all(c.startswith("linalg.") for c in callers("_of_image"))
+
+
+def test_the_adjunction_checks_each_band_module_once():
+    # verify_adjunction reads N's band law off require_valid_semilinear(n) and
+    # builds no second band module of N; check_be_module goes through the
+    # once registry, so induction_L's check of the caller's M is a lookup
+    assert not any(c.startswith("halo.verify_adjunction") for c in callers("underlying_module"))
+    assert "halo.check_be_module" in callers("once")
+
+
 def generator_scans():
     """The dotted functions holding a comprehension or a loop nest that pairs
     a loop over a generating set (a .generators() call, or a name the same

@@ -1,4 +1,5 @@
-"""Time the three Ext^1 models on fixed instances beyond the work caps.
+"""Time the three Ext^1 models and the adjunction on fixed instances beyond
+the work caps.
 
     python3 tools/size_ladder.py [--rungs N]
 
@@ -12,11 +13,13 @@ is timed once:
   cocycle     ext.ext1_dim(q, w)
   derivation  build_enveloping_algebra, rep_to_module, derivation_ext1
   collapse    halo.verify_collapse(q, w)
+  adjunction  halo.verify_adjunction(underlying_module(to_semilinear(q)),
+                                     to_semilinear(w))
 
 Prints one line per (rung, field, model): the wall time, the rows handed
-to linalg.sparse_kernel and the Ext^1 dimension.  --rungs N runs the
-first N rungs only, smallest first.  A record, not a gate: nothing is
-compared with a budget.
+to linalg.sparse_kernel and the answer, the Ext^1 dimension or the
+adjunction's left_dim.  --rungs N runs the first N rungs only, smallest
+first.  A record, not a gate: nothing is compared with a budget.
 """
 
 import argparse
@@ -28,7 +31,8 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from digrep import (QQ, Digroup, FiniteGroup, PrimeField, all_actions,  # noqa: E402
                     build_enveloping_algebra, derivation_ext1, ext1_dim,
-                    random_representation, rep_to_module, seeded_rng, verify_collapse)
+                    random_representation, rep_to_module, seeded_rng, to_semilinear,
+                    underlying_module, verify_adjunction, verify_collapse)
 from digrep import linalg  # noqa: E402
 
 RUNGS = [
@@ -53,10 +57,15 @@ def derivation(q, w):
     return derivation_ext1(a, rep_to_module(q, a), rep_to_module(w, a))[0]
 
 
+def adjunction(q, w):
+    return verify_adjunction(underlying_module(to_semilinear(q)), to_semilinear(w))["left_dim"]
+
+
 MODELS = [
-    ("cocycle", lambda q, w: ext1_dim(q, w).dim_ext),
-    ("derivation", derivation),
-    ("collapse", lambda q, w: verify_collapse(q, w)["ext1_BE_invariant_dim"]),
+    ("cocycle", "ext", lambda q, w: ext1_dim(q, w).dim_ext),
+    ("derivation", "ext", derivation),
+    ("collapse", "ext", lambda q, w: verify_collapse(q, w)["ext1_BE_invariant_dim"]),
+    ("adjunction", "left_dim", adjunction),
 ]
 
 
@@ -74,14 +83,15 @@ def main(argv):
     linalg.sparse_kernel = counted
     for name, group, halo, dim in RUNGS[:args.rungs]:
         for field in (QQ, PrimeField(32003)):
-            for model, run in MODELS:
+            for model, label, run in MODELS:
                 q, w = instance(group, halo, dim, field)
                 rows[0] = 0
                 t0 = time.perf_counter()
-                ext = run(q, w)
+                answer = run(q, w)
                 wall = time.perf_counter() - t0
-                print("%-6s halo %d dim %d  %-9r %-10s %8.2f s  rows %6d  ext %d"
-                      % (name, halo, dim, field, model, wall, rows[0], ext), flush=True)
+                print("%-6s halo %d dim %d  %-9r %-10s %8.2f s  rows %6d  %s %d"
+                      % (name, halo, dim, field, model, wall, rows[0], label, answer),
+                      flush=True)
     return 0
 
 
