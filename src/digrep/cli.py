@@ -20,6 +20,7 @@ first call (not at import) and holds no state between calls.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 
@@ -135,13 +136,34 @@ def requested_field(args):
     return None if args.field is None else field_from_name(args.field)
 
 
-def load_rep(path, field, like=None):
-    """Read and validate a representation; with like, over its digroup and field."""
-    r = rep_from_json(load_path(path), field=field, validate=False,
-                      digroup=like.digroup if like is not None else None)
-    if like is not None and r.field != like.field:
-        raise FormatError("%s is over %r, not %r" % (path, r.field, like.field))
-    return _require_axioms(r)
+def _loader(field):
+    """load(path, like=None): the representation a file holds, read and
+    validated; with like, over like's digroup and field.
+
+    Each path is read once, and each distinct document (the same parsed
+    JSON, compared as its JSON text, so that 1, 1.0 and true differ) is
+    validated once: a later equal document read over the same digroup
+    gets the Representation already checked, which its own check would
+    have rebuilt entry for entry.  The memo lives for one command, so
+    each main() call reads and checks its inputs afresh.
+    """
+    docs, reps = {}, {}
+
+    def load(path, like=None):
+        if path not in docs:
+            obj = load_path(path)
+            docs[path] = (obj, json.dumps(obj))
+        obj, text = docs[path]
+        r = reps.get(text)
+        if r is None or like is not None and r.digroup is not like.digroup:
+            r = rep_from_json(obj, field=field, validate=False,
+                              digroup=like.digroup if like is not None else None)
+            if like is not None and r.field != like.field:
+                raise FormatError("%s is over %r, not %r" % (path, r.field, like.field))
+            r = reps[text] = _require_axioms(r)
+        return r
+
+    return load
 
 
 def cmd_check(args):
@@ -170,9 +192,9 @@ def cmd_check(args):
 
 
 def _load_pair(args):
-    field = requested_field(args)
-    q = load_rep(args.quotient, field)
-    return q, load_rep(args.sub, field, like=q)
+    load = _loader(requested_field(args))
+    q = load(args.quotient)
+    return q, load(args.sub, like=q)
 
 
 def cmd_ext1(args):
@@ -232,10 +254,10 @@ def cmd_collapse(args):
 
 
 def cmd_probe(args):
-    field = requested_field(args)
+    load = _loader(requested_field(args))
     reps = []
     for path in args.paths:
-        reps.append(load_rep(path, field, like=reps[0] if reps else None))
+        reps.append(load(path, like=reps[0] if reps else None))
     probe = semisimplicity_probe(reps)
     findings = [{"source": f["source"], "target": f["target"],
                  "dim_ext": f["dim_ext"],

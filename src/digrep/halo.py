@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .linalg import (Matrix, block_diag, block_image, block_permutation, coordinates,
                      devectorize, ext_classes, hstack, intertwiners, vectorize)
-from .reps import (RepresentationError, SemilinearObject, band_law, once,
+from .reps import (RepresentationError, SemilinearObject, band_law, band_spokes, once,
                    require_valid_semilinear, to_semilinear, hom_rep)
 from .ext import _split_cocycles, cocycle_space, ext1_dim
 from .digroup import Digroup, generated_homomorphism
@@ -176,7 +176,12 @@ def ext1_BE(q, w):
 
     Z = {eta : eps_a^W eta_b + eta_a eps_b^Q = eta_a for all a, b} is the
     compatibility condition for the block upper-triangular extension, and
-    B is the effect of a block change of basis (linalg.ext_classes).
+    B is the effect of a block change of basis (linalg.ext_classes).  Z
+    is solved from the spoke pairs of reps.band_spokes: the equation at
+    (a, b) is the corner of E_a E_b = E_a for E_a = [[eps_a^W, eta_a],
+    [0, eps_a^Q]], whose diagonal blocks are bands (require_valid_semilinear
+    of q and w, before any answer is returned), so the spokes give it at
+    every pair (the lemma there).
     The group acts on
     classes by (g.eta)_a = t_g^W eta_{g^-1.a} t_{g^-1}^Q (_t_inverses).
     The lift is solved for s in S_G, verified to preserve Z and B, and
@@ -197,7 +202,7 @@ def ext1_BE(q, w):
     o, neg = field.of(1), field.of(-1)
     # Z: eps_a^W eta_b + eta_a eps_b^Q - eta_a = 0
     z_eqs = [[(o, w.eps[a], b, None), (o, None, a, q.eps[b]), (neg, None, a, None)]
-             for a in keys for b in keys]
+             for a, b in band_spokes(m)]
     # B: the image of t -> (eps_a^W t - t eps_a^Q)_a
     cob = block_image(1, dw, dq, [[(o, w.eps[a], 0, None), (neg, None, 0, q.eps[a])]
                                   for a in keys], field)

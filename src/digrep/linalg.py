@@ -636,6 +636,7 @@ class ContentMemo:
         self._canon = {}
         self._mul = {}
         self._add = {}
+        self._rows = {}
 
     def canon(self, m):
         return self._canon.setdefault(m, m)
@@ -652,6 +653,15 @@ class ContentMemo:
         r = self._add.get(key)
         if r is None:
             r = self._add[key] = self.canon(a + b)
+        return r
+
+    def mul_row(self, a, ys):
+        """[mul(a, y) for y in ys], once per canonical a and list ys; the
+        caller keeps ys alive and unchanged while it uses the memo."""
+        key = (id(a), id(ys))
+        r = self._rows.get(key)
+        if r is None:
+            r = self._rows[key] = [self.mul(a, y) for y in ys]
         return r
 
 

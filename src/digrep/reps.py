@@ -66,34 +66,40 @@ def check_representation(r):
 
     The report for tables from outside: it names every failing identity
     with its first failing pair.  require_valid makes the same decision
-    on the generators (see _view).  Products are memoized by operand
-    content: the operator tables repeat values heavily, so this stays
-    exhaustive but avoids recomputation.
+    on the generators (see _view).  R1, R2, R4 and R5 share one scan of
+    every pair on the digroup's int product tables (Digroup.pair_failures).
+    Operators are ContentMemo-canonical and their products memoized: the
+    tables repeat values heavily, so this stays exhaustive but multiplies
+    each distinct pair of values once, and ranks each distinct rho once.
     """
     r.check_shapes()
     d = r.digroup
     elems = d.elements
-    results = {}
+    V, D = d.tables()
     memo = ContentMemo()
-    mul = memo.mul
-    lam = {x: memo.canon(r.lam[x]) for x in elems}
-    rho = {x: memo.canon(r.rho[x]) for x in elems}
-
-    pairs = [(x, y) for x in elems for y in elems]
-    results["R1"] = first_failure(
-        lambda x, y: lam[d.dashv(x, y)] == mul(lam[x], lam[y]), pairs)
-    results["R2"] = first_failure(
-        lambda x, y: rho[d.vdash(x, y)] == mul(rho[x], rho[y]), pairs)
+    row = memo.mul_row
+    lam = [memo.canon(r.lam[x]) for x in elems]
+    rho = [memo.canon(r.rho[x]) for x in elems]
+    lam_at, rho_at = lam.__getitem__, rho.__getitem__
+    scan = d.pair_failures({
+        "R1": lambda i: (list(map(lam_at, D[i])), row(lam[i], lam)),
+        "R2": lambda i: (list(map(rho_at, V[i])), row(rho[i], rho)),
+        "R4": lambda i: (row(rho[i], lam), list(map(lam_at, V[i]))),
+        "R5": lambda i: (row(lam[i], rho), list(map(lam_at, D[i]))),
+    })
     ident = Matrix.identity(r.field, r.dim)
     bad = next((e for e in d.halo() if r.rho[e] != ident), None)
-    results["R3"] = (bad is None, bad)
-    results["R4"] = first_failure(
-        lambda x, y: mul(rho[x], lam[y]) == lam[d.vdash(x, y)], pairs)
-    results["R5"] = first_failure(
-        lambda x, y: mul(lam[x], rho[y]) == lam[d.dashv(x, y)], pairs)
-    sing = next((x for x in elems if r.rho[x].rank() != r.dim), None)
-    results["rho_invertible"] = (sing is None, sing)
-    return AxiomReport(results)
+    full = {}   # id of a canonical rho -> whether it is invertible
+
+    def invertible(m):
+        if id(m) not in full:
+            full[id(m)] = m.rank() == r.dim
+        return full[id(m)]
+
+    sing = next((x for x, m in zip(elems, rho) if not invertible(m)), None)
+    return AxiomReport({"R1": scan["R1"], "R2": scan["R2"], "R3": (bad is None, bad),
+                        "R4": scan["R4"], "R5": scan["R5"],
+                        "rho_invertible": (sing is None, sing)})
 
 
 # -- verify once ---------------------------------------------------------
@@ -315,13 +321,33 @@ def band_law(eps):
                          [(a, b) for a in eps for b in eps])
 
 
+def band_spokes(m):
+    """The pairs (a, b) of halo indices on which the band law of m
+    idempotents decides it: (0, 0) when m = 1, else (a, 0) and (0, b) for
+    a, b >= 1.
+
+    Lemma.  If E_a E_0 = E_a and E_0 E_b = E_0 for a, b >= 1, then
+    E_a E_b = E_a for every pair: E_a E_b = E_a E_0 E_b = E_a E_0 = E_a
+    for a, b >= 1, and E_0 E_0 = E_0 E_1 E_0 = E_0 E_1 = E_0.  The Z
+    systems of ext._solve_ext1 (Z1a) and halo.ext1_BE apply it to
+    E_a = [[W_a, X_a], [0, Q_a]], whose diagonal blocks are verified
+    bands: the corner of E_a E_b = E_a is W_a X_b + X_a Q_b = X_a, so the
+    block equations at the spokes give it at every pair.
+    """
+    if m == 1:
+        return [(0, 0)]
+    return [(a, 0) for a in range(1, m)] + [(0, b) for b in range(1, m)]
+
+
 def check_semilinear(m):
     """Exhaustive report of the semilinear axioms: the band law, C1, C2
     over every pair of group elements and C3 over every (g, a).
 
     The report for tests and for objects from outside;
-    check_semilinear_on_generators makes the same decision on S_G.
+    check_semilinear_on_generators makes the same decision on S_G.  An
+    eps or t that is not dim x dim raises RepresentationError in both.
     """
+    _check_semilinear_shapes(m)
     g = m.action.group
     results = {}
     results["band"] = band_law(m.eps)
@@ -341,6 +367,15 @@ def check_semilinear(m):
     return AxiomReport(results)
 
 
+def _check_semilinear_shapes(m):
+    """RepresentationError unless every eps[a] and t[g] is dim x dim."""
+    for what, table in (("eps", m.eps), ("t", m.t)):
+        for k, x in table.items():
+            if (x.rows, x.cols) != (m.dim, m.dim):
+                raise RepresentationError("%s shape mismatch at %r: %d x %d, not %d x %d"
+                                          % (what, k, x.rows, x.cols, m.dim, m.dim))
+
+
 def check_semilinear_on_generators(m):
     """The decision of check_semilinear, on the generators S_G of the group.
 
@@ -354,6 +389,7 @@ def check_semilinear_on_generators(m):
     exactly when check_semilinear's does, with (n + m) |S_G| + m^2
     products in place of n^2 + n m + m^2.
     """
+    _check_semilinear_shapes(m)
     group = m.action.group
     ident = Matrix.identity(m.field, m.dim)
     return AxiomReport({

@@ -132,23 +132,38 @@ def matrix_to_json(m):
     return [[m.field.fmt(m[i, j]) for j in range(m.cols)] for i in range(m.rows)]
 
 
-def matrix_from_json(obj, field, rows, cols):
+def matrix_from_json(obj, field, rows, cols, scalars=None):
+    """The rows x cols matrix over field written as obj.
+
+    scalars maps each JSON scalar read so far to its field scalar, so a
+    value that repeats is parsed once; the matrices of one document share
+    it (_table_from_json).
+    """
     if not isinstance(obj, list) or len(obj) != rows:
         raise FormatError("expected %d matrix rows" % rows)
+    if scalars is None:
+        scalars = {}
     ents = []
     for row in obj:
         if not isinstance(row, list) or len(row) != cols:
             raise FormatError("expected %d matrix columns" % cols)
         for x in row:
-            # a JSON number must be an integer (bool is an int subclass, not a scalar)
-            if isinstance(x, bool) or not isinstance(x, (int, str)):
-                raise FormatError("bad scalar %r: expected an integer or a string"
-                                  % (x,))
-            try:
-                ents.append(field.parse(x) if isinstance(x, str) else field.of(x))
-            except (ValueError, ZeroDivisionError) as e:
-                raise FormatError("bad scalar %r: %s" % (x, e))
+            # the exact types only: a bool is an int subclass, not a scalar
+            v = scalars.get(x) if type(x) in (int, str) else None
+            if v is None:
+                v = scalars[x] = _scalar(x, field)
+            ents.append(v)
     return Matrix(field, rows, cols, ents)
+
+
+def _scalar(x, field):
+    # a JSON number must be an integer (bool is an int subclass, not a scalar)
+    if isinstance(x, bool) or not isinstance(x, (int, str)):
+        raise FormatError("bad scalar %r: expected an integer or a string" % (x,))
+    try:
+        return field.parse(x) if isinstance(x, str) else field.of(x)
+    except (ValueError, ZeroDivisionError) as e:
+        raise FormatError("bad scalar %r: %s" % (x, e))
 
 
 def _elem_key(x):
@@ -166,7 +181,7 @@ def _table_to_json(table):
     return {_elem_key(x): matrix_to_json(m) for x, m in sorted(table.items())}
 
 
-def _table_from_json(obj, d, field, dim):
+def _table_from_json(obj, d, field, dim, scalars):
     if not isinstance(obj, dict):
         raise FormatError("operator table must be an object")
     table = {}
@@ -174,7 +189,7 @@ def _table_from_json(obj, d, field, dim):
         x = _elem_from_key(key)
         if x in table:
             raise FormatError("element key %r repeats an element" % (key,))
-        table[x] = matrix_from_json(mat, field, dim, dim)
+        table[x] = matrix_from_json(mat, field, dim, dim, scalars)
     if sorted(table) != sorted(d.elements):
         raise FormatError("operator table keys do not match the digroup")
     return table
@@ -215,8 +230,9 @@ def rep_from_json(obj, field=None, validate=True, digroup=None):
         elif tagged not in (field, QQ):
             raise FormatError("document is over %r, not %r" % (tagged, field))
         dim = _json_int(obj["dim"], "dim")
-        lam = _table_from_json(obj["lambda"], digroup, field, dim)
-        rho = _table_from_json(obj["rho"], digroup, field, dim)
+        scalars = {}
+        lam = _table_from_json(obj["lambda"], digroup, field, dim, scalars)
+        rho = _table_from_json(obj["rho"], digroup, field, dim, scalars)
     except FormatError:
         raise
     except (KeyError, TypeError, ValueError) as e:

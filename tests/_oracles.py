@@ -15,7 +15,7 @@ from sympy.polys.matrices import DomainMatrix
 
 from digrep.ext import (CocycleFamily, MaschkeError, check_cocycle, coboundary,
                         cocycle_space, hom_rho)
-from digrep.digroup import GAction, GroupTableError
+from digrep.digroup import AxiomReport, GAction, GroupTableError, first_failure
 from digrep.halo import hom_BE
 from digrep.reps import RepresentationError, SemilinearObject, check_semilinear
 from digrep.linalg import (ContentMemo, Matrix, block_image, block_kernel, coordinates,
@@ -522,3 +522,81 @@ def _extend_hom(group, gens, images, set_size):
     if len(phi) < n:
         return None
     return [list(phi[g]) for g in range(n)]
+
+
+def former_check_axioms(d):
+    """The package's former Digroup.check_axioms: every identity checked by
+    first_failure over element tuples through the vdash/dashv methods."""
+    elems = d.elements
+    results = {}
+    pairs_h = [(e, x) for e in d.halo() for x in elems]
+    results["unit_left_vdash"] = first_failure(lambda e, x: d.vdash(e, x) == x, pairs_h)
+    results["unit_right_dashv"] = first_failure(lambda e, x: d.dashv(x, e) == x, pairs_h)
+
+    def has_inverses(e, x):
+        try:
+            d.inverses_at(x, e)
+        except GroupTableError:
+            return False
+        return True
+
+    results["inverses"] = first_failure(has_inverses, pairs_h)
+    triples = [(x, y, z) for x in elems for y in elems for z in elems]
+    results["assoc_vdash"] = first_failure(
+        lambda x, y, z: d.vdash(d.vdash(x, y), z) == d.vdash(x, d.vdash(y, z)), triples)
+    results["assoc_dashv"] = first_failure(
+        lambda x, y, z: d.dashv(d.dashv(x, y), z) == d.dashv(x, d.dashv(y, z)), triples)
+    results["mixed_bar"] = first_failure(
+        lambda x, y, z: d.vdash(x, d.dashv(y, z)) == d.dashv(d.vdash(x, y), z), triples)
+    results["mixed_dashv"] = first_failure(
+        lambda x, y, z: d.dashv(x, d.dashv(y, z)) == d.dashv(x, d.vdash(y, z)), triples)
+    results["mixed_vdash"] = first_failure(
+        lambda x, y, z: d.vdash(d.vdash(x, y), z) == d.vdash(d.dashv(x, y), z), triples)
+    return AxiomReport(results)
+
+
+def former_check_representation(r):
+    """The package's former check_representation: R1-R5 by one
+    first_failure scan per identity over element tuples, products
+    memoized by content, and the rank of every rho operator."""
+    r.check_shapes()
+    d = r.digroup
+    elems = d.elements
+    results = {}
+    memo = ContentMemo()
+    mul = memo.mul
+    lam = {x: memo.canon(r.lam[x]) for x in elems}
+    rho = {x: memo.canon(r.rho[x]) for x in elems}
+    pairs = [(x, y) for x in elems for y in elems]
+    results["R1"] = first_failure(lambda x, y: lam[d.dashv(x, y)] == mul(lam[x], lam[y]), pairs)
+    results["R2"] = first_failure(lambda x, y: rho[d.vdash(x, y)] == mul(rho[x], rho[y]), pairs)
+    ident = Matrix.identity(r.field, r.dim)
+    bad = next((e for e in d.halo() if r.rho[e] != ident), None)
+    results["R3"] = (bad is None, bad)
+    results["R4"] = first_failure(lambda x, y: mul(rho[x], lam[y]) == lam[d.vdash(x, y)], pairs)
+    results["R5"] = first_failure(lambda x, y: mul(lam[x], rho[y]) == lam[d.dashv(x, y)], pairs)
+    sing = next((x for x in elems if r.rho[x].rank() != r.dim), None)
+    results["rho_invertible"] = (sing is None, sing)
+    return AxiomReport(results)
+
+
+def former_check_cocycle(theta, Q, W):
+    """The package's former check_cocycle: Z1a, Z1b and Z1c by one
+    first_failure scan each over element tuples, memoized by content."""
+    d = Q.digroup
+    elems = d.elements
+    memo = ContentMemo()
+    mul = memo.mul
+    th = {x: memo.canon(theta[x]) for x in elems}
+    lam_w = {x: memo.canon(W.lam[x]) for x in elems}
+    lam_q = {x: memo.canon(Q.lam[x]) for x in elems}
+    rho_w = {x: memo.canon(W.rho[x]) for x in elems}
+    rho_q = {x: memo.canon(Q.rho[x]) for x in elems}
+    pairs = [(x, y) for x in elems for y in elems]
+    return AxiomReport({
+        "Z1a": first_failure(lambda x, y: th[d.dashv(x, y)]
+                             == memo.add(mul(lam_w[x], th[y]), mul(th[x], lam_q[y])),
+                             pairs),
+        "Z1b": first_failure(lambda x, y: th[d.vdash(x, y)] == mul(rho_w[x], th[y]), pairs),
+        "Z1c": first_failure(lambda x, y: th[d.dashv(x, y)] == mul(th[x], rho_q[y]), pairs),
+    })

@@ -389,3 +389,72 @@ def test_one_parser_serves_every_call_and_keeps_no_state(tmp_path, capsys, monke
     built.clear()
     assert [call(argv) for argv in calls] == first
     assert built == [1]
+
+
+def test_an_input_named_twice_is_read_and_checked_once(tmp_path, capsys, monkeypatch):
+    import shutil
+
+    from digrep import Matrix, QQ, Representation, cli, demo_representation, serialize
+
+    paths = write_example(tmp_path, capsys)
+    rep = paths["rep"]
+    copy = str(tmp_path / "copy.json")   # F': a byte copy of F
+    shutil.copyfile(rep, copy)
+    # another document over the same digroup: F conjugated by diag(1, 2)
+    v = demo_representation()
+    s, s_inv = (Matrix.from_rows(QQ, [[1, 0], [0, c]]) for c in (2, QQ.of(1) / 2))
+    other = str(tmp_path / "other.json")
+    serialize.save_path(other, serialize.rep_to_json(Representation(
+        v.digroup, 2, {x: s_inv * m * s for x, m in v.lam.items()},
+        {x: s_inv * m * s for x, m in v.rho.items()})))
+    # F'': F's document with its lambda table in the reverse key order: the
+    # same representation, but other JSON, so it is read and checked on its own
+    reordered = tmp_path / "reordered.json"
+    with open(rep) as fh:
+        doc = json.load(fh)
+    doc["lambda"] = dict(reversed(list(doc["lambda"].items())))
+    reordered.write_text(json.dumps(doc))
+    checked, read = [], []
+    check, load = serialize.check_representation, cli.load_path
+    monkeypatch.setattr(serialize, "check_representation",
+                        lambda r: checked.append(r) or check(r))
+    monkeypatch.setattr(cli, "load_path", lambda p: read.append(p) or load(p))
+    answers = {}
+    for cmd in ("ext1", "collapse", "probe"):
+        del checked[:], read[:]
+        answers[cmd] = run(capsys, cmd, "--json", rep, rep)
+        assert answers[cmd][0] == 0 and (len(checked), read) == (1, [rep]), cmd
+        del checked[:], read[:]
+        assert run(capsys, cmd, "--json", rep, copy) == answers[cmd], cmd
+        assert (len(checked), read) == (1, [rep, copy]), cmd
+        del checked[:]
+        assert run(capsys, cmd, "--json", rep, str(reordered)) == answers[cmd], cmd
+        assert len(checked) == 2, cmd
+    # distinct documents are each checked once, however often they are named
+    del checked[:]
+    assert run(capsys, "probe", "--json", other, rep, copy, other, rep)[0] == 0
+    assert len(checked) == 2
+    # a second main() call reads and checks its inputs again
+    del checked[:], read[:]
+    assert run(capsys, "ext1", "--json", rep, rep) == answers["ext1"]
+    assert (len(checked), read) == (1, [rep])
+
+
+def test_an_equal_looking_document_with_other_json_types_is_refused(tmp_path, capsys):
+    # 2 == 2.0 and 1 == True in Python, but not in the document's JSON text:
+    # the second file is read on its own and refused
+    paths = write_example(tmp_path, capsys)
+    with open(paths["rep"]) as fh:
+        doc = json.load(fh)
+    for edit in (lambda d: d.update(dim=2.0),
+                 lambda d: d["digroup"].update(halo_size=True if d["digroup"]["halo_size"] == 1
+                                               else float(d["digroup"]["halo_size"]))):
+        changed = json.loads(json.dumps(doc))
+        edit(changed)
+        assert changed == doc
+        bad = tmp_path / "typed.json"
+        bad.write_text(json.dumps(changed))
+        for cmd in ("ext1", "collapse", "probe"):
+            code, out, err = run(capsys, cmd, "--json", paths["rep"], str(bad))
+            assert (code, out) == (2, ""), cmd
+            assert "input error" in err

@@ -1,9 +1,11 @@
+import random
+
 import pytest
 
 from digrep.digroup import (Digroup, FiniteGroup, GAction, GroupTableError,
                             all_actions)
 
-from _oracles import former_all_actions, right_group_at
+from _oracles import former_all_actions, former_check_axioms, right_group_at
 
 
 def test_cyclic_group_tables():
@@ -180,3 +182,79 @@ def test_axiom_checker_detects_corruption():
     report = d.check_axioms()
     assert not report.ok
     assert "unit_left_vdash" in report.failures() or report.failures()
+
+
+REPORT_GROUPS = {
+    "C1": lambda: FiniteGroup.cyclic(1),
+    "C2": lambda: FiniteGroup.cyclic(2),
+    "C3": lambda: FiniteGroup.cyclic(3),
+    "C6": lambda: FiniteGroup.cyclic(6),
+    "S3": FiniteGroup.symmetric3,
+    "S3xC2": lambda: FiniteGroup.direct_product(FiniteGroup.symmetric3(),
+                                                FiniteGroup.cyclic(2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_GROUPS))
+def test_check_axioms_reports_like_the_former_scan_on_every_action(name):
+    # the row scan on the int tables against the former triple-by-triple scan
+    group = REPORT_GROUPS[name]()
+    for m in (1, 2, 3):
+        for act in all_actions(group, m):
+            d = Digroup(group, act)
+            assert d.check_axioms().results == former_check_axioms(d).results
+
+
+def forged_group(rng, n):
+    """A table with identity 0 and inverses, usually not associative
+    (FiniteGroup with strict=False)."""
+    while True:
+        mul = [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
+        mul[0] = list(range(n))
+        for g in range(n):
+            mul[g][0] = g
+        try:
+            return FiniteGroup(mul, name="forged", strict=False)
+        except GroupTableError:
+            pass
+
+
+def test_check_axioms_reports_like_the_former_scan_on_forged_tables():
+    # random action tables set without the GAction constructor, some over
+    # non-associative tables: every report, failures and first failing
+    # triple included, equals the former scan's
+    rng = random.Random(23)
+    groups = [FiniteGroup.cyclic(2), FiniteGroup.cyclic(3), FiniteGroup.symmetric3()]
+    failed = set()
+    for _ in range(120):
+        group = forged_group(rng, rng.randint(2, 4)) if rng.random() < 0.3 \
+            else rng.choice(groups)
+        m = rng.randint(1, 3)
+        table = [[rng.randrange(m) for _ in range(m)] for _ in range(group.order)]
+        if rng.random() < 0.5:
+            table[group.identity] = list(range(m))
+        act = GAction.__new__(GAction)
+        act.group, act.set_size, act.act = group, m, tuple(map(tuple, table))
+        d = Digroup(group, act)
+        report = d.check_axioms()
+        assert report.results == former_check_axioms(d).results
+        failed.update(report.failures())
+    # the identities that such tables can break each fail somewhere
+    assert failed == {"unit_left_vdash", "inverses", "assoc_vdash", "assoc_dashv",
+                      "mixed_bar"}
+
+
+def test_product_tables_follow_the_element_order():
+    d = Digroup(FiniteGroup.symmetric3(), all_actions(FiniteGroup.symmetric3(), 3)[-1])
+    V, D = d.tables()
+    assert d.tables() is d.tables()
+    elems = d.elements
+    for i, x in enumerate(elems):
+        for j, y in enumerate(elems):
+            assert elems[V[i][j]] == d.vdash(x, y)
+            assert elems[D[i][j]] == d.dashv(x, y)
+    # an action entry outside the halo is refused, as vdash refuses it
+    act = GAction.__new__(GAction)
+    act.group, act.set_size, act.act = d.group, 2, ((0, 1),) * 5 + ((0, 2),)
+    with pytest.raises(IndexError):
+        Digroup(d.group, act).check_axioms()

@@ -20,8 +20,8 @@ from digrep.reps import hom_rep, random_representation, seeded_rng, to_semilinea
 
 from _instances import corrupted_tables, induced_pair, sample_pair
 from _oracles import (cocycle_dim_oracle, exhaustive_average_section,
-                      exhaustive_block_decompose, ext1_dim_oracle, full_family_ext1,
-                      hom_rho_oracle)
+                      exhaustive_block_decompose, ext1_dim_oracle, former_check_cocycle,
+                      full_family_ext1, hom_rho_oracle)
 
 
 def demo_parts():
@@ -691,3 +691,55 @@ def test_a_wrong_splitting_map_is_refused_by_collapse(monkeypatch, tmp_path, cap
         save_path(path, rep_to_json(r))
     assert main(["collapse", *paths]) == 1
     assert "the witness is not a morphism" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", (QQ, PrimeField(7)), ids=repr)
+def test_check_cocycle_reports_like_the_former_scan(field):
+    # every Z^1 basis family and each of its entries perturbed in turn:
+    # the shared pair scan reports like the former scan per identity
+    failed = set()
+    pairs = [sample_pair(seed, field=field) for seed in range(1000, 1200, 8)]
+    pairs += [induced_pair(7500 + i, field, (name,)) for i, name in enumerate(("C3", "S3"))]
+    for _, q, w in pairs:
+        for fam in cocycle_space(q, w)[:2]:
+            for theta in [fam.theta] + [bad for _, bad in corrupted_tables(fam.theta)]:
+                report = check_cocycle(theta, q, w)
+                assert report.results == former_check_cocycle(theta, q, w).results
+                failed.update(report.failures())
+    assert failed == {"Z1a", "Z1b", "Z1c"}
+
+
+@pytest.mark.parametrize("field", (QQ, PrimeField(7)), ids=repr)
+def test_the_band_law_on_spokes_solves_like_every_pair(field):
+    # Z1a and the band model's Z written on the spoke pairs of band_spokes
+    # have the kernel of the system written on every pair of halo indices
+    from digrep.halo import ext1_BE
+    from digrep.linalg import block_kernel
+    from digrep.reps import band_spokes, lambda_factorization, rho_group_form
+
+    pairs = [sample_pair(seed, field=field) for seed in range(1000, 1200, 8)]
+    pairs += [induced_pair(7500 + i, field, (name,)) for i, name in enumerate(("C3", "S3"))]
+    halos = set()
+    for d, q, w in pairs:
+        m, halos = d.halo_size, halos | {d.halo_size}
+        lw, lq = lambda_factorization(w), lambda_factorization(q)
+        o, neg = field.of(1), field.of(-1)
+
+        def z1a(ab):
+            return [[(o, lw[a], b, None), (o, None, a, lq[b]), (neg, None, a, None)]
+                    for a, b in ab]
+
+        every = [(a, b) for a in range(m) for b in range(m)]
+        spokes = band_spokes(m)
+        assert len(spokes) == (1 if m == 1 else 2 * (m - 1))
+        z = block_kernel(m, w.dim, q.dim, z1a(every), field)
+        assert block_kernel(m, w.dim, q.dim, z1a(spokes), field) == z
+        z1b = [[(o, rho_group_form(w)[s], a, None),
+                (neg, None, d.action.apply(s, a), rho_group_form(q)[s])]
+               for s in d.group.generators() for a in range(m)]
+        families = block_kernel(m, w.dim, q.dim, z1a(every) + z1b, field)
+        assert [vectorize({(d.group.identity, a): f.theta[(d.group.identity, a)]
+                           for a in range(m)}, d.halo(), w.dim, q.dim)
+                for f in cocycle_space(q, w)] == families
+        assert ext1_BE(to_semilinear(q), to_semilinear(w)).dim_Z == len(z)
+    assert halos == {1, 2, 3}

@@ -9,10 +9,12 @@ from digrep import (Matrix, PrimeField, QQ, Representation, RepresentationError,
 from dataclasses import replace
 
 from digrep.reps import (sign_characters, check_semilinear, check_semilinear_on_generators,
-                         SemilinearObject)
-from digrep.digroup import FiniteGroup
+                         SemilinearObject, require_valid_semilinear)
+from digrep.digroup import FiniteGroup, GAction
+from digrep.halo import BEModule, verify_adjunction
 
 from _instances import corrupted_tables, induced_pair, sample_pair, sample_semilinear_pair
+from _oracles import former_check_representation
 
 
 def test_demo_representation_passes_all_axioms():
@@ -336,3 +338,45 @@ def test_semilinear_check_on_generators_decides_like_the_exhaustive_report(field
                 refused[part] += not ok
                 refused["t off S_G"] += not ok and part == "t" and key not in gens
     assert min(refused.values()) >= 10, refused
+
+
+@pytest.mark.parametrize("field", (QQ, PrimeField(7)), ids=repr)
+def test_check_representation_reports_like_the_former_scan(field):
+    # the shared pair scan on the int tables against the former scan per
+    # identity: every entry of lam and of rho perturbed in turn, and a
+    # singular rho; the reports are equal, first failing pairs included
+    rng = seeded_rng(29)
+    pairs = [sample_pair(seed, field=field) for seed in range(1000, 1200, 16)]
+    pairs += [induced_pair(7500 + i, field, (name,)) for i, name in enumerate(("C3", "S3"))]
+    failed = set()
+    for d, q, w in pairs:
+        for r in (q, w):
+            x = rng.choice(d.elements)
+            cases = [(r.lam, r.rho), (r.lam, {**r.rho, x: Matrix.zeros(field, r.dim, r.dim)})]
+            cases += [(lam, r.rho) for _, lam in corrupted_tables(r.lam)]
+            cases += [(r.lam, rho) for _, rho in corrupted_tables(r.rho)]
+            for lam, rho in cases:
+                broken = Representation(d, r.dim, lam, rho)
+                report = check_representation(broken)
+                assert report.results == former_check_representation(broken).results
+                failed.update(report.failures())
+    assert failed == {"R1", "R2", "R3", "R4", "R5", "rho_invertible"}
+
+
+@pytest.mark.parametrize("order", (1, 2))
+@pytest.mark.parametrize("size", (1, 3))
+def test_semilinear_operators_of_the_wrong_shape_are_refused(order, size):
+    # dim 2 with size x size operators: every check raises RepresentationError,
+    # with the generator check of a trivial group (no C3 product) included
+    group = FiniteGroup.cyclic(order)
+    action = GAction.trivial(group, 1)
+    ident, wrong = Matrix.identity(QQ, 2), Matrix.identity(QQ, size)
+    objects = [SemilinearObject(action, 2, {0: wrong}, {g: ident for g in range(order)}),
+               SemilinearObject(action, 2, {0: ident}, {g: wrong for g in range(order)})]
+    for m in objects:
+        for check in (check_semilinear, check_semilinear_on_generators,
+                      require_valid_semilinear):
+            with pytest.raises(RepresentationError, match="shape"):
+                check(m)
+        with pytest.raises(RepresentationError, match="shape"):
+            verify_adjunction(BEModule(1, {0: Matrix.identity(QQ, 1)}), m)

@@ -15,10 +15,12 @@ is timed once:
   collapse    halo.verify_collapse(q, w)
   adjunction  halo.verify_adjunction(underlying_module(to_semilinear(q)),
                                      to_semilinear(w))
+  axioms      q.digroup.check_axioms(), the exhaustive digroup report
+  rep_check   check_representation(q), the exhaustive R1-R5 report
 
 Prints one line per (rung, field, model): the wall time, the rows handed
-to linalg.sparse_kernel and the answer, the Ext^1 dimension or the
-adjunction's left_dim.  --rungs N runs the first N rungs only, smallest
+to linalg.sparse_kernel and the answer: the Ext^1 dimension, the
+adjunction's left_dim, or 1 when an exhaustive report passes.  --rungs N runs the first N rungs only, smallest
 first.  A record, not a gate: nothing is compared with a budget.
 """
 
@@ -30,7 +32,7 @@ import time
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from digrep import (QQ, Digroup, FiniteGroup, PrimeField, all_actions,  # noqa: E402
-                    build_enveloping_algebra, derivation_ext1, ext1_dim,
+                    build_enveloping_algebra, check_representation, derivation_ext1, ext1_dim,
                     random_representation, rep_to_module, seeded_rng, to_semilinear,
                     underlying_module, verify_adjunction, verify_collapse)
 from digrep import linalg  # noqa: E402
@@ -66,6 +68,8 @@ MODELS = [
     ("derivation", "ext", derivation),
     ("collapse", "ext", lambda q, w: verify_collapse(q, w)["ext1_BE_invariant_dim"]),
     ("adjunction", "left_dim", adjunction),
+    ("axioms", "ok", lambda q, w: q.digroup.check_axioms().ok),
+    ("rep_check", "ok", lambda q, w: check_representation(q).ok),
 ]
 
 
@@ -89,7 +93,7 @@ def main(argv):
                 t0 = time.perf_counter()
                 answer = run(q, w)
                 wall = time.perf_counter() - t0
-                print("%-6s halo %d dim %d  %-9r %-10s %8.2f s  rows %6d  %s %d"
+                print("%-6s halo %d dim %d  %-9r %-10s %8.3f s  rows %6d  %s %d"
                       % (name, halo, dim, field, model, wall, rows[0], label, answer),
                       flush=True)
     return 0
