@@ -225,8 +225,7 @@ def cmd_ext1(args):
 
 
 def cmd_split(args):
-    s = ses_from_json(load_path(args.path), field=requested_field(args),
-                      validate=True)
+    s = ses_from_json(load_path(args.path), field=requested_field(args))
     res = ext1_dim(s.Q, s.W)
     flag, payload = is_split(s)
     if flag:

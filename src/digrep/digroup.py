@@ -31,26 +31,16 @@ def table_generators(product, unit):
     product[i][j] is the index of the product of elements i and j, and
     unit is the index of 1.  The elements are taken in index order; each
     one outside the closure of those chosen so far joins the set.  The
-    closure of S is every word unit s_1 ... s_k with each s_i in S, built
-    by right multiplication.  The returned set is certified: its closure
-    reaches every element, or AlgebraError is raised.
+    closure of S is every word unit s_1 ... s_k with each s_i in S, the
+    elements table_presentation visits on S.  The returned set is
+    certified: its closure reaches every element, or AlgebraError is
+    raised.
     """
-    gens = []
-    closed = {unit}
+    gens, closed = [], {unit}
     for g in range(len(product)):
-        if g in closed:
-            continue
-        gens.append(g)
-        # the old closure is closed under the old generators, so growing it
-        # under all of them gives the closure of the larger set
-        todo = list(closed)
-        while todo:
-            row = product[todo.pop()]
-            for s in gens:
-                y = row[s]
-                if y not in closed:
-                    closed.add(y)
-                    todo.append(y)
+        if g not in closed:
+            gens.append(g)
+            closed = set(table_presentation(product, unit, gens)[0])
     if len(closed) != len(product):
         raise AlgebraError("the generating set reaches %d of %d elements"
                            % (len(closed), len(product)))
@@ -58,19 +48,21 @@ def table_generators(product, unit):
 
 
 def table_presentation(product, unit, gens):
-    """(tree, rules): a presentation <gens | rules> of the monoid with this
-    product table, by the enumeration of Froidure and Pin (Theoret.
-    Comput. Sci. 1997); gens must generate it (table_generators).
+    """(order, tree, rules): the closure of unit under right multiplication
+    by gens in the order visited, and a presentation <gens | rules> of the
+    monoid it spans, by the enumeration of Froidure and Pin (Theoret.
+    Comput. Sci. 1997): the one closure scan of the package.
 
-    A breadth-first scan of the edges (x, s), x -> x s for s in gens in
-    their order, reaches each element y != unit first along a tree edge,
-    listed in the order met, and w(y) = w(x) s is the shortlex least word
-    for y.  The element of w(y) without its first letter is suffix(y).
-    The rules are the other edges (x, s) with x = unit or (suffix(x), s) a
-    tree edge: then w(x) s is a minimal non-normal word, and the rule
-    rewrites it to w(x s).  Every non-normal word holds a minimal one, and
-    rewriting lowers the shortlex order, so every word rewrites to the
-    normal form of its element: the rules present the monoid.
+    A breadth-first scan of the edges (x, s), x -> x s for x in order and s
+    in gens in their order, reaches each element y != unit first along a
+    tree edge, listed in the order met, and w(y) = w(x) s is the shortlex
+    least word for y.  The element of w(y) without its first letter is
+    suffix(y).  The rules are the other edges (x, s) with x = unit or
+    (suffix(x), s) a tree edge: then w(x) s is a minimal non-normal word,
+    and the rule rewrites it to w(x s).  Every non-normal word holds a
+    minimal one, and rewriting lowers the shortlex order, so every word
+    rewrites to the normal form of its element: when gens generate the
+    monoid (table_generators), the rules present it.
     """
     suffix, order, tree, rules = {unit: unit}, [unit], {}, []
     for x in order:
@@ -82,7 +74,26 @@ def table_presentation(product, unit, gens):
                 tree[x, s] = y
             elif x == unit or (suffix[x], s) in tree:
                 rules.append((x, s))
-    return list(tree), rules
+    return order, list(tree), rules
+
+
+def row_failure(rows, names):
+    """A first_failure entry over cases given row by row: the one comparison
+    of table rows in the package.
+
+    rows yields (prefix, lhs, rhs): lhs and rhs are the two sides of an
+    identity at the cases prefix + (z,) for every index z in order, as
+    sequences of one type and length (a list never equals a tuple), and
+    prefix is a tuple of indices.  The first case where the sides differ
+    fails, reported as the tuple of the names of its indices (an int
+    table passes names = range(n)): the case a scan of the cases one by
+    one meets first.
+    """
+    for prefix, lhs, rhs in rows:
+        if lhs != rhs:
+            j = next(j for j, (u, v) in enumerate(zip(lhs, rhs)) if u != v)
+            return (False, tuple(names[i] for i in prefix) + (names[j],))
+    return (True, None)
 
 
 class FiniteGroup:
@@ -92,7 +103,7 @@ class FiniteGroup:
         self.mul = tuple(tuple(row) for row in mul)
         self.order = len(self.mul)
         self.name = name
-        self._generators = None
+        self._walk = None
         n = self.order
         for row in self.mul:
             if len(row) != n or any(not (0 <= x < n) for x in row):
@@ -122,21 +133,24 @@ class FiniteGroup:
         return tuple(inv)
 
     def associativity_failure(self):
-        n = self.order
-        for a in range(n):
-            for b in range(n):
-                ab = self.mul[a][b]
-                for c in range(n):
-                    if self.mul[ab][c] != self.mul[a][self.mul[b][c]]:
-                        return (a, b, c)
-        return None
+        """The first triple (a, b, c) with (a b) c != a (b c), or None: the
+        rows c -> (a b) c and c -> a (b c) compared for each pair (a, b)."""
+        n, mul = self.order, self.mul
+        return row_failure((((a, b), mul[mul[a][b]], tuple(map(mul[a].__getitem__, mul[b])))
+                            for a in range(n) for b in range(n)), range(n))[1]
 
     def generators(self):
         """A small generating set S_G: table_generators on the Cayley table,
         found once per group."""
-        if self._generators is None:
-            self._generators = tuple(table_generators(self.mul, self.identity))
-        return list(self._generators)
+        return list(self._closure()[0])
+
+    def _closure(self):
+        # (S_G, the elements in the order table_presentation visits them on
+        # S_G), found once per group
+        if self._walk is None:
+            gens = table_generators(self.mul, self.identity)
+            self._walk = (tuple(gens), table_presentation(self.mul, self.identity, gens)[0])
+        return self._walk
 
     def __len__(self):
         return self.order
@@ -151,15 +165,13 @@ class FiniteGroup:
     def symmetric3(cls):
         perms = list(permutations(range(3)))
         idx = {p: i for i, p in enumerate(perms)}
-        mul = [[idx[tuple(p[q[k]] for k in range(3))] for q in perms] for p in perms]
+        mul = [[idx[_compose(p, q)] for q in perms] for p in perms]
         return cls(mul, name="S3")
 
     @classmethod
     def direct_product(cls, g, h):
-        n, m = g.order, h.order
-        mul = [[(g.mul[a][c] * m + h.mul[b][d])
-                for c in range(n) for d in range(m)]
-               for a in range(n) for b in range(m)]
+        pairs = list(product(range(g.order), range(h.order)))
+        mul = [[g.mul[a][c] * h.order + h.mul[b][d] for c, d in pairs] for a, b in pairs]
         return cls(mul, name="%sx%s" % (g.name, h.name))
 
 
@@ -178,12 +190,16 @@ class GAction:
                 raise ValueError("identity does not act trivially")
         if _law_certified:   # all_actions: by generated_homomorphism's lemma
             return
-        for g in range(group.order):
-            for h in range(group.order):
-                gh = group.mul[g][h]
-                for a in range(set_size):
-                    if self.act[gh][a] != self.act[g][self.act[h][a]]:
-                        raise ValueError("action law fails at (%d,%d,%d)" % (g, h, a))
+        # the rows a -> (g h).a and a -> g.(h.a) for each pair (g, h), with
+        # g.b read as act[g][b] reads it for b in range(-m, m), else None
+        n, act = group.order, self.act
+        dot = [dict(zip(range(-set_size, set_size), row * 2)).get for row in act]
+        ok, bad = row_failure((((g, h), act[group.mul[g][h]], tuple(map(dot[g], act[h])))
+                               for g in range(n) for h in range(n)), range(max(n, set_size)))
+        if not ok:
+            g, h, a = bad
+            act[g][act[h][a]]   # an entry outside the halo raises IndexError here
+            raise ValueError("action law fails at (%d,%d,%d)" % bad)
 
     @classmethod
     def trivial(cls, group, set_size):
@@ -270,9 +286,9 @@ def generated_homomorphism(images, group, one, times=mul):
     times(u, v) the product of two values (matrix product by default,
     permutation composition for all_actions).  f[1] is one unless images
     gives it, and a given f[1] != one fails at (1,).
-    The scan runs over the pairs (x, s), x in G in closure order (the
-    order in which right multiplication by S_G reaches x from 1) and s in
-    S_G: f[x s] is set to f[x] f[s] where images leaves it open, and
+    The scan runs over the pairs (x, s), x in G in the order
+    table_presentation visits it from 1 on S_G (found once per group) and
+    s in S_G: f[x s] is set to f[x] f[s] where images leaves it open, and
     checked against it otherwise; the first pair that fails is reported.
     So the law below holds at every pair exactly when the entry passes, and
     this is the one G x S_G scan of the package: the C1 and C2 check of
@@ -296,17 +312,12 @@ def generated_homomorphism(images, group, one, times=mul):
     if f.setdefault(e, one) != one:
         return f, (False, (e,))
     gens = group.generators()
-    order, reached = [e], {e}
 
     def law(x, s):
-        xs = group.mul[x][s]
-        if xs not in reached:
-            reached.add(xs)
-            order.append(xs)   # the scan below reaches it in turn
         value = times(f[x], f[s])
-        return f.setdefault(xs, value) == value
+        return f.setdefault(group.mul[x][s], value) == value
 
-    return f, first_failure(law, ((x, s) for x in order for s in gens))
+    return f, first_failure(law, ((x, s) for x in group._closure()[1] for s in gens))
 
 
 class Digroup:
@@ -389,50 +400,25 @@ class Digroup:
                 bad = next((b for b in row if not 0 <= b < m), None)
                 if bad is not None:
                     raise IndexError("element index out of range: %r" % ((g, bad),))
-            V = [[gh * m + b for gh in mul[g] for b in act[g]]
-                 for g in range(self.group.order) for _a in range(m)]
-            D = [[gh * m + a for gh in mul[g] for _b in range(m)]
-                 for g in range(self.group.order) for a in range(m)]
+            cells = list(product(range(self.group.order), range(m)))
+            V = [[gh * m + b for gh, b in product(mul[g], act[g])] for g, _a in cells]
+            D = [[gh * m + a for gh, _b in product(mul[g], range(m))] for g, a in cells]
             self._tables = (V, D)
         return self._tables
 
-    def _row_failure(self, rows):
-        """A first_failure entry over cases given row by row.
-
-        rows yields (prefix, lhs, rhs): lhs and rhs are the two sides of an
-        identity at the cases prefix + (z,) for every element z in order,
-        as lists, and prefix is a tuple of element indices.  The first case
-        where the sides differ fails, reported as a tuple of elements.
-        """
-        for prefix, lhs, rhs in rows:
-            if lhs != rhs:
-                elems = self.elements
-                j = next(j for j, (u, v) in enumerate(zip(lhs, rhs)) if u != v)
-                return (False, tuple(elems[i] for i in prefix) + (elems[j],))
-        return (True, None)
-
     def pair_failures(self, identities):
         """{name: first_failure entry} of each identity over every ordered
-        pair (x, y) of elements, in the order of elements, in one scan.
+        pair (x, y) of elements, in the order of elements.
 
         identities maps a name to row(i) -> (lhs, rhs), the two sides at
-        (x_i, y) for every y in order; an identity drops out of the scan at
-        its first failing pair.  The tables of representations and cocycle
-        families are compared through ContentMemo-canonical operators, for
-        which equal means identical.
+        (x_i, y) for every y in order, as lists; each identity is one
+        row_failure, which stops at its first failing pair.  The tables of
+        representations and cocycle families are compared through
+        ContentMemo-canonical operators, for which equal means identical.
         """
-        results = dict.fromkeys(identities, (True, None))
-        todo = dict(identities)
-        for i in range(len(self)):
-            if not todo:
-                break
-            for name, row in list(todo.items()):
-                lhs, rhs = row(i)
-                entry = self._row_failure([((i,), lhs, rhs)])
-                if not entry[0]:
-                    results[name] = entry
-                    del todo[name]
-        return results
+        elems = self.elements
+        return {name: row_failure((((i,),) + row(i) for i in range(len(elems))), elems)
+                for name, row in identities.items()}
 
     def check_axioms(self):
         """Exhaustive axiom check; returns an AxiomReport.
@@ -459,22 +445,23 @@ class Digroup:
             gi = inv[x // m]
             return D[gi * m + b][x] == e and V[x][gi * m + act[gi][b]] == e
 
+        elems = self.elements
         return AxiomReport({
-            "unit_left_vdash": self._row_failure(((e,), V[e], ident) for e, _ in halo),
-            "unit_right_dashv": self._row_failure(
-                ((e,), [row[e] for row in D], ident) for e, _ in halo),
-            "inverses": self._row_failure(
-                ((e,), [has_inverses(e, b, x) for x in ident], [True] * n)
-                for e, b in halo),
-            "assoc_vdash": self._row_failure(triples(
-                lambda i, j: V[V[i][j]], lambda i, j: list(map(V[i].__getitem__, V[j])))),
-            "assoc_dashv": self._row_failure(triples(
-                lambda i, j: D[D[i][j]], lambda i, j: list(map(D[i].__getitem__, D[j])))),
-            "mixed_bar": self._row_failure(triples(
-                lambda i, j: list(map(V[i].__getitem__, D[j])), lambda i, j: D[V[i][j]])),
-            "mixed_dashv": self._row_failure(triples(
+            "unit_left_vdash": row_failure((((e,), V[e], ident) for e, _ in halo), elems),
+            "unit_right_dashv": row_failure(
+                (((e,), [row[e] for row in D], ident) for e, _ in halo), elems),
+            "inverses": row_failure(
+                (((e,), [has_inverses(e, b, x) for x in ident], [True] * n)
+                 for e, b in halo), elems),
+            "assoc_vdash": row_failure(triples(
+                lambda i, j: V[V[i][j]], lambda i, j: list(map(V[i].__getitem__, V[j]))), elems),
+            "assoc_dashv": row_failure(triples(
+                lambda i, j: D[D[i][j]], lambda i, j: list(map(D[i].__getitem__, D[j]))), elems),
+            "mixed_bar": row_failure(triples(
+                lambda i, j: list(map(V[i].__getitem__, D[j])), lambda i, j: D[V[i][j]]), elems),
+            "mixed_dashv": row_failure(triples(
                 lambda i, j: list(map(D[i].__getitem__, D[j])),
-                lambda i, j: list(map(D[i].__getitem__, V[j])))),
-            "mixed_vdash": self._row_failure(triples(
-                lambda i, j: V[V[i][j]], lambda i, j: V[D[i][j]])),
+                lambda i, j: list(map(D[i].__getitem__, V[j]))), elems),
+            "mixed_vdash": row_failure(triples(
+                lambda i, j: V[V[i][j]], lambda i, j: V[D[i][j]]), elems),
         })

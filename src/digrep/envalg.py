@@ -24,8 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .digroup import (AlgebraError, AxiomReport, first_failure, table_generators,
-                      table_presentation)
+from .digroup import AlgebraError, AxiomReport, row_failure, table_generators, table_presentation
 from .linalg import (ContentMemo, Matrix, QQ, block_image, complete, devectorize,
                      ext_classes)
 from .reps import SemilinearObject, from_semilinear, once, require_valid
@@ -66,11 +65,12 @@ class FDAlgebra:
         """(tree, rules) of table_presentation on generators(), found once."""
         if "_presentation" not in self.__dict__:
             object.__setattr__(self, "_presentation", table_presentation(
-                self.product, self.unit, self.generators()))
+                self.product, self.unit, self.generators())[1:])
         return self._presentation
 
     def check(self):
-        """Exhaustive table, unit and associativity check; raises on failure."""
+        """Exhaustive table, unit and associativity check; raises on failure.
+        Associativity compares the rows k -> (e_i e_j) e_k and e_i (e_j e_k)."""
         n, p, u = self.dim, self.product, self.unit
         if len(p) != n or any(len(row) != n for row in p):
             raise AlgebraError("product table is not %d x %d" % (n, n))
@@ -80,13 +80,11 @@ class FDAlgebra:
         for i in range(n):
             if p[u][i] != i or p[i][u] != i:
                 raise AlgebraError("unit fails at basis element %d" % i)
-        for i, pi in enumerate(p):
-            for j, pj in enumerate(p):
-                pij = p[pi[j]]
-                for k in range(n):
-                    if pij[k] != pi[pj[k]]:
-                        raise AlgebraError("associativity fails at (%d,%d,%d)"
-                                           % (i, j, k))
+        rows = list(map(list, p))
+        ok, bad = row_failure((((i, j), rows[ri[j]], list(map(ri.__getitem__, rj)))
+                               for i, ri in enumerate(rows) for j, rj in enumerate(rows)), range(n))
+        if not ok:
+            raise AlgebraError("associativity fails at (%d,%d,%d)" % bad)
         return True
 
 
@@ -167,35 +165,26 @@ def tau_automorphism(g, action, field=QQ):
 def check_relations(a, d):
     """Evaluate the five defining relation families on the embedded elements.
 
-    ell_x and r_x are the basis indices of the images of the digroup
-    element x among the monomials, multiplied through the product table;
-    every relation is checked for every pair of elements.
+    ell[i] and r[i] are the basis indices of the images of the digroup
+    element x_i among the monomials, found once; every relation is checked
+    for every pair of elements, as one row_failure over the int tables of
+    d.tables() and the rows of the product table (Digroup.pair_failures).
     """
-    results = {}
-    p = a.product
-
-    def ell(x):
-        g, al = x
-        return a.index(("M", al, g))
-
-    def r(x):
-        g, _al = x
-        return a.index(("R", g))
-
-    elems = d.elements
-
-    pairs = [(x, y) for x in elems for y in elems]
-    results["ell_dashv"] = first_failure(
-        lambda x, y: ell(d.dashv(x, y)) == p[ell(x)][ell(y)], pairs)
-    results["r_vdash"] = first_failure(
-        lambda x, y: r(d.vdash(x, y)) == p[r(x)][r(y)], pairs)
-    bad = next((e for e in d.halo() if r(e) != a.unit), None)
-    results["r_unit"] = (bad is None, bad)
-    results["r_ell"] = first_failure(
-        lambda x, y: p[r(x)][ell(y)] == ell(d.vdash(x, y)), pairs)
-    results["ell_r"] = first_failure(
-        lambda x, y: p[ell(x)][r(y)] == ell(d.dashv(x, y)), pairs)
-    return AxiomReport(results)
+    p, elems = a.product, d.elements
+    V, D = d.tables()
+    ell = [a.index(("M", al, g)) for g, al in elems]
+    r = [a.index(("R", g)) for g, _al in elems]
+    ell_at, r_at = ell.__getitem__, r.__getitem__
+    scan = d.pair_failures({
+        "ell_dashv": lambda i: (list(map(ell_at, D[i])), list(map(p[ell[i]].__getitem__, ell))),
+        "r_vdash": lambda i: (list(map(r_at, V[i])), list(map(p[r[i]].__getitem__, r))),
+        "r_ell": lambda i: (list(map(p[r[i]].__getitem__, ell)), list(map(ell_at, V[i]))),
+        "ell_r": lambda i: (list(map(p[ell[i]].__getitem__, r)), list(map(ell_at, D[i]))),
+    })
+    bad = next((e for e in d.halo() if a.index(("R", e[0])) != a.unit), None)
+    return AxiomReport({"ell_dashv": scan["ell_dashv"], "r_vdash": scan["r_vdash"],
+                        "r_unit": (bad is None, bad), "r_ell": scan["r_ell"],
+                        "ell_r": scan["ell_r"]})
 
 
 @dataclass(frozen=True)

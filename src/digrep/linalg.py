@@ -853,16 +853,7 @@ def block_kernel(nblocks, h, w, equations, field):
     n = nblocks * h * w
     if n == 0:
         return []
-    return span_basis(sparse_kernel(n, _block_rows(h, w, _distinct(equations), field),
-                                    field))
-
-
-def _distinct(equations):
-    """The equations, each made of the very same terms listed once: such
-    equations have the very same rows.  The dict holds the terms, so no id
-    in a key is reused."""
-    return {tuple((id(c), id(l), b, id(r)) for c, l, b, r in eq): eq
-            for eq in equations}.values()
+    return span_basis(sparse_kernel(n, _block_rows(h, w, equations, field), field))
 
 
 def block_image(nblocks, h, w, equations, field, vectors=None):
@@ -909,7 +900,7 @@ def ext_classes(nblocks, h, w, z_equations, b, field):
     """
     n, z = nblocks * h * w, []
     if n:
-        rows = _block_rows(h, w, _distinct(z_equations), field)
+        rows = _block_rows(h, w, z_equations, field)
         z = span_basis(sparse_kernel(n, rows, field))
         cols = _transpose(rows, n)
         # a row's entries may cancel to 0, so look at the residual's values

@@ -14,7 +14,7 @@ from .digroup import Digroup, FiniteGroup, GAction
 from .linalg import Matrix, PrimeField, QQ
 from .reps import (Representation, check_representation, require_ok,
                    require_valid)
-from .ext import ShortExactSeq, short_exact
+from .ext import short_exact
 
 
 class FormatError(ValueError):
@@ -262,15 +262,13 @@ def ses_to_json(s):
     }
 
 
-def ses_from_json(obj, field=None, validate=True):
+def ses_from_json(obj, field=None):
     if not isinstance(obj, dict):
         raise FormatError("sequence must be an object")
     try:
-        w = rep_from_json(obj["W"], field=field, validate=validate)
-        v = rep_from_json(obj["V"], field=field, validate=validate,
-                          digroup=w.digroup)
-        q = rep_from_json(obj["Q"], field=field, validate=validate,
-                          digroup=w.digroup)
+        w = rep_from_json(obj["W"], field=field)
+        v = rep_from_json(obj["V"], field=field, digroup=w.digroup)
+        q = rep_from_json(obj["Q"], field=field, digroup=w.digroup)
         if not w.field == v.field == q.field:
             raise FormatError("sequence members are over different fields")
         iota = matrix_from_json(obj["iota"], w.field, v.dim, w.dim)
@@ -279,9 +277,7 @@ def ses_from_json(obj, field=None, validate=True):
         raise
     except (KeyError, TypeError, ValueError) as e:
         raise FormatError("bad sequence document: %s" % e)
-    if validate:
-        return short_exact(w, v, q, iota, pi)
-    return ShortExactSeq(w, v, q, iota, pi)
+    return short_exact(w, v, q, iota, pi)
 
 
 # -- reports and files ----------------------------------------------------

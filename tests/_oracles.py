@@ -6,6 +6,7 @@ raw operator tables and the digroup products, so agreement with the
 package is a genuine cross-check rather than the same code run twice.
 """
 
+import operator
 from fractions import Fraction
 from itertools import permutations
 from operator import attrgetter
@@ -16,6 +17,7 @@ from sympy.polys.matrices import DomainMatrix
 from digrep.ext import (CocycleFamily, MaschkeError, check_cocycle, coboundary,
                         cocycle_space, hom_rho)
 from digrep.digroup import AxiomReport, GAction, GroupTableError, first_failure
+from digrep.envalg import AlgebraError
 from digrep.halo import hom_BE
 from digrep.reps import RepresentationError, SemilinearObject, check_semilinear
 from digrep.linalg import (ContentMemo, Matrix, block_image, block_kernel, coordinates,
@@ -600,3 +602,146 @@ def former_check_cocycle(theta, Q, W):
         "Z1b": first_failure(lambda x, y: th[d.vdash(x, y)] == mul(rho_w[x], th[y]), pairs),
         "Z1c": first_failure(lambda x, y: th[d.dashv(x, y)] == mul(th[x], rho_q[y]), pairs),
     })
+
+
+def former_associativity_failure(group):
+    """The package's former FiniteGroup.associativity_failure: the first
+    triple (a, b, c) with (a b) c != a (b c), by a scan of the triples."""
+    n = group.order
+    for a in range(n):
+        for b in range(n):
+            ab = group.mul[a][b]
+            for c in range(n):
+                if group.mul[ab][c] != group.mul[a][group.mul[b][c]]:
+                    return (a, b, c)
+    return None
+
+
+def former_action_check(group, set_size, act):
+    """The checks of the package's former GAction constructor, raising as
+    it raised: the shape, the identity, then the law by a scan of the
+    triples (g, h, a)."""
+    act = tuple(tuple(row) for row in act)
+    if len(act) != group.order or any(len(r) != set_size for r in act):
+        raise ValueError("action table shape mismatch")
+    for a in range(set_size):
+        if act[group.identity][a] != a:
+            raise ValueError("identity does not act trivially")
+    for g in range(group.order):
+        for h in range(group.order):
+            gh = group.mul[g][h]
+            for a in range(set_size):
+                if act[gh][a] != act[g][act[h][a]]:
+                    raise ValueError("action law fails at (%d,%d,%d)" % (g, h, a))
+
+
+def former_algebra_check(a):
+    """The package's former FDAlgebra.check: the table, the unit, then
+    associativity by a scan of the triples (i, j, k)."""
+    n, p, u = a.dim, a.product, a.unit
+    if len(p) != n or any(len(row) != n for row in p):
+        raise AlgebraError("product table is not %d x %d" % (n, n))
+    if any(type(k) is not int or not 0 <= k < n
+           for k in [u] + [k for row in p for k in row]):
+        raise AlgebraError("product table index outside range(%d)" % n)
+    for i in range(n):
+        if p[u][i] != i or p[i][u] != i:
+            raise AlgebraError("unit fails at basis element %d" % i)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if p[p[i][j]][k] != p[i][p[j][k]]:
+                    raise AlgebraError("associativity fails at (%d,%d,%d)" % (i, j, k))
+    return True
+
+
+def former_check_relations(a, d):
+    """The package's former check_relations: each relation by first_failure
+    over element pairs, through vdash, dashv and basis_labels.index."""
+    p = a.product
+
+    def ell(x):
+        return a.index(("M", x[1], x[0]))
+
+    def r(x):
+        return a.index(("R", x[0]))
+
+    pairs = [(x, y) for x in d.elements for y in d.elements]
+    bad = next((e for e in d.halo() if r(e) != a.unit), None)
+    return AxiomReport({
+        "ell_dashv": first_failure(lambda x, y: ell(d.dashv(x, y)) == p[ell(x)][ell(y)], pairs),
+        "r_vdash": first_failure(lambda x, y: r(d.vdash(x, y)) == p[r(x)][r(y)], pairs),
+        "r_unit": (bad is None, bad),
+        "r_ell": first_failure(lambda x, y: p[r(x)][ell(y)] == ell(d.vdash(x, y)), pairs),
+        "ell_r": first_failure(lambda x, y: p[ell(x)][r(y)] == ell(d.dashv(x, y)), pairs),
+    })
+
+
+def former_table_generators(product, unit):
+    """The package's former table_generators: the greedy set, each new
+    generator growing the closure of the old ones under all of them."""
+    gens = []
+    closed = {unit}
+    for g in range(len(product)):
+        if g in closed:
+            continue
+        gens.append(g)
+        todo = list(closed)
+        while todo:
+            row = product[todo.pop()]
+            for s in gens:
+                y = row[s]
+                if y not in closed:
+                    closed.add(y)
+                    todo.append(y)
+    if len(closed) != len(product):
+        raise AlgebraError("the generating set reaches %d of %d elements"
+                           % (len(closed), len(product)))
+    return gens
+
+
+def former_presentation(a):
+    """The (tree, rules) of the package's former FDAlgebra.presentation:
+    the Froidure-Pin scan on former_table_generators."""
+    p, unit = a.product, a.unit
+    gens = former_table_generators(p, unit)
+    suffix, order, tree, rules = {unit: unit}, [unit], {}, []
+    for x in order:
+        for s in gens:
+            y = p[x][s]
+            if y not in suffix:
+                suffix[y] = unit if x == unit else p[suffix[x]][s]
+                order.append(y)
+                tree[x, s] = y
+            elif x == unit or (suffix[x], s) in tree:
+                rules.append((x, s))
+    return list(tree), rules
+
+
+def former_generated_homomorphism(images, group, one, times=operator.mul):
+    """The package's former generated_homomorphism: the pairs (x, s) in the
+    order of its own closure walk from 1, grown as the scan reaches x s."""
+    e = group.identity
+    f = dict(images)
+    if f.setdefault(e, one) != one:
+        return f, (False, (e,))
+    gens = former_table_generators(group.mul, e)
+    order, reached = [e], {e}
+
+    def law(x, s):
+        xs = group.mul[x][s]
+        if xs not in reached:
+            reached.add(xs)
+            order.append(xs)
+        value = times(f[x], f[s])
+        return f.setdefault(xs, value) == value
+
+    return f, first_failure(law, ((x, s) for x in order for s in gens))
+
+
+def outcome(call):
+    """("ok", call()), or (the exception's type, its message) when call raises."""
+    try:
+        return "ok", call()
+    except Exception as e:
+        return type(e), str(e)

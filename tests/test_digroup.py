@@ -2,10 +2,14 @@ import random
 
 import pytest
 
+from digrep import Matrix, QQ, to_semilinear
 from digrep.digroup import (Digroup, FiniteGroup, GAction, GroupTableError,
-                            all_actions)
+                            all_actions, generated_homomorphism)
 
-from _oracles import former_all_actions, former_check_axioms, right_group_at
+from _instances import corrupted_tables, sample_pair
+from _oracles import (former_action_check, former_all_actions, former_associativity_failure,
+                      former_check_axioms, former_generated_homomorphism,
+                      former_table_generators, outcome, right_group_at)
 
 
 def test_cyclic_group_tables():
@@ -258,3 +262,99 @@ def test_product_tables_follow_the_element_order():
     act.group, act.set_size, act.act = d.group, 2, ((0, 1),) * 5 + ((0, 2),)
     with pytest.raises(IndexError):
         Digroup(d.group, act).check_axioms()
+
+
+def test_group_and_action_checks_name_a_known_first_triple():
+    # (1 1) 2 = 2 but 1 (1 2) = 1 1 = 0; every earlier triple associates
+    with pytest.raises(GroupTableError) as err:
+        FiniteGroup([[0, 1, 2], [1, 0, 1], [2, 2, 0]])
+    assert str(err.value) == "table not associative at (1, 1, 2)"
+    # C3 with both non-identity elements swapping two points: 2.0 = 1 but 1.(1.0) = 0
+    with pytest.raises(ValueError) as err:
+        GAction(FiniteGroup.cyclic(3), 2, [[0, 1], [1, 0], [1, 0]])
+    assert str(err.value) == "action law fails at (1,1,0)"
+
+
+def former_group(mul):
+    """FiniteGroup(mul) as the former constructor decided it: the identity
+    and inverse checks, then the former associativity scan."""
+    group = FiniteGroup(mul, strict=False)
+    bad = former_associativity_failure(group)
+    if bad is not None:
+        raise GroupTableError("table not associative at %r" % (bad,))
+    return group.mul
+
+
+def test_group_and_action_checks_fail_like_the_former_scans_on_forged_tables():
+    # the row scans against the former triple-by-triple scans: the same
+    # first failing triple, exception type and message, on group and action
+    # tables with one entry changed (an action entry at times outside the
+    # halo, which raises IndexError where the scan first reads it) and on
+    # random action tables
+    rng = random.Random(31)
+    c2 = FiniteGroup.cyclic(2)
+    groups = [FiniteGroup.cyclic(4), FiniteGroup.cyclic(6), FiniteGroup.symmetric3(),
+              FiniteGroup.direct_product(c2, c2)]
+    group_errors, action_errors = set(), set()
+    for group in groups:
+        assert group.associativity_failure() is None
+        n = group.order
+        for a in range(1, n):
+            for b in range(1, n):
+                for k in range(n):
+                    mul = [list(row) for row in group.mul]
+                    mul[a][b] = k
+                    got = outcome(lambda: FiniteGroup(mul).mul)
+                    assert got == outcome(lambda: former_group(mul)), (group.name, a, b, k)
+                    group_errors.add(got[1] if got[0] is GroupTableError else None)
+        for m in (2, 3):
+            for act in all_actions(group, m):
+                for g in range(n):
+                    if g == group.identity:
+                        continue
+                    for a in range(m):
+                        table = [list(row) for row in act.act]
+                        table[g][a] = rng.randrange(-1, m + 1)   # at times outside the halo
+                        got = outcome(lambda: GAction(group, m, table).act)
+                        assert got == outcome(lambda: (former_action_check(group, m, table),
+                                                       tuple(map(tuple, table)))[1])
+                        action_errors.add(got[1] if got[0] in (ValueError, IndexError) else None)
+    for _ in range(300):
+        group = forged_group(rng, rng.randint(2, 4)) if rng.random() < 0.3 \
+            else rng.choice(groups)
+        m, low = rng.randint(1, 3), rng.choice((0, 0, -1))
+        table = [[rng.randrange(low, m - low) for _ in range(m)] for _ in range(group.order)]
+        if rng.random() < 0.9:
+            table[group.identity] = list(range(m))
+        got = outcome(lambda: GAction(group, m, table).act)
+        assert got == outcome(lambda: (former_action_check(group, m, table),
+                                       tuple(map(tuple, table)))[1])
+        action_errors.add(got[1] if got[0] in (ValueError, IndexError) else None)
+    # many distinct first failures, the second and third slots running
+    # through the group and the halo
+    assert len(group_errors) > 20 and len(action_errors) > 10
+    assert {"table not associative at (1, 4, 5)", "action law fails at (1,4,2)"} \
+        <= group_errors | action_errors
+
+
+def test_generating_sets_and_the_law_scan_match_the_former_walks():
+    # S_G against the former greedy closure; generated_homomorphism's
+    # entries and maps against its former own closure walk, on t tables
+    # with one entry perturbed in turn, and on the generators alone
+    groups = [FiniteGroup.cyclic(n) for n in range(1, 7)] + [
+        FiniteGroup.symmetric3(),
+        FiniteGroup.direct_product(FiniteGroup.symmetric3(), FiniteGroup.cyclic(2))]
+    for group in groups:
+        assert group.generators() == former_table_generators(group.mul, group.identity)
+    failures = set()
+    for seed in range(1000, 1040):
+        d, q, _ = sample_pair(seed)
+        t, one = to_semilinear(q).t, Matrix.identity(QQ, q.dim)
+        on_gens = {s: t[s] for s in d.group.generators()}
+        assert generated_homomorphism(on_gens, d.group, one) \
+            == former_generated_homomorphism(on_gens, d.group, one)
+        for key, bad in corrupted_tables(t):
+            got = generated_homomorphism(bad, d.group, one)
+            assert got == former_generated_homomorphism(bad, d.group, one), (seed, key)
+            failures.add(got[1])
+    assert len(failures - {(True, None)}) > 5

@@ -196,8 +196,83 @@ def test_generated_homomorphism_is_the_one_group_law_scan():
 def test_derivations_are_solved_on_the_presentation():
     # derivation_ext1 reads its generators off the tree of
     # FDAlgebra.presentation() and writes one Fox equation per rule, with no
-    # second closure scan; digroup.table_presentation is the one scan of
-    # those edges
+    # second closure scan
     assert callers("presentation") == {"envalg.derivation_ext1"}
-    assert callers("table_presentation") == {"envalg.FDAlgebra.presentation"}
     assert "envalg.derivation_ext1" not in callers("generators")
+
+
+def test_one_closure_scan():
+    # digroup.table_presentation is the one walk of a closure under
+    # generators: table_generators grows its set through it, the algebra's
+    # presentation and the group's visit order are read off it, and
+    # generated_homomorphism walks that cached order with no walk of its own
+    assert callers("table_presentation") == {"digroup.table_generators",
+                                             "digroup.FiniteGroup._closure",
+                                             "envalg.FDAlgebra.presentation"}
+    assert callers("_closure") == {"digroup.FiniteGroup.generators",
+                                   "digroup.generated_homomorphism"}
+    fn = functions("digroup")["digroup.generated_homomorphism"]
+    assert not [node for node in ast.walk(fn) if isinstance(node, ast.While)
+                or isinstance(node, ast.Attribute) and node.attr in ("append", "add")]
+
+
+def test_one_row_comparison():
+    # digroup.row_failure is the one comparison of table rows: the group,
+    # action and algebra associativity checks, the digroup axioms, and the
+    # pair scans of R1-R5, the cocycle identities and the enveloping
+    # algebra's relations through Digroup.pair_failures
+    assert callers("row_failure") == {"digroup.FiniteGroup.associativity_failure",
+                                      "digroup.GAction.__init__",
+                                      "digroup.Digroup.pair_failures",
+                                      "digroup.Digroup.check_axioms",
+                                      "envalg.FDAlgebra.check"}
+    assert callers("pair_failures") == {"reps.check_representation", "ext.check_cocycle",
+                                        "envalg.check_relations"}
+
+
+def functions(stem):
+    """{dotted name: the function's ast} of every function and method of a
+    module, nested ones included."""
+    found = {}
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                name = scope + (child.name,)
+                if isinstance(child, ast.FunctionDef):
+                    found[".".join(name)] = child
+                visit(child, name)
+            else:
+                visit(child, scope)
+
+    visit(dict(modules())[stem], (stem,))
+    return found
+
+
+def loop_depth(node):
+    """The most loops nested in node.  A for or while statement runs its body
+    once per item and a comprehension clause runs the later clauses and the
+    element once per item; a for statement's iterable and a comprehension's
+    first iterable are evaluated once, outside its loop."""
+    if isinstance(node, (ast.For, ast.While)):
+        once = loop_depth(node.iter if isinstance(node, ast.For) else node.test)
+        return max(once, 1 + max(loop_depth(n) for n in node.body + node.orelse))
+    if isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)):
+        gens = node.generators
+        elts = [node.key, node.value] if isinstance(node, ast.DictComp) else [node.elt]
+        inner = [(len(gens), e) for e in elts]
+        inner += [(k, g.iter) for k, g in enumerate(gens) if k]
+        inner += [(k + 1, test) for k, g in enumerate(gens) for test in g.ifs]
+        return max([loop_depth(gens[0].iter)] + [k + loop_depth(n) for k, n in inner])
+    return max((loop_depth(n) for n in ast.iter_child_nodes(node)), default=0)
+
+
+def test_no_triple_loop_over_a_table():
+    # the product tables of G, of the action, of D and of A_D are checked by
+    # comparing rows (row_failure) and built row by row, so no function of
+    # digroup or envalg nests three loops
+    assert loop_depth(ast.parse("[[x for x in r] for r in t for _ in r]")) == 3
+    assert loop_depth(ast.parse("for r in [x for a in t for x in a]:\n y = r")) == 2
+    found = {name: loop_depth(fn) for stem in ("digroup", "envalg")
+             for name, fn in functions(stem).items()}
+    assert max(found.values()) == 2, {k: v for k, v in found.items() if v > 2}

@@ -17,11 +17,22 @@ is timed once:
                                      to_semilinear(w))
   axioms      q.digroup.check_axioms(), the exhaustive digroup report
   rep_check   check_representation(q), the exhaustive R1-R5 report
+  group       FiniteGroup(mul) on the group's table, associativity included
+  action      GAction(group, halo, act) on the action's table, its law included
+  algebra     build_enveloping_algebra with its cache cleared: the table and
+              its exhaustive FDAlgebra.check
+  relations   check_relations on the enveloping algebra the algebra model
+              left in the cache
+
+The last four are the table checks a document of the rung's size meets at
+the boundary (the group and action of every digroup block, the algebra of
+its digroup).
 
 Prints one line per (rung, field, model): the wall time, the rows handed
 to linalg.sparse_kernel and the answer: the Ext^1 dimension, the
-adjunction's left_dim, or 1 when an exhaustive report passes.  --rungs N runs the first N rungs only, smallest
-first.  A record, not a gate: nothing is compared with a budget.
+adjunction's left_dim, or 1 when an exhaustive report or table check
+passes.  --rungs N runs the first N rungs only, smallest first.  A
+record, not a gate: nothing is compared with a budget.
 """
 
 import argparse
@@ -31,11 +42,12 @@ import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from digrep import (QQ, Digroup, FiniteGroup, PrimeField, all_actions,  # noqa: E402
-                    build_enveloping_algebra, check_representation, derivation_ext1, ext1_dim,
-                    random_representation, rep_to_module, seeded_rng, to_semilinear,
-                    underlying_module, verify_adjunction, verify_collapse)
-from digrep import linalg  # noqa: E402
+from digrep import (QQ, Digroup, FiniteGroup, GAction, PrimeField, all_actions,  # noqa: E402
+                    build_enveloping_algebra, check_relations, check_representation,
+                    derivation_ext1, ext1_dim, random_representation, rep_to_module,
+                    seeded_rng, to_semilinear, underlying_module, verify_adjunction,
+                    verify_collapse)
+from digrep import envalg, linalg  # noqa: E402
 
 RUNGS = [
     ("C6", FiniteGroup.cyclic(6), 6, 6),
@@ -63,6 +75,16 @@ def adjunction(q, w):
     return verify_adjunction(underlying_module(to_semilinear(q)), to_semilinear(w))["left_dim"]
 
 
+def algebra(q, w):
+    envalg._envalg_cache.clear()
+    return build_enveloping_algebra(q.digroup, q.field).check()
+
+
+def action(q, w):
+    act = q.digroup.action
+    return GAction(act.group, act.set_size, act.act) is not None
+
+
 MODELS = [
     ("cocycle", "ext", lambda q, w: ext1_dim(q, w).dim_ext),
     ("derivation", "ext", derivation),
@@ -70,6 +92,11 @@ MODELS = [
     ("adjunction", "left_dim", adjunction),
     ("axioms", "ok", lambda q, w: q.digroup.check_axioms().ok),
     ("rep_check", "ok", lambda q, w: check_representation(q).ok),
+    ("group", "ok", lambda q, w: FiniteGroup(q.digroup.group.mul) is not None),
+    ("action", "ok", action),
+    ("algebra", "ok", algebra),
+    ("relations", "ok", lambda q, w: check_relations(
+        build_enveloping_algebra(q.digroup, q.field), q.digroup).ok),
 ]
 
 
