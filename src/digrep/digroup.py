@@ -188,17 +188,19 @@ class GAction:
         for a in range(set_size):
             if self.act[e][a] != a:
                 raise ValueError("identity does not act trivially")
+        for g, row in enumerate(self.act):
+            for a, b in enumerate(row):
+                if not 0 <= b < set_size:
+                    raise ValueError("action entry %d at (%d,%d) is outside range(%d)"
+                                     % (b, g, a, set_size))
         if _law_certified:   # all_actions: by generated_homomorphism's lemma
             return
-        # the rows a -> (g h).a and a -> g.(h.a) for each pair (g, h), with
-        # g.b read as act[g][b] reads it for b in range(-m, m), else None
+        # the rows a -> (g h).a and a -> g.(h.a) for each pair (g, h)
         n, act = group.order, self.act
-        dot = [dict(zip(range(-set_size, set_size), row * 2)).get for row in act]
+        dot = [row.__getitem__ for row in act]
         ok, bad = row_failure((((g, h), act[group.mul[g][h]], tuple(map(dot[g], act[h])))
                                for g in range(n) for h in range(n)), range(max(n, set_size)))
         if not ok:
-            g, h, a = bad
-            act[g][act[h][a]]   # an entry outside the halo raises IndexError here
             raise ValueError("action law fails at (%d,%d,%d)" % bad)
 
     @classmethod

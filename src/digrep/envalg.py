@@ -57,9 +57,13 @@ class FDAlgebra:
         table_generators on the product table: greedy in index order, and
         AlgebraError unless the closure reaches the whole basis.  On the
         enveloping algebra of a digroup these are the R_g for the
-        generators of G and one M_(a, 1) per G-orbit of the halo.
+        generators of G and one M_(a, 1) per G-orbit of the halo.  Found
+        once per algebra; each call returns a fresh list.
         """
-        return table_generators(self.product, self.unit)
+        if "_generators" not in self.__dict__:
+            gens = tuple(table_generators(self.product, self.unit))
+            object.__setattr__(self, "_generators", gens)
+        return list(self._generators)
 
     def presentation(self):
         """(tree, rules) of table_presentation on generators(), found once."""

@@ -12,9 +12,12 @@ the solve certifies its Z^1 basis by a residual and B^1 in Z^1.
 Splitting reads V through its verified view as well: the averaged
 section is checked on S_G, and the cocycle of a section is read off the
 m + |S_G| generators of V in the basis [iota | section] (_corners), then
-spread to every element by Z1c.  The extension of a cocycle is split
-on the rho side already, so its splitting is decided in block form
-(_split_cocycles), without building V.
+spread to every element by Z1c.  Every splitting decision is one
+block-form core, _split_blocks: it solves for the t with
+L^W_a t - t L^Q_a = eta_a and checks the witness [-t; I] on the
+generators of (W, Q).  is_split hands it the corners of its section;
+_split_cocycles hands it the bar-unit values of cocycles, whose
+extensions are split on the rho side already, without building V.
 """
 
 from __future__ import annotations
@@ -434,22 +437,22 @@ def is_split(s):
 
     On success the witness is a section of pi intertwining both operator
     families; on failure the certificate is the nonzero cocycle family.
-    The decision reads the corners eta of the averaged section
-    (_corners); the family over every element is built only for the
+    The decision is the block-form core of _split_cocycles
+    (_split_blocks) on the corners eta of the averaged section (a linear
+    section when W = 0, where there is nothing to average):
+    _corners has checked that C = [iota | sec] conjugates each generator X
+    of V to [[w, eta_X], [0, q]] (eta_X = 0 for each rho_s), so
+    X C [-t; I] = C [-t; I] q exactly when w t - t q = eta_X, which is
+    the check of the core, and pi C = [0 | I] makes C [-t; I] = sec - iota t
+    a section.  The family over every element is built only for the
     certificate.
     """
     field = s.V.field
     if s.Q.dim == 0:
         return True, Matrix(field, s.V.dim, 0, [])
-    if s.W.dim == 0:
-        sec = solve(s.pi, Matrix.identity(field, s.Q.dim))
-        return True, _checked_witness(s, sec)
-    sec = average_section(s)
-    eta = _corners(s, sec)
-    t = _splitting_maps([eta], s.Q, s.W, field)[0]
-    if t is None:
-        return False, _verified_family(eta, s.Q, s.W)
-    return True, _checked_witness(s, sec - s.iota * t)
+    sec = average_section(s) if s.W.dim else solve(s.pi, Matrix.identity(field, s.Q.dim))
+    [(flag, x)] = _split_blocks([_corners(s, sec)], s.Q, s.W)
+    return flag, (hstack([s.iota, sec]) * x if flag else x)
 
 
 def _splitting_maps(etas, Q, W, field):
@@ -472,24 +475,34 @@ def _splitting_maps(etas, Q, W, field):
 
 def _split_cocycles(thetas, Q, W):
     """[is_split(extension_from_cocycle(theta, Q, W)) for theta in thetas],
-    in the block form of those extensions, without building them, and with
-    one _splitting_maps solve for every theta.
+    in the block form of those extensions, without building them.
 
     Their sections of pi are the [-t; I], and [0; I] is rho-equivariant, so
-    averaging returns it, C = I and _corners returns eta_a = theta[(1, a)].
-    On the generators of V, [-t; I] is a morphism exactly when
-    L^W_a t - t L^Q_a = eta_a for every a and rho^W_s t = t rho^Q_s for s in
-    S_G (the other blocks agree identically); these are checked, and a
-    failure raises RepresentationError.
+    averaging returns it, C = I and _corners returns eta_a = theta[(1, a)]:
+    after require_cocycle and the Maschke check that averaging makes,
+    the decision is _split_blocks on those etas.
     """
     thetas = [theta.theta if isinstance(theta, CocycleFamily) else theta for theta in thetas]
     for theta in thetas:
         require_cocycle(theta, Q, W)
-    field = W.field if W.dim else Q.field
     if W.dim and Q.dim:   # is_split averages on these only
-        _require_maschke(field, Q.digroup.group.order)
+        _require_maschke(W.field, Q.digroup.group.order)
     e, m = Q.digroup.group.identity, Q.digroup.halo_size
-    etas = [{a: theta[(e, a)] for a in range(m)} for theta in thetas]
+    return _split_blocks([{a: theta[(e, a)] for a in range(m)} for theta in thetas], Q, W)
+
+
+def _split_blocks(etas, Q, W):
+    """[(True, [-t; I]) or (False, _verified_family(eta)) for eta in etas],
+    each eta the corners eta_a of the L_a of an extension of Q by W in
+    block form; one _splitting_maps solve answers every eta.
+
+    In the block form [[L^W_a, eta_a], [0, L^Q_a]], diag(rho^W_s, rho^Q_s),
+    [-t; I] is a morphism on the generators exactly when
+    L^W_a t - t L^Q_a = eta_a for every a and rho^W_s t = t rho^Q_s for s in
+    S_G (the other blocks agree identically); these are checked, and a
+    failure raises RepresentationError.
+    """
+    field = W.field if W.dim else Q.field
     out = []
     for eta, t in zip(etas, _splitting_maps(etas, Q, W, field)):
         if t is None:
@@ -501,15 +514,6 @@ def _split_cocycles(thetas, Q, W):
                 raise RepresentationError("the witness is not a morphism at %s" % name)
         out.append((True, vstack([-t, Matrix.identity(field, Q.dim)])))
     return out
-
-
-def _checked_witness(s, sec):
-    if s.pi * sec != Matrix.identity(s.V.field, s.Q.dim):
-        raise RepresentationError("the witness is not a section of pi")
-    for name, v, q in _generators(s.V, s.Q):
-        if v * sec != sec * q:
-            raise RepresentationError("the witness is not a morphism at %s" % name)
-    return sec
 
 
 def change_of_splitting_check(s, t):

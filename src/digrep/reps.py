@@ -503,14 +503,11 @@ def random_semilinear(d, dim, rng, field=QQ):
             for a in range(d.halo_size):
                 eps_blocks[a].append(Matrix.identity(field, s))
         else:
-            # rank-one projections onto an orbit-constant line, along a
-            # common kernel line: a genuine left-zero band
-            kern = (field.of(0), field.of(1))
+            # rank-one projections onto an orbit-constant line (1, c),
+            # along the common kernel line (0, 1): a genuine left-zero band
             projs = {}
             for i in range(len(orbits)):
-                c = field.of(rng.randrange(-2, 3))
-                line = (field.of(1), c)  # never parallel to kern
-                projs[i] = _line_projection(field, line, kern)
+                projs[i] = Matrix.from_rows(field, [[1, 0], [rng.randrange(-2, 3), 0]])
             for a in range(d.halo_size):
                 eps_blocks[a].append(projs[orbit_of[a]])
 
@@ -521,13 +518,6 @@ def random_semilinear(d, dim, rng, field=QQ):
     eps = {a: conj * m * cinv for a, m in eps.items()}
     t = {x: conj * m * cinv for x, m in t.items()}
     return require_valid_semilinear(SemilinearObject(d.action, dim, eps, t))
-
-
-def _line_projection(field, line, kern):
-    # projection onto span{line} along span{kern}, in dimension 2
-    C = Matrix.from_rows(field, [[line[0], kern[0]], [line[1], kern[1]]])
-    P = Matrix.from_rows(field, [[1, 0], [0, 0]])
-    return C * P * C.inverse()
 
 
 def _diag_join(field, blocks, dim):

@@ -61,6 +61,13 @@ def test_malformed_input_exits_2(tmp_path, capsys):
     missing_fields.write_text(json.dumps({"dim": 2}))
     code, _, err = run(capsys, "check", str(missing_fields))
     assert code == 2
+    # an action entry outside the halo is refused by name, wherever it sits
+    for act, entry in (([[0, 1], [2, 0]], "2 at (1,0)"), ([[0, 1], [1, -1]], "-1 at (1,1)")):
+        outside = tmp_path / "outside.json"
+        outside.write_text(json.dumps({"group": {"cyclic": 2}, "halo_size": 2, "action": act}))
+        code, _, err = run(capsys, "check", str(outside))
+        assert code == 2
+        assert "bad digroup document: action entry %s is outside range(2)" % entry in err
 
 
 def test_split_on_the_bundled_nonsplit_sequence(tmp_path, capsys):

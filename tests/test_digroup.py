@@ -288,9 +288,9 @@ def former_group(mul):
 def test_group_and_action_checks_fail_like_the_former_scans_on_forged_tables():
     # the row scans against the former triple-by-triple scans: the same
     # first failing triple, exception type and message, on group and action
-    # tables with one entry changed (an action entry at times outside the
-    # halo, which raises IndexError where the scan first reads it) and on
-    # random action tables
+    # tables with one entry changed and on random action tables; an action
+    # entry at times outside the halo, refused by its own ValueError
+    # (expected_action)
     rng = random.Random(31)
     c2 = FiniteGroup.cyclic(2)
     groups = [FiniteGroup.cyclic(4), FiniteGroup.cyclic(6), FiniteGroup.symmetric3(),
@@ -316,9 +316,8 @@ def test_group_and_action_checks_fail_like_the_former_scans_on_forged_tables():
                         table = [list(row) for row in act.act]
                         table[g][a] = rng.randrange(-1, m + 1)   # at times outside the halo
                         got = outcome(lambda: GAction(group, m, table).act)
-                        assert got == outcome(lambda: (former_action_check(group, m, table),
-                                                       tuple(map(tuple, table)))[1])
-                        action_errors.add(got[1] if got[0] in (ValueError, IndexError) else None)
+                        assert got == expected_action(group, m, table)
+                        action_errors.add(got[1] if got[0] is ValueError else None)
     for _ in range(300):
         group = forged_group(rng, rng.randint(2, 4)) if rng.random() < 0.3 \
             else rng.choice(groups)
@@ -327,14 +326,26 @@ def test_group_and_action_checks_fail_like_the_former_scans_on_forged_tables():
         if rng.random() < 0.9:
             table[group.identity] = list(range(m))
         got = outcome(lambda: GAction(group, m, table).act)
-        assert got == outcome(lambda: (former_action_check(group, m, table),
-                                       tuple(map(tuple, table)))[1])
-        action_errors.add(got[1] if got[0] in (ValueError, IndexError) else None)
+        assert got == expected_action(group, m, table)
+        action_errors.add(got[1] if got[0] is ValueError else None)
     # many distinct first failures, the second and third slots running
     # through the group and the halo
     assert len(group_errors) > 20 and len(action_errors) > 10
-    assert {"table not associative at (1, 4, 5)", "action law fails at (1,4,2)"} \
-        <= group_errors | action_errors
+    assert {"table not associative at (1, 4, 5)", "action law fails at (1,4,2)",
+            "action entry -1 at (1,0) is outside range(2)"} <= group_errors | action_errors
+
+
+def expected_action(group, m, table):
+    """The outcome of former_action_check on a table of the right shape
+    whose entries all lie in range(m), or whose identity row is wrong;
+    otherwise the refusal of the first entry outside range(m), in row
+    order."""
+    former = outcome(lambda: (former_action_check(group, m, table), tuple(map(tuple, table)))[1])
+    outside = [(b, g, a) for g, row in enumerate(table) for a, b in enumerate(row)
+               if not 0 <= b < m]
+    if not outside or former == (ValueError, "identity does not act trivially"):
+        return former
+    return ValueError, "action entry %d at (%d,%d) is outside range(%d)" % (outside[0] + (m,))
 
 
 def test_generating_sets_and_the_law_scan_match_the_former_walks():

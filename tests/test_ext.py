@@ -331,15 +331,18 @@ def test_semisimplicity_probe():
     assert semisimplicity_probe([triv])["semisimple"]
 
 
-def test_a_wrong_splitting_witness_raises():
-    from digrep.ext import _checked_witness
+def test_a_wrong_splitting_witness_raises(monkeypatch):
+    from digrep import ext
     s = demo_ses()
-    zero = Matrix.zeros(QQ, s.V.dim, s.Q.dim)
     with pytest.raises(RepresentationError, match="not a section"):
-        _checked_witness(s, zero)
-    # a section of pi, but the demo sequence does not split
-    with pytest.raises(RepresentationError, match="not a morphism"):
-        _checked_witness(s, solve(s.pi, Matrix.identity(QQ, s.Q.dim)))
+        block_decompose(s, Matrix.zeros(QQ, s.V.dim, s.Q.dim))
+    # a sequence that splits, with a t that is not a homomorphism Q -> W
+    _, q, w = sample_pair(1000)
+    split = extension_from_cocycle(cocycle_space(q, w)[0], q, w)
+    assert is_split(split)[0]
+    monkeypatch.setattr(ext, "_splitting_maps", with_a_non_hom_unit(ext._splitting_maps))
+    with pytest.raises(RepresentationError, match="the witness is not a morphism"):
+        is_split(split)
 
 
 def test_a_pair_over_two_fields_raises():
@@ -482,6 +485,33 @@ def test_the_bar_unit_solve_matches_the_full_family_layout(field):
             assert (flag, payload if flag else payload.theta) == split(s), seed
             flags.append(flag)
     assert flags.count(True) >= 3 and flags.count(False) >= 3, flags
+
+
+@pytest.mark.parametrize("field", (QQ, PrimeField(7), PrimeField(3)), ids=repr)
+def test_is_split_with_a_zero_end_matches_the_full_family_layout(field):
+    """is_split on 0 -> 0 -> r -> r -> 0 and 0 -> r -> r -> 0 -> 0
+    (sub_quotient on the whole space and on the empty basis) for both
+    members of every 8th corpus pair, against the former is_split
+    (_oracles) where it averages.  With W = 0 nothing is averaged, so
+    where p divides |G| is_split returns the linear section pi^-1 and
+    raises no MaschkeError."""
+    maschke_fails = 0
+    for seed in range(1000, 1200, 8):
+        _, q, w = sample_pair(seed, field=field)
+        for r in (q, w):
+            ident = Matrix.identity(field, r.dim)
+            for basis in ([], [ident.col_vector(c) for c in range(r.dim)]):
+                W, Q, iota, pi = sub_quotient(r, basis)
+                s = short_exact(W, r, Q, iota, pi)
+                flag, payload = is_split(s)
+                assert flag, seed
+                if field.char and r.digroup.group.order % field.char == 0:
+                    maschke_fails += 1
+                    assert payload == (solve(pi, Matrix.identity(field, Q.dim)) if Q.dim
+                                       else Matrix(field, r.dim, 0, [])), seed
+                else:
+                    assert (flag, payload) == full_family_ext1(Q, W)[4](s), seed
+    assert (maschke_fails > 0) == (field.char == 3)
 
 
 def splitting_cases(s):

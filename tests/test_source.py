@@ -107,14 +107,14 @@ def test_content_memos_serve_the_exhaustive_reports_only():
 
 
 def test_splitting_reads_no_operator_table():
-    # average_section, _corners (block_decompose), is_split and
-    # _split_cocycles read V, W and Q through their verified views, never
-    # the 2 n m tables
+    # average_section, _corners (block_decompose), is_split,
+    # _split_cocycles and their core _split_blocks read V, W and Q through
+    # their verified views, never the 2 n m tables
     tree = dict(modules())["ext"]
     found = ["%s:%d" % (fn.name, node.lineno) for fn in tree.body
              if isinstance(fn, ast.FunctionDef)
              and fn.name in ("average_section", "block_decompose", "_corners", "is_split",
-                             "_split_cocycles", "_splitting_maps")
+                             "_split_cocycles", "_split_blocks", "_splitting_maps")
              for node in ast.walk(fn)
              if isinstance(node, ast.Attribute) and node.attr in ("lam", "rho")]
     assert found == []
@@ -126,6 +126,18 @@ def test_the_collapse_builds_no_extension():
     # public API builds the extension of a cocycle
     assert callers("extension_from_cocycle") == set()
     assert callers("is_split") == {"cli.cmd_split"}
+
+
+def test_one_splitting_decision():
+    # is_split and _split_cocycles decide through one block-form core,
+    # _split_blocks, and it is the only function of the package that
+    # checks a splitting witness (the one that raises on a wrong one)
+    assert callers("_split_blocks") == {"ext.is_split", "ext._split_cocycles"}
+    found = {name for stem, _ in modules() for name, fn in functions(stem).items()
+             for node in ast.walk(fn)
+             if isinstance(node, ast.Constant) and isinstance(node.value, str)
+             and "witness is not" in node.value}
+    assert found == {"ext._split_blocks"}
 
 
 def test_induction_is_written_on_integer_images():

@@ -1,5 +1,5 @@
-"""Time the three Ext^1 models and the adjunction on fixed instances beyond
-the work caps.
+"""Time the three Ext^1 models, the adjunction, the boundary table checks and
+one splitting decision on fixed instances beyond the work caps.
 
     python3 tools/size_ladder.py [--rungs N]
 
@@ -23,6 +23,8 @@ is timed once:
               its exhaustive FDAlgebra.check
   relations   check_relations on the enveloping algebra the algebra model
               left in the cache
+  split       ext.is_split on the direct-sum sequence W -> W + Q -> Q
+              (direct_sum and short_exact included)
 
 The last four are the table checks a document of the rung's size meets at
 the boundary (the group and action of every digroup block, the algebra of
@@ -31,7 +33,7 @@ its digroup).
 Prints one line per (rung, field, model): the wall time, the rows handed
 to linalg.sparse_kernel and the answer: the Ext^1 dimension, the
 adjunction's left_dim, or 1 when an exhaustive report or table check
-passes.  --rungs N runs the first N rungs only, smallest first.  A
+passes or the sequence splits.  --rungs N runs the first N rungs only, smallest first.  A
 record, not a gate: nothing is compared with a budget.
 """
 
@@ -42,11 +44,11 @@ import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from digrep import (QQ, Digroup, FiniteGroup, GAction, PrimeField, all_actions,  # noqa: E402
-                    build_enveloping_algebra, check_relations, check_representation,
-                    derivation_ext1, ext1_dim, random_representation, rep_to_module,
-                    seeded_rng, to_semilinear, underlying_module, verify_adjunction,
-                    verify_collapse)
+from digrep import (QQ, Digroup, FiniteGroup, GAction, Matrix, PrimeField,  # noqa: E402
+                    all_actions, build_enveloping_algebra, check_relations,
+                    check_representation, derivation_ext1, direct_sum, ext1_dim, is_split,
+                    random_representation, rep_to_module, seeded_rng, short_exact,
+                    to_semilinear, underlying_module, verify_adjunction, verify_collapse)
 from digrep import envalg, linalg  # noqa: E402
 
 RUNGS = [
@@ -85,6 +87,14 @@ def action(q, w):
     return GAction(act.group, act.set_size, act.act) is not None
 
 
+def split(q, w):
+    v = direct_sum(w, q)
+    ident = Matrix.identity(v.field, v.dim)
+    s = short_exact(w, v, q, ident.block(0, 0, v.dim, w.dim),
+                    ident.block(w.dim, 0, q.dim, v.dim))
+    return is_split(s)[0]
+
+
 MODELS = [
     ("cocycle", "ext", lambda q, w: ext1_dim(q, w).dim_ext),
     ("derivation", "ext", derivation),
@@ -97,6 +107,7 @@ MODELS = [
     ("algebra", "ok", algebra),
     ("relations", "ok", lambda q, w: check_relations(
         build_enveloping_algebra(q.digroup, q.field), q.digroup).ok),
+    ("split", "ok", split),
 ]
 
 
