@@ -194,9 +194,7 @@ def average_section(s, s0=None):
     n = group.order
     _require_maschke(field, n)
     if s0 is None:
-        s0 = solve(s.pi, Matrix.identity(field, s.Q.dim))
-        if s0 is None:
-            raise RepresentationError("pi admits no linear section")
+        s0 = _linear_section(s)
     # the verified views refuse an unvalidated V; by C1 and C2
     # rho_g rho_{g^-1} = rho_1 = I, so rho_g^-1 is rho_{g^-1}
     rho_v, rho_q = rho_group_form(s.V), rho_group_form(s.Q)
@@ -210,6 +208,14 @@ def average_section(s, s0=None):
     for g in group.generators():
         if rho_v[g] * sec != sec * rho_q[g]:
             raise RepresentationError("the averaged section is not equivariant at g=%d" % g)
+    return sec
+
+
+def _linear_section(s):
+    """Some linear section of pi; RepresentationError when pi has none."""
+    sec = solve(s.pi, Matrix.identity(s.V.field, s.Q.dim))
+    if sec is None:
+        raise RepresentationError("pi admits no linear section")
     return sec
 
 
@@ -450,7 +456,7 @@ def is_split(s):
     field = s.V.field
     if s.Q.dim == 0:
         return True, Matrix(field, s.V.dim, 0, [])
-    sec = average_section(s) if s.W.dim else solve(s.pi, Matrix.identity(field, s.Q.dim))
+    sec = average_section(s) if s.W.dim else _linear_section(s)
     [(flag, x)] = _split_blocks([_corners(s, sec)], s.Q, s.W)
     return flag, (hstack([s.iota, sec]) * x if flag else x)
 

@@ -25,12 +25,13 @@ that come in one at a time, fraction-free (Bareiss, Math. Comp. 1968,
 dividing by the row content in place of the exact division): a row is
 replaced by a multiple of itself minus a multiple of a pivot row.  Its
 pivot rows, over their pivot entries, are the RREF, and every linear
-question asks it once: rref builds R from them, solve and sparse_kernel
-read their answers off them, and span_basis, complete and block_image
-hand it integer images directly.  The product and _reduce share one
-inner loop, _axpy (row += f * other), so no kernel spends arithmetic on
-a zero; the operators this package builds (idempotents, permutation
-blocks, monomial structure constants) are mostly zeros.
+question asks it once: rref builds R from them, solve reads its answer
+off them, sparse_kernel pivots on the highest column instead and reads
+the RREF basis of the kernel off them, and span_basis, complete and
+block_image hand it integer images directly.  The product and _reduce
+share one inner loop, _axpy (row += f * other), so no kernel spends
+arithmetic on a zero; the operators this package builds (idempotents,
+permutation blocks, monomial structure constants) are mostly zeros.
 
 Each linear-algebra operation the package needs has its one home here:
 
@@ -300,10 +301,11 @@ class Matrix:
     module docstring for its canonical form).  The field scalars are made
     the first time they are asked for, and kept; a matrix built from
     scalars keeps them and computes its image on first use.  The image's
-    nonzero rows are kept once the matrix is a factor of a product.
+    nonzero rows are kept once the matrix is a factor of a product, and
+    its nonzero columns once it is a right factor of a block system.
     """
 
-    __slots__ = ("field", "rows", "cols", "_ents", "_img", "_nonzero_rows")
+    __slots__ = ("field", "rows", "cols", "_ents", "_img", "_nonzero_rows", "_nonzero_cols")
 
     def __init__(self, field, rows, cols, entries):
         entries = tuple(entries)
@@ -314,14 +316,15 @@ class Matrix:
         self.cols = cols
         self._ents = entries
         self._img = None
-        self._nonzero_rows = None
+        self._nonzero_rows = self._nonzero_cols = None
 
     @classmethod
     def _of_image(cls, field, rows, cols, nums, d=1):
         """The matrix of the row-major ints nums over d, brought to canonical form."""
         m = cls.__new__(cls)
         m.field, m.rows, m.cols = field, rows, cols
-        m._img, m._ents, m._nonzero_rows = field._canon(nums, d), None, None
+        m._img, m._ents = field._canon(nums, d), None
+        m._nonzero_rows = m._nonzero_cols = None
         return m
 
     @property
@@ -348,6 +351,13 @@ class Matrix:
         if rows is None:
             rows = self._nonzero_rows = _int_rows(self._image()[0], self.rows, self.cols)
         return rows
+
+    def _cols(self):
+        """The nonzero entries {row: int} of each column of the image, kept."""
+        cols = self._nonzero_cols
+        if cols is None:
+            cols = self._nonzero_cols = _transpose(self._rows(), self.cols)
+        return cols
 
     # -- construction -----------------------------------------------------
 
@@ -389,7 +399,8 @@ class Matrix:
                                  % (self.rows, self.cols, rows, cols))
         m = Matrix.__new__(Matrix)
         m.field, m.rows, m.cols = self.field, rows, cols
-        m._img, m._ents, m._nonzero_rows = self._img, self._ents, None
+        m._img, m._ents = self._img, self._ents
+        m._nonzero_rows = m._nonzero_cols = None
         return m
 
     # -- access -----------------------------------------------------------
@@ -768,42 +779,52 @@ def _rref_vectors(n, rows, field):
 # -- sparse homogeneous systems ------------------------------------------
 
 def sparse_kernel(ncols, rows, field):
-    """Kernel basis of a homogeneous system given as sparse rows.
+    """The canonical (RREF) kernel basis of a homogeneous system given as
+    sparse rows, from one elimination.
 
     Each row is a dict {column: int} (see _reduce).  Intended for the
     large cocycle / derivation systems, where rows touch only a few
-    unknowns.  Each pivot row of _reduce is free of every other pivot
-    column, so each kernel entry is a lookup.  Returns dense column
-    vectors (deterministic, not RREF-canonical; canonicalize with
-    span_basis if needed).
+    unknowns.  _reduce pivots on the highest column, so each pivot row
+    holds, besides its pivot c, only free columns below c.  The vector v_f
+    of a free column f (x_f = 1, the other free unknowns 0) is read off
+    the pivot rows holding f: its lowest entry is the 1 at f and it is 0
+    at every other free column, so the v_f, in order of f, are the RREF
+    basis, the one span_basis gives.  Returns column vectors.
     """
-    pivots = _reduce(rows, field)   # pivot column c -> a_c x_c + sum a_j x_j = 0
+    pivots = _reduce(rows, field, max)   # pivot column c -> a_c x_c + sum a_j x_j = 0
+    hits = {}   # free column f -> the pivot columns whose rows hold it
+    for c, prow in pivots.items():
+        for f in prow:
+            if f != c:
+                hits.setdefault(f, []).append(c)
     basis = []
     for f in range(ncols):
         if f in pivots:
             continue
         # x_f = 1 and x_c = -a_f / a_c, over a common denominator d
-        hits = [(c, prow) for c, prow in pivots.items() if f in prow]
-        d = lcm(*[prow[c] for c, prow in hits])
+        on = hits.get(f, ())
+        d = lcm(*[pivots[c][c] for c in on])
         v = [0] * ncols
         v[f] = d
-        for c, prow in hits:
+        for c in on:
+            prow = pivots[c]
             v[c] = -prow[f] * (d // prow[c])
         basis.append(Matrix._of_image(field, ncols, 1, v, d))
     return basis
 
 
-def _reduce(rows, field):
+def _reduce(rows, field, pivot=min):
     """Gauss-Jordan elimination of int dict rows: {pivot column: pivot row}.
 
     The one elimination of the package.  Over Q a row may be any integer
     multiple of the rational row, over GF(p) any ints congruent to it.
     Each incoming row is reduced by every pivot row in one pass,
-    fraction-free (_eliminate); its lowest remaining column c becomes a
-    pivot, and c is cleared from the other pivot rows.  A row's columns
-    never fall below its pivot and no pivot row holds another pivot
-    column, so the rows over their pivot entries, in pivot order, are the
-    nonzero rows of the RREF.
+    fraction-free (_eliminate); its lowest remaining column c (its
+    highest, with pivot=max) becomes a pivot, and c is cleared from the
+    other pivot rows.  A row's columns never pass its pivot (never fall
+    below it, or never rise above it) and no pivot row holds another
+    pivot column.  With min, the rows over their pivot entries, in pivot
+    order, are the nonzero rows of the RREF; sparse_kernel takes max.
     """
     p = field.char
     pivots = {}
@@ -814,7 +835,7 @@ def _reduce(rows, field):
             _eliminate(row, pivots[c], c, p)
         if not row:
             continue
-        c = min(row)
+        c = pivot(row)
         field._normalize(row, c)
         for prow in pivots.values():
             if c in prow:
@@ -844,7 +865,8 @@ def devectorize(v, keys, h, w, field):
 
 
 def block_kernel(nblocks, h, w, equations, field):
-    """Canonical basis (span_basis) of the block families solving every equation.
+    """Canonical basis (the one span_basis gives) of the block families
+    solving every equation.
 
     Rows are assembled from the nonzero entries of each L row and R column
     and solved with sparse_kernel; the solutions are columns in the block
@@ -853,7 +875,7 @@ def block_kernel(nblocks, h, w, equations, field):
     n = nblocks * h * w
     if n == 0:
         return []
-    return span_basis(sparse_kernel(n, _block_rows(h, w, equations, field), field))
+    return sparse_kernel(n, _block_rows(h, w, equations, field), field)
 
 
 def block_image(nblocks, h, w, equations, field, vectors=None):
@@ -901,7 +923,7 @@ def ext_classes(nblocks, h, w, z_equations, b, field):
     n, z = nblocks * h * w, []
     if n:
         rows = _block_rows(h, w, z_equations, field)
-        z = span_basis(sparse_kernel(n, rows, field))
+        z = sparse_kernel(n, rows, field)
         cols = _transpose(rows, n)
         # a row's entries may cancel to 0, so look at the residual's values
         if any(any(_apply(cols, v, field.char).values()) for v in z):
@@ -918,77 +940,65 @@ def _block_rows(h, w, equations, field):
 
     The rows are the integer image of the whole system: every term is
     scaled by one common denominator, which changes neither the kernel nor
-    the column span.  Terms that reach the same unknown add; a term c X_b
-    takes the path of c L X_b with L the identity.  The scaled nonzero
-    entries of each distinct (c, L, R) are listed once, in a dict keyed by
-    ids; terms holds every matrix and coefficient, so no id is reused.
-    An L or R over another field raises FieldMismatchError: the integer
-    images of two fields do not mix.
+    the column span; a term whose denominator is the common one (every
+    term, when all are 1) takes the numerator of its coefficient.  Terms
+    that reach the same unknown add.  A term reads the nonzero lines of
+    its factors off the matrices: the rows of L (Matrix._rows) and the
+    columns of R (Matrix._cols), each kept on its matrix; an identity
+    factor is one entry per line.  The image of each distinct coefficient
+    is found once, in a dict keyed by ids; the equations hold every
+    coefficient, so no id is reused.  An L or R over another field raises
+    FieldMismatchError: the integer images of two fields do not mix.
     """
     equations = list(equations)
-    terms = {}   # (id(c), id(L), id(R)) -> (c, L, R, numerator of c, denominator)
+    coeffs, terms = {}, []   # id(c) -> image of c; (numerator, denominator) of each term
     for eq in equations:
         for c, l, _, r in eq:
-            key = (id(c), id(l), id(r))
-            if key not in terms:
-                (num,), d = field._image((c,))
-                for m in (l, r):
-                    if m is not None:
-                        if m.field is not field and m.field != field:
-                            raise FieldMismatchError("mixed scalar modes")
-                        d *= m._image()[1]
-                terms[key] = (c, l, r, num, d)
-    common = lcm(*{t[4] for t in terms.values()})
+            im = coeffs.get(id(c))
+            if im is None:
+                im = coeffs[id(c)] = field._image((c,))
+            (num,), d = im
+            for m in (l, r):
+                if m is not None:
+                    if m.field is not field and m.field != field:
+                        raise FieldMismatchError("mixed scalar modes")
+                    d *= m._image()[1]
+            terms.append((num, d))
+    common = lcm(*{d for _, d in terms})
+    scales = iter([num if d == common else num * (common // d) for num, d in terms])
 
-    def nonzeros(m, by_col, s):
-        # [(k, s * m[i, k]) nonzero] for each row i of the image of m, or
-        # [(k, s * m[k, j])] per column j; m None is the h x h identity
-        if m is None:
-            return [[(i, s)] for i in range(h)]
-        ents, mc = m._image()[0], m.cols
-        grid = [ents[i * mc:(i + 1) * mc] for i in range(m.rows)]
-        return [[(k, s * x) for k, x in enumerate(line) if x]
-                for line in (zip(*grid) if by_col else grid)]
-
-    # (L lines, R lines) of each term, None where the term has no such factor
-    lines = {}
-    for key, (c, l, r, num, d) in terms.items():
-        s = num * (common // d)
-        if r is None:
-            lines[key] = (nonzeros(l, False, s), None)
-        elif l is None:
-            lines[key] = (None, nonzeros(r, True, s))
-        else:
-            lines[key] = (nonzeros(l, False, s), nonzeros(r, True, 1))
-
-    cells = [(i, j) for i in range(h) for j in range(w)]
-    rows = []
+    size, rows = h * w, []
     for eq in equations:
-        block = [{} for _ in cells]   # row i * w + j is entry (i, j)
-        for c, l, b, r in eq:
-            lnz, rnz = lines[id(c), id(l), id(r)]
-            bw = b * h * w
-            if rnz is None:
-                for row, (i, j) in zip(block, cells):
-                    for k, x in lnz[i]:
-                        key = bw + k * w + j
-                        v = row.get(key)
-                        row[key] = x if v is None else v + x
-            elif lnz is None:
-                for row, (i, j) in zip(block, cells):
-                    off = bw + i * w
-                    for k, x in rnz[j]:
-                        key = off + k
-                        v = row.get(key)
-                        row[key] = x if v is None else v + x
-            else:
-                for row, (i, j) in zip(block, cells):
-                    for k, x in lnz[i]:
-                        off = bw + k * w
-                        for kk, y in rnz[j]:
-                            key, y = off + kk, x * y
-                            v = row.get(key)
-                            row[key] = y if v is None else v + y
+        block = [{} for _ in range(size)]   # row i * w + j is entry (i, j)
+        for _, l, b, r in eq:
+            s, bw = next(scales), b * size
+            if l is None and r is None:   # s X_b: row n is s at X_b's entry n
+                for key, row in enumerate(block, bw):
+                    row[key] = row.get(key, 0) + s
+            elif r is None:   # s L X_b: row (i, j) is s L[i, k] at X_b[k, j]
+                for i, line in enumerate(l._rows()):
+                    row_i = block[i * w:(i + 1) * w]
+                    for k, x in line.items():
+                        x = s * x
+                        for key, row in enumerate(row_i, bw + k * w):
+                            row[key] = row.get(key, 0) + x
+            elif l is None:   # s X_b R: row (i, j) is s R[k, j] at X_b[i, k]
+                for j, line in enumerate(r._cols()):
+                    col_j = block[j::w]
+                    for k, x in line.items():
+                        x = s * x
+                        for key, row in zip(range(bw + k, bw + size, w), col_j):
+                            row[key] = row.get(key, 0) + x
+            else:   # s L X_b R: row (i, j) is s L[i, k] R[kk, j] at X_b[k, kk]
+                rcols = r._cols()
+                for i, line in enumerate(l._rows()):
+                    row_i = block[i * w:(i + 1) * w]
+                    for k, x in line.items():
+                        off, x = bw + k * w, s * x
+                        for row, col in zip(row_i, rcols):
+                            for kk, y in col.items():
+                                key = off + kk
+                                row[key] = row.get(key, 0) + x * y
         rows += block
     return rows
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import re
+from json.encoder import encode_basestring_ascii
 
 from .digroup import Digroup, FiniteGroup, GAction
 from .linalg import Matrix, PrimeField, QQ
@@ -284,8 +285,51 @@ def ses_from_json(obj, field=None):
 
 
 def dumps(obj):
-    """Deterministic JSON text: sorted keys, two-space indent, newline."""
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """Deterministic JSON text: sorted keys, two-space indent, newline.
+
+    The bytes of json.dumps(obj, sort_keys=True, indent=2) + "\n".  The
+    indent turns json's C encoder off, so the documents this package
+    writes (dicts with str keys, lists, str, int, bool, None) are written
+    by _write; anything else, such as a float, an int key or a document
+    that holds itself, goes to json.dumps, which also raises its TypeError
+    on a value JSON cannot hold.
+    """
+    out = []
+    try:
+        _write(obj, "\n", out)
+    except (TypeError, RecursionError):
+        return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(obj, nl, out):
+    """Append obj to out as json.dumps writes it with indent=2, nl being the
+    line break at obj's level; TypeError on any other value."""
+    if isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True or obj is False:
+        out.append("true" if obj else "false")
+    elif type(obj) is int:
+        out.append(repr(obj))
+    elif isinstance(obj, (list, tuple)):
+        inner, sep = nl + "  ", "["
+        for x in obj:
+            out.append(sep + inner)
+            _write(x, inner, out)
+            sep = ","
+        out.append(nl + "]" if obj else "[]")
+    elif isinstance(obj, dict):
+        inner, sep = nl + "  ", "{"
+        for k in sorted(obj):
+            out.append(sep + inner + encode_basestring_ascii(k) + ": ")
+            _write(obj[k], inner, out)
+            sep = ","
+        out.append(nl + "}" if obj else "{}")
+    else:
+        raise TypeError("not a plain JSON value: %s" % type(obj).__name__)
 
 
 def load_path(path):

@@ -8,6 +8,7 @@ package is a genuine cross-check rather than the same code run twice.
 
 import operator
 from fractions import Fraction
+from math import lcm
 from itertools import permutations
 from operator import attrgetter
 
@@ -20,9 +21,9 @@ from digrep.digroup import AxiomReport, GAction, GroupTableError, first_failure
 from digrep.envalg import AlgebraError
 from digrep.halo import hom_BE
 from digrep.reps import RepresentationError, SemilinearObject, check_semilinear
-from digrep.linalg import (ContentMemo, Matrix, block_image, block_kernel, coordinates,
-                           devectorize, hstack, quotient, solve, span_basis, vectorize,
-                           vstack)
+from digrep.linalg import (ContentMemo, FieldMismatchError, Matrix, _reduce, block_image,
+                           block_kernel, coordinates, devectorize, hstack, quotient, solve,
+                           span_basis, vectorize, vstack)
 
 
 def _sym(x):
@@ -240,6 +241,90 @@ def former_block_diag(field, blocks):
                             Matrix.zeros(field, b.rows, width - left - b.cols)]))
         left += b.cols
     return vstack(rows) if rows else Matrix(field, 0, width, [])
+
+
+def former_sparse_kernel(ncols, rows, field):
+    """sparse_kernel as it formerly was: lowest-column pivots, and each
+    free column's vector read off every pivot row that holds it; a kernel
+    basis, but not the RREF one (span_basis of it is)."""
+    pivots = _reduce(rows, field)
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        hits = [(c, prow) for c, prow in pivots.items() if f in prow]
+        d = lcm(*[prow[c] for c, prow in hits])
+        v = [0] * ncols
+        v[f] = d
+        for c, prow in hits:
+            v[c] = -prow[f] * (d // prow[c])
+        basis.append(Matrix._of_image(field, ncols, 1, v, d))
+    return basis
+
+
+def former_block_rows(h, w, equations, field):
+    """linalg._block_rows as it formerly was: each distinct (c, L, R) lists
+    the scaled nonzeros of every L row and R column from a grid of its
+    image (a c X_b term as c L X_b with L the identity), then every cell
+    (i, j) of every equation adds its terms' products."""
+    equations = list(equations)
+    terms = {}
+    for eq in equations:
+        for c, l, _, r in eq:
+            key = (id(c), id(l), id(r))
+            if key not in terms:
+                (num,), d = field._image((c,))
+                for m in (l, r):
+                    if m is not None:
+                        if m.field is not field and m.field != field:
+                            raise FieldMismatchError("mixed scalar modes")
+                        d *= m._image()[1]
+                terms[key] = (c, l, r, num, d)
+    common = lcm(*{t[4] for t in terms.values()})
+
+    def nonzeros(m, by_col, s):
+        if m is None:
+            return [[(i, s)] for i in range(h)]
+        ents, mc = m._image()[0], m.cols
+        grid = [ents[i * mc:(i + 1) * mc] for i in range(m.rows)]
+        return [[(k, s * x) for k, x in enumerate(line) if x]
+                for line in (zip(*grid) if by_col else grid)]
+
+    lines = {}
+    for key, (c, l, r, num, d) in terms.items():
+        s = num * (common // d)
+        if r is None:
+            lines[key] = (nonzeros(l, False, s), None)
+        elif l is None:
+            lines[key] = (None, nonzeros(r, True, s))
+        else:
+            lines[key] = (nonzeros(l, False, s), nonzeros(r, True, 1))
+
+    cells = [(i, j) for i in range(h) for j in range(w)]
+    rows = []
+    for eq in equations:
+        block = [{} for _ in cells]
+        for c, l, b, r in eq:
+            lnz, rnz = lines[id(c), id(l), id(r)]
+            bw = b * h * w
+            for row, (i, j) in zip(block, cells):
+                if rnz is None:
+                    pairs = [(bw + k * w + j, x) for k, x in lnz[i]]
+                elif lnz is None:
+                    pairs = [(bw + i * w + k, x) for k, x in rnz[j]]
+                else:
+                    pairs = [(bw + k * w + kk, x * y) for k, x in lnz[i] for kk, y in rnz[j]]
+                for key, x in pairs:
+                    row[key] = row.get(key, 0) + x
+        rows += block
+    return rows
+
+
+def former_band_law(eps):
+    """reps.band_law as it formerly was: the first_failure entry of the band
+    law over every pair of halo indices."""
+    return first_failure(lambda a, b: eps[a] * eps[b] == eps[a],
+                         [(a, b) for a in eps for b in eps])
 
 
 def former_induction_L(m, d):

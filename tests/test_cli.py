@@ -465,3 +465,39 @@ def test_an_equal_looking_document_with_other_json_types_is_refused(tmp_path, ca
             code, out, err = run(capsys, cmd, "--json", paths["rep"], str(bad))
             assert (code, out) == (2, ""), cmd
             assert "input error" in err
+
+
+def test_dumps_writes_the_bytes_of_json_dumps(tmp_path, capsys):
+    # every JSON stdout of the recorded cli runs, the example documents and
+    # the cli's own --json reports, then the corner cases; a value the
+    # writer leaves to json.dumps (a float, an int key, a document that
+    # holds itself) keeps json's bytes or its error
+    import pathlib
+    import re
+
+    from digrep.serialize import dumps
+
+    def former(obj):
+        return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+    ref = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "reference" / "cli.json"
+    goldens = [out for item in json.loads(ref.read_text())["items"].values()
+               for _, out in item["accept"] if out.startswith(("{", "["))]
+    assert len(goldens) > 100
+    for text in goldens:
+        assert dumps(json.loads(text)) == former(json.loads(text)) == text
+    paths = write_example(tmp_path, capsys)
+    docs = [json.loads(pathlib.Path(p).read_text()) for p in paths.values()]
+    docs.append(json.loads(run(capsys, "ext1", "--json", paths["rep"], paths["rep"])[1]))
+    docs += [{}, [], {"a": [], "b": {}, "c": [[], [{}]]}, [[[]]], {"é": "ü\x00\n\"\\ ☃"},
+             [True, False, None, 0, -7, 10 ** 40], ("a", ("b",)), {"k": {"j": {"i": None}}},
+             "text", 3, True, None, 2.5, [float("nan"), -0.0], {1: "x", 2: [1.5]}]
+    for obj in docs:
+        assert dumps(obj) == former(obj), obj
+    loop = []
+    loop.append(loop)
+    for bad in (loop, {1: 1, "a": 2}, {(1, 2): 3}, [set()], {"a": b"x"}, object()):
+        with pytest.raises(Exception) as want:
+            former(bad)
+        with pytest.raises(want.type, match=re.escape(str(want.value))):
+            dumps(bad)

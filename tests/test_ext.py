@@ -514,6 +514,22 @@ def test_is_split_with_a_zero_end_matches_the_full_family_layout(field):
     assert (maschke_fails > 0) == (field.char == 3)
 
 
+def test_is_split_refuses_a_pi_without_section_when_w_is_zero():
+    # a ShortExactSeq built without short_exact, whose pi (scaled by 0)
+    # has no section: with W = 0 is_split solves for a linear section
+    # itself, and refuses the sequence as average_section does when W != 0
+    for field in (QQ, PrimeField(7)):
+        _, q, w = sample_pair(1000, field=field)
+        zero = field.of(0)
+        W, Q, iota, pi = sub_quotient(q, [])
+        with pytest.raises(RepresentationError, match="pi admits no linear section"):
+            is_split(ShortExactSeq(W, q, Q, iota, pi.scale(zero)))
+        v, ident = direct_sum(w, q), Matrix.identity(field, w.dim + q.dim)
+        W, Q, iota, pi = sub_quotient(v, [ident.col_vector(c) for c in range(w.dim)])
+        with pytest.raises(RepresentationError, match="pi admits no linear section"):
+            is_split(ShortExactSeq(W, v, Q, iota, pi.scale(zero)))
+
+
 def splitting_cases(s):
     """(label, sequence, shift) for an extension s and seeded corruptions of
     it; the section is the averaged one, plus iota shift when shift is given.

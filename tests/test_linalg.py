@@ -5,13 +5,14 @@ from math import gcd, lcm
 import pytest
 
 from digrep import random_representation, seeded_rng
-from digrep.linalg import (DimensionError, FieldMismatchError, FpElement, Matrix,
+from digrep.linalg import (_block_rows, DimensionError, FieldMismatchError, FpElement, Matrix,
                            PrimeField, QQ, SubspaceError, block_diag, block_image,
                            block_kernel, block_permutation, complete, coordinates, devectorize,
                            ext_classes, hstack, intertwiners, quotient, solve,
                            span_basis, contains, sparse_kernel, vectorize, vstack)
 from _instances import sample_digroup
-from _oracles import former_block_diag, hom_rho_oracle, matrix_rank_oracle
+from _oracles import (former_block_diag, former_block_rows, former_sparse_kernel,
+                      hom_rho_oracle, matrix_rank_oracle)
 
 FIELDS = (QQ, PrimeField(5), PrimeField(7))
 
@@ -283,6 +284,68 @@ def test_sparse_kernel_matches_dense():
                 assert (dense * v).is_zero()
             assert len(ker) == cols - dense.rank()
             assert span_basis(ker) == span_basis(kernel_basis(dense))
+
+
+@pytest.mark.parametrize("field", (QQ, PrimeField(2), PrimeField(3), PrimeField(7)), ids=repr)
+def test_sparse_kernel_is_the_rref_basis_of_the_former_kernel(field):
+    # one highest-pivot elimination gives span_basis of the former kernel:
+    # no rows, rows that vanish (empty, zero entries, multiples of p),
+    # repeated rows (one object and equal copies), columns no row touches
+    rng = random.Random(26)
+    p = field.char
+    systems = [(0, []), (3, []), (4, [{}, {1: 0}]), (2, [{0: 3, 1: -3}] * 3)]
+    for _ in range(120):
+        ncols = rng.randint(1, 10)
+        used = rng.sample(range(ncols), rng.randint(1, ncols))
+        rows = [{c: rng.randint(-3, 3) for c in used if rng.random() < 0.4}
+                for _ in range(rng.randint(1, 2 * ncols))]
+        rows += [rng.choice(rows) for _ in range(rng.randint(0, 3))]
+        rows += [dict(rng.choice(rows)) for _ in range(rng.randint(0, 2))]
+        if p:
+            rows.append({c: p * rng.randint(1, 3) for c in used[:2]})
+        rows.append({})
+        rng.shuffle(rows)
+        systems.append((ncols, rows))
+    for ncols, rows in systems:
+        kernel = sparse_kernel(ncols, rows, field)
+        assert kernel == span_basis(former_sparse_kernel(ncols, rows, field)), (ncols, rows)
+        for v in kernel:
+            assert_canonical_image(v)
+
+
+@pytest.mark.parametrize("field", (QQ, PrimeField(2), PrimeField(7)), ids=repr)
+def test_block_rows_match_the_former_assembly(field):
+    # each term shape on its own (L only, R only, L and R, neither) and
+    # mixed, with integer factors (no scaling) and over Q with fractional
+    # factors and coefficients (the common-denominator path)
+    rng = random.Random(27)
+    shapes = {"L": (True, False), "R": (False, True), "LR": (True, True), "-": (False, False)}
+    for kind in list(shapes) + ["mixed"] * 4:
+        for integral in (True, False):
+            for _ in range(15):
+                nblocks, h, w = rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 3)
+                eqs = []
+                for _ in range(rng.randint(0, 4)):
+                    eq = []
+                    for _ in range(rng.randint(1, 4)):
+                        has_l, has_r = shapes[kind if kind in shapes else rng.choice(list(shapes))]
+                        if integral:
+                            l = rand_matrix(rng, h, h, -2, 2, field) if has_l else None
+                            r = rand_matrix(rng, w, w, -2, 2, field) if has_r else None
+                            c = field.of(rng.choice((1, -1, 2)))
+                        else:
+                            l = rand_sparse(rng, field, h, h, 0.6) if has_l else None
+                            r = rand_sparse(rng, field, w, w, 0.6) if has_r else None
+                            c = rand_value(rng, field)
+                        eq.append((c, l, rng.randrange(nblocks), r))
+                    eqs.append(eq)
+                    if rng.random() < 0.3:
+                        eqs.append(eq)
+                assert _block_rows(h, w, eqs, field) == former_block_rows(h, w, eqs, field)
+                other = PrimeField(5) if field == QQ else QQ
+                for l, r in ((Matrix.identity(other, h), None), (None, Matrix.identity(other, w))):
+                    with pytest.raises(FieldMismatchError):
+                        _block_rows(h, w, eqs + [[(field.of(1), l, 0, r)]], field)
 
 
 def dense_product(a, b):

@@ -8,13 +8,14 @@ from digrep import (Matrix, PrimeField, QQ, Representation, RepresentationError,
                     seeded_rng, sub_quotient, to_semilinear)
 from dataclasses import replace
 
-from digrep.reps import (sign_characters, check_semilinear, check_semilinear_on_generators,
-                         SemilinearObject, require_valid_semilinear)
+from digrep.reps import (band_law, sign_characters, check_semilinear,
+                         check_semilinear_on_generators, SemilinearObject,
+                         require_valid_semilinear)
 from digrep.digroup import FiniteGroup, GAction
 from digrep.halo import BEModule, verify_adjunction
 
 from _instances import corrupted_tables, induced_pair, sample_pair, sample_semilinear_pair
-from _oracles import former_check_representation
+from _oracles import former_band_law, former_check_representation
 
 
 def test_demo_representation_passes_all_axioms():
@@ -338,6 +339,49 @@ def test_semilinear_check_on_generators_decides_like_the_exhaustive_report(field
                 refused[part] += not ok
                 refused["t off S_G"] += not ok and part == "t" and key not in gens
     assert min(refused.values()) >= 10, refused
+
+
+def random_idempotent(rng, field, dim, c, rank):
+    """C [[I_rank, 0], [X, 0]] C^-1 for a random X: an idempotent whose
+    kernel is spanned by the last dim - rank columns of C."""
+    x = [[rng.randint(-2, 2) for _ in range(rank)] for _ in range(dim - rank)]
+    e = Matrix.from_rows(field, [[int(i == j) if i < rank else x[i - rank][j] if j < rank else 0
+                                  for j in range(dim)] for i in range(dim)])
+    return c * e * c.inverse()
+
+
+@pytest.mark.parametrize("field", (QQ, PrimeField(7)), ids=repr)
+def test_band_law_decides_on_the_spokes_like_the_exhaustive_scan(field):
+    # idempotents with one kernel obey the band law; one with another
+    # kernel and the eps tables of random objects changed one entry at a
+    # time make it fail, in families of zero to four members
+    rng = seeded_rng(26)
+    families = []
+    for _ in range(40):
+        dim, m = rng.randint(1, 4), rng.randint(0, 4)
+        rank = rng.randint(0, dim)
+        c = next(c for c in iter(lambda: Matrix.from_rows(
+            field, [[rng.randint(-2, 2) for _ in range(dim)] for _ in range(dim)]), None)
+            if c.rank() == dim)
+        eps = {a: random_idempotent(rng, field, dim, c, rank) for a in range(m)}
+        families.append(eps)
+        if m:
+            other = random_idempotent(rng, field, dim, c.transpose(), rng.randint(0, dim))
+            families.append({**eps, rng.randrange(m): other})
+    for seed in range(16):
+        d, _, _ = sample_semilinear_pair(8000 + seed)
+        eps = random_semilinear(d, rng.randint(1, 3), rng, field).eps
+        families += [eps] + [bad for _, bad in corrupted_tables(eps)]
+    failing = set()
+    for eps in families:
+        got = band_law(eps)
+        assert got == former_band_law(eps), eps
+        if not got[0]:
+            failing.add((len(eps), got[1]))
+    # named off the spokes (at (0, 0) when m > 1), on a spoke (a, 0) and
+    # when m = 1
+    assert {(2, (0, 0)), (1, (0, 0))} <= failing, failing
+    assert any(case[0] > 0 for _, case in failing), failing
 
 
 @pytest.mark.parametrize("field", (QQ, PrimeField(7)), ids=repr)

@@ -42,6 +42,13 @@ def test_only_reduce_eliminates():
     assert callers("_eliminate") == {"linalg._reduce"}
 
 
+def test_kernels_come_out_canonical():
+    # sparse_kernel reads the RREF basis of the kernel off its one
+    # elimination, so no caller eliminates it again with span_basis
+    assert callers("sparse_kernel") == {"linalg.block_kernel", "linalg.ext_classes"}
+    assert not callers("sparse_kernel") & callers("span_basis")
+
+
 def test_one_ext1_solve():
     # the cocycle, derivation and band-algebra models reach Z / B through
     # linalg.ext_classes alone, so every Ext^1 class decision is that one solve
