@@ -287,18 +287,14 @@ def ses_from_json(obj, field=None):
 def dumps(obj):
     """Deterministic JSON text: sorted keys, two-space indent, newline.
 
-    The bytes of json.dumps(obj, sort_keys=True, indent=2) + "\n".  The
-    indent turns json's C encoder off, so the documents this package
-    writes (dicts with str keys, lists, str, int, bool, None) are written
-    by _write; anything else, such as a float, an int key or a document
-    that holds itself, goes to json.dumps, which also raises its TypeError
-    on a value JSON cannot hold.
+    The bytes of json.dumps(obj, sort_keys=True, indent=2) + "\n" for the
+    documents this package writes: dicts with str keys, lists, tuples,
+    str, int, bool and None.  The indent turns json's C encoder off, so
+    _write does the work; any other value (a float, a non-str key, a set)
+    raises TypeError.
     """
     out = []
-    try:
-        _write(obj, "\n", out)
-    except (TypeError, RecursionError):
-        return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    _write(obj, "\n", out)
     out.append("\n")
     return "".join(out)
 

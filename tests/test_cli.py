@@ -469,11 +469,9 @@ def test_an_equal_looking_document_with_other_json_types_is_refused(tmp_path, ca
 
 def test_dumps_writes_the_bytes_of_json_dumps(tmp_path, capsys):
     # every JSON stdout of the recorded cli runs, the example documents and
-    # the cli's own --json reports, then the corner cases; a value the
-    # writer leaves to json.dumps (a float, an int key, a document that
-    # holds itself) keeps json's bytes or its error
+    # the cli's own --json reports, then the corner cases; a value no cli
+    # report holds (a float, a non-str key, a set, bytes) raises TypeError
     import pathlib
-    import re
 
     from digrep.serialize import dumps
 
@@ -491,13 +489,10 @@ def test_dumps_writes_the_bytes_of_json_dumps(tmp_path, capsys):
     docs.append(json.loads(run(capsys, "ext1", "--json", paths["rep"], paths["rep"])[1]))
     docs += [{}, [], {"a": [], "b": {}, "c": [[], [{}]]}, [[[]]], {"é": "ü\x00\n\"\\ ☃"},
              [True, False, None, 0, -7, 10 ** 40], ("a", ("b",)), {"k": {"j": {"i": None}}},
-             "text", 3, True, None, 2.5, [float("nan"), -0.0], {1: "x", 2: [1.5]}]
+             "text", 3, True, None, -10 ** 40]
     for obj in docs:
         assert dumps(obj) == former(obj), obj
-    loop = []
-    loop.append(loop)
-    for bad in (loop, {1: 1, "a": 2}, {(1, 2): 3}, [set()], {"a": b"x"}, object()):
-        with pytest.raises(Exception) as want:
-            former(bad)
-        with pytest.raises(want.type, match=re.escape(str(want.value))):
+    for bad in (2.5, [float("nan")], {"a": [1.5]}, {1: "x"}, {1: 1, "a": 2}, {(1, 2): 3},
+                [set()], {"a": b"x"}, object()):
+        with pytest.raises(TypeError):
             dumps(bad)
