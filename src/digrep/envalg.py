@@ -290,6 +290,25 @@ def module_to_rep(m, d):
     return from_semilinear(SemilinearObject(d.action, m.dim, eps, t), d)
 
 
+def _fox_rules(p, gens, rules):
+    """The rules of derivation_ext1 less those that follow from two others.
+
+    A rule (x, s) with x s = x is dropped when the hub h, the first
+    idempotent generator, is neither x nor s, x h = x, h s = h, and (x, h)
+    and (h, s) are rules (these two are never dropped): w(x) s = w(x) h s
+    = w(x) h = w(x), a Tietze move.  On the equations, with E = D(w(x)):
+    (x, h) says E act_q(h) + act_w(x) c(h) = E and (h, s) says
+    c(h) act_q(s) + act_w(h) c(s) = c(h); the first times act_q(s), with
+    the second times act_w(x), gives E act_q(s) + act_w(x) c(s) = E, the
+    equation of (x, s).  Only the product table p decides.
+    """
+    h = next((s for s in gens if p[s][s] == s), None)
+    ruled = set(rules)
+    return [(x, s) for x, s in rules
+            if not (h not in (None, x, s) and p[x][s] == x == p[x][h] and p[h][s] == h
+                    and (x, h) in ruled and (h, s) in ruled)]
+
+
 def derivation_ext1(a, q, w):
     """dim Ext^1 of modules over a finite-dimensional algebra, plus cocycles.
 
@@ -309,6 +328,8 @@ def derivation_ext1(a, q, w):
       monoid, so every solution spreads to the derivation y -> D(w(y));
     * inner derivations restrict to B_S, the span of
       t -> (act_w(s) t - t act_q(s))_s.
+
+    The rules _fox_rules drops follow from those it keeps.
 
     Hence dim Z_S / B_S (linalg.ext_classes) = dim Z / B (the modules come
     from rep_to_module, whose check makes the actions multiply like the
@@ -332,6 +353,7 @@ def derivation_ext1(a, q, w):
     tree, rules = a.presentation()
     gens = [s for x, s in tree if x == unit]
     block = {s: k for k, s in enumerate(gens)}
+    rules = _fox_rules(p, gens, rules)
 
     def times(x, s):
         # the (prefix, letter, suffix) elements of D(w(x) s)

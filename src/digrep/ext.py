@@ -474,9 +474,10 @@ def _splitting_maps(etas, Q, W, field):
     if coeffs is None:   # no eta, or one without a t
         return [None] if len(etas) == 1 else [_splitting_maps([eta], Q, W, field)[0]
                                               for eta in etas]
-    basis = hom_rho(Q, W)
-    return [sum((base.scale(coeffs[i, j]) for i, base in enumerate(basis) if coeffs[i, j]),
-                Matrix.zeros(field, W.dim, Q.dim)) for j in range(len(etas))]
+    n = W.dim * Q.dim   # t = sum_i coeffs[i, j] hom_rho_i, one product for every j
+    basis = [t.reshape(n, 1) for t in hom_rho(Q, W)]
+    ts = (hstack(basis) if basis else Matrix(field, n, 0, [])) * coeffs
+    return [ts.col_vector(j).reshape(W.dim, Q.dim) for j in range(len(etas))]
 
 
 def _split_cocycles(thetas, Q, W):

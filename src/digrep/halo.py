@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import (Matrix, block_diag, block_image, block_permutation, coordinates,
-                     devectorize, ext_classes, hstack, intertwiners, vectorize)
+from .linalg import (Matrix, block_diag, block_image, block_operator, block_permutation,
+                     devectorize, ext_classes, hstack, intertwiners, lead_coordinates, solve)
 from .reps import (RepresentationError, SemilinearObject, band_law, band_spokes, once,
                    require_valid_semilinear, to_semilinear, hom_rep)
 from .ext import _split_cocycles, cocycle_space, ext1_dim
@@ -78,23 +78,25 @@ def g_action_on_hom(q, w):
     """The group action g.f = t_g^W f (t_g^Q)^-1 on the band Hom space.
 
     Returns the basis together with the action matrices in basis
-    coordinates.  One solve for each s in S_G gives the images of the
-    whole basis; (t_s^Q)^-1 is t_{s^-1}^Q (_t_inverses).  The basis spans
-    all of Hom_BE, so the solve refuses every s.f that is not band-linear.
-    Every other g acts by the product along the closure (_extend_action),
-    which is the lift at g for verified q and w: by C2,
+    coordinates.  For each s in S_G one product applies the operator
+    f -> t_s^W f (t_s^Q)^-1 (linalg.block_operator) to the whole basis, and
+    one more certifies the coordinates read at the basis leads
+    (linalg.lead_coordinates); (t_s^Q)^-1 is t_{s^-1}^Q (_t_inverses).  The
+    basis spans all of Hom_BE, so the read refuses every s.f that is not
+    band-linear.  Every other g acts by the product along the closure
+    (_extend_action), which is the lift at g for verified q and w: by C2,
     f -> t_g^W f (t_g^Q)^-1 is multiplicative in g.
     """
     basis = hom_BE(q, w)
-    group = q.action.group
     field = w.field
     n = w.dim * q.dim
     vecs = [f.reshape(n, 1) for f in basis]
+    cols = _columns(field, n, vecs)
     tq_inv = _t_inverses(q)
     on_gens = {}
-    for s in group.generators():
-        images = [(w.t[s] * f * tq_inv[s]).reshape(n, 1) for f in basis]
-        c = coordinates(vecs, _columns(field, n, images))
+    for s in q.action.group.generators():
+        op = block_operator(1, w.dim, q.dim, [[(field.of(1), w.t[s], 0, tq_inv[s])]], field)
+        c = lead_coordinates(vecs, op * cols)
         if c is None:
             raise RepresentationError("g.f leaves the span at g=%d" % s)
         on_gens[s] = c
@@ -184,9 +186,14 @@ def ext1_BE(q, w):
     every pair (the lemma there).
     The group acts on
     classes by (g.eta)_a = t_g^W eta_{g^-1.a} t_{g^-1}^Q (_t_inverses).
-    The lift is solved for s in S_G, verified to preserve Z and B, and
-    extended to every g along the closure (_extend_action); any failure
-    raises rather than being repaired silently.
+    For s in S_G one product applies this operator A (linalg.block_operator)
+    to the canonical basis Z, and one more certifies its coordinates M,
+    Z M == A Z (lead_coordinates), so A preserves Z.  With P the
+    Z-coordinates of [B | reps], solve(P, M P) is the action in [B | reps]:
+    it preserves B when its lower-left block is 0, and its lower-right
+    block is the action on classes.  It is extended to every g along the
+    closure (_extend_action); any failure raises rather than being
+    repaired silently.
     """
     if len(q.eps) != len(w.eps):
         raise RepresentationError("halo size mismatch")
@@ -208,27 +215,26 @@ def ext1_BE(q, w):
                                   for a in keys], field)
     zvecs, reps = ext_classes(m, dw, dq, z_eqs, cob, field)
     dim_ext, nb = len(reps), len(cob)
-    full = cob + reps   # a basis of Z
-    etas = [devectorize(v, keys, dw, dq, field) for v in full]
-
-    # one solve per s in S_G of s.[B | reps] in [B | reps]: the lift
-    # preserves Z when it is solvable and B when its lower-left block is
-    # zero; the lower-right block is the action on classes
+    n = m * dw * dq
+    z = _columns(field, n, zvecs)
+    p = lead_coordinates(zvecs, _columns(field, n, cob + reps))   # ext_classes: B in Z
     tq_inv = _t_inverses(q)
     on_gens = {}
     for s in group.generators():
         tw, sinv = w.t[s], group.inv[s]
-        images = [vectorize({a: tw * eta[q.action.apply(sinv, a)] * tq_inv[s]
-                             for a in keys}, keys, dw, dq) for eta in etas]
-        c = coordinates(full, _columns(field, m * dw * dq, images))
-        if c is None:
+        op = block_operator(m, dw, dq, [[(o, tw, q.action.apply(sinv, a), tq_inv[s])]
+                                        for a in keys], field)
+        mz = lead_coordinates(zvecs, op * z)
+        if mz is None:
             raise RepresentationError(
                 "group action does not preserve the eta space at g=%d" % s)
+        c = solve(p, mz * p)
         if not c.block(nb, 0, dim_ext, nb).is_zero():
             raise RepresentationError(
                 "group action does not preserve coboundaries at g=%d" % s)
         on_gens[s] = c.block(nb, nb, dim_ext, dim_ext)
-    return BEExtResult(len(zvecs), nb, dim_ext, etas[nb:], _extend_action(
+    etas = [devectorize(v, keys, dw, dq, field) for v in reps]
+    return BEExtResult(len(zvecs), nb, dim_ext, etas, _extend_action(
         on_gens, Matrix.identity(field, dim_ext), q, w, "classes"))
 
 

@@ -43,11 +43,13 @@ Each linear-algebra operation the package needs has its one home here:
   (membership of any number of vectors: complete keeps none), quotient
   (representatives of ambient / sub, checking sub lies inside, by the
   same elimination) and coordinates (of every column of a matrix at
-  once), each one elimination;
+  once), each one elimination; lead_coordinates reads them in a canonical
+  basis, certified by one product;
 * systems: solve (dense, inhomogeneous), sparse_kernel (sparse,
   homogeneous), and the block-linear systems sum c L X_b R = 0 in unknown
   blocks X_b: block_kernel solves them, block_image spans the image of
-  the same assembled map, vectorize / devectorize are their block layout,
+  the same assembled map, block_operator is its exact matrix, vectorize /
+  devectorize are their block layout,
   intertwiners (f A = B f, every Hom space) is the one-block case, and
   ext_classes (Z and the classes Z / B, given a basis of B) is the one
   Ext^1 solve.
@@ -57,6 +59,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import compress, count
 from math import gcd, lcm
 
 
@@ -558,12 +561,15 @@ def hstack(mats):
             raise DimensionError("hstack row mismatch")
         if m.field is not field and m.field != field:
             raise FieldMismatchError("mixed scalar modes")
+    width = sum(m.cols for m in mats)
     parts, d = _common_image(mats)
-    out = []
-    for i in range(rows):
-        for nums, m in zip(parts, mats):
-            out += nums[i * m.cols:(i + 1) * m.cols]
-    return Matrix._of_image(field, rows, sum(m.cols for m in mats), out, d)
+    out, left = [0] * (rows * width), 0
+    for nums, m in zip(parts, mats):
+        c = m.cols
+        for j in range(c):
+            out[left + j::width] = nums[j::c]
+        left += c
+    return Matrix._of_image(field, rows, width, out, d)
 
 
 def vstack(mats):
@@ -600,13 +606,17 @@ def block_diag(field, blocks):
 
 def block_permutation(field, perm, k):
     """The permutation matrix that moves block g to block perm[g], for
-    blocks of size k: entry (perm[g] k + i, g k + i) is 1."""
+    blocks of size k: entry (perm[g] k + i, g k + i) is 1.  The matrix
+    keeps the rows written here, so no scan of its image finds them."""
     n = len(perm) * k
-    nums = [0] * (n * n)
+    nums, rows = [0] * (n * n), [None] * n
     for g, h in enumerate(perm):
         at = h * k * n + g * k
         nums[at:at + (n + 1) * k:n + 1] = [1] * k
-    return Matrix._of_image(field, n, n, nums)
+        rows[h * k:(h + 1) * k] = [{c: 1} for c in range(g * k, (g + 1) * k)]
+    m = Matrix._of_image(field, n, n, nums)
+    m._nonzero_rows = rows
+    return m
 
 
 def solve(a, b):
@@ -747,6 +757,22 @@ def coordinates(basis, x):
     return solve(hstack(basis), x)
 
 
+def lead_coordinates(basis, x):
+    """coordinates(basis, x) for a canonical basis, the output of span_basis
+    or sparse_kernel: each vector's lowest nonzero entry is a 1 at a row
+    where every other vector is 0, so the coordinates are the rows of x
+    at those leads.  One product certifies them: None unless
+    hstack(basis) c == x, exactly where coordinates gives None.
+    """
+    if not basis:
+        return coordinates(basis, x)
+    k, (nums, d) = x.cols, x._image()
+    leads = [next(compress(count(), v._image()[0])) for v in basis]
+    c = Matrix._of_image(x.field, len(leads), k,
+                         [v for i in leads for v in nums[i * k:(i + 1) * k]], d)
+    return c if hstack(basis) * c == x else None
+
+
 def _column_images(vectors):
     """The nonzero entries {i: int} of each vector's integer image; the
     vectors are column vectors of one shape over one field."""
@@ -875,7 +901,7 @@ def block_kernel(nblocks, h, w, equations, field):
     n = nblocks * h * w
     if n == 0:
         return []
-    return sparse_kernel(n, _block_rows(h, w, equations, field), field)
+    return sparse_kernel(n, _block_rows(h, w, equations, field)[0], field)
 
 
 def block_image(nblocks, h, w, equations, field, vectors=None):
@@ -889,11 +915,24 @@ def block_image(nblocks, h, w, equations, field, vectors=None):
     n = nblocks * h * w
     if n == 0:
         return []
-    rows = _block_rows(h, w, equations, field)
+    rows = _block_rows(h, w, equations, field)[0]
     cols = _transpose(rows, n)
     if vectors is not None:
         cols = [_apply(cols, v, field.char) for v in vectors]
     return _rref_vectors(len(rows), cols, field)
+
+
+def block_operator(nblocks, h, w, equations, field):
+    """The exact matrix of X -> (the value of each equation at X), in the
+    layout of block_image: the rows _block_rows assembles, over their
+    common denominator."""
+    rows, d = _block_rows(h, w, equations, field)
+    n = nblocks * h * w
+    nums = [0] * (len(rows) * n)
+    for i, row in enumerate(rows):
+        for c, x in row.items():
+            nums[i * n + c] = x
+    return Matrix._of_image(field, len(rows), n, nums, d)
 
 
 def intertwiners(pairs, d_src, d_dst, field):
@@ -922,7 +961,7 @@ def ext_classes(nblocks, h, w, z_equations, b, field):
     """
     n, z = nblocks * h * w, []
     if n:
-        rows = _block_rows(h, w, z_equations, field)
+        rows = _block_rows(h, w, z_equations, field)[0]
         z = sparse_kernel(n, rows, field)
         cols = _transpose(rows, n)
         # a row's entries may cancel to 0, so look at the residual's values
@@ -935,12 +974,12 @@ def ext_classes(nblocks, h, w, z_equations, b, field):
 
 
 def _block_rows(h, w, equations, field):
-    """The sparse int rows of the equations: row (e * h + i) * w + j is entry
-    (i, j) of equation e.
+    """(rows, d): the sparse int rows of the equations over d, so row
+    (e * h + i) * w + j over d is entry (i, j) of equation e.
 
     The rows are the integer image of the whole system: every term is
-    scaled by one common denominator, which changes neither the kernel nor
-    the column span; a term whose denominator is the common one (every
+    scaled by one common denominator d, which changes neither the kernel
+    nor the column span; a term whose denominator is the common one (every
     term, when all are 1) takes the numerator of its coefficient.  Terms
     that reach the same unknown add.  A term reads the nonzero lines of
     its factors off the matrices: the rows of L (Matrix._rows) and the
@@ -1000,7 +1039,7 @@ def _block_rows(h, w, equations, field):
                                 key = off + kk
                                 row[key] = row.get(key, 0) + x * y
         rows += block
-    return rows
+    return rows, common
 
 
 def _apply(cols, v, p):
@@ -1015,9 +1054,13 @@ def _apply(cols, v, p):
 
 
 def _int_rows(nums, rows, cols):
-    """Each row of a row-major int image as a dict {column: value} of its nonzeros."""
-    return [{c: x for c, x in enumerate(nums[i * cols:(i + 1) * cols]) if x}
-            for i in range(rows)]
+    """Each row of a row-major int image as a dict {column: value} of its
+    nonzeros; compress finds the nonzero positions at C speed."""
+    out = [{} for _ in range(rows)]
+    for k in compress(range(len(nums)), nums):
+        i, c = divmod(k, cols)
+        out[i][c] = nums[k]
+    return out
 
 
 def _axpy(row, f, other, p):

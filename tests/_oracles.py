@@ -262,6 +262,13 @@ def former_sparse_kernel(ncols, rows, field):
     return basis
 
 
+def former_int_rows(nums, rows, cols):
+    """linalg._int_rows as it formerly was: one dict comprehension per row
+    over that row's slice of the image."""
+    return [{c: x for c, x in enumerate(nums[i * cols:(i + 1) * cols]) if x}
+            for i in range(rows)]
+
+
 def former_block_rows(h, w, equations, field):
     """linalg._block_rows as it formerly was: each distinct (c, L, R) lists
     the scaled nonzeros of every L row and R column from a grid of its

@@ -4,7 +4,8 @@ from digrep import (Digroup, FiniteGroup, GAction, Matrix, PrimeField, QQ, all_a
                     build_enveloping_algebra, demo_digroup, demo_representation,
                     demo_subspace_basis, derivation_ext1, hom_rep,
                     random_representation, random_semilinear, rep_to_module,
-                    require_valid, seeded_rng, sub_quotient, to_semilinear)
+                    require_valid, require_valid_semilinear, seeded_rng, sub_quotient,
+                    to_semilinear)
 from digrep.halo import (BEModule, check_be_module, ext1_BE, g_action_on_hom,
                          hom_BE, induction_L, invariant_class_dim, invariants,
                          underlying_module, verify_adjunction, verify_collapse)
@@ -150,17 +151,23 @@ def test_verify_collapse_inverts_no_matrix(monkeypatch):
     assert calls == []
 
 
-@pytest.mark.parametrize("field", (QQ, PrimeField(7)), ids=repr)
+@pytest.mark.parametrize("field", (QQ, PrimeField(2), PrimeField(3), PrimeField(7)), ids=repr)
 def test_halo_actions_match_the_per_vector_reference(field):
-    """One solve per g gives the actions that solving each vector gives."""
+    """One operator per generator gives the actions that solving each vector
+    gives: on random digroups, on S3 (two generators), with a dimension-0
+    side, and over GF(2) and GF(3), which divide |S3|."""
     pairs = []
-    for seed in range(12):
+    for seed in range(16):
         rng = seeded_rng(5000 + seed)
-        d = sample_digroup(rng)
+        d = sample_digroup(rng, group_names=("S3",) if seed >= 12 else None)
         q = random_representation(d, rng.randint(1, 3), rng, field)
         w = random_representation(d, rng.randint(1, 3), rng, field)
         pairs.append((to_semilinear(q), to_semilinear(w)))
-    if field == QQ:   # dimension 0 on either side
+    rng = seeded_rng(5100)
+    d = sample_digroup(rng)
+    zero, r = (to_semilinear(random_representation(d, k, rng, field)) for k in (0, 2))
+    pairs += [(zero, r), (r, zero), (zero, zero)]
+    if field == QQ:
         pairs += [sample_semilinear_pair(seed)[1:] for seed in range(6)]
     classes = 0
     for q, w in pairs:
@@ -170,6 +177,43 @@ def test_halo_actions_match_the_per_vector_reference(field):
         assert res.g_action_on_classes == on_classes
         classes += res.dim_ext > 0
     assert classes >= 3
+    assert any(len(q.group.generators()) == 2 for q, _ in pairs)
+
+
+@pytest.mark.parametrize("field", (QQ, PrimeField(2), PrimeField(3)), ids=repr)
+def test_a_corrupted_t_of_w_raises_each_halo_action_error(field):
+    """Built without validation, so only the halo actions' own certificates
+    can refuse it.  A transposition for t_1 of the demo's V (C2 acting
+    trivially on halo 2) moves g.f off Hom_BE and g.eta off Z.  On
+    W = C + K, eps_a = [[I, 0], [L_a, 0]] with kernel K (halo 3) and Q = k
+    with eps_a = 1, a t_1 that is I on C and M on K keeps Z = K^3, but B is
+    {(k - L_a c)_a}, and M L_2 c = L_2 c' fails for c' = M c when
+    M L_2 != L_2 M."""
+    c2 = FiniteGroup.cyclic(2)
+    one, one2, one4 = (Matrix.identity(field, n) for n in (1, 2, 4))
+    v = require_valid_semilinear(SemilinearObject(GAction.trivial(c2, 2), 2, {
+        0: Matrix.from_rows(field, [[1, 0], [0, 0]]),
+        1: Matrix.from_rows(field, [[1, 0], [1, 0]])}, {0: one2, 1: -one2}))
+    swapped = SemilinearObject(v.action, 2, v.eps, {0: one2, 1: Matrix.from_rows(
+        field, [[0, 1], [1, 0]])})
+    with pytest.raises(RepresentationError, match=r"^g\.f leaves the span at g=1$"):
+        g_action_on_hom(v, swapped)
+    with pytest.raises(RepresentationError,
+                       match="^group action does not preserve the eta space at g=1$"):
+        ext1_BE(v, swapped)
+    act = GAction.trivial(c2, 3)
+    ls = ([[0, 0], [0, 0]], [[1, 0], [0, 1]], [[0, 1], [0, 0]])
+    eps = {a: Matrix.from_rows(field, [[1, 0, 0, 0], [0, 1, 0, 0], l[0] + [0, 0], l[1] + [0, 0]])
+           for a, l in enumerate(ls)}
+    q = require_valid_semilinear(SemilinearObject(act, 1, dict.fromkeys(range(3), one),
+                                                  {0: one, 1: one}))
+    w = require_valid_semilinear(SemilinearObject(act, 4, eps, {0: one4, 1: one4}))
+    assert (ext1_BE(q, w).dim_Z, ext1_BE(q, w).dim_ext) == (6, 2)
+    m = Matrix.from_rows(field, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 1, 1]])
+    bad = SemilinearObject(act, 4, eps, {0: one4, 1: m})
+    with pytest.raises(RepresentationError,
+                       match="^group action does not preserve coboundaries at g=1$"):
+        ext1_BE(q, bad)
 
 
 def test_ext1_BE_vanishes_for_identity_idempotents():

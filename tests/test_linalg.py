@@ -7,12 +7,13 @@ import pytest
 from digrep import random_representation, seeded_rng
 from digrep.linalg import (_block_rows, DimensionError, FieldMismatchError, FpElement, Matrix,
                            PrimeField, QQ, SubspaceError, block_diag, block_image,
-                           block_kernel, block_permutation, complete, coordinates, devectorize,
-                           ext_classes, hstack, intertwiners, quotient, solve,
-                           span_basis, contains, sparse_kernel, vectorize, vstack)
+                           block_kernel, block_operator, block_permutation, complete,
+                           coordinates, devectorize, ext_classes, hstack, intertwiners,
+                           lead_coordinates, quotient, solve, span_basis, contains,
+                           sparse_kernel, vectorize, vstack)
 from _instances import sample_digroup
-from _oracles import (former_block_diag, former_block_rows, former_sparse_kernel,
-                      hom_rho_oracle, matrix_rank_oracle)
+from _oracles import (former_block_diag, former_block_rows, former_int_rows,
+                      former_sparse_kernel, hom_rho_oracle, matrix_rank_oracle)
 
 FIELDS = (QQ, PrimeField(5), PrimeField(7))
 
@@ -341,7 +342,7 @@ def test_block_rows_match_the_former_assembly(field):
                     eqs.append(eq)
                     if rng.random() < 0.3:
                         eqs.append(eq)
-                assert _block_rows(h, w, eqs, field) == former_block_rows(h, w, eqs, field)
+                assert _block_rows(h, w, eqs, field)[0] == former_block_rows(h, w, eqs, field)
                 other = PrimeField(5) if field == QQ else QQ
                 for l, r in ((Matrix.identity(other, h), None), (None, Matrix.identity(other, w))):
                     with pytest.raises(FieldMismatchError):
@@ -741,6 +742,63 @@ def test_block_kernel_and_image_match_the_dense_system():
             # had the same id
             assert block_kernel(nblocks, h, w, fresh_copies(eqs, field), field) == kernel
             assert block_image(nblocks, h, w, fresh_copies(eqs, field), field) == image
+
+
+def test_block_operator_is_the_dense_system():
+    # the exact matrix of the assembled map, over the common denominator of
+    # the rows: fractional factors and coefficients over Q, zero shapes
+    rng = random.Random(27)
+    for field in FIELDS + (PrimeField(2),):
+        shapes = [(rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 3)) for _ in range(40)]
+        for nblocks, h, w in shapes + [(0, 2, 2), (2, 0, 2), (2, 2, 0)]:
+            eqs = rand_block_equations(rng, field, max(nblocks, 1), h, w) if nblocks else []
+            op = block_operator(nblocks, h, w, eqs, field)
+            assert op == dense_block_system(nblocks, h, w, eqs, field)
+            assert_field_scalars(op)
+
+
+@pytest.mark.parametrize("field", (QQ, PrimeField(2), PrimeField(7)), ids=repr)
+def test_lead_coordinates_are_the_coordinates_in_a_canonical_basis(field):
+    """The rows of x at the leads of a span_basis or sparse_kernel basis,
+    certified: equal to coordinates, and None exactly where it is None."""
+    rng = random.Random(28)
+    answered = refused = 0
+    for _ in range(80):
+        n = rng.randint(1, 6)
+        if rng.random() < 0.5:
+            basis = span_basis(rand_vectors(rng, field, n, rng.randint(1, 4)))
+        else:
+            rows = [{c: rng.randint(-3, 3) for c in rng.sample(range(n), rng.randint(1, n))}
+                    for _ in range(rng.randint(0, n))]
+            basis = sparse_kernel(n, rows, field)
+        k = rng.randint(0, 3)
+        coeffs = Matrix(field, len(basis), k, [rand_value(rng, field) if rng.random() < 0.7
+                                               else field.of(0) for _ in range(len(basis) * k)])
+        x = (hstack(basis) if basis else Matrix(field, n, 0, [])) * coeffs
+        if rng.random() < 0.4:   # a column that may lie outside the span
+            x = hstack([x, rand_matrix(rng, n, 1, -2, 2, field)])
+        got = lead_coordinates(basis, x)
+        assert got == coordinates(basis, x)
+        answered += got is not None
+        refused += got is None
+    assert answered > 20 and refused > 10
+    for k in (0, 2):
+        assert lead_coordinates([], Matrix.zeros(field, 3, k)) == Matrix(field, 0, k, [])
+    assert lead_coordinates([], Matrix.column(field, [0, 1])) is None
+
+
+@pytest.mark.parametrize("field", (QQ, PrimeField(2), PrimeField(7)), ids=repr)
+def test_rows_match_the_former_scan(field):
+    # _rows() of random images, 0 x n and n x 0 shapes included, and the
+    # rows block_permutation hands its matrix
+    rng = random.Random(29)
+    shapes = [(rng.randint(1, 6), rng.randint(1, 6)) for _ in range(60)]
+    for rows, cols in shapes + [(0, 3), (3, 0), (0, 0)]:
+        m = rand_sparse(rng, field, rows, cols, rng.uniform(0.0, 1.0))
+        assert m._rows() == former_int_rows(m._image()[0], rows, cols)
+    for perm, k in (([2, 0, 1], 2), ([0], 3), ([1, 0], 0), ([], 2)):
+        p = block_permutation(field, perm, k)
+        assert p._rows() == former_int_rows(p._image()[0], p.rows, p.cols)
 
 
 def test_block_layout_round_trip():
