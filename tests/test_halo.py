@@ -208,7 +208,8 @@ def test_a_corrupted_t_of_w_raises_each_halo_action_error(field):
     q = require_valid_semilinear(SemilinearObject(act, 1, dict.fromkeys(range(3), one),
                                                   {0: one, 1: one}))
     w = require_valid_semilinear(SemilinearObject(act, 4, eps, {0: one4, 1: one4}))
-    assert (ext1_BE(q, w).dim_Z, ext1_BE(q, w).dim_ext) == (6, 2)
+    res = ext1_BE(q, w)
+    assert (res.dim_Z, res.dim_ext) == (6, 2)
     m = Matrix.from_rows(field, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 1, 1]])
     bad = SemilinearObject(act, 4, eps, {0: one4, 1: m})
     with pytest.raises(RepresentationError,
