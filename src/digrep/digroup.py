@@ -226,27 +226,34 @@ _action_cache = {}
 
 
 def all_actions(group, set_size):
-    """Every action of `group` on a set of `set_size` points.
-
-    Each choice of permutation images for S_G = group.generators(), in
-    itertools.product order, is extended along the closure by
-    generated_homomorphism with permutation composition as the product;
-    the choices whose group law holds on G x S_G are the actions (its
-    lemma), so the GAction constructor skips its (g, h, a) rescan.
-    """
+    """Every action of `group` on a set of `set_size` points: the
+    homomorphisms into the permutations of the set under composition, in
+    the order the shared enumerator homomorphisms finds them.  It certifies
+    each group law, so the GAction constructor skips its (g, h, a) rescan."""
     key = (group.mul, set_size)
     if key not in _action_cache:
-        gens = group.generators()
-        perms = list(permutations(range(set_size)))
-        found = []
-        for images in product(perms, repeat=len(gens)):
-            f, (ok, _) = generated_homomorphism(zip(gens, images), group,
-                                                tuple(range(set_size)), _compose)
-            if ok:
-                found.append(GAction(group, set_size, [f[g] for g in range(group.order)],
-                                     _law_certified=True))
-        _action_cache[key] = found
+        points = tuple(range(set_size))
+        _action_cache[key] = [GAction(group, set_size, act, _law_certified=True) for act
+                              in homomorphisms(group, permutations(points), points, _compose)]
     return _action_cache[key]
+
+
+def homomorphisms(group, values, one, times):
+    """Every homomorphism from group into values, as its values on all of G.
+
+    one is the value of the identity and times(u, v) the product of two
+    values.  Each choice of values on S_G = group.generators(), in
+    itertools.product order, is extended along the closure by
+    generated_homomorphism; the choices whose group law holds on G x S_G
+    are the homomorphisms (its lemma), the enumeration by images of a
+    generating set (Holt, Eick and O'Brien, Handbook of Computational
+    Group Theory, 2005).  all_actions and reps.sign_characters enumerate
+    through it.
+    """
+    gens = group.generators()
+    tried = (generated_homomorphism(zip(gens, images), group, one, times)
+             for images in product(values, repeat=len(gens)))
+    return [tuple(map(f.__getitem__, range(group.order))) for f, (ok, _) in tried if ok]
 
 
 def _compose(p, q):
@@ -285,8 +292,9 @@ def generated_homomorphism(images, group, one, times=mul):
 
     images holds f[s] for every s in S_G = group.generators(), and may hold
     more of the group; one is the value the identity must take, and
-    times(u, v) the product of two values (matrix product by default,
-    permutation composition for all_actions).  f[1] is one unless images
+    times(u, v) the product of two values (matrix product by default;
+    permutation composition for all_actions, the product of signs for
+    sign_characters).  f[1] is one unless images
     gives it, and a given f[1] != one fails at (1,).
     The scan runs over the pairs (x, s), x in G in the order
     table_presentation visits it from 1 on S_G (found once per group) and
@@ -295,7 +303,7 @@ def generated_homomorphism(images, group, one, times=mul):
     So the law below holds at every pair exactly when the entry passes, and
     this is the one G x S_G scan of the package: the C1 and C2 check of
     every semilinear object, the halo G-actions built from their values on
-    S_G and the enumeration of all_actions go through it.
+    S_G and the enumeration of homomorphisms go through it.
 
     Lemma.  If f(1) = I and f(x) f(s) = f(x s) for every x in G and s in
     S_G, then f(x) f(y) = f(x y) for all x, y in G.  table_generators

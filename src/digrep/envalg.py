@@ -348,7 +348,6 @@ def derivation_ext1(a, q, w):
     if na * dw * dq == 0:
         return 0, []
 
-    o, neg = field.of(1), field.of(-1)
     p, unit = a.product, a.unit
     tree, rules = a.presentation()
     gens = [s for x, s in tree if x == unit]
@@ -366,14 +365,14 @@ def derivation_ext1(a, q, w):
     fox = {unit: []}   # y -> the triples of D(w(y)), along the tree
     for x, s in tree:
         fox[p[x][s]] = times(x, s)
-    eqs = [terms(o, times(x, s)) + terms(neg, fox[p[x][s]]) for x, s in rules]
-    inner = block_image(1, dw, dq, [[(o, w.action[s], 0, None), (neg, None, 0, q.action[s])]
+    eqs = [terms(1, times(x, s)) + terms(-1, fox[p[x][s]]) for x, s in rules]
+    inner = block_image(1, dw, dq, [[(1, w.action[s], 0, None), (-1, None, 0, q.action[s])]
                                     for s in gens], field)
     z_s, reps = ext_classes(len(gens), dw, dq, eqs, inner, field)
     if not reps:
         return 0, []
     # c(y) = D(w(y)) for every basis element y, on the integer images
-    z = block_image(len(gens), dw, dq, [terms(o, fox[y]) for y in range(na)], field, z_s)
+    z = block_image(len(gens), dw, dq, [terms(1, fox[y]) for y in range(na)], field, z_s)
     blk = dw * dq
     coords = [s * blk + i for s in gens for i in range(blk)]
     families = [tuple(devectorize(v, range(na), dw, dq, field).values())

@@ -343,10 +343,9 @@ def _solve_ext1(Q, W):
     rho_w, rho_q = rho_group_form(W), rho_group_form(Q)
     lam_w = lambda_factorization(W)   # a -> L_a with lam[(g,a)] = L_a rho_g
     lam_q = lambda_factorization(Q)
-    o, neg = field.of(1), field.of(-1)
-    eqs = [[(o, lam_w[a], b, None), (o, None, a, lam_q[b]), (neg, None, a, None)]
+    eqs = [[(1, lam_w[a], b, None), (1, None, a, lam_q[b]), (-1, None, a, None)]
            for a, b in band_spokes(m)]
-    eqs += [[(o, rho_w[s], a, None), (neg, None, d.action.apply(s, a), rho_q[s])]
+    eqs += [[(1, rho_w[s], a, None), (-1, None, d.action.apply(s, a), rho_q[s])]
             for s in d.group.generators() for a in range(m)]
     halo = d.halo()
     cob = [vectorize(_delta(t, Q, W, halo), halo, dw, dq) for t in hom_rho(Q, W)]

@@ -95,7 +95,7 @@ def g_action_on_hom(q, w):
     tq_inv = _t_inverses(q)
     on_gens = {}
     for s in q.action.group.generators():
-        op = block_operator(1, w.dim, q.dim, [[(field.of(1), w.t[s], 0, tq_inv[s])]], field)
+        op = block_operator(1, w.dim, q.dim, [[(1, w.t[s], 0, tq_inv[s])]], field)
         c = lead_coordinates(vecs, op * cols)
         if c is None:
             raise RepresentationError("g.f leaves the span at g=%d" % s)
@@ -206,12 +206,11 @@ def ext1_BE(q, w):
         return BEExtResult(0, 0, 0, [], _extend_action(
             dict.fromkeys(group.generators(), one), one, q, w, "classes"))
     keys = range(m)   # eta families are vectorized over the halo indices
-    o, neg = field.of(1), field.of(-1)
     # Z: eps_a^W eta_b + eta_a eps_b^Q - eta_a = 0
-    z_eqs = [[(o, w.eps[a], b, None), (o, None, a, q.eps[b]), (neg, None, a, None)]
+    z_eqs = [[(1, w.eps[a], b, None), (1, None, a, q.eps[b]), (-1, None, a, None)]
              for a, b in band_spokes(m)]
     # B: the image of t -> (eps_a^W t - t eps_a^Q)_a
-    cob = block_image(1, dw, dq, [[(o, w.eps[a], 0, None), (neg, None, 0, q.eps[a])]
+    cob = block_image(1, dw, dq, [[(1, w.eps[a], 0, None), (-1, None, 0, q.eps[a])]
                                   for a in keys], field)
     zvecs, reps = ext_classes(m, dw, dq, z_eqs, cob, field)
     dim_ext, nb = len(reps), len(cob)
@@ -222,7 +221,7 @@ def ext1_BE(q, w):
     on_gens = {}
     for s in group.generators():
         tw, sinv = w.t[s], group.inv[s]
-        op = block_operator(m, dw, dq, [[(o, tw, q.action.apply(sinv, a), tq_inv[s])]
+        op = block_operator(m, dw, dq, [[(1, tw, q.action.apply(sinv, a), tq_inv[s])]
                                         for a in keys], field)
         mz = lead_coordinates(zvecs, op * z)
         if mz is None:

@@ -47,9 +47,9 @@ Each linear-algebra operation the package needs has its one home here:
   basis, certified by one product;
 * systems: solve (dense, inhomogeneous), sparse_kernel (sparse,
   homogeneous), and the block-linear systems sum c L X_b R = 0 in unknown
-  blocks X_b: block_kernel solves them, block_image spans the image of
-  the same assembled map, block_operator is its exact matrix, vectorize /
-  devectorize are their block layout,
+  blocks X_b, with int coefficients c: block_kernel solves them,
+  block_image spans the image of the same assembled map, block_operator
+  is its exact matrix, vectorize / devectorize are their block layout,
   intertwiners (f A = B f, every Hom space) is the one-block case, and
   ext_classes (Z and the classes Z / B, given a basis of B) is the one
   Ext^1 solve.
@@ -942,8 +942,7 @@ def intertwiners(pairs, d_src, d_dst, field):
     Every Hom space in the package has this form: the one-block system
     f A - B f = 0, one equation per distinct pair, reshaped into matrices.
     """
-    o, neg = field.of(1), field.of(-1)
-    eqs = [[(o, None, 0, a), (neg, b, 0, None)] for a, b in dict.fromkeys(pairs)]
+    eqs = [[(1, None, 0, a), (-1, b, 0, None)] for a, b in dict.fromkeys(pairs)]
     return [v.reshape(d_dst, d_src) for v in block_kernel(1, d_dst, d_src, eqs, field)]
 
 
@@ -977,34 +976,29 @@ def _block_rows(h, w, equations, field):
     """(rows, d): the sparse int rows of the equations over d, so row
     (e * h + i) * w + j over d is entry (i, j) of equation e.
 
-    The rows are the integer image of the whole system: every term is
-    scaled by one common denominator d, which changes neither the kernel
-    nor the column span; a term whose denominator is the common one (every
-    term, when all are 1) takes the numerator of its coefficient.  Terms
-    that reach the same unknown add.  A term reads the nonzero lines of
-    its factors off the matrices: the rows of L (Matrix._rows) and the
-    columns of R (Matrix._cols), each kept on its matrix; an identity
-    factor is one entry per line.  The image of each distinct coefficient
-    is found once, in a dict keyed by ids; the equations hold every
-    coefficient, so no id is reused.  An L or R over another field raises
+    Each term (c, L, b, R) is c L X_b R with c a Python int and L or R a
+    matrix or None (the identity).  The rows are the integer image of the
+    whole system: every term is scaled by one common denominator d, which
+    changes neither the kernel nor the column span.  Terms that reach the
+    same unknown add.  A term reads the nonzero lines of its factors off
+    the matrices: the rows of L (Matrix._rows) and the columns of R
+    (Matrix._cols), each kept on its matrix; an identity factor is one
+    entry per line.  An L or R over another field raises
     FieldMismatchError: the integer images of two fields do not mix.
     """
     equations = list(equations)
-    coeffs, terms = {}, []   # id(c) -> image of c; (numerator, denominator) of each term
+    terms = []   # (coefficient, denominator) of each term
     for eq in equations:
         for c, l, _, r in eq:
-            im = coeffs.get(id(c))
-            if im is None:
-                im = coeffs[id(c)] = field._image((c,))
-            (num,), d = im
+            d = 1
             for m in (l, r):
                 if m is not None:
                     if m.field is not field and m.field != field:
                         raise FieldMismatchError("mixed scalar modes")
                     d *= m._image()[1]
-            terms.append((num, d))
+            terms.append((c, d))
     common = lcm(*{d for _, d in terms})
-    scales = iter([num if d == common else num * (common // d) for num, d in terms])
+    scales = iter([c if d == common else c * (common // d) for c, d in terms])
 
     size, rows = h * w, []
     for eq in equations:

@@ -28,8 +28,10 @@ from __future__ import annotations
 import random
 import weakref
 from dataclasses import dataclass
+from operator import mul
 
-from .digroup import AxiomReport, Digroup, first_failure, generated_homomorphism
+from .digroup import (AxiomReport, Digroup, first_failure, generated_homomorphism,
+                      homomorphisms)
 from .linalg import (ContentMemo, DimensionError, Matrix, QQ, block_diag,
                      contains, hstack, intertwiners, span_basis)
 
@@ -457,17 +459,11 @@ def from_semilinear(m, d):
 
 
 def sign_characters(group):
-    """All homomorphisms from the group into {1, -1}, by brute force."""
-    n = group.order
-    out = []
-    for mask in range(1 << n):
-        chi = [1 if mask & (1 << i) == 0 else -1 for i in range(n)]
-        if chi[group.identity] != 1:
-            continue
-        if all(chi[group.mul[g][h]] == chi[g] * chi[h]
-               for g in range(n) for h in range(n)):
-            out.append(tuple(chi))
-    return out
+    """All homomorphisms from the group into {1, -1}, from the shared
+    enumerator digroup.homomorphisms, in order of the mask whose bit g is
+    set where chi(g) = -1 (the order random_semilinear draws from)."""
+    return sorted(homomorphisms(group, (1, -1), 1, mul),
+                  key=lambda chi: sum(1 << g for g, x in enumerate(chi) if x < 0))
 
 
 def random_semilinear(d, dim, rng, field=QQ):

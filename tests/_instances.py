@@ -1,5 +1,7 @@
 """Seeded random instance helpers shared across the test modules."""
 
+from itertools import permutations
+
 from digrep import (QQ, Digroup, FiniteGroup, Matrix, all_actions, from_semilinear,
                     random_representation, random_semilinear, seeded_rng)
 from digrep.halo import BEModule, induction_L, underlying_module
@@ -11,6 +13,22 @@ GROUPS = {
     "C6": lambda: FiniteGroup.cyclic(6),
     "S3": FiniteGroup.symmetric3,
 }
+
+
+def ladder_groups():
+    """C1-C12, S3, C2xC2, C2xC4, C3xC3 and S3xC2."""
+    c2, c3, c4 = FiniteGroup.cyclic(2), FiniteGroup.cyclic(3), FiniteGroup.cyclic(4)
+    return [FiniteGroup.cyclic(n) for n in range(1, 13)] + [
+        FiniteGroup.symmetric3(), FiniteGroup.direct_product(c2, c2),
+        FiniteGroup.direct_product(c2, c4), FiniteGroup.direct_product(c3, c3),
+        FiniteGroup.direct_product(FiniteGroup.symmetric3(), c2)]
+
+
+def symmetric4():
+    """S4 from the composition table of the permutations of 4 points."""
+    perms = list(permutations(range(4)))
+    idx = {p: i for i, p in enumerate(perms)}
+    return FiniteGroup([[idx[tuple(p[k] for k in q)] for q in perms] for p in perms], name="S4")
 
 
 def sample_digroup(rng, halo_sizes=(1, 2, 3), group_names=None):

@@ -193,15 +193,14 @@ def full_table_derivation_ext1(a, q, w):
     field, na, dq, dw = a.field, a.dim, q.dim, w.dim
     if na * dw * dq == 0:
         return 0, []
-    o, neg = field.of(1), field.of(-1)
-    eqs = [[(o, None, a.unit, None)]]
+    eqs = [[(1, None, a.unit, None)]]
     for i, row in enumerate(a.product):
         for j, k in enumerate(row):
-            eqs.append([(o, None, k, None), (neg, w.action[i], j, None),
-                        (neg, None, i, q.action[j])])
+            eqs.append([(1, None, k, None), (-1, w.action[i], j, None),
+                        (-1, None, i, q.action[j])])
     der_basis = block_kernel(na, dw, dq, eqs, field)
-    inner_basis = block_image(1, dw, dq, [[(o, w.action[k], 0, None),
-                                           (neg, None, 0, q.action[k])]
+    inner_basis = block_image(1, dw, dq, [[(1, w.action[k], 0, None),
+                                           (-1, None, 0, q.action[k])]
                                           for k in range(na)], field)
     families = [tuple(devectorize(v, range(na), dw, dq, field).values())
                 for v in quotient(inner_basis, der_basis)]
@@ -219,12 +218,11 @@ def former_derivation_ext1(a, q, w):
     field, na, dq, dw = a.field, a.dim, q.dim, w.dim
     if na * dw * dq == 0:
         return 0, []
-    o, neg = field.of(1), field.of(-1)
     tree, rules = a.presentation()
-    eqs = [[(o, None, a.unit, None)]]
-    eqs += [[(o, None, a.product[x][s], None), (neg, w.action[x], s, None),
-             (neg, None, x, q.action[s])] for x, s in tree + rules]
-    inner = block_image(1, dw, dq, [[(o, w.action[k], 0, None), (neg, None, 0, q.action[k])]
+    eqs = [[(1, None, a.unit, None)]]
+    eqs += [[(1, None, a.product[x][s], None), (-1, w.action[x], s, None),
+             (-1, None, x, q.action[s])] for x, s in tree + rules]
+    inner = block_image(1, dw, dq, [[(1, w.action[k], 0, None), (-1, None, 0, q.action[k])]
                                     for k in range(na)], field)
     families = [tuple(devectorize(v, range(na), dw, dq, field).values())
                 for v in quotient(inner, block_kernel(na, dw, dq, eqs, field))]
@@ -273,14 +271,15 @@ def former_block_rows(h, w, equations, field):
     """linalg._block_rows as it formerly was: each distinct (c, L, R) lists
     the scaled nonzeros of every L row and R column from a grid of its
     image (a c X_b term as c L X_b with L the identity), then every cell
-    (i, j) of every equation adds its terms' products."""
+    (i, j) of every equation adds its terms' products.  Each coefficient c
+    is an int."""
     equations = list(equations)
     terms = {}
     for eq in equations:
         for c, l, _, r in eq:
-            key = (id(c), id(l), id(r))
+            key = (c, id(l), id(r))
             if key not in terms:
-                (num,), d = field._image((c,))
+                num, d = c, 1
                 for m in (l, r):
                     if m is not None:
                         if m.field is not field and m.field != field:
@@ -312,7 +311,7 @@ def former_block_rows(h, w, equations, field):
     for eq in equations:
         block = [{} for _ in cells]
         for c, l, b, r in eq:
-            lnz, rnz = lines[id(c), id(l), id(r)]
+            lnz, rnz = lines[c, id(l), id(r)]
             bw = b * h * w
             for row, (i, j) in zip(block, cells):
                 if rnz is None:
@@ -408,11 +407,10 @@ def per_vector_halo_actions(q, w):
     if dw * dq == 0:
         return on_hom, {g: Matrix(field, 0, 0, []) for g in range(group.order)}
     keys = range(m)
-    o, neg = field.of(1), field.of(-1)
-    zvecs = block_kernel(m, dw, dq, [[(o, w.eps[a], b, None), (o, None, a, q.eps[b]),
-                                      (neg, None, a, None)]
+    zvecs = block_kernel(m, dw, dq, [[(1, w.eps[a], b, None), (1, None, a, q.eps[b]),
+                                      (-1, None, a, None)]
                                      for a in keys for b in keys], field)
-    bvecs = block_image(1, dw, dq, [[(o, w.eps[a], 0, None), (neg, None, 0, q.eps[a])]
+    bvecs = block_image(1, dw, dq, [[(1, w.eps[a], 0, None), (-1, None, 0, q.eps[a])]
                                     for a in keys], field)
     reps = quotient(bvecs, zvecs)
     full = bvecs + reps
@@ -573,6 +571,22 @@ def former_all_actions(group, set_size):
         except ValueError:
             continue
     return found
+
+
+def former_sign_characters(group):
+    """reps.sign_characters as it formerly was: every sign vector, in
+    order of the mask whose bit g is set where chi(g) = -1, kept where
+    chi(1) = 1 and chi(g h) = chi(g) chi(h) at every pair."""
+    n = group.order
+    out = []
+    for mask in range(1 << n):
+        chi = [1 if mask & (1 << i) == 0 else -1 for i in range(n)]
+        if chi[group.identity] != 1:
+            continue
+        if all(chi[group.mul[g][h]] == chi[g] * chi[h]
+               for g in range(n) for h in range(n)):
+            out.append(tuple(chi))
+    return out
 
 
 def _product_of_perms(perms, k):

@@ -3,7 +3,10 @@ import time
 
 import pytest
 
+from digrep import Matrix, QQ, direct_sum, short_exact
 from digrep.cli import main
+from digrep.serialize import (matrix_from_json, rep_to_json, save_path, ses_from_json,
+                              ses_to_json)
 
 
 def run(capsys, *argv):
@@ -82,6 +85,59 @@ def test_split_on_the_bundled_nonsplit_sequence(tmp_path, capsys):
     # the certificate carries a nonzero cocycle value somewhere
     assert any(x != "0" for m in report["certificate"].values()
                for row in m for x in row)
+
+
+def test_split_refuses_a_sequence_whose_pi_does_not_vanish_on_iota(tmp_path, capsys):
+    paths = write_example(tmp_path, capsys)
+    with open(paths["ses"]) as fh:
+        doc = json.load(fh)
+    assert doc["iota"] == [["0"], ["1"]] and doc["pi"] == [["1", "0"]]
+    doc["pi"] = [["1", "1"]]
+    bad = tmp_path / "bad_ses.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "split", "--json", str(bad))
+    assert (code, out) == (1, "")
+    assert "pi o iota != 0" in err
+
+
+def split_example(tmp_path, capsys):
+    """(s, paths): s = W -> W + Q -> Q, for W -> V -> Q the bundled nonsplit
+    sequence, and the paths of the files of s, W and Q."""
+    paths = write_example(tmp_path, capsys)
+    with open(paths["ses"]) as fh:
+        s = ses_from_json(json.load(fh))
+    w, q = s.W, s.Q
+    v = direct_sum(w, q)
+    ident = Matrix.identity(QQ, v.dim)
+    split = short_exact(w, v, q, ident.block(0, 0, v.dim, w.dim),
+                        ident.block(w.dim, 0, q.dim, v.dim))
+    paths = {}
+    for name, doc in (("ses", ses_to_json(split)), ("W", rep_to_json(w)), ("Q", rep_to_json(q))):
+        paths[name] = str(tmp_path / ("split_%s.json" % name))
+        save_path(paths[name], doc)
+    return split, paths
+
+
+def test_split_returns_a_witness_for_a_direct_sum(tmp_path, capsys):
+    s, paths = split_example(tmp_path, capsys)
+    code, out, _ = run(capsys, "split", "--json", paths["ses"])
+    assert code == 0
+    report = json.loads(out)
+    # Ext^1(Q, W) is not 0, but this sequence's class is
+    assert (report["dim_ext"], report["split"], report["certificate"]) == (1, True, None)
+    sec = matrix_from_json(report["witness"], QQ, s.V.dim, s.Q.dim)
+    assert s.pi * sec == Matrix.identity(QQ, s.Q.dim)
+    for x in s.V.digroup.elements:
+        assert s.V.lam[x] * sec == sec * s.Q.lam[x]
+        assert s.V.rho[x] * sec == sec * s.Q.rho[x]
+
+
+def test_probe_prints_a_finding(tmp_path, capsys):
+    _, paths = split_example(tmp_path, capsys)
+    code, out, _ = run(capsys, "probe", paths["Q"], paths["W"])
+    assert code == 0
+    assert "nonsplit extension: quotient #0 by sub #1 (dim 1)\n" in out
+    assert out.endswith("category is not semisimple\n")
 
 
 def test_ext1_cross_check_agrees(tmp_path, capsys):

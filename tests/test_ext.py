@@ -17,6 +17,7 @@ from digrep.ext import check_cocycle_on_generators, vectorize, coboundary_space
 from digrep.halo import hom_BE
 from digrep.linalg import FieldMismatchError, SubspaceError, span_basis, solve, hstack
 from digrep.reps import hom_rep, random_representation, seeded_rng, to_semilinear
+from digrep.serialize import ses_from_json, ses_to_json
 
 from _instances import corrupted_tables, induced_pair, sample_pair
 from _oracles import (cocycle_dim_oracle, exhaustive_average_section,
@@ -35,6 +36,29 @@ def test_short_exact_validation_rejects_nonmorphisms():
         short_exact(w, s.V, q, s.iota.scale(QQ.of(0)), s.pi)
     with pytest.raises(RepresentationError):
         short_exact(q, s.V, w, s.iota, s.pi)
+
+
+@pytest.mark.parametrize("field", (QQ, PrimeField(3)), ids=repr)
+def test_short_exact_refuses_each_corrupted_demo_sequence(field):
+    # the demo sequence 0 -> W -> V -> Q -> 0 read over field, then broken
+    # one way at a time; each refusal names what broke
+    s = ses_from_json(ses_to_json(demo_ses()), field=field)
+    w, v, q, iota, pi = s.W, s.V, s.Q, s.iota, s.pi
+    assert short_exact(w, v, q, iota, pi) == s
+    elsewhere = replace(w, digroup=Digroup(w.digroup.group, w.digroup.action))
+    cases = [
+        ("sequence members live over different digroups", (elsewhere, v, q, iota, pi)),
+        ("iota shape mismatch", (w, v, q, iota.transpose(), pi)),
+        ("pi shape mismatch", (w, v, q, iota, pi.transpose())),
+        ("dimensions do not add up", (w, v, v, iota, Matrix.identity(field, v.dim))),
+        ("pi is not surjective", (w, v, q, iota, pi.scale(field.of(0)))),
+        ("pi o iota != 0", (w, v, q, iota, pi + iota.transpose())),
+        ("pi is not a morphism at L_0", (w, v, w, iota, pi)),
+    ]
+    for message, args in cases:
+        with pytest.raises(RepresentationError) as err:
+            short_exact(*args)
+        assert str(err.value) == message
 
 
 def test_average_section_properties_on_the_demo():
@@ -390,7 +414,7 @@ def without_coboundaries(engine):
         for v in b:
             k = next(k for k in range(v.rows) if v[k, 0])
             i, j = divmod(k % (h * w), w)
-            cut.append([(field.of(1), unit(field, h, i), k // (h * w), unit(field, w, j))])
+            cut.append([(1, unit(field, h, i), k // (h * w), unit(field, w, j))])
         return engine(nblocks, h, w, list(z_equations) + cut, coboundaries, field)
     return faulty
 
@@ -769,10 +793,9 @@ def test_the_band_law_on_spokes_solves_like_every_pair(field):
     for d, q, w in pairs:
         m, halos = d.halo_size, halos | {d.halo_size}
         lw, lq = lambda_factorization(w), lambda_factorization(q)
-        o, neg = field.of(1), field.of(-1)
 
         def z1a(ab):
-            return [[(o, lw[a], b, None), (o, None, a, lq[b]), (neg, None, a, None)]
+            return [[(1, lw[a], b, None), (1, None, a, lq[b]), (-1, None, a, None)]
                     for a, b in ab]
 
         every = [(a, b) for a in range(m) for b in range(m)]
@@ -780,8 +803,8 @@ def test_the_band_law_on_spokes_solves_like_every_pair(field):
         assert len(spokes) == (1 if m == 1 else 2 * (m - 1))
         z = block_kernel(m, w.dim, q.dim, z1a(every), field)
         assert block_kernel(m, w.dim, q.dim, z1a(spokes), field) == z
-        z1b = [[(o, rho_group_form(w)[s], a, None),
-                (neg, None, d.action.apply(s, a), rho_group_form(q)[s])]
+        z1b = [[(1, rho_group_form(w)[s], a, None),
+                (-1, None, d.action.apply(s, a), rho_group_form(q)[s])]
                for s in d.group.generators() for a in range(m)]
         families = block_kernel(m, w.dim, q.dim, z1a(every) + z1b, field)
         assert [vectorize({(d.group.identity, a): f.theta[(d.group.identity, a)]

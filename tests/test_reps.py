@@ -1,3 +1,6 @@
+import time
+from itertools import permutations
+
 import pytest
 
 from digrep import (Matrix, PrimeField, QQ, Representation, RepresentationError,
@@ -14,8 +17,9 @@ from digrep.reps import (band_law, sign_characters, check_semilinear,
 from digrep.digroup import FiniteGroup, GAction
 from digrep.halo import BEModule, verify_adjunction
 
-from _instances import corrupted_tables, induced_pair, sample_pair, sample_semilinear_pair
-from _oracles import former_band_law, former_check_representation
+from _instances import (corrupted_tables, induced_pair, ladder_groups, sample_pair,
+                        sample_semilinear_pair, symmetric4)
+from _oracles import former_band_law, former_check_representation, former_sign_characters
 
 
 def test_demo_representation_passes_all_axioms():
@@ -235,6 +239,24 @@ def test_sign_characters():
     assert len(sign_characters(FiniteGroup.cyclic(3))) == 1
     assert len(sign_characters(FiniteGroup.cyclic(6))) == 2
     assert len(sign_characters(FiniteGroup.symmetric3())) == 2
+
+
+def test_sign_characters_keep_the_brute_force_order():
+    # random_semilinear draws chars[rng.randrange(...)], so the list from
+    # the enumeration on S_G must be the brute force's, in its mask order
+    for group in ladder_groups():
+        assert sign_characters(group) == former_sign_characters(group), group.name
+
+
+def test_sign_characters_of_s4_come_from_its_generators():
+    # 2^24 sign vectors for the brute force, 2^|S_G| choices on S_G
+    s4 = symmetric4()
+    start = time.perf_counter()
+    chars = sign_characters(s4)
+    assert time.perf_counter() - start < 1.0
+    sign = tuple(-1 if sum(p[i] > p[j] for i in range(4) for j in range(i + 1, 4)) % 2 else 1
+                 for p in permutations(range(4)))
+    assert chars == [(1,) * 24, sign]
 
 
 def test_random_generators_always_produce_valid_objects():

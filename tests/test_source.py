@@ -204,11 +204,12 @@ def generator_scans():
 
 def test_generated_homomorphism_is_the_one_group_law_scan():
     # digroup.generated_homomorphism is the only scan of G x S_G: it checks
-    # and extends every group law (C1 and C2, the halo G-actions).  The other
-    # scans over generators pair S_G with the halo (C3, Z1b), the algebra's
-    # generators with its basis (the module rule), or S_G with a Hom basis
-    # (the adjunction's spread check); the derivation system reads its edges
-    # from the presentation (test_derivations_are_solved_on_the_presentation)
+    # and extends every group law (C1 and C2, the halo G-actions, the
+    # enumerated homomorphisms).  The other scans over generators pair S_G
+    # with the halo (C3, Z1b), the algebra's generators with its basis (the
+    # module rule), or S_G with a Hom basis (the adjunction's spread check);
+    # the derivation system reads its edges from the presentation
+    # (test_derivations_are_solved_on_the_presentation)
     assert generator_scans() == {
         "digroup.generated_homomorphism",
         "reps.check_semilinear_on_generators",
@@ -219,7 +220,10 @@ def test_generated_homomorphism_is_the_one_group_law_scan():
     }
     assert callers("generated_homomorphism") == {"reps.check_semilinear_on_generators",
                                                  "halo._extend_action",
-                                                 "digroup.all_actions"}
+                                                 "digroup.homomorphisms"}
+    # every homomorphism out of G enumerated by its values on S_G is one
+    # call of digroup.homomorphisms: the G-actions and the sign characters
+    assert callers("homomorphisms") == {"digroup.all_actions", "reps.sign_characters"}
 
 
 def test_derivations_are_solved_on_the_presentation():

@@ -42,6 +42,7 @@ import argparse
 import pathlib
 import sys
 import time
+from itertools import permutations
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
@@ -52,12 +53,22 @@ from digrep import (QQ, Digroup, FiniteGroup, GAction, Matrix, PrimeField,  # no
                     to_semilinear, underlying_module, verify_adjunction, verify_collapse)
 from digrep import envalg, linalg  # noqa: E402
 
+
+def symmetric4():
+    """S4 from the composition table of the permutations of 4 points (q
+    acts first, as in GAction.act)."""
+    perms = list(permutations(range(4)))
+    idx = {p: i for i, p in enumerate(perms)}
+    return FiniteGroup([[idx[tuple(p[k] for k in q)] for q in perms] for p in perms], name="S4")
+
+
 RUNGS = [
     ("C6", FiniteGroup.cyclic(6), 6, 6),
     ("S3xC2", FiniteGroup.direct_product(FiniteGroup.symmetric3(), FiniteGroup.cyclic(2)),
      4, 6),
     ("S3", FiniteGroup.symmetric3(), 3, 8),
     ("C12", FiniteGroup.cyclic(12), 4, 8),
+    ("S4", symmetric4(), 4, 8),
 ]
 
 
