@@ -8,7 +8,8 @@ section, and an extension splits exactly when its class vanishes.
 Z^1, B^1 and the classes are one linalg.ext_classes solve per pair on
 the bar-unit values, with the group identities on S_G = the generators
 of G only (see _ext1 and the lemma of digroup.generated_homomorphism);
-the solve certifies its Z^1 basis by a residual and B^1 in Z^1.
+the solve certifies its Z^1 basis by a residual and B^1 in Z^1, and
+the Z^1 basis stays as bar-unit columns until cocycle_space spreads it.
 Splitting reads V through its verified view as well: the averaged
 section is checked on S_G, and the cocycle of a section is read off the
 m + |S_G| generators of V in the basis [iota | section] (_corners), then
@@ -17,7 +18,8 @@ block-form core, _split_blocks: it solves for the t with
 L^W_a t - t L^Q_a = eta_a and checks the witness [-t; I] on the
 generators of (W, Q).  is_split hands it the corners of its section;
 _split_cocycles hands it the bar-unit values of cocycles, whose
-extensions are split on the rho side already, without building V.
+extensions are split on the rho side already, without building V, and
+halo.verify_collapse those of the Z^1 basis (_cocycle_etas).
 """
 
 from __future__ import annotations
@@ -25,9 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .digroup import AxiomReport, first_failure
-from .linalg import (ContentMemo, Matrix, SubspaceError, block_diag, coordinates,
-                     devectorize, ext_classes, hstack, intertwiners, solve,
-                     span_basis, vectorize, vstack)
+from .linalg import (ContentMemo, Matrix, SubspaceError, block_diag, block_operator,
+                     columns, coordinates, devectorize, ext_classes, hstack,
+                     intertwiners, solve, span_basis, vectorize, vstack)
 from .reps import (Representation, RepresentationError, SemilinearObject,
                    _generators, band_spokes, from_semilinear, lambda_factorization, once,
                    require_ok, rho_group_form, to_semilinear)
@@ -297,14 +299,24 @@ def block_decompose(s, sec):
 def cocycle_space(Q, W):
     """Canonical basis of the cocycle space, as CocycleFamily objects.
 
-    Solved and verified once per (Q, W) with the rest of Ext^1 (_ext1);
-    every call returns copies of the verified families.
+    Solved and verified once per (Q, W) with the rest of Ext^1 (_ext1),
+    whose Z^1 basis is kept as bar-unit columns; they are spread to whole
+    families here, once per (Q, W), and every call returns copies of the
+    verified families.
     """
-    return [CocycleFamily(dict(f.theta)) for f in _ext1(Q, W)[0]]
+    fams = once((Q, W), "cocycles",
+                lambda: [_verified_family(eta, Q, W) for eta in _cocycle_etas(Q, W)])
+    return [CocycleFamily(dict(f.theta)) for f in fams]
+
+
+def _cocycle_etas(Q, W):
+    """The bar-unit values {a: eta_a} of the Z^1 basis of _ext1, in order."""
+    m = Q.digroup.halo_size
+    return [devectorize(v, range(m), W.dim, Q.dim, Q.field) for v in _ext1(Q, W)[0]]
 
 
 def _ext1(Q, W):
-    """(Z^1 families, bar-unit coboundary columns, dim B^1, class families),
+    """(Z^1 bar-unit columns, coboundary columns, dim B^1, class families),
     one registry entry per (Q, W), from one linalg.ext_classes solve.
 
     The unknowns are eta_a := theta[(1, a)].  Every cocycle has
@@ -325,8 +337,17 @@ def _ext1(Q, W):
     check decides like the exhaustive check_cocycle (see its proof).  So
     the kernel is Z^1 on its bar-unit columns, and linalg.ext_classes
     certifies that every basis vector it returns solves the assembled
-    equations; the families are registered as verified cocycles without
-    a scan.  The same solve certifies B^1 inside Z^1.
+    equations; the families spread from them (the class representatives
+    here, the rest in cocycle_space) are registered as verified cocycles
+    without a scan.  The same solve certifies B^1 inside Z^1.
+
+    The coboundary columns, one per hom_rho basis vector t in order, are
+    the bar-unit columns of delta t, (L^W_a t - t L^Q_a)_a.  One product,
+    the linalg.block_operator of that map and of t -> (rho_W[s] t -
+    t rho_Q[s])_s for s in S_G times the basis as columns, gives them with
+    those residuals, which must vanish: that certifies the basis as
+    rho-intertwiners, and the first failing t is reported at its first
+    failing s.
     """
     if Q.digroup is not W.digroup:
         raise RepresentationError("cocycle space needs a common digroup")
@@ -345,18 +366,29 @@ def _solve_ext1(Q, W):
     lam_q = lambda_factorization(Q)
     eqs = [[(1, lam_w[a], b, None), (1, None, a, lam_q[b]), (-1, None, a, None)]
            for a, b in band_spokes(m)]
+    gens = d.group.generators()
     eqs += [[(1, rho_w[s], a, None), (-1, None, d.action.apply(s, a), rho_q[s])]
-            for s in d.group.generators() for a in range(m)]
-    halo = d.halo()
-    cob = [vectorize(_delta(t, Q, W, halo), halo, dw, dq) for t in hom_rho(Q, W)]
+            for s in gens for a in range(m)]
+    ts = hom_rho(Q, W)
+    n, k = dw * dq, len(ts)
+    op = block_operator(1, dw, dq, [[(1, lam_w[a], 0, None), (-1, None, 0, lam_q[a])]
+                                    for a in range(m)]
+                        + [[(1, rho_w[s], 0, None), (-1, None, 0, rho_q[s])] for s in gens],
+                        field)
+    img = op * columns(field, n, [t.reshape(n, 1) for t in ts])
+    res = img.block(m * n, 0, len(gens) * n, k)
+    if not res.is_zero():
+        s = next(s for j in range(k) for i, s in enumerate(gens)
+                 if not res.block(i * n, j, n, 1).is_zero())
+        raise RepresentationError("t is not a rho-intertwiner at g=%d" % s)
+    cob = [img.block(0, j, m * n, 1) for j in range(k)]
     bvecs = span_basis(cob)
     try:
         zvecs, reps = ext_classes(m, dw, dq, eqs, bvecs, field)
     except SubspaceError as err:
         raise RepresentationError(str(err)) from None
-    families = {v: _verified_family(devectorize(v, range(m), dw, dq, field), Q, W)
-                for v in zvecs}
-    return list(families.values()), cob, len(bvecs), [families[v] for v in reps]
+    return zvecs, cob, len(bvecs), [
+        _verified_family(devectorize(v, range(m), dw, dq, field), Q, W) for v in reps]
 
 
 def hom_rho(Q, W):
@@ -474,8 +506,7 @@ def _splitting_maps(etas, Q, W, field):
         return [None] if len(etas) == 1 else [_splitting_maps([eta], Q, W, field)[0]
                                               for eta in etas]
     n = W.dim * Q.dim   # t = sum_i coeffs[i, j] hom_rho_i, one product for every j
-    basis = [t.reshape(n, 1) for t in hom_rho(Q, W)]
-    ts = (hstack(basis) if basis else Matrix(field, n, 0, [])) * coeffs
+    ts = columns(field, n, [t.reshape(n, 1) for t in hom_rho(Q, W)]) * coeffs
     return [ts.col_vector(j).reshape(W.dim, Q.dim) for j in range(len(etas))]
 
 

@@ -13,10 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .linalg import (Matrix, block_diag, block_image, block_operator, block_permutation,
-                     devectorize, ext_classes, hstack, intertwiners, lead_coordinates, solve)
+                     columns, devectorize, ext_classes, hstack, intertwiners,
+                     lead_coordinates, solve)
 from .reps import (RepresentationError, SemilinearObject, band_law, band_spokes, once,
                    require_valid_semilinear, to_semilinear, hom_rep)
-from .ext import _split_cocycles, cocycle_space, ext1_dim
+from .ext import _cocycle_etas, _split_blocks, ext1_dim
 from .digroup import Digroup, generated_homomorphism
 
 
@@ -91,7 +92,7 @@ def g_action_on_hom(q, w):
     field = w.field
     n = w.dim * q.dim
     vecs = [f.reshape(n, 1) for f in basis]
-    cols = _columns(field, n, vecs)
+    cols = columns(field, n, vecs)
     tq_inv = _t_inverses(q)
     on_gens = {}
     for s in q.action.group.generators():
@@ -121,11 +122,6 @@ def _t_inverses(q):
         return inv
 
     return once(q, "t_inverses", certified)
-
-
-def _columns(field, n, vectors):
-    """The n x len(vectors) matrix with the given column vectors."""
-    return hstack(vectors) if vectors else Matrix(field, n, 0, [])
 
 
 def _extend_action(on_gens, one, q, w, what):
@@ -215,8 +211,8 @@ def ext1_BE(q, w):
     zvecs, reps = ext_classes(m, dw, dq, z_eqs, cob, field)
     dim_ext, nb = len(reps), len(cob)
     n = m * dw * dq
-    z = _columns(field, n, zvecs)
-    p = lead_coordinates(zvecs, _columns(field, n, cob + reps))   # ext_classes: B in Z
+    z = columns(field, n, zvecs)
+    p = lead_coordinates(zvecs, columns(field, n, cob + reps))   # ext_classes: B in Z
     tq_inv = _t_inverses(q)
     on_gens = {}
     for s in group.generators():
@@ -252,10 +248,13 @@ def verify_collapse(q_rep, w_rep):
     Computes the invariant dimensions on the band side and the direct
     dimensions on the digroup side, reports their equality, and, when
     the invariant extension space vanishes, confirms the splitting
-    criterion on every cocycle basis member.  The basis families are
-    decided in the block form of their extensions (ext._split_cocycles),
-    with one solve for all of them and each splitting witness checked on
-    the generators.
+    criterion on every cocycle basis member.  The extension of a cocycle
+    is in block form already, with [0; I] a rho-equivariant section, so
+    the core ext._split_blocks decides the basis members on their
+    bar-unit values eta_a = theta[(1, a)] (what ext._split_cocycles hands
+    it): one solve for all of them, each splitting witness checked on the
+    generators, and no family spread to every element.  ext1_dim has made
+    the Maschke check of averaging by then.
     """
     q = to_semilinear(q_rep)
     w = to_semilinear(w_rep)
@@ -269,7 +268,7 @@ def verify_collapse(q_rep, w_rep):
     ok = (inv_dim == rep_res.dim_ext) and (len(hom_inv) == len(hom_rep_basis))
     splitting_checked = False
     if ok and inv_dim == 0:
-        ok = all(flag for flag, _ in _split_cocycles(cocycle_space(q_rep, w_rep), q_rep, w_rep))
+        ok = all(flag for flag, _ in _split_blocks(_cocycle_etas(q_rep, w_rep), q_rep, w_rep))
         splitting_checked = True
     return {
         "hom_BE_dim": len(hom_space.basis),

@@ -35,8 +35,8 @@ permutation blocks, monomial structure constants) are mostly zeros.
 
 Each linear-algebra operation the package needs has its one home here:
 
-* blocks: Matrix.block extracts one, hstack / vstack / block_diag /
-  block_permutation build,
+* blocks: Matrix.block extracts one, hstack / columns / vstack /
+  block_diag / block_permutation build,
   Matrix.reshape keeps the entries in another shape;
 * subspaces (lists of column vectors): span_basis (canonical basis),
   complete (the vectors extending one span to another), contains
@@ -570,6 +570,11 @@ def hstack(mats):
             out[left + j::width] = nums[j::c]
         left += c
     return Matrix._of_image(field, rows, width, out, d)
+
+
+def columns(field, n, vectors):
+    """The n x len(vectors) matrix with the given n x 1 column vectors."""
+    return hstack(vectors) if vectors else Matrix(field, n, 0, [])
 
 
 def vstack(mats):

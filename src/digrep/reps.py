@@ -13,9 +13,10 @@ defining identities are
 
 The 2 n m tables are the boundary format: they are what the JSON files
 hold, and where tables enter from outside (`digrep check`, the loaders)
-check_representation scans R1-R5 over every pair of elements.  Inside
-the package a representation is its semilinear form (L, rho): the m
-halo idempotents L_a = lam[(1, a)] and the n group operators rho_g.
+check_representation scans R1-R5 over every pair of elements, and the
+loaders register the form read off the checked tables (register_view).
+Inside the package a representation is its semilinear form (L, rho): the
+m halo idempotents L_a = lam[(1, a)] and the n group operators rho_g.
 require_valid verifies that form once per object (_view), with the group
 law and C3 checked on S_G = FiniteGroup.generators() only (the lemma of
 digroup.generated_homomorphism); every representation the package makes
@@ -174,19 +175,39 @@ def _view(r):
 def _verified_view(r):
     r.check_shapes()
     d = r.digroup
-    t = {}
+    eps, t = _table_view(r)
     for g in range(d.group.order):
-        t[g] = r.rho[(g, 0)]
         for a in range(1, d.halo_size):
             if r.rho[(g, a)] != t[g]:
                 raise RepresentationError("rho depends on halo index at g=%d" % g)
-    eps = {a: r.lam[(d.group.identity, a)] for a in range(d.halo_size)}
     for (g, a), m in r.lam.items():
         if m != eps[a] * t[g]:
             raise RepresentationError("lam factorization fails at %r" % ((g, a),))
     require_ok(check_semilinear_on_generators(SemilinearObject(d.action, r.dim, eps, t)),
                "semilinear axioms")
     return eps, t
+
+
+def _table_view(r):
+    """(eps, t) read off the tables: eps[a] = lam[(1, a)], t[g] = rho[(g, 0)]."""
+    d = r.digroup
+    return ({a: r.lam[(d.group.identity, a)] for a in range(d.halo_size)},
+            {g: r.rho[(g, 0)] for g in range(d.group.order)})
+
+
+def register_view(r):
+    """r, with the view read off its tables registered as its verified view
+    (_view) without the checks of _verified_view; the caller proves that
+    they pass.  The two callers:
+
+    - from_semilinear builds the tables from a verified semilinear object
+      (see there);
+    - the JSON loaders register tables that passed check_representation,
+      whose decision is that of _view (the proof there), and on such
+      tables _verified_view returns the view read off them.
+    """
+    once(r, "valid", lambda: _table_view(r))
+    return r
 
 
 def _generators(*reps):
@@ -437,8 +458,9 @@ def from_semilinear(m, d):
     it pass check_shapes.  They then satisfy every check of _view by
     construction: rho ignores the halo index and lam factors as
     L_a rho_g, with L_a = eps[a] (C1: lam[(1, a)] = eps[a] t[1] = eps[a]).
-    So (eps, t) is registered as the verified view of the result without
-    recomputing the n m products it was built from.
+    So the view read off the tables, (eps, t) itself, is registered as the
+    verified view of the result (register_view) without recomputing the
+    n m products it was built from.
     """
     if m.action is not d.action:
         raise RepresentationError("semilinear object lives over a different action")
@@ -449,10 +471,7 @@ def from_semilinear(m, d):
         lam[(g, a)] = m.eps[a] * m.t[g]
     r = Representation(d, m.dim, lam, rho)
     r.check_shapes()
-    view = ({a: m.eps[a] for a in range(d.halo_size)},
-            {g: m.t[g] for g in range(d.group.order)})
-    once(r, "valid", lambda: view)
-    return r
+    return register_view(r)
 
 
 # -- seeded random instances ---------------------------------------------

@@ -13,8 +13,7 @@ from json.encoder import encode_basestring_ascii
 
 from .digroup import Digroup, FiniteGroup, GAction
 from .linalg import Matrix, PrimeField, QQ
-from .reps import (Representation, check_representation, require_ok,
-                   require_valid)
+from .reps import Representation, check_representation, register_view, require_ok
 from .ext import short_exact
 
 
@@ -215,16 +214,20 @@ def rep_from_json(obj, field=None, validate=True, digroup=None):
     An explicit field must match a prime tag; a rational document may be
     read over an explicit prime field, which reduces its scalars mod p.
     With digroup given, the document's own digroup block must have the
-    same group table and action, and the given object is reused.
+    same group table and action, and the given object is reused: a block
+    that digroup_to_json(digroup) writes is taken as it (_writes), and
+    any other is read and compared.
     """
     if not isinstance(obj, dict):
         raise FormatError("representation must be an object")
     try:
-        own = digroup_from_json(obj["digroup"])
-        if digroup is None:
-            digroup = own
-        elif (own.group.mul, own.action.act) != (digroup.group.mul, digroup.action.act):
-            raise FormatError("document's digroup differs from the one it is read with")
+        if digroup is None or not _writes(digroup, obj["digroup"]):
+            own = digroup_from_json(obj["digroup"])
+            if digroup is None:
+                digroup = own
+            elif (own.group.mul, own.action.act) != (digroup.group.mul,
+                                                     digroup.action.act):
+                raise FormatError("document's digroup differs from the one it is read with")
         tagged = field_from_name(obj.get("field", "rational"))
         if field is None:
             field = tagged
@@ -242,12 +245,32 @@ def rep_from_json(obj, field=None, validate=True, digroup=None):
     return _require_axioms(r) if validate else r
 
 
+def _writes(d, obj):
+    """Whether obj is the block digroup_to_json(d) writes, with JSON
+    integers only (1.0 and true are not 1).  digroup_from_json reads such
+    a block as d's tables, and refuses it only over the caps, so those are
+    applied here."""
+    if obj != digroup_to_json(d) or not _plain_ints(obj):
+        return False
+    _capped(d.group.order, "group_order")
+    _capped(d.halo_size, "halo_size")
+    return True
+
+
+def _plain_ints(x):
+    # whether every leaf of lists and dicts is an int (not a bool)
+    if isinstance(x, (list, dict)):
+        return all(map(_plain_ints, x.values() if isinstance(x, dict) else x))
+    return type(x) is int
+
+
 def _require_axioms(r):
     """r, after the exhaustive R1-R5 report on its tables passes
     (check_representation: the error names each failing identity), with
-    its semilinear form registered (require_valid)."""
+    the semilinear form read off the checked tables registered as its
+    verified view (reps.register_view), not decided again."""
     require_ok(check_representation(r), "representation axioms")
-    return require_valid(r)
+    return register_view(r)
 
 
 # -- short exact sequences ------------------------------------------------

@@ -20,7 +20,8 @@ from digrep.ext import (CocycleFamily, MaschkeError, check_cocycle, coboundary,
 from digrep.digroup import AxiomReport, GAction, GroupTableError, first_failure
 from digrep.envalg import AlgebraError
 from digrep.halo import hom_BE
-from digrep.reps import RepresentationError, SemilinearObject, check_semilinear
+from digrep.reps import (RepresentationError, SemilinearObject, check_semilinear,
+                         rho_group_form)
 from digrep.linalg import (ContentMemo, FieldMismatchError, Matrix, _reduce, block_image,
                            block_kernel, coordinates, devectorize, hstack, quotient, solve,
                            span_basis, vectorize, vstack)
@@ -124,6 +125,24 @@ def hom_rho_oracle(q, w):
     """Nullspace of the rho-intertwiner constraints, solved with sympy."""
     pairs = [(q.rho[(g, 0)], w.rho[(g, 0)]) for g in range(q.digroup.group.order)]
     return sympy_nullspace(intertwiner_rows(pairs, q.dim, w.dim), q.dim * w.dim)
+
+
+def former_coboundary_columns(q, w, basis=None):
+    """The coboundary columns of ext._ext1 as the package formerly built
+    them, one t of the hom_rho basis (or of basis) at a time: t is checked
+    to intertwine rho_s for s in S_G, and the first failing s raises, then
+    delta t = W.lam[x] t - t Q.lam[x] at the bar-units x = (1, a) is
+    vectorized over them."""
+    rho_w, rho_q = rho_group_form(w), rho_group_form(q)
+    halo = q.digroup.halo()
+    cols = []
+    for t in hom_rho(q, w) if basis is None else basis:
+        for s in q.digroup.group.generators():
+            if rho_w[s] * t != t * rho_q[s]:
+                raise RepresentationError("t is not a rho-intertwiner at g=%d" % s)
+        cols.append(vectorize({x: w.lam[x] * t - t * q.lam[x] for x in halo},
+                              halo, w.dim, q.dim))
+    return cols
 
 
 def ext1_dim_gfp_oracle(q, w):

@@ -552,3 +552,126 @@ def test_dumps_writes_the_bytes_of_json_dumps(tmp_path, capsys):
                 [set()], {"a": b"x"}, object()):
         with pytest.raises(TypeError):
             dumps(bad)
+
+
+LOADER_FIELDS = ("rational", "7", "3")
+
+
+def loader_documents(tmp_path, capsys, name):
+    """(document, field) pairs over the field named: the cli inputs (the
+    bundled representation, the members of the bundled sequence and
+    generated files), read with --field p over a prime field, and corpus
+    representations written over the field itself."""
+    from digrep.serialize import field_from_name, load_path
+    from _instances import sample_pair
+    field = field_from_name(name)
+    paths = write_example(tmp_path, capsys)
+    ses = load_path(paths["ses"])
+    docs = [load_path(paths["rep"]), ses["W"], ses["V"], ses["Q"]]
+    for seed, extra in enumerate((["--symmetric3"], ["--group-order", "3"], ["--dim", "3"])):
+        out = tmp_path / ("gen%d" % seed)
+        assert run(capsys, "generate", "--seed", str(seed), "--out", str(out), *extra)[0] == 0
+        docs.append(load_path(str(out / ("gen_seed%d_representation.json" % seed))))
+    read = [(doc, None if name == "rational" else field) for doc in docs]
+    for seed in range(1000, 1200, 20):
+        read += [(rep_to_json(r), None) for r in sample_pair(seed, field=field)[1:]]
+    return read
+
+
+@pytest.mark.parametrize("name", LOADER_FIELDS)
+def test_the_loader_registers_the_view_that_require_valid_decides(tmp_path, capsys, name):
+    # the view read off tables that passed the exhaustive R1-R5 report is
+    # the one the generator checks of _verified_view verify and return
+    from digrep import reps
+    from digrep.serialize import rep_from_json
+    for doc, field in loader_documents(tmp_path, capsys, name):
+        r = rep_from_json(doc, field=field)
+        assert reps._view(r) == reps._verified_view(r)
+
+
+@pytest.mark.parametrize("name", LOADER_FIELDS)
+def test_a_loaded_document_is_checked_once_exhaustively_and_not_again(tmp_path, capsys,
+                                                                     monkeypatch, name):
+    from digrep import hom_rep, reps, require_valid, rho_group_form, serialize
+    docs = loader_documents(tmp_path, capsys, name)
+    ses = serialize.load_path(write_example(tmp_path, capsys)["ses"])
+    checked, decided = [], []
+    check, decide = serialize.check_representation, reps.check_semilinear_on_generators
+    monkeypatch.setattr(serialize, "check_representation",
+                        lambda r: checked.append(r) or check(r))
+    monkeypatch.setattr(reps, "check_semilinear_on_generators",
+                        lambda m: decided.append(m) or decide(m))
+    for doc, field in docs:
+        del checked[:]
+        r = serialize.rep_from_json(doc, field=field)
+        require_valid(r)
+        rho_group_form(r)
+        hom_rep(r, r)
+        assert (checked, decided) == ([r], [])
+    # a sequence document: each member once, and its exactness on the views
+    del checked[:]
+    s = ses_from_json(ses, field=None if name == "rational" else docs[0][1])
+    assert (checked, decided) == ([s.W, s.V, s.Q], [])
+
+
+@pytest.mark.parametrize("field", ([], ["--field", "7"], ["--field", "3"]))
+def test_a_document_that_fails_the_axioms_exits_1_naming_them(tmp_path, capsys, field):
+    paths = write_example(tmp_path, capsys)
+    with open(paths["rep"]) as fh:
+        doc = json.load(fh)
+    doc["rho"][sorted(doc["rho"])[0]] = [["2", "0"], ["0", "2"]]
+    bad = str(tmp_path / "bad.json")
+    save_path(bad, doc)
+    err = ("error: representation axioms fail: {'R2': ((0, 0), (0, 0)), 'R3': (0, 0), "
+           "'R4': ((0, 0), (0, 0)), 'R5': ((0, 0), (0, 0))}\n")
+    for cmd in ("ext1", "collapse", "probe"):
+        for pair in ((paths["rep"], bad), (bad, paths["rep"])):
+            assert run(capsys, cmd, *field, *pair) == (1, "", err), (cmd, pair)
+
+
+def test_a_sequence_builds_its_digroup_once(tmp_path, capsys, monkeypatch):
+    # V and Q write the digroup block of W, so they reuse W's digroup; any
+    # other block is read on its own and refused as before
+    from digrep import digroup
+    from digrep.serialize import FormatError
+    paths = write_example(tmp_path, capsys)
+    built = []
+    init = digroup.FiniteGroup.__init__
+    monkeypatch.setattr(digroup.FiniteGroup, "__init__",
+                        lambda self, *a, **k: built.append(1) or init(self, *a, **k))
+    answer = run(capsys, "split", paths["ses"])
+    assert answer[0] == 0 and len(built) == 1
+    with open(paths["ses"]) as fh:
+        ses = json.load(fh)
+    member = str(tmp_path / "w.json")
+    save_path(member, ses["W"])
+    for cmd in ("ext1", "collapse", "probe"):
+        del built[:]
+        assert run(capsys, cmd, paths["rep"], member)[0] == 0
+        assert len(built) == 1, cmd
+    for who, edit, message in [
+            ("V", lambda d: d.update(halo_size="x"), "halo_size must be an integer, not 'x'"),
+            ("V", lambda d: d.update(halo_size=2.0), "halo_size must be an integer, not 2.0"),
+            ("V", lambda d: d["group"]["mul"][0].__setitem__(0, True),
+             "group table entry must be an integer, not True"),
+            ("V", lambda d: d.update(group={"cyclic": 3}),
+             "bad digroup document: action table shape mismatch"),
+            ("V", lambda d: d.update(action=[[0, 1], [1, 0]]),
+             "document's digroup differs from the one it is read with"),
+            ("Q", lambda d: d.update(halo_size=4),
+             "halo size cap exceeded (max 3): the document asks for 4")]:
+        doc = json.loads(json.dumps(ses))
+        edit(doc[who]["digroup"])
+        with pytest.raises(FormatError) as err:
+            ses_from_json(doc)
+        assert str(err.value) == message
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(doc))   # save_path writes no float
+        assert run(capsys, "split", str(path)) == (2, "", "input error: %s\n" % message)
+    # equal blocks in another form (a named group, the trivial action) still pair
+    doc = json.loads(json.dumps(ses))
+    doc["V"]["digroup"].update(action="trivial")
+    doc["Q"]["digroup"].update(group={"cyclic": 2})
+    path = str(tmp_path / "equal.json")
+    save_path(path, doc)
+    assert run(capsys, "split", path) == answer

@@ -16,12 +16,14 @@ from digrep.digroup import Digroup, FiniteGroup, GAction
 from digrep.ext import check_cocycle_on_generators, vectorize, coboundary_space
 from digrep.halo import hom_BE
 from digrep.linalg import FieldMismatchError, SubspaceError, span_basis, solve, hstack
-from digrep.reps import hom_rep, random_representation, seeded_rng, to_semilinear
+from digrep.reps import (hom_rep, random_representation, rho_group_form, seeded_rng,
+                         to_semilinear)
 from digrep.serialize import ses_from_json, ses_to_json
 
 from _instances import corrupted_tables, induced_pair, sample_pair
 from _oracles import (cocycle_dim_oracle, exhaustive_average_section,
                       exhaustive_block_decompose, ext1_dim_oracle, former_check_cocycle,
+                      former_coboundary_columns,
                       full_family_ext1, hom_rho_oracle)
 
 
@@ -812,3 +814,134 @@ def test_the_band_law_on_spokes_solves_like_every_pair(field):
                 for f in cocycle_space(q, w)] == families
         assert ext1_BE(to_semilinear(q), to_semilinear(w)).dim_Z == len(z)
     assert halos == {1, 2, 3}
+
+
+def coboundary_pairs(field):
+    """Every 10th corpus pair in three orders, induced pairs of three
+    groups both ways and pairs with a dimension-0 side, over field."""
+    pairs = []
+    for seed in range(1000, 1200, 10):
+        _, q, w = sample_pair(seed, field=field)
+        pairs += [(q, w), (w, q), (q, q)]
+    for i, name in enumerate(("C2", "C3", "S3")):
+        _, lift, w = induced_pair(7600 + i, field, (name,))
+        pairs += [(lift, w), (w, lift)]
+    zero = random_representation(pairs[0][0].digroup, 0, seeded_rng(1), field)
+    return pairs + [(pairs[0][0], zero), (zero, pairs[0][0])]
+
+
+@pytest.mark.parametrize("field", (QQ, PrimeField(2), PrimeField(3), PrimeField(7)), ids=repr)
+def test_coboundary_columns_are_the_former_per_t_columns(field):
+    # the one operator product gives, column for column, the bar-unit
+    # columns of delta t that were built one t of hom_rho at a time
+    from digrep.ext import _ext1
+    built = 0
+    for q, w in coboundary_pairs(field):
+        cob = _ext1(q, w)[1]
+        assert cob == former_coboundary_columns(q, w)
+        built += len(cob)
+    assert built >= 20
+
+
+@pytest.mark.parametrize("field", (QQ, PrimeField(7)), ids=repr)
+def test_a_basis_vector_that_does_not_intertwine_rho_is_refused(monkeypatch, field):
+    # a hom_rho basis with one non-intertwiner, at the front, in the middle
+    # or at the end: the cocycle model refuses it with the error of the
+    # former per-t check, which names the first failing generator s
+    from digrep import ext
+    from digrep.linalg import intertwiners
+    hom = ext.hom_rho
+    named = Counter()
+    triples = [sample_pair(seed, field=field) for seed in range(1000, 1200, 4)]
+    for seed in range(7700, 7710):   # S3 moving the halo: its generators act apart
+        d, lift, w = induced_pair(seed, field, ("S3",))
+        triples += [(d, lift, w), (d, w, lift)]
+    for seed, (d, q, w) in enumerate(triples):
+        gens = d.group.generators()
+        if not gens:   # C1: every map intertwines rho
+            continue
+        rho_q, rho_w = rho_group_form(q), rho_group_form(w)
+        # a map that intertwines rho at the first generator only, when
+        # there is one, else any map that fails somewhere
+        first = intertwiners([(rho_q[gens[0]], rho_w[gens[0]])], q.dim, w.dim, field)
+        units = [Matrix.from_rows(field, [[int((r, c) == (i, j)) for c in range(q.dim)]
+                                          for r in range(w.dim)])
+                 for i in range(w.dim) for j in range(q.dim)]
+        bad = next((t for t in first[::-1] + units
+                    if any(rho_w[s] * t != t * rho_q[s] for s in gens)), None)
+        if bad is None:
+            continue
+        basis = hom(q, w)
+        at = seed % (len(basis) + 1)
+        faulty = basis[:at] + [bad] + basis[at:]
+        with pytest.raises(RepresentationError) as former:
+            former_coboundary_columns(q, w, faulty)
+        monkeypatch.setattr(ext, "hom_rho",
+                            lambda Q, W: list(faulty) if (Q, W) == (q, w) else hom(Q, W))
+        with pytest.raises(RepresentationError) as err:
+            ext1_dim(q, w)
+        assert str(err.value) == str(former.value)
+        named[str(err.value) == "t is not a rho-intertwiner at g=%d" % gens[0]] += 1
+    assert named[True] >= 5 and named[False] >= 5, named
+
+
+@pytest.mark.parametrize("field", (QQ, PrimeField(5), PrimeField(7)), ids=repr)
+def test_cocycle_space_spreads_the_canonical_z1_basis_on_demand(monkeypatch, field):
+    # ext1_dim spreads only the class representatives; cocycle_space
+    # spreads the Z^1 basis once per (Q, W), registered as verified. Its
+    # families, vectorized with the bar-units first, are the canonical
+    # basis of Z^1 (unique, in its order): each passes the exhaustive check,
+    # span_basis leaves them unchanged, and there are dim Hom_rho -
+    # dim Hom_D + dim Ext^1 of them (B^1 is delta of Hom_rho, whose kernel
+    # is Hom_D), with Ext^1 from the derivation model
+    from digrep import ext
+    from digrep.envalg import build_enveloping_algebra, derivation_ext1, rep_to_module
+    spread, decided = [], []
+    fam, decide = ext._verified_family, ext.check_cocycle_on_generators
+    monkeypatch.setattr(ext, "_verified_family",
+                        lambda eta, Q, W: spread.append(eta) or fam(eta, Q, W))
+    monkeypatch.setattr(ext, "check_cocycle_on_generators",
+                        lambda theta, Q, W: decided.append(theta) or decide(theta, Q, W))
+    nonzero = 0
+    for seed in range(1000, 1200, 10):
+        d, q, w = sample_pair(seed, field=field)
+        alg = build_enveloping_algebra(d, field)
+        keys = d.halo() + [x for x in d.elements if x not in d.halo()]
+        for a, b in ((q, w), (w, q)):
+            del spread[:], decided[:]
+            res = ext1_dim(a, b)
+            assert len(spread) == res.dim_ext
+            fams = cocycle_space(a, b)
+            assert len(spread) == res.dim_ext + len(fams) == res.dim_ext + res.dim_Z
+            vecs = [vectorize(f.theta, keys, b.dim, a.dim) for f in fams]
+            assert span_basis(vecs) == vecs
+            assert all(check_cocycle(f.theta, a, b).ok for f in fams)
+            der, _ = derivation_ext1(alg, rep_to_module(a, alg), rep_to_module(b, alg))
+            assert len(fams) == len(hom_rho(a, b)) - len(hom_rep(a, b)) + der
+            assert cocycle_space(a, b) == fams
+            for f in fams:
+                extension_from_cocycle(f, a, b)   # require_cocycle: registered
+            assert len(spread) == res.dim_ext + len(fams) and decided == []
+            nonzero += bool(fams)
+    assert nonzero >= 10
+
+
+def test_the_collapse_spreads_no_family_where_the_invariants_vanish(monkeypatch):
+    # the splitting criterion decides the Z^1 basis on its bar-unit values
+    from digrep import ext
+    from digrep.halo import verify_collapse
+    spread = []
+    fam = ext._verified_family
+    monkeypatch.setattr(ext, "_verified_family",
+                        lambda eta, Q, W: spread.append(eta) or fam(eta, Q, W))
+    decided = 0
+    for seed in range(1000, 1200, 8):
+        _, q, w = sample_pair(seed)
+        for a, b in ((q, w), (w, q)):
+            del spread[:]
+            report = verify_collapse(a, b)
+            if report["ext1_BE_invariant_dim"] == 0:
+                assert report["collapse_ok"] and report["splitting_criterion_checked"]
+                assert spread == []
+                decided += ext1_dim(a, b).dim_Z > 0
+    assert decided >= 10

@@ -83,10 +83,15 @@ def test_one_parser_per_process():
 
 def test_tables_are_checked_at_the_boundary_only():
     # the exhaustive R1-R5 report runs where tables enter from outside:
-    # `digrep check` and the JSON loaders' helper; inside the package each
-    # representation is checked once, on its generators (require_valid)
+    # `digrep check` and the JSON loaders' helper, which registers the view
+    # read off the checked tables (reps.register_view); inside the package
+    # every other representation is checked once, on its generators
+    # (require_valid), or registered as built from a verified semilinear
+    # object (from_semilinear)
     assert callers("check_representation") == {"cli.cmd_check",
                                                 "serialize._require_axioms"}
+    assert callers("register_view") == {"reps.from_semilinear", "serialize._require_axioms"}
+    assert not any(c.startswith("serialize.") for c in callers("require_valid"))
 
 
 def test_representations_are_built_from_their_generators():
@@ -128,7 +133,7 @@ def test_splitting_reads_no_operator_table():
 
 
 def test_the_collapse_builds_no_extension():
-    # verify_collapse decides each cocycle in block form (_split_cocycles);
+    # verify_collapse decides each cocycle in block form (_split_blocks);
     # only `digrep split` averages and conjugates a sequence, and only the
     # public API builds the extension of a cocycle
     assert callers("extension_from_cocycle") == set()
@@ -136,10 +141,12 @@ def test_the_collapse_builds_no_extension():
 
 
 def test_one_splitting_decision():
-    # is_split and _split_cocycles decide through one block-form core,
-    # _split_blocks, and it is the only function of the package that
-    # checks a splitting witness (the one that raises on a wrong one)
-    assert callers("_split_blocks") == {"ext.is_split", "ext._split_cocycles"}
+    # is_split, _split_cocycles and the collapse's splitting criterion
+    # decide through one block-form core, _split_blocks, and it is the only
+    # function of the package that checks a splitting witness (the one that
+    # raises on a wrong one)
+    assert callers("_split_blocks") == {"ext.is_split", "ext._split_cocycles",
+                                        "halo.verify_collapse"}
     found = {name for stem, _ in modules() for name, fn in functions(stem).items()
              for node in ast.walk(fn)
              if isinstance(node, ast.Constant) and isinstance(node.value, str)
