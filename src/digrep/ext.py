@@ -16,10 +16,10 @@ m + |S_G| generators of V in the basis [iota | section] (_corners), then
 spread to every element by Z1c.  Every splitting decision is one
 block-form core, _split_blocks: it solves for the t with
 L^W_a t - t L^Q_a = eta_a and checks the witness [-t; I] on the
-generators of (W, Q).  is_split hands it the corners of its section;
-_split_cocycles hands it the bar-unit values of cocycles, whose
-extensions are split on the rho side already, without building V, and
-halo.verify_collapse those of the Z^1 basis (_cocycle_etas).
+generators of (W, Q).  is_split hands it the corners of its section,
+and halo.verify_collapse the bar-unit values of the Z^1 basis
+(_cocycle_etas), whose extensions are split on the rho side already,
+without building them.
 """
 
 from __future__ import annotations
@@ -474,9 +474,9 @@ def is_split(s):
 
     On success the witness is a section of pi intertwining both operator
     families; on failure the certificate is the nonzero cocycle family.
-    The decision is the block-form core of _split_cocycles
-    (_split_blocks) on the corners eta of the averaged section (a linear
-    section when W = 0, where there is nothing to average):
+    The decision is the block-form core _split_blocks on the corners eta
+    of the averaged section (a linear section when W = 0, where there is
+    nothing to average):
     _corners has checked that C = [iota | sec] conjugates each generator X
     of V to [[w, eta_X], [0, q]] (eta_X = 0 for each rho_s), so
     X C [-t; I] = C [-t; I] q exactly when w t - t q = eta_X, which is
@@ -508,24 +508,6 @@ def _splitting_maps(etas, Q, W, field):
     n = W.dim * Q.dim   # t = sum_i coeffs[i, j] hom_rho_i, one product for every j
     ts = columns(field, n, [t.reshape(n, 1) for t in hom_rho(Q, W)]) * coeffs
     return [ts.col_vector(j).reshape(W.dim, Q.dim) for j in range(len(etas))]
-
-
-def _split_cocycles(thetas, Q, W):
-    """[is_split(extension_from_cocycle(theta, Q, W)) for theta in thetas],
-    in the block form of those extensions, without building them.
-
-    Their sections of pi are the [-t; I], and [0; I] is rho-equivariant, so
-    averaging returns it, C = I and _corners returns eta_a = theta[(1, a)]:
-    after require_cocycle and the Maschke check that averaging makes,
-    the decision is _split_blocks on those etas.
-    """
-    thetas = [theta.theta if isinstance(theta, CocycleFamily) else theta for theta in thetas]
-    for theta in thetas:
-        require_cocycle(theta, Q, W)
-    if W.dim and Q.dim:   # is_split averages on these only
-        _require_maschke(W.field, Q.digroup.group.order)
-    e, m = Q.digroup.group.identity, Q.digroup.halo_size
-    return _split_blocks([{a: theta[(e, a)] for a in range(m)} for theta in thetas], Q, W)
 
 
 def _split_blocks(etas, Q, W):

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .linalg import (Matrix, block_diag, block_image, block_operator, block_permutation,
-                     columns, devectorize, ext_classes, hstack, intertwiners,
+                     columns, devectorize, ext_classes, intertwiners,
                      lead_coordinates, solve)
 from .reps import (RepresentationError, SemilinearObject, band_law, band_spokes, once,
                    require_valid_semilinear, to_semilinear, hom_rep)
@@ -251,10 +251,10 @@ def verify_collapse(q_rep, w_rep):
     criterion on every cocycle basis member.  The extension of a cocycle
     is in block form already, with [0; I] a rho-equivariant section, so
     the core ext._split_blocks decides the basis members on their
-    bar-unit values eta_a = theta[(1, a)] (what ext._split_cocycles hands
-    it): one solve for all of them, each splitting witness checked on the
-    generators, and no family spread to every element.  ext1_dim has made
-    the Maschke check of averaging by then.
+    bar-unit values eta_a = theta[(1, a)]: one solve for all of them,
+    each splitting witness checked on the generators, and no family
+    spread to every element.  ext1_dim has made the Maschke check of
+    averaging by then.
     """
     q = to_semilinear(q_rep)
     w = to_semilinear(w_rep)
@@ -331,8 +331,7 @@ def verify_adjunction(m, n):
 
     def spread(f):
         # block g of the induced map is t_g^N f
-        cols = [n.t[g] * f for g in range(g_ord)]
-        return hstack(cols) if cols else Matrix(field, dn, 0, [])
+        return columns(field, dn, [n.t[g] * f for g in range(g_ord)])
 
     unit_counit_ok = True
     for phi in left:

@@ -573,7 +573,8 @@ def hstack(mats):
 
 
 def columns(field, n, vectors):
-    """The n x len(vectors) matrix with the given n x 1 column vectors."""
+    """hstack of the given n-row matrices (n x 1 column vectors, say), and
+    the n x 0 matrix when there are none."""
     return hstack(vectors) if vectors else Matrix(field, n, 0, [])
 
 

@@ -33,8 +33,8 @@ from operator import mul
 
 from .digroup import (AxiomReport, Digroup, first_failure, generated_homomorphism,
                       homomorphisms)
-from .linalg import (ContentMemo, DimensionError, Matrix, QQ, block_diag,
-                     contains, hstack, intertwiners, span_basis)
+from .linalg import (ContentMemo, DimensionError, Matrix, QQ, block_diag, columns,
+                     contains, intertwiners, span_basis)
 
 
 class RepresentationError(ValueError):
@@ -267,7 +267,7 @@ def sub_quotient(r, basis):
     compl = [c for c in range(n) if c not in piv]
     ident = Matrix.identity(field, n)
     cols = list(basis) + [ident.col_vector(c) for c in compl]
-    C = hstack(cols) if cols else Matrix(field, n, 0, [])
+    C = columns(field, n, cols)
     Cinv = C.inverse()
 
     def blocks(ops):
@@ -285,7 +285,7 @@ def sub_quotient(r, basis):
     d = r.digroup
     W = from_semilinear(SemilinearObject(d.action, k, eps_w, t_w), d)
     Q = from_semilinear(SemilinearObject(d.action, n - k, eps_q, t_q), d)
-    iota = hstack(basis) if basis else Matrix(field, n, 0, [])
+    iota = columns(field, n, basis)
     pi = Cinv.block(k, 0, n - k, n)
     return W, Q, iota, pi
 

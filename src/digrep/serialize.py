@@ -107,9 +107,28 @@ def digroup_to_json(d):
     }
 
 
+# Each digroup block read so far, by its content, to the Digroup it reads
+# as; a block that is refused leaves no entry.  The key is the block's
+# repr, so 1, 1.0 and true, or a list and a tuple, differ, and what
+# _read_digroup builds and checks depends on that content only.  Like
+# digroup._action_cache, it holds one entry per distinct block a process
+# reads.
+_digroups = {}
+
+
 def digroup_from_json(obj):
+    """The Digroup a digroup block describes, built and checked once per
+    distinct block (_digroups): an equal block gets the same object."""
     if not isinstance(obj, dict):
         raise FormatError("digroup must be an object")
+    key = repr(obj)
+    d = _digroups.get(key)
+    if d is None:
+        d = _digroups[key] = _read_digroup(obj)
+    return d
+
+
+def _read_digroup(obj):
     try:
         group = group_from_json(obj["group"])
         m = _capped(_json_int(obj["halo_size"], "halo_size"), "halo_size")
@@ -214,20 +233,16 @@ def rep_from_json(obj, field=None, validate=True, digroup=None):
     An explicit field must match a prime tag; a rational document may be
     read over an explicit prime field, which reduces its scalars mod p.
     With digroup given, the document's own digroup block must have the
-    same group table and action, and the given object is reused: a block
-    that digroup_to_json(digroup) writes is taken as it (_writes), and
-    any other is read and compared.
+    same group table and action, and the given object is reused.
     """
     if not isinstance(obj, dict):
         raise FormatError("representation must be an object")
     try:
-        if digroup is None or not _writes(digroup, obj["digroup"]):
-            own = digroup_from_json(obj["digroup"])
-            if digroup is None:
-                digroup = own
-            elif (own.group.mul, own.action.act) != (digroup.group.mul,
-                                                     digroup.action.act):
-                raise FormatError("document's digroup differs from the one it is read with")
+        own = digroup_from_json(obj["digroup"])
+        if digroup is None:
+            digroup = own
+        elif (own.group.mul, own.action.act) != (digroup.group.mul, digroup.action.act):
+            raise FormatError("document's digroup differs from the one it is read with")
         tagged = field_from_name(obj.get("field", "rational"))
         if field is None:
             field = tagged
@@ -243,25 +258,6 @@ def rep_from_json(obj, field=None, validate=True, digroup=None):
         raise FormatError("bad representation document: %s" % e)
     r = Representation(digroup, dim, lam, rho)
     return _require_axioms(r) if validate else r
-
-
-def _writes(d, obj):
-    """Whether obj is the block digroup_to_json(d) writes, with JSON
-    integers only (1.0 and true are not 1).  digroup_from_json reads such
-    a block as d's tables, and refuses it only over the caps, so those are
-    applied here."""
-    if obj != digroup_to_json(d) or not _plain_ints(obj):
-        return False
-    _capped(d.group.order, "group_order")
-    _capped(d.halo_size, "halo_size")
-    return True
-
-
-def _plain_ints(x):
-    # whether every leaf of lists and dicts is an int (not a bool)
-    if isinstance(x, (list, dict)):
-        return all(map(_plain_ints, x.values() if isinstance(x, dict) else x))
-    return type(x) is int
 
 
 def _require_axioms(r):

@@ -15,8 +15,8 @@ from operator import attrgetter
 import sympy
 from sympy.polys.matrices import DomainMatrix
 
-from digrep.ext import (CocycleFamily, MaschkeError, check_cocycle, coboundary,
-                        cocycle_space, hom_rho)
+from digrep.ext import (CocycleFamily, MaschkeError, _require_maschke, _split_blocks,
+                        check_cocycle, coboundary, cocycle_space, hom_rho, require_cocycle)
 from digrep.digroup import AxiomReport, GAction, GroupTableError, first_failure
 from digrep.envalg import AlgebraError
 from digrep.halo import hom_BE
@@ -143,6 +143,25 @@ def former_coboundary_columns(q, w, basis=None):
         cols.append(vectorize({x: w.lam[x] * t - t * q.lam[x] for x in halo},
                               halo, w.dim, q.dim))
     return cols
+
+
+def split_cocycles(thetas, q, w):
+    """[is_split(extension_from_cocycle(theta, q, w)) for theta in thetas]
+    in the block form of those extensions, without building them: the
+    reference for the package's one splitting core on given families.
+
+    Their sections of pi are the [-t; I], and [0; I] is rho-equivariant, so
+    averaging returns it, C = I and _corners returns eta_a = theta[(1, a)]:
+    after require_cocycle and the Maschke check that averaging makes,
+    the decision is ext._split_blocks on those etas.
+    """
+    thetas = [theta.theta if isinstance(theta, CocycleFamily) else theta for theta in thetas]
+    for theta in thetas:
+        require_cocycle(theta, q, w)
+    if w.dim and q.dim:   # is_split averages on these only
+        _require_maschke(w.field, q.digroup.group.order)
+    e, m = q.digroup.group.identity, q.digroup.halo_size
+    return _split_blocks([{a: theta[(e, a)] for a in range(m)} for theta in thetas], q, w)
 
 
 def ext1_dim_gfp_oracle(q, w):

@@ -630,23 +630,26 @@ def test_a_document_that_fails_the_axioms_exits_1_naming_them(tmp_path, capsys, 
 
 
 def test_a_sequence_builds_its_digroup_once(tmp_path, capsys, monkeypatch):
-    # V and Q write the digroup block of W, so they reuse W's digroup; any
-    # other block is read on its own and refused as before
-    from digrep import digroup
+    # V and Q write the digroup block of W, so digroup_from_json hands them
+    # W's digroup; any other block is read on its own and refused as before
+    from digrep import digroup, serialize
     from digrep.serialize import FormatError
     paths = write_example(tmp_path, capsys)
     built = []
     init = digroup.FiniteGroup.__init__
     monkeypatch.setattr(digroup.FiniteGroup, "__init__",
                         lambda self, *a, **k: built.append(1) or init(self, *a, **k))
+    monkeypatch.setattr(serialize, "_digroups", {})
     answer = run(capsys, "split", paths["ses"])
     assert answer[0] == 0 and len(built) == 1
+    assert run(capsys, "split", paths["ses"]) == answer and len(built) == 1
     with open(paths["ses"]) as fh:
         ses = json.load(fh)
     member = str(tmp_path / "w.json")
     save_path(member, ses["W"])
     for cmd in ("ext1", "collapse", "probe"):
         del built[:]
+        serialize._digroups.clear()
         assert run(capsys, cmd, paths["rep"], member)[0] == 0
         assert len(built) == 1, cmd
     for who, edit, message in [

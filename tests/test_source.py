@@ -119,14 +119,14 @@ def test_content_memos_serve_the_exhaustive_reports_only():
 
 
 def test_splitting_reads_no_operator_table():
-    # average_section, _corners (block_decompose), is_split,
-    # _split_cocycles and their core _split_blocks read V, W and Q through
-    # their verified views, never the 2 n m tables
+    # average_section, _corners (block_decompose), is_split and their
+    # core _split_blocks read V, W and Q through their verified views,
+    # never the 2 n m tables
     tree = dict(modules())["ext"]
     found = ["%s:%d" % (fn.name, node.lineno) for fn in tree.body
              if isinstance(fn, ast.FunctionDef)
              and fn.name in ("average_section", "block_decompose", "_corners", "is_split",
-                             "_split_cocycles", "_split_blocks", "_splitting_maps")
+                             "_split_blocks", "_splitting_maps")
              for node in ast.walk(fn)
              if isinstance(node, ast.Attribute) and node.attr in ("lam", "rho")]
     assert found == []
@@ -141,12 +141,11 @@ def test_the_collapse_builds_no_extension():
 
 
 def test_one_splitting_decision():
-    # is_split, _split_cocycles and the collapse's splitting criterion
-    # decide through one block-form core, _split_blocks, and it is the only
-    # function of the package that checks a splitting witness (the one that
-    # raises on a wrong one)
-    assert callers("_split_blocks") == {"ext.is_split", "ext._split_cocycles",
-                                        "halo.verify_collapse"}
+    # is_split and the collapse's splitting criterion decide through one
+    # block-form core, _split_blocks, and it is the only function of the
+    # package that checks a splitting witness (the one that raises on a
+    # wrong one)
+    assert callers("_split_blocks") == {"ext.is_split", "halo.verify_collapse"}
     found = {name for stem, _ in modules() for name, fn in functions(stem).items()
              for node in ast.walk(fn)
              if isinstance(node, ast.Constant) and isinstance(node.value, str)
