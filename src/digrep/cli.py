@@ -145,7 +145,8 @@ def _loader(field):
     validated once: a later equal document read over the same digroup
     gets the Representation already checked, which its own check would
     have rebuilt entry for entry.  The memo lives for one command, so
-    each main() call reads and checks its inputs afresh.
+    each main() call reads and checks its representations afresh (a
+    digroup block is checked once per process, by digroup_from_json).
     """
     docs, reps = {}, {}
 
