@@ -31,9 +31,9 @@ from .ext import MaschkeError, ext1_dim, is_split, semisimplicity_probe
 from .halo import verify_collapse
 from .reps import (RepresentationError, check_representation,
                    random_representation, seeded_rng)
-from .serialize import (WORK_CAPS, FormatError, _require_axioms, digroup_from_json,
-                        digroup_to_json, dumps, field_from_name, load_path,
-                        matrix_to_json, rep_from_json, rep_to_json, save_path,
+from .serialize import (WORK_CAPS, FormatError, _require_axioms, _table_to_json,
+                        digroup_from_json, digroup_to_json, dumps, field_from_name,
+                        load_path, matrix_to_json, rep_from_json, rep_to_json, save_path,
                         ses_from_json, ses_to_json)
 
 
@@ -129,6 +129,19 @@ def emit(args, report, text_lines):
     else:
         for line in text_lines:
             print(line)
+
+
+def write_files(args, docs, report):
+    """Save each (name, document) of docs in --out, made if missing, and
+    emit report with the paths written added as "written"."""
+    os.makedirs(args.out, exist_ok=True)
+    written = []
+    for name, doc in docs:
+        path = os.path.join(args.out, name)
+        save_path(path, doc)
+        written.append(path)
+    emit(args, dict(report, written=written), ["wrote %s" % p for p in written])
+    return 0
 
 
 def requested_field(args):
@@ -233,8 +246,7 @@ def cmd_split(args):
         certificate = None
         witness = matrix_to_json(payload)
     else:
-        certificate = {("%d,%d" % x): matrix_to_json(m)
-                       for x, m in sorted(payload.theta.items())}
+        certificate = _table_to_json(payload.theta)
         witness = None
     report = {"dim_Z": res.dim_Z, "dim_B": res.dim_B, "dim_ext": res.dim_ext,
               "split": flag, "certificate": certificate, "witness": witness}
@@ -261,8 +273,7 @@ def cmd_probe(args):
     probe = semisimplicity_probe(reps)
     findings = [{"source": f["source"], "target": f["target"],
                  "dim_ext": f["dim_ext"],
-                 "certificate": {("%d,%d" % x): matrix_to_json(m)
-                                 for x, m in sorted(f["certificate"].theta.items())}}
+                 "certificate": _table_to_json(f["certificate"].theta)}
                 for f in probe["findings"]]
     report = {"pairs_checked": probe["pairs_checked"],
               "semisimple": probe["semisimple"],
@@ -282,21 +293,12 @@ def cmd_example(args):
     v = demo_representation(d)
     s = demo_ses()
     basis = demo_subspace_basis()
-    os.makedirs(args.out, exist_ok=True)
-    written = []
-    for name, doc in [
+    return write_files(args, [
         ("nonsplit_digroup.json", digroup_to_json(d)),
         ("nonsplit_representation.json", rep_to_json(v)),
-        ("nonsplit_subspace.json",
-         {"basis": [matrix_to_json(b) for b in basis]}),
+        ("nonsplit_subspace.json", {"basis": [matrix_to_json(b) for b in basis]}),
         ("nonsplit_ses.json", ses_to_json(s)),
-    ]:
-        path = os.path.join(args.out, name)
-        save_path(path, doc)
-        written.append(path)
-    report = {"written": written}
-    emit(args, report, ["wrote %s" % p for p in written])
-    return 0
+    ], {})
 
 
 def cmd_generate(args):
@@ -318,19 +320,10 @@ def cmd_generate(args):
     action = actions[rng.randrange(len(actions))]
     d = Digroup(action.group, action)
     r = random_representation(d, args.dim, rng)
-    os.makedirs(args.out, exist_ok=True)
     stem = "gen_seed%d" % args.seed
-    paths = []
-    for name, doc in [
-        (stem + "_digroup.json", digroup_to_json(d)),
-        (stem + "_representation.json", rep_to_json(r)),
-    ]:
-        path = os.path.join(args.out, name)
-        save_path(path, doc)
-        paths.append(path)
-    report = {"written": paths, "seed": args.seed}
-    emit(args, report, ["wrote %s" % p for p in paths])
-    return 0
+    return write_files(args, [(stem + "_digroup.json", digroup_to_json(d)),
+                              (stem + "_representation.json", rep_to_json(r))],
+                       {"seed": args.seed})
 
 
 if __name__ == "__main__":

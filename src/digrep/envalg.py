@@ -8,8 +8,7 @@ basis (e_i e_j = e_k stored as k):
 
       R_g  R_h      = R_(gh)
       R_g  M_(a,h)  = M_(g.a, gh)
-      M_(a,g) R_h   = M_(a, gh)
-      M_(a,g) M_(b,h) = M_(a, gh)
+      M_(a,g) x     = M_(a, gh)      for x = R_h and for x = M_(b,h)
 
   where M_(a,g) stands for the class of L_(1,a) R_g and R_1 is the unit;
 
@@ -25,8 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .digroup import AlgebraError, AxiomReport, row_failure, table_generators, table_presentation
-from .linalg import (ContentMemo, Matrix, QQ, block_image, complete, devectorize,
-                     ext_classes)
+from .linalg import (ContentMemo, Matrix, QQ, block_image, block_permutation, complete,
+                     devectorize, ext_classes)
 from .reps import SemilinearObject, from_semilinear, once, require_valid
 
 
@@ -98,72 +97,49 @@ _envalg_cache = {}
 def build_enveloping_algebra(d, field=QQ):
     """The enveloping algebra of a digroup on its monomial basis.
 
-    Cached per (group table, action table, field): the construction and
-    its exhaustive associativity check are deterministic in those inputs.
+    The table is written row by row from the three product rules of the
+    module docstring: R_g R_h = R_(gh), R_g M_(b,h) = M_(g.b, gh), and
+    M_(a,g) x = M_(a, gh) for x = R_h and for x = M_(b,h).  Cached per
+    (group table, action table, field): the construction and its
+    exhaustive associativity check are deterministic in those inputs.
     """
     cache_key = (d.group.mul, d.action.act, field)
     hit = _envalg_cache.get(cache_key)
     if hit is not None:
         return hit
-    n = d.group.order
-    m = d.halo_size
+    mul, act = d.group.mul, d.action.act
+    n, m = d.group.order, d.halo_size
     labels = [("R", g) for g in range(n)]
     labels += [("M", a, g) for a in range(m) for g in range(n)]
-    idx = {lab: i for i, lab in enumerate(labels)}
-    product = []
-    for la in labels:
-        row = []
-        for lb in labels:
-            if la[0] == "R" and lb[0] == "R":
-                lab = ("R", d.group.mul[la[1]][lb[1]])
-            elif la[0] == "R":
-                _, b, h = lb
-                lab = ("M", d.action.apply(la[1], b), d.group.mul[la[1]][h])
-            elif lb[0] == "R":
-                _, a, g = la
-                lab = ("M", a, d.group.mul[g][lb[1]])
-            else:
-                _, a, g = la
-                lab = ("M", a, d.group.mul[g][lb[2]])
-            row.append(idx[lab])
-        product.append(tuple(row))
-    alg = FDAlgebra(field, tuple(labels), tuple(product),
-                    idx[("R", d.group.identity)])
+    # index n k + h is R_h in block k = 0 and M_(k-1, h) in block k >= 1, so
+    # x y = n moved[k] + gh for y in block k: R_g moves block 1 + b to
+    # 1 + g.b (as tau_g does) and M_(a,g) moves every block to 1 + a
+    cells = [(k, h) for k in range(1 + m) for h in range(n)]
+    left = [((0,) + tuple(1 + b for b in act[g]), mul[g]) for g in range(n)]
+    left += [((1 + a,) * (1 + m), mul[g]) for a in range(m) for g in range(n)]
+    product = [tuple(n * moved[k] + row[h] for k, h in cells) for moved, row in left]
+    alg = FDAlgebra(field, tuple(labels), tuple(product), d.group.identity)
     alg.check()
     _envalg_cache[cache_key] = alg
     return alg
-
-
-_halo_cache = {}
 
 
 def build_halo_algebra(halo_size, field=QQ):
     """The band algebra on idempotents eps_a with eps_a eps_b = eps_a."""
     if halo_size < 1:
         raise AlgebraError("halo must be nonempty")
-    hit = _halo_cache.get((halo_size, field))
-    if hit is not None:
-        return hit
     labels = ("1",) + tuple(("eps", a) for a in range(halo_size))
     # index 0 is the unit; every other row is constant: eps_a x = eps_a
     product = tuple(tuple(j if i == 0 else i for j in range(len(labels)))
                     for i in range(len(labels)))
     alg = FDAlgebra(field, labels, product, 0)
     alg.check()
-    _halo_cache[(halo_size, field)] = alg
     return alg
 
 
 def tau_automorphism(g, action, field=QQ):
     """The permutation matrix of eps_a -> eps_(g.a) on the halo algebra basis."""
-    m = action.set_size
-    dim = 1 + m
-    z, o = field.of(0), field.of(1)
-    ents = [[z] * dim for _ in range(dim)]
-    ents[0][0] = o
-    for a in range(m):
-        ents[1 + action.apply(g, a)][1 + a] = o
-    return Matrix.from_rows(field, ents)
+    return block_permutation(field, [0] + [1 + b for b in action.act[g]], 1)
 
 
 def check_relations(a, d):

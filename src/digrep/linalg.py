@@ -11,9 +11,9 @@ A Matrix holds its canonical integer image: over Q the numerators over
 their least common denominator d > 0, over GF(p) the residues (d = 1).
 Equal matrices have equal images, so == and hash read the image.  Every
 operation computes on Python ints, never on Fraction or FpElement, and
-returns a canonical image; the scalars are made from a table of shared
-ones only when entries, [i, j], to_lists or JSON asks for them (a matrix
-built from scalars keeps them and computes its image once).  The field
+returns a canonical image; the scalars are made only when entries,
+[i, j], to_lists or JSON asks for them (a matrix built from scalars keeps
+them and computes its image once).  The field
 supplies the only differences: its char as the modulus (0 over Q), the
 canonical form, how a pivot row is normalized, and the scalars.
 
@@ -87,27 +87,6 @@ def _canonical(pattern, s):
     return s
 
 
-class _Shared(dict):
-    """Shared field scalars by integer value, made on first use.
-
-    Kernel outputs take their entries from here, so an entry costs a
-    lookup instead of an allocation.  At most 4096 values are kept, so a
-    long run with large integers or a large prime holds a bounded table.
-    """
-
-    __slots__ = ("make",)
-
-    def __init__(self, make):
-        super().__init__()
-        self.make = make
-
-    def __missing__(self, n):
-        x = self.make(n)
-        if len(self) < 4096:
-            self[n] = x
-        return x
-
-
 class RationalField:
     """The field Q, backed by fractions.Fraction.
 
@@ -116,7 +95,6 @@ class RationalField:
     """
 
     char = 0
-    _shared = _Shared(Fraction)
 
     def of(self, n):
         return Fraction(n)
@@ -130,8 +108,12 @@ class RationalField:
 
     def _image(self, values):
         """(numerators, d): the values are numerators / d, d their least
-        common denominator."""
-        d = lcm(*{x.denominator for x in values})
+        common denominator.  Fraction and int values only; anything else
+        (an FpElement) is refused."""
+        try:
+            d = lcm(*{x.denominator for x in values})
+        except AttributeError:
+            raise FieldMismatchError("mixed scalar modes") from None
         if d == 1:
             return tuple([x.numerator for x in values]), 1
         return tuple([x.numerator * (d // x.denominator) for x in values]), d
@@ -146,11 +128,8 @@ class RationalField:
         return tuple(nums), d
 
     def _scalars(self, nums, d):
-        """The values nums / d of a canonical image, shared where integral."""
-        shared = self._shared
-        if d == 1:
-            return tuple([shared[x] for x in nums])
-        return tuple([Fraction(x, d) if x % d else shared[x // d] for x in nums])
+        """The values nums / d of a canonical image."""
+        return tuple([Fraction(x, d) for x in nums])
 
     def _normalize(self, row, c):
         """Scale an int row to coprime entries with row[c] > 0."""
@@ -243,16 +222,20 @@ class PrimeField:
         if not _is_prime(p):
             raise ValueError("%r is not prime" % (p,))
         self.p = p
-        self._shared = _Shared(lambda v: FpElement(v, p))
 
     @property
     def char(self):
         return self.p
 
     def _image(self, values):
-        """(residues, 1); elements of another prime field are refused."""
+        """(residues, 1); anything but an element of this field (an int, a
+        Fraction, an element of another prime field) is refused."""
         p = self.p
-        if any(x.p != p for x in values):
+        try:
+            mixed = any(x.p != p for x in values)
+        except AttributeError:
+            mixed = True
+        if mixed:
             raise FieldMismatchError("mixed scalar modes")
         return tuple([x.v for x in values]), 1
 
@@ -265,9 +248,9 @@ class PrimeField:
         return tuple([x % p for x in nums]), 1
 
     def _scalars(self, nums, d):
-        """The values of a canonical image, shared."""
-        shared = self._shared
-        return tuple([shared[x] for x in nums])
+        """The values of a canonical image."""
+        p = self.p
+        return tuple([FpElement(x, p) for x in nums])
 
     def _normalize(self, row, c):
         """Scale an int row to row[c] = 1 mod p."""

@@ -253,12 +253,13 @@ def sub_quotient(r, basis):
 
     Quotient coordinates are the non-pivot coordinates of the canonical
     basis of the subspace, so the construction is reproducible.  In the
-    basis [subspace | complement] each generator of r is block upper
-    triangular; its diagonal blocks are the generators of W and Q.
+    basis [subspace | complement] each L_a and t_g of r must be block upper
+    triangular (the subspace is stable under each of them, so under every
+    operator); RepresentationError otherwise.  The diagonal blocks are the
+    semilinear forms of W and Q.
     """
+    eps, t = _view(r)
     basis = span_basis(basis)
-    if not is_subrepresentation(r, basis):
-        raise RepresentationError("basis does not span a stable subspace")
     field = r.field
     n = r.dim
     k = len(basis)
@@ -275,12 +276,11 @@ def sub_quotient(r, basis):
         for key, m in ops.items():
             x = Cinv * m * C
             if not x.block(k, 0, n - k, k).is_zero():
-                raise RepresentationError("subspace not stable (internal)")
+                raise RepresentationError("basis does not span a stable subspace")
             top[key] = x.block(0, 0, k, k)
             bottom[key] = x.block(k, k, n - k, n - k)
         return top, bottom
 
-    eps, t = _view(r)
     (eps_w, eps_q), (t_w, t_q) = blocks(eps), blocks(t)
     d = r.digroup
     W = from_semilinear(SemilinearObject(d.action, k, eps_w, t_w), d)

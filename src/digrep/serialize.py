@@ -154,35 +154,58 @@ def matrix_to_json(m):
 def matrix_from_json(obj, field, rows, cols, scalars=None):
     """The rows x cols matrix over field written as obj.
 
-    scalars maps each JSON scalar read so far to its field scalar, so a
-    value that repeats is parsed once; the matrices of one document share
-    it (_table_from_json).
+    scalars (a _Scalars memo) maps each JSON scalar read so far to its
+    field scalar, so a value that repeats is parsed once; the matrices of
+    one document share it.  Without one, strings are read in field.
     """
     if not isinstance(obj, list) or len(obj) != rows:
         raise FormatError("expected %d matrix rows" % rows)
     if scalars is None:
-        scalars = {}
+        scalars = _Scalars(field, field)
     ents = []
     for row in obj:
         if not isinstance(row, list) or len(row) != cols:
             raise FormatError("expected %d matrix columns" % cols)
         for x in row:
             # the exact types only: a bool is an int subclass, not a scalar
-            v = scalars.get(x) if type(x) in (int, str) else None
-            if v is None:
-                v = scalars[x] = _scalar(x, field)
-            ents.append(v)
+            ents.append(scalars[x] if type(x) in (int, str) else _scalar(x, field, field))
     return Matrix(field, rows, cols, ents)
 
 
-def _scalar(x, field):
+class _Scalars(dict):
+    """The field scalar of each JSON scalar of one document, made on first
+    sight by _scalar: field is the field read over, tagged the document's
+    own (its "field" tag)."""
+
+    def __init__(self, field, tagged):
+        super().__init__()
+        self.field, self.tagged = field, tagged
+
+    def __missing__(self, x):
+        v = self[x] = _scalar(x, self.field, self.tagged)
+        return v
+
+
+def _scalar(x, field, tagged):
+    """The scalar of field that the JSON value x of a document tagged
+    tagged writes.  A string is read as tagged writes it; a rational
+    document read over GF(p) has each n/q reduced to n q^-1 mod p, and a q
+    that p divides is refused by name."""
     # a JSON number must be an integer (bool is an int subclass, not a scalar)
     if isinstance(x, bool) or not isinstance(x, (int, str)):
         raise FormatError("bad scalar %r: expected an integer or a string" % (x,))
     try:
-        return field.parse(x) if isinstance(x, str) else field.of(x)
+        if isinstance(x, int):
+            return field.of(x)
+        v = tagged.parse(x)
     except (ValueError, ZeroDivisionError) as e:
         raise FormatError("bad scalar %r: %s" % (x, e))
+    if tagged == field:
+        return v
+    p = field.char
+    if v.denominator % p == 0:
+        raise FormatError("bad scalar %r: %d divides its denominator" % (x, p))
+    return field.of(v.numerator * pow(v.denominator, -1, p))
 
 
 def _elem_key(x):
@@ -231,7 +254,8 @@ def rep_from_json(obj, field=None, validate=True, digroup=None):
     """Read a representation over the field its "field" tag names.
 
     An explicit field must match a prime tag; a rational document may be
-    read over an explicit prime field, which reduces its scalars mod p.
+    read over an explicit prime field GF(p), which reduces each of its
+    scalars n/q to n q^-1 mod p (_scalar; FormatError when p divides q).
     With digroup given, the document's own digroup block must have the
     same group table and action, and the given object is reused.
     """
@@ -243,13 +267,13 @@ def rep_from_json(obj, field=None, validate=True, digroup=None):
             digroup = own
         elif (own.group.mul, own.action.act) != (digroup.group.mul, digroup.action.act):
             raise FormatError("document's digroup differs from the one it is read with")
-        tagged = field_from_name(obj.get("field", "rational"))
+        tagged = _tag(obj)
         if field is None:
             field = tagged
         elif tagged not in (field, QQ):
             raise FormatError("document is over %r, not %r" % (tagged, field))
         dim = _json_int(obj["dim"], "dim")
-        scalars = {}
+        scalars = _Scalars(field, tagged)
         lam = _table_from_json(obj["lambda"], digroup, field, dim, scalars)
         rho = _table_from_json(obj["rho"], digroup, field, dim, scalars)
     except FormatError:
@@ -258,6 +282,11 @@ def rep_from_json(obj, field=None, validate=True, digroup=None):
         raise FormatError("bad representation document: %s" % e)
     r = Representation(digroup, dim, lam, rho)
     return _require_axioms(r) if validate else r
+
+
+def _tag(obj):
+    """The field a document's "field" tag names (rational by default)."""
+    return field_from_name(obj.get("field", "rational"))
 
 
 def _require_axioms(r):
@@ -291,8 +320,10 @@ def ses_from_json(obj, field=None):
         q = rep_from_json(obj["Q"], field=field, digroup=w.digroup)
         if not w.field == v.field == q.field:
             raise FormatError("sequence members are over different fields")
-        iota = matrix_from_json(obj["iota"], w.field, v.dim, w.dim)
-        pi = matrix_from_json(obj["pi"], w.field, q.dim, v.dim)
+        # iota and pi are read as rational text when a member's document is
+        scalars = _Scalars(w.field, QQ if QQ in {_tag(obj[k]) for k in "WVQ"} else w.field)
+        iota = matrix_from_json(obj["iota"], w.field, v.dim, w.dim, scalars)
+        pi = matrix_from_json(obj["pi"], w.field, q.dim, v.dim, scalars)
     except FormatError:
         raise
     except (KeyError, TypeError, ValueError) as e:

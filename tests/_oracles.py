@@ -889,3 +889,44 @@ def outcome(call):
         return "ok", call()
     except Exception as e:
         return type(e), str(e)
+
+
+def former_enveloping_algebra(d):
+    """(labels, product, unit) of the enveloping algebra as the package wrote
+    it before its table came from the product rules: every product by the
+    case analysis on the two labels."""
+    n = d.group.order
+    m = d.halo_size
+    labels = [("R", g) for g in range(n)]
+    labels += [("M", a, g) for a in range(m) for g in range(n)]
+    idx = {lab: i for i, lab in enumerate(labels)}
+    product = []
+    for la in labels:
+        row = []
+        for lb in labels:
+            if la[0] == "R" and lb[0] == "R":
+                lab = ("R", d.group.mul[la[1]][lb[1]])
+            elif la[0] == "R":
+                _, b, h = lb
+                lab = ("M", d.action.apply(la[1], b), d.group.mul[la[1]][h])
+            elif lb[0] == "R":
+                _, a, g = la
+                lab = ("M", a, d.group.mul[g][lb[1]])
+            else:
+                _, a, g = la
+                lab = ("M", a, d.group.mul[g][lb[2]])
+            row.append(idx[lab])
+        product.append(tuple(row))
+    return tuple(labels), tuple(product), idx[("R", d.group.identity)]
+
+
+def former_tau_automorphism(g, action, field):
+    """The permutation matrix of eps_a -> eps_(g.a), from nested scalar lists."""
+    m = action.set_size
+    dim = 1 + m
+    z, o = field.of(0), field.of(1)
+    ents = [[z] * dim for _ in range(dim)]
+    ents[0][0] = o
+    for a in range(m):
+        ents[1 + action.apply(g, a)][1 + a] = o
+    return Matrix.from_rows(field, ents)

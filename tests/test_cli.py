@@ -1,12 +1,14 @@
 import json
+import re
 import time
+from fractions import Fraction
 
 import pytest
 
-from digrep import Matrix, QQ, direct_sum, short_exact
+from digrep import Matrix, PrimeField, QQ, direct_sum, short_exact
 from digrep.cli import main
-from digrep.serialize import (matrix_from_json, rep_to_json, save_path, ses_from_json,
-                              ses_to_json)
+from digrep.serialize import (matrix_from_json, rep_from_json, rep_to_json, save_path,
+                              ses_from_json, ses_to_json)
 
 
 def run(capsys, *argv):
@@ -266,6 +268,60 @@ def test_file_field_tag_is_authoritative(tmp_path, capsys):
     assert (code, out) == (2, "")
 
 
+def test_field_p_reduces_each_fraction_of_a_rational_file(tmp_path, capsys):
+    # generate writes rational files with entries such as "-1/13"; read with
+    # --field p, each n/q is n q^-1 mod p, and a q that p divides is refused
+    assert run(capsys, "generate", "--seed", "3", "--group-order", "2", "--halo-size", "2",
+               "--dim", "3", "--out", str(tmp_path))[0] == 0
+    path = str(tmp_path / "gen_seed3_representation.json")
+    with open(path) as fh:
+        doc = json.load(fh)
+    assert '"-1/13"' in json.dumps(doc)
+    code, out, _ = run(capsys, "check", "--json", "--field", "7", path)
+    assert code == 0 and json.loads(out)["ok"]
+    assert run(capsys, "ext1", "--field", "7", path, path)[0] == 0
+    r = rep_from_json(doc, field=PrimeField(7))
+    for name, table in (("lambda", r.lam), ("rho", r.rho)):
+        for key, rows in doc[name].items():
+            want = [[Fraction(x).numerator * pow(Fraction(x).denominator, -1, 7) % 7
+                     for x in row] for row in rows]
+            g, a = map(int, key.split(","))
+            assert [[x.v for x in row] for row in table[(g, a)].to_lists()] == want
+    code, out, err = run(capsys, "ext1", "--field", "13", path, path)
+    assert (code, out) == (2, "")
+    assert re.fullmatch(r"input error: bad scalar '-?[0-9]+/13': 13 divides its denominator\n",
+                        err), err
+
+
+def test_field_p_reduces_the_maps_of_a_rational_sequence(tmp_path, capsys):
+    # iota halved: still a sequence over Q, and over GF(7) once 1/2 is 4
+    paths = write_example(tmp_path, capsys)
+    with open(paths["ses"]) as fh:
+        doc = json.load(fh)
+    assert doc["iota"] == [["0"], ["1"]]
+    doc["iota"] = [["0"], ["1/2"]]
+    halved = str(tmp_path / "halved.json")
+    save_path(halved, doc)
+    for field in ([], ["--field", "7"]):
+        code, out, _ = run(capsys, "split", "--json", *field, halved)
+        assert code == 0 and json.loads(out)["split"] is False
+    assert run(capsys, "split", "--field", "2", halved) == (
+        2, "", "input error: bad scalar '1/2': 2 divides its denominator\n")
+
+
+def test_a_prime_file_accepts_integer_text_only(tmp_path, capsys):
+    paths = write_example(tmp_path, capsys)
+    with open(paths["rep"]) as fh:
+        doc = json.load(fh)
+    doc["field"] = "7"
+    doc["lambda"]["0,0"][0][0] = "1/2"
+    bad = str(tmp_path / "gf7.json")
+    save_path(bad, doc)
+    for field in ([], ["--field", "7"]):
+        assert run(capsys, "check", *field, bad) == (
+            2, "", "input error: bad scalar '1/2': not a canonical scalar: '1/2'\n")
+
+
 def test_non_integer_json_number_scalar_exits_2(tmp_path, capsys):
     # truncating 0.5 to 0 would turn malformed input (exit 2) into an axiom failure (exit 1)
     paths = write_example(tmp_path, capsys)
@@ -416,19 +472,19 @@ def test_one_parser_serves_every_call_and_keeps_no_state(tmp_path, capsys, monke
     from digrep.serialize import rep_to_json, save_path
 
     paths = write_example(tmp_path, capsys)
-    # the bundled representation conjugated by diag(1, 2): a rational file
-    # with the entry 1/2, which a --field 7 left over from a call before
+    # the bundled representation conjugated by diag(1, 7): a rational file
+    # with the entry 1/7, which a --field 7 left over from a call before
     # would refuse (exit 2)
     v = demo_representation()
-    s, s_inv = (Matrix.from_rows(QQ, [[1, 0], [0, c]]) for c in (2, QQ.of(1) / 2))
-    half = Representation(v.digroup, 2, {x: s_inv * m * s for x, m in v.lam.items()},
-                          {x: s_inv * m * s for x, m in v.rho.items()})
-    half_path = str(tmp_path / "half.json")
-    save_path(half_path, rep_to_json(half))
+    s, s_inv = (Matrix.from_rows(QQ, [[1, 0], [0, c]]) for c in (7, QQ.of(1) / 7))
+    seventh = Representation(v.digroup, 2, {x: s_inv * m * s for x, m in v.lam.items()},
+                             {x: s_inv * m * s for x, m in v.rho.items()})
+    seventh_path = str(tmp_path / "seventh.json")
+    save_path(seventh_path, rep_to_json(seventh))
     calls = [["example", "nonsplit", "--out", str(tmp_path)],
              ["check", "--json", paths["rep"]],
              ["ext1", "--json", "--field", "7", paths["rep"], paths["rep"]],
-             ["ext1", "--json", half_path, half_path],
+             ["ext1", "--json", seventh_path, seventh_path],
              ["ext1", "--field"],
              ["generate", "--seed", "3", "--out", str(tmp_path)]]
     built = []

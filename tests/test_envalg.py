@@ -14,9 +14,11 @@ from digrep.linalg import SubspaceError
 from digrep.digroup import (Digroup, FiniteGroup, GAction, all_actions,
                             table_generators)
 
-from _instances import GROUPS, corrupted_tables, induced_pair, sample_digroup, sample_pair
+from _instances import (GROUPS, corrupted_tables, induced_pair, sample_digroup, sample_pair,
+                        symmetric4)
 from _oracles import (ext1_dim_oracle, flat, former_algebra_check, former_check_relations,
-                      former_derivation_ext1, former_presentation, former_table_generators,
+                      former_derivation_ext1, former_enveloping_algebra, former_presentation,
+                      former_tau_automorphism, former_table_generators,
                       full_table_derivation_ext1, outcome)
 
 
@@ -463,6 +465,28 @@ def test_halo_algebra_products():
         for be in range(3):
             assert b.product[ea][b.index(("eps", be))] == ea
         assert b.product[b.unit][ea] == ea == b.product[ea][b.unit]
+
+
+def test_the_algebra_and_tau_match_the_former_constructions():
+    """The table written from the product rules, and tau_g as a block
+    permutation, against the former case analysis on labels and the former
+    matrix of nested scalar lists (_oracles): on every action of every group
+    within the caps (C1-C6 and S3, halo 1-3), and of C12 and S4 on 4 points."""
+    cases = [(group, m) for group in [FiniteGroup.cyclic(n) for n in range(1, 7)]
+             + [FiniteGroup.symmetric3()] for m in (1, 2, 3)]
+    cases += [(FiniteGroup.cyclic(12), 4), (symmetric4(), 4)]
+    algebras = taus = 0
+    for group, m in cases:
+        for act in all_actions(group, m):
+            d = Digroup(group, act)
+            a = build_enveloping_algebra(d, QQ)
+            assert (a.basis_labels, a.product, a.unit) == former_enveloping_algebra(d)
+            for g in range(group.order):
+                for field in (QQ, PrimeField(7)):
+                    assert tau_automorphism(g, act, field) == \
+                        former_tau_automorphism(g, act, field)
+            algebras, taus = algebras + 1, taus + group.order
+    assert (algebras, taus) == (129, 1887)
 
 
 def test_tau_automorphism_is_an_algebra_map():

@@ -16,8 +16,8 @@ from digrep.digroup import Digroup, FiniteGroup, GAction
 from digrep.ext import check_cocycle_on_generators, vectorize, coboundary_space
 from digrep.halo import hom_BE
 from digrep.linalg import FieldMismatchError, SubspaceError, span_basis, solve, hstack
-from digrep.reps import (hom_rep, random_representation, rho_group_form, seeded_rng,
-                         to_semilinear)
+from digrep.reps import (SemilinearObject, from_semilinear, hom_rep, random_representation,
+                         rho_group_form, seeded_rng, to_semilinear)
 from digrep.serialize import ses_from_json, ses_to_json
 
 from _instances import corrupted_tables, induced_pair, sample_pair
@@ -554,6 +554,41 @@ def test_is_split_refuses_a_pi_without_section_when_w_is_zero():
         W, Q, iota, pi = sub_quotient(v, [ident.col_vector(c) for c in range(w.dim)])
         with pytest.raises(RepresentationError, match="pi admits no linear section"):
             is_split(ShortExactSeq(W, v, Q, iota, pi.scale(zero)))
+
+
+def test_the_corners_refuse_a_sequence_whose_maps_are_not_morphisms():
+    # raw sequences over the demo's V (rho_g = sign(g) I, so every linear
+    # section averages to itself), built without short_exact: its refusals
+    # are then met by the corners of the generators of V
+    s, w, q = demo_parts()
+    e1, kill_e1 = Matrix.column(QQ, [1, 0]), Matrix.from_rows(QQ, [[0, 1]])
+    # iota = e1 is not a morphism: span(e1) is not stable under L_1
+    # (L_1 e1 = e1 + e2), and the L_0 corners pass with W and Q swapped
+    with pytest.raises(RepresentationError,
+                       match="^L_1 is not upper triangular along \\(iota, sec\\)$"):
+        is_split(ShortExactSeq(q, s.V, w, e1, kill_e1))
+    # pi is a rho-morphism (all rho are signs) but not an L-morphism with W
+    # as the quotient: pi L_0 sec = 1 where L_0 of W is 0
+    with pytest.raises(RepresentationError, match="^diagonal blocks mismatch at L_0$"):
+        is_split(ShortExactSeq(w, s.V, w, s.iota, s.pi))
+
+
+def test_average_section_refuses_a_pi_that_is_not_a_rho_morphism():
+    # V = k^2 with rho_1 the swap over C2, W = Q the trivial line, and a raw
+    # sequence with pi = (1, -1), which kills the invariant line iota but
+    # does not intertwine rho: the average of the section e1 is
+    # (1/2, 1/2), and pi maps it to 0
+    c2 = FiniteGroup.cyclic(2)
+    d = Digroup(c2, GAction.trivial(c2, 1))
+    ident, one = Matrix.identity(QQ, 2), Matrix.identity(QQ, 1)
+    v = from_semilinear(SemilinearObject(d.action, 2, {0: ident},
+                                         {0: ident, 1: Matrix.from_rows(QQ, [[0, 1], [1, 0]])}),
+                        d)
+    line = from_semilinear(SemilinearObject(d.action, 1, {0: one}, {0: one, 1: one}), d)
+    s = ShortExactSeq(line, v, line, Matrix.column(QQ, [1, 1]), Matrix.from_rows(QQ, [[1, -1]]))
+    with pytest.raises(RepresentationError,
+                       match="^the averaged section is not a section of pi$"):
+        average_section(s)
 
 
 def splitting_cases(s):

@@ -435,3 +435,49 @@ def test_generator_built_halo_actions_decide_like_the_per_g_solve(field):
                         (side, part, key)
                     refused += expected is None and part == "t" and key not in gens
     assert refused >= 20 and moved >= 3
+
+
+def adjunction_instance():
+    """(M, N) with equal nonzero Hom dimensions on both sides, |G| = 6."""
+    d, a, b = sample_semilinear_pair(64, max_dim=2)
+    report = verify_adjunction(underlying_module(a), b)
+    assert (d.group.order, report["left_dim"], report["ok"]) == (6, 2, True)
+    return underlying_module(a), b
+
+
+def test_the_adjunction_refuses_a_left_map_its_identity_block_does_not_determine(monkeypatch):
+    # the first left basis map, changed in a block off the identity: the
+    # dimensions still agree, and only restrict-then-spread tells it apart
+    m, n = adjunction_instance()
+    left_dim, intertwiners = m.dim * n.action.group.order, halo.intertwiners
+    off = (n.action.group.identity + 1) * m.dim   # the first column of block 1
+
+    def injected(pairs, d_src, d_dst, field):
+        found = intertwiners(pairs, d_src, d_dst, field)
+        if d_src != left_dim:   # hom_BE's call
+            return found
+        bump = Matrix(field, d_dst, d_src, [field.of(int(j == off)) for i in range(d_dst)
+                                            for j in range(d_src)])
+        return [found[0] + bump] + found[1:]
+
+    monkeypatch.setattr(halo, "intertwiners", injected)
+    report = verify_adjunction(m, n)
+    assert (report["dims_equal"], report["unit_counit_ok"], report["ok"]) == (True, False, False)
+
+
+def test_the_adjunction_refuses_a_right_map_that_is_not_band_linear(monkeypatch):
+    # the first right basis map plus the unit matrix at (0, 0): not
+    # band-linear, so its spread is not a map of L(M)
+    m, n = adjunction_instance()
+    hom = halo.hom_BE
+
+    def injected(q, w):
+        found = hom(q, w)
+        f = found[0] + Matrix(w.field, w.dim, q.dim, [w.field.of(int(k == 0))
+                                                      for k in range(w.dim * q.dim)])
+        assert any(f * q.eps[a] != w.eps[a] * f for a in q.eps)
+        return [f] + found[1:]
+
+    monkeypatch.setattr(halo, "hom_BE", injected)
+    report = verify_adjunction(m, n)
+    assert (report["dims_equal"], report["unit_counit_ok"], report["ok"]) == (True, False, False)

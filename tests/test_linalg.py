@@ -63,6 +63,27 @@ def test_field_mixing_rejected():
         c.rref()
 
 
+GF7 = PrimeField(7)
+MIXED = {
+    "Fraction entry over GF(7)": lambda: Matrix(GF7, 1, 1, [Fraction(1, 2)]),
+    "int entry over GF(7)": lambda: Matrix(GF7, 1, 1, [3]),
+    "FpElement entry over Q": lambda: Matrix(QQ, 1, 1, [GF7.of(3)]),
+    "scale by a Fraction over GF(7)": lambda: Matrix.identity(GF7, 2).scale(Fraction(1, 2)),
+    "scale by an FpElement over Q": lambda: Matrix.identity(QQ, 2).scale(GF7.of(3)),
+    "GF(5) entry over GF(7)": lambda: Matrix(GF7, 1, 1, [PrimeField(5).of(3)]),
+}
+
+
+@pytest.mark.parametrize("case", MIXED)
+def test_a_scalar_of_another_mode_is_refused_when_the_image_is_computed(case):
+    # the entries are read into the integer image on first use (here by
+    # is_zero), and a scalar the field cannot read is a mode mismatch
+    with pytest.raises(FieldMismatchError, match="mixed scalar modes"):
+        MIXED[case]().is_zero()
+    # an int entry over Q is a rational scalar
+    assert Matrix(QQ, 1, 2, [3, Fraction(1, 2)]) == Matrix.from_rows(QQ, [["3", "1/2"]])
+
+
 def test_fields_mix_by_value_not_by_object():
     m = Matrix.identity(PrimeField(7), 2)
     n = Matrix.identity(PrimeField(7), 2)   # a second, separately built GF(7)

@@ -14,7 +14,7 @@ from dataclasses import replace
 from digrep.reps import (band_law, sign_characters, check_semilinear,
                          check_semilinear_on_generators, SemilinearObject,
                          require_valid_semilinear)
-from digrep.digroup import FiniteGroup, GAction
+from digrep.digroup import Digroup, FiniteGroup, GAction
 from digrep.halo import BEModule, verify_adjunction
 
 from _instances import (corrupted_tables, induced_pair, ladder_groups, sample_pair,
@@ -173,9 +173,18 @@ def test_sub_quotient_of_the_demo():
 
 
 def test_sub_quotient_rejects_unstable_subspaces():
-    r = demo_representation()
-    with pytest.raises(RepresentationError):
-        sub_quotient(r, [Matrix.column(QQ, [1, 0])])
+    # span(e1) is stable under no L_1 of the demo (L_1 e1 = e1 + e2), and
+    # under no rho_1 of the swap representation of C2 (whose L_0 is I);
+    # either way the refusal is the public one
+    c2 = FiniteGroup.cyclic(2)
+    d = Digroup(c2, GAction.trivial(c2, 1))
+    ident = Matrix.identity(QQ, 2)
+    swap = from_semilinear(SemilinearObject(
+        d.action, 2, {0: ident}, {0: ident, 1: Matrix.from_rows(QQ, [[0, 1], [1, 0]])}), d)
+    for r in (demo_representation(), swap):
+        with pytest.raises(RepresentationError,
+                           match="^basis does not span a stable subspace$"):
+            sub_quotient(r, [Matrix.column(QQ, [1, 0])])
 
 
 def test_direct_sum_is_valid_and_block_structured():
