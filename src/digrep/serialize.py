@@ -161,47 +161,46 @@ def matrix_from_json(obj, field, rows, cols, scalars=None):
     if not isinstance(obj, list) or len(obj) != rows:
         raise FormatError("expected %d matrix rows" % rows)
     if scalars is None:
-        scalars = _Scalars(field, field)
+        scalars = _Scalars(False)
     ents = []
     for row in obj:
         if not isinstance(row, list) or len(row) != cols:
             raise FormatError("expected %d matrix columns" % cols)
         for x in row:
             # the exact types only: a bool is an int subclass, not a scalar
-            ents.append(scalars[x] if type(x) in (int, str) else _scalar(x, field, field))
+            v = scalars.get(x) if type(x) in (int, str) else None
+            if v is None:
+                v = scalars[x] = _scalar(x, field, scalars.reduce)
+            ents.append(v)
     return Matrix(field, rows, cols, ents)
 
 
 class _Scalars(dict):
-    """The field scalar of each JSON scalar of one document, made on first
-    sight by _scalar: field is the field read over, tagged the document's
-    own (its "field" tag)."""
+    """The field scalar of each JSON scalar one document has read so far.
+    reduce: the document is rational and read over GF(p) (see _scalar)."""
 
-    def __init__(self, field, tagged):
+    __slots__ = ("reduce",)
+
+    def __init__(self, reduce):
         super().__init__()
-        self.field, self.tagged = field, tagged
-
-    def __missing__(self, x):
-        v = self[x] = _scalar(x, self.field, self.tagged)
-        return v
+        self.reduce = reduce
 
 
-def _scalar(x, field, tagged):
-    """The scalar of field that the JSON value x of a document tagged
-    tagged writes.  A string is read as tagged writes it; a rational
-    document read over GF(p) has each n/q reduced to n q^-1 mod p, and a q
+def _scalar(x, field, reduce):
+    """The scalar of field that the JSON value x writes.  A string is read
+    in field, or with reduce as Q text n/q mapped to n q^-1 mod p, and a q
     that p divides is refused by name."""
     # a JSON number must be an integer (bool is an int subclass, not a scalar)
     if isinstance(x, bool) or not isinstance(x, (int, str)):
         raise FormatError("bad scalar %r: expected an integer or a string" % (x,))
     try:
-        if isinstance(x, int):
+        if not isinstance(x, str):
             return field.of(x)
-        v = tagged.parse(x)
+        if not reduce:
+            return field.parse(x)
+        v = QQ.parse(x)
     except (ValueError, ZeroDivisionError) as e:
         raise FormatError("bad scalar %r: %s" % (x, e))
-    if tagged == field:
-        return v
     p = field.char
     if v.denominator % p == 0:
         raise FormatError("bad scalar %r: %d divides its denominator" % (x, p))
@@ -273,7 +272,7 @@ def rep_from_json(obj, field=None, validate=True, digroup=None):
         elif tagged not in (field, QQ):
             raise FormatError("document is over %r, not %r" % (tagged, field))
         dim = _json_int(obj["dim"], "dim")
-        scalars = _Scalars(field, tagged)
+        scalars = _Scalars(tagged != field)
         lam = _table_from_json(obj["lambda"], digroup, field, dim, scalars)
         rho = _table_from_json(obj["rho"], digroup, field, dim, scalars)
     except FormatError:
@@ -320,8 +319,9 @@ def ses_from_json(obj, field=None):
         q = rep_from_json(obj["Q"], field=field, digroup=w.digroup)
         if not w.field == v.field == q.field:
             raise FormatError("sequence members are over different fields")
-        # iota and pi are read as rational text when a member's document is
-        scalars = _Scalars(w.field, QQ if QQ in {_tag(obj[k]) for k in "WVQ"} else w.field)
+        # over GF(p), iota and pi are Q text reduced mod p when a member's
+        # document is rational
+        scalars = _Scalars(w.field != QQ and QQ in {_tag(obj[k]) for k in "WVQ"})
         iota = matrix_from_json(obj["iota"], w.field, v.dim, w.dim, scalars)
         pi = matrix_from_json(obj["pi"], w.field, q.dim, v.dim, scalars)
     except FormatError:
